@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,20 +26,14 @@ from .models import (DenoiserParams, ImageEncoderParams, TextEncoderParams,
                      init_denoiser, init_image_encoder, init_text_encoder,
                      load_checkpoint, save_checkpoint, state_digest,
                      text_encode)
-from .pretrain import (DENOISER_STAGES, PretrainConfig, clip_pretrain,
+from .pretrain import (PretrainConfig, clip_pretrain, denoiser_stage_configs,
                        diffusion_pretrain)
-from .rewards import RewardSpec, reward_values
+from .rewards import READOUT_SPEC, RewardSpec, readout_means, reward_values
 from .schedule import SAMPLER_STEPS, SCHEDULE_KINDS, make_schedule, make_step_plan
 from .tensorad import Tensor
 from .util import derive_seed
 
 MIN_EVAL_PROMPTS = 32
-
-# metric readouts reported for every model; weights are irrelevant here
-# because reward_values returns the unweighted values
-_EVAL_SPEC = RewardSpec(entries=(
-    ("image-style", 1.0), ("alignment", 1.0), ("clip-constraint", 1.0),
-))
 
 # CSV column names for the reward readouts, in reporting order
 REWARD_COLUMNS = (
@@ -203,15 +196,9 @@ def _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched):
             for cond in conds
         ])
 
-    sums = {kind: 0.0 for kind, _ in REWARD_COLUMNS}
-    for panel in samples:
-        for x, prompt in zip(panel, prompts):
-            vals = reward_values(Tensor(x), prompt, _EVAL_SPEC, world=world,
-                                 image_params=image, text_params=text)
-            for kind in sums:
-                sums[kind] += vals[kind]
-    count = len(seeds) * len(prompts)
-    means = {kind: total / count for kind, total in sums.items()}
+    means = readout_means([x for panel in samples for x in panel],
+                          prompts * len(seeds), world=world,
+                          image_params=image, text_params=text)
 
     diversity = _mean_pairwise_distance(samples[0])
     per_prompt = [
@@ -276,16 +263,6 @@ def _cell_seeds(base_seed, *labels):
     return (derive_seed(base_seed, *labels), derive_seed(base_seed, *labels, 1))
 
 
-def _run_cells(cells, fn):
-    """Evaluate independent grid cells in a worker pool; order by sorting."""
-    if not cells:
-        return []
-    workers = min(len(cells), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = dict(zip(cells, pool.map(fn, cells)))
-    return [results[c] for c in sorted(cells)]
-
-
 def ablate_steps(base_config, state_in, train_ks, test_ns, *, w=1.0, out_dir=None):
     """Train once per K (gradient steps), evaluate each at every test step
     count N; returns the grid as a Table sorted by (train_k, test_n).
@@ -312,8 +289,7 @@ def ablate_steps(base_config, state_in, train_ks, test_ns, *, w=1.0, out_dir=Non
         cfg = dataclasses.replace(base_config, k_last=k)
         trained[k], _ = run_training(cfg, state_in)
 
-    def eval_cell(cell):
-        k, n = cell
+    def eval_cell(k, n):
         plan = make_step_plan(n, base_config.t_train)
         report = evaluate(
             trained[k], holdout, plan, w, _cell_seeds(base_config.seed, k, n),
@@ -322,7 +298,7 @@ def ablate_steps(base_config, state_in, train_ks, test_ns, *, w=1.0, out_dir=Non
         e = report.entries[0]
         return (k, n) + tuple(e.reward_means[kind] for kind, _ in REWARD_COLUMNS)
 
-    rows = _run_cells([(k, n) for k in ks for n in ns], eval_cell)
+    rows = [eval_cell(k, n) for k in ks for n in ns]
     table = Table(
         header=("train_k", "test_n") + tuple(col for _, col in REWARD_COLUMNS),
         rows=tuple(rows),
@@ -354,8 +330,7 @@ def ablate_schedulers(base_config, state_in, kinds, steps, *, w=1.0, out_dir=Non
     sched = make_schedule(base_config.schedule_kind, base_config.t_train)
     state_ft, _ = run_training(base_config, state_in)
 
-    def eval_cell(cell):
-        kind, n = cell
+    def eval_cell(kind, n):
         plan = make_step_plan(n, base_config.t_train)
         report = evaluate(
             state_ft, holdout, plan, w, _cell_seeds(base_config.seed, kind, n),
@@ -364,7 +339,7 @@ def ablate_schedulers(base_config, state_in, kinds, steps, *, w=1.0, out_dir=Non
         e = report.entries[0]
         return (kind, n) + tuple(e.reward_means[k] for k, _ in REWARD_COLUMNS)
 
-    rows = _run_cells([(kind, n) for kind in seen for n in ns], eval_cell)
+    rows = [eval_cell(kind, n) for kind in sorted(seen) for n in ns]
     table = Table(
         header=("sampler", "steps") + tuple(col for _, col in REWARD_COLUMNS),
         rows=tuple(rows),
@@ -592,11 +567,7 @@ def _cmd_pretrain_diffusion(args):
         stages = [dataclasses.replace(single, seed=derive_seed(seed, "diffusion", 0))
                   if args.seed is not None else single]
     else:
-        stages = [
-            PretrainConfig(seed=derive_seed(seed, "diffusion", i),
-                           iterations=n, batch_size=32, lr=lr)
-            for i, (n, lr) in enumerate(DENOISER_STAGES)
-        ]
+        stages = denoiser_stage_configs(seed)
     losses = []
     for cfg in stages:
         _, info = diffusion_pretrain(denoiser, text, world, sched, cfg)
@@ -640,7 +611,7 @@ def _cmd_sample(args):
         cond = text_encode(text, prompt)
     x = sample_from_cond(cond, denoiser, plan, args.w, _cli_seed(args),
                          sampler=args.sampler, sched=sched)
-    scores = reward_values(Tensor(x), prompt, _EVAL_SPEC, world=world,
+    scores = reward_values(Tensor(x), prompt, READOUT_SPEC, world=world,
                            image_params=image, text_params=text)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "sample.f32")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,28 +32,23 @@ from .models import (
     save_checkpoint,
     text_encode,
 )
-from .rewards import RewardSpec, combined_loss, reward_values
+from .inference import guided_step
+from .rewards import RewardSpec, combined_loss, readout_means
 from .schedule import (
     DEFAULT_T_TRAIN,
     SAMPLER_STEPS,
     SCHEDULE_KINDS,
-    cfg_combine,
     forward_diffuse,
     make_schedule,
     make_step_plan,
     predict_x0,
-    sampler_step,
 )
 from .tensorad import Tensor
-from .util import derive_seed
+from .util import derive_seed, reject_unknown_keys
 
 REGIMES = ("direct", "prompt-chain", "unet-chain")
 
 METRICS_HEADER = "iter,loss,reward_image,reward_align,reward_clip"
-
-_READOUT_SPEC = RewardSpec(
-    entries=(("image-style", 1.0), ("alignment", 1.0), ("clip-constraint", 1.0))
-)
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +100,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, raw):
         """Build from a parsed JSON config; unknown keys are rejected."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        reject_unknown_keys(cls, raw)
         kwargs = dict(raw)
         if "rewards" in kwargs and not isinstance(kwargs["rewards"], RewardSpec):
             kwargs["rewards"] = RewardSpec.from_config(kwargs["rewards"])
@@ -197,14 +189,9 @@ class StepResult:
     step_grad_norms: list = None  # per item: |dL/dz| entering each recorded step
 
 
-def _segment_step(t, t_prev, sampler, cfg_in_chain, cfg_scale, sched):
+def _segment_step(t, t_prev, sampler, w, sched):
     def step(z_in, c_in, *den):
-        dp = DenoiserParams(*den)
-        eps = denoise(dp, t, z_in, c_in)
-        if cfg_in_chain:
-            eps_u = denoise(dp, t, z_in, dp.null_cond)
-            eps = cfg_combine(eps, eps_u, cfg_scale)
-        return sampler_step(sampler, z_in, eps, t, t_prev, sched)
+        return guided_step(DenoiserParams(*den), t, t_prev, z_in, c_in, w, sampler, sched)
 
     return step
 
@@ -223,6 +210,7 @@ def _run_chain(text_params, denoiser, prompt, z_init, plan, sched, k_last,
         raise ValueError(f"need 1 <= K <= {n} recorded steps, got K={k_last}")
     c = text_encode(text_params, prompt)
     den_tensors = denoiser.tensors()
+    w = cfg_scale if cfg_in_chain else 1.0
     z = z_init if isinstance(z_init, Tensor) else Tensor(np.asarray(z_init))
     split = n - k_last
     if split:
@@ -230,31 +218,15 @@ def _run_chain(text_params, denoiser, prompt, z_init, plan, sched, k_last,
             c_frozen = Tensor(c.data)
             z_cur = z
             for t, t_prev in transitions[:split]:
-                eps = denoise(denoiser, t, z_cur, c_frozen)
-                if cfg_in_chain:
-                    eps_u = denoise(denoiser, t, z_cur, denoiser.null_cond)
-                    eps = cfg_combine(eps, eps_u, cfg_scale)
-                z_cur = sampler_step(sampler, z_cur, eps, t, t_prev, sched)
+                z_cur = guided_step(denoiser, t, t_prev, z_cur, c_frozen, w, sampler, sched)
         z = Tensor(z_cur.data)
     taps = []
     for t, t_prev in transitions[split:]:
         if collect_taps:
             taps.append(z.id)
-        step = _segment_step(t, t_prev, sampler, cfg_in_chain, cfg_scale, sched)
-        z = ta.checkpoint_segment(step, (z, c) + den_tensors)
+        z = ta.checkpoint_segment(_segment_step(t, t_prev, sampler, w, sched),
+                                  (z, c) + den_tensors)
     return z, taps
-
-
-def _readout_means(x_hats, prompts, world, image_params, text_params):
-    sums = {"image-style": 0.0, "alignment": 0.0, "clip-constraint": 0.0}
-    for x_hat, prompt in zip(x_hats, prompts):
-        x = x_hat if isinstance(x_hat, Tensor) else Tensor(np.asarray(x_hat))
-        vals = reward_values(x, prompt, _READOUT_SPEC, world=world,
-                             image_params=image_params, text_params=text_params)
-        for k, v in vals.items():
-            sums[k] += v
-    n = len(prompts)
-    return {k: v / n for k, v in sums.items()}
 
 
 def collect_grads(param_set):
@@ -300,7 +272,8 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
         loss=loss.item(),
         grads=collect_grads(text_params),
         x_hats=[x.data for x in x_hats],
-        reward_means=_readout_means(x_hats, prompts, world, image_params, text_params),
+        reward_means=readout_means(x_hats, prompts, world=world,
+                                   image_params=image_params, text_params=text_params),
     )
 
 
@@ -344,7 +317,8 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
         loss=loss.item(),
         grads=collect_grads(trainable),
         x_hats=[x.data for x in x_hats],
-        reward_means=_readout_means(x_hats, prompts, world, image_params, text_params),
+        reward_means=readout_means(x_hats, prompts, world=world,
+                                   image_params=image_params, text_params=text_params),
         step_grad_norms=step_norms,
     )
 

@@ -23,6 +23,20 @@ from .util import derive_seed
 DEFAULT_LAMBDA_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+def guided_step(denoiser, t, t_prev, z, c, w, sampler, sched):
+    """One sampler transition t -> t_prev under guidance scale ``w``.
+
+    The unconditional branch runs only when w != 1, so w=1 is bit-identical
+    to conditional-only denoising. Recorded like any other ops when a tape is
+    active; the sampler and the fine-tuning chain both step through here.
+    """
+    eps = denoise(denoiser, t, z, c)
+    if w != 1.0:
+        eps_u = denoise(denoiser, t, z, denoiser.null_cond)
+        eps = cfg_combine(eps, eps_u, w)
+    return sampler_step(sampler, z, eps, t, t_prev, sched)
+
+
 def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
                      sched=None):
     """Deterministic sample from a fixed conditioning vector.
@@ -42,11 +56,7 @@ def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
     with ta.pause_recording():
         z = Tensor(rng.standard_normal(denoiser_params.d).astype(np.float32))
         for t, t_prev in plan.transitions():
-            eps = denoise(denoiser_params, t, z, cond)
-            if w != 1.0:
-                eps_u = denoise(denoiser_params, t, z, denoiser_params.null_cond)
-                eps = cfg_combine(eps, eps_u, w)
-            z = sampler_step(sampler, z, eps, t, t_prev, sched)
+            z = guided_step(denoiser_params, t, t_prev, z, cond, w, sampler, sched)
     return z.data
 
 

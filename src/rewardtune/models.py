@@ -9,6 +9,7 @@ denoising chain backprop runs in seconds.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -276,7 +277,10 @@ def deserialize_state(blob):
 
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("checkpoint entry name is not valid UTF-8") from None
         if name in state:
             raise CheckpointError(f"duplicate checkpoint entry '{name}'")
         (ndim,) = struct.unpack("<I", take(4))
@@ -290,9 +294,18 @@ def deserialize_state(blob):
 
 
 def save_checkpoint(state, path):
+    """Write through a temporary file in the same directory, then rename it
+    over ``path``, so a failed or interrupted save leaves any earlier file
+    intact."""
     blob = serialize_state(state)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorad as ta
-from .data import make_world, sample_pair
+from .data import make_world, sample_pair, world_state
 from .finetune import OptimizerState, adamw_update, clip_global_norm, collect_grads
 from .models import (
     ParamBag,
@@ -30,7 +30,7 @@ from .models import (
 from .rewards import reward_clip_constraint
 from .schedule import forward_diffuse, make_schedule
 from .tensorad import Tensor
-from .util import derive_seed
+from .util import derive_seed, reject_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,7 @@ class PretrainConfig:
     @classmethod
     def from_dict(cls, raw):
         """Build from a parsed JSON config; unknown keys are rejected."""
-        from dataclasses import fields
-
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        reject_unknown_keys(cls, raw)
         return cls(**raw)
 
 
@@ -249,25 +244,26 @@ def moving_average(values, window):
 DENOISER_STAGES = ((6000, 3e-3), (4000, 1e-3), (3000, 3e-4))
 
 
+def denoiser_stage_configs(seed):
+    """One PretrainConfig per DENOISER_STAGES entry, seeded from ``seed``."""
+    return [
+        PretrainConfig(seed=derive_seed(seed, "diffusion", i),
+                       iterations=n, batch_size=32, lr=lr)
+        for i, (n, lr) in enumerate(DENOISER_STAGES)
+    ]
+
+
 def make_pretrained_baseline(seed=42, clip_config=None, diffusion_config=None,
                              schedule_kind="linear-beta", t_train=1000):
     """World + both pretraining stages from one seed; returns the merged state."""
-    from .data import world_state
-
     world = make_world(derive_seed(seed, "world"))
     text = init_text_encoder(derive_seed(seed, "init-text"))
     image = init_image_encoder(derive_seed(seed, "init-image"))
     denoiser = init_denoiser(derive_seed(seed, "init-denoiser"))
     sched = make_schedule(schedule_kind, t_train)
     ccfg = clip_config or PretrainConfig(seed=derive_seed(seed, "clip"))
-    if diffusion_config is not None:
-        dstages = [diffusion_config]
-    else:
-        dstages = [
-            PretrainConfig(seed=derive_seed(seed, "diffusion", i),
-                           iterations=n, batch_size=32, lr=lr)
-            for i, (n, lr) in enumerate(DENOISER_STAGES)
-        ]
+    dstages = ([diffusion_config] if diffusion_config is not None
+               else denoiser_stage_configs(seed))
     clip_pretrain(text, image, world, ccfg)
     for dcfg in dstages:
         diffusion_pretrain(denoiser, text, world, sched, dcfg)

@@ -137,3 +137,24 @@ def reward_values(x_hat, prompt, spec, *, world=None, image_params=None, text_pa
                 kind, x_hat, prompt, world, image_params, text_params
             ).item()
     return out
+
+
+# the three standard readouts reported for every sample; the weights are
+# irrelevant because reward_values returns unweighted values
+READOUT_SPEC = RewardSpec(entries=(
+    ("image-style", 1.0), ("alignment", 1.0), ("clip-constraint", 1.0),
+))
+
+
+def readout_means(x_hats, prompts, *, world, image_params, text_params):
+    """Mean of each standard readout over paired samples and prompts, summed
+    in the order given."""
+    sums = {kind: 0.0 for kind, _ in READOUT_SPEC.entries}
+    for x_hat, prompt in zip(x_hats, prompts):
+        x = x_hat if isinstance(x_hat, Tensor) else Tensor(np.asarray(x_hat))
+        vals = reward_values(x, prompt, READOUT_SPEC, world=world,
+                             image_params=image_params, text_params=text_params)
+        for kind, v in vals.items():
+            sums[kind] += v
+    n = len(prompts)
+    return {kind: total / n for kind, total in sums.items()}

@@ -359,11 +359,15 @@ class Tape:
             self._guard = old_guard
 
 
-def _trace(op, inputs, out_arr, saved, ctx, bw):
+def _trace(op, inputs, out_arr, saved, ctx, bw, save_out=False):
+    """Wrap an op's output and record it on the active tape. ``save_out``
+    appends the output itself to ``saved``, for backward rules that use it."""
     needs = any(t._needs for t in inputs)
     out = Tensor._wrap(out_arr, needs and _active_tape() is not None)
     tape = _active_tape()
     if tape is not None:
+        if save_out:
+            saved = saved + (out,)
         tape._record(op, inputs, out, saved, ctx, bw)
     return out
 
@@ -479,16 +483,7 @@ def div(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if b.data.ndim != 0:
         _check_same_shape("div", a, b)
-    out_arr = a.data / b.data
-    out = _trace("div", (a, b), out_arr, (), None, _bw_div)
-    # saved values need the produced tensor itself; patch them in after trace
-    tape = _active_tape()
-    if tape is not None and tape._target and isinstance(tape._target[-1], TapeNode) \
-            and tape._target[-1].out_id == out.id:
-        node = tape._target[-1]
-        node.saved = (b, out)
-        tape.stats.note(node.saved)
-    return out
+    return _trace("div", (a, b), a.data / b.data, (b,), None, _bw_div, save_out=True)
 
 
 def _bw_neg(g, saved, ctx):
@@ -647,10 +642,7 @@ def _bw_tanh(g, saved, ctx):
 
 def tanh(a):
     a = _as_tensor(a)
-    out_arr = np.tanh(a.data)
-    out = _trace("tanh", (a,), out_arr, (), None, _bw_tanh)
-    _patch_saved_out(out)
-    return out
+    return _trace("tanh", (a,), np.tanh(a.data), (), None, _bw_tanh, save_out=True)
 
 
 def _sigmoid(x):
@@ -680,10 +672,7 @@ def _bw_exp(g, saved, ctx):
 
 def exp(a):
     a = _as_tensor(a)
-    out_arr = np.exp(a.data)
-    out = _trace("exp", (a,), out_arr, (), None, _bw_exp)
-    _patch_saved_out(out)
-    return out
+    return _trace("exp", (a,), np.exp(a.data), (), None, _bw_exp, save_out=True)
 
 
 def _bw_log(g, saved, ctx):
@@ -707,22 +696,7 @@ def sqrt(a):
     a = _as_tensor(a)
     if np.any(a.data < 0):
         raise ValueError("sqrt: input must be non-negative")
-    out_arr = np.sqrt(a.data)
-    out = _trace("sqrt", (a,), out_arr, (), None, _bw_sqrt)
-    _patch_saved_out(out)
-    return out
-
-
-def _patch_saved_out(out):
-    """For ops whose backward uses their own output, save the produced tensor."""
-    tape = _active_tape()
-    if tape is None:
-        return
-    target = tape._target
-    if target and isinstance(target[-1], TapeNode) and target[-1].out_id == out.id:
-        node = target[-1]
-        node.saved = (out,)
-        tape.stats.note(node.saved)
+    return _trace("sqrt", (a,), np.sqrt(a.data), (), None, _bw_sqrt, save_out=True)
 
 
 # ---------------------------------------------------------------------------

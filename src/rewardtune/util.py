@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -21,3 +22,11 @@ def derive_seed(base_seed, *parts):
             folded.append(zlib.crc32(str(part).encode("utf-8")))
     seq = np.random.SeedSequence(folded)
     return int(seq.generate_state(1, dtype=np.uint64)[0])
+
+
+def reject_unknown_keys(cls, raw):
+    """Raise ValueError naming every key of ``raw`` that is not a field of
+    the dataclass ``cls``."""
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")

@@ -27,6 +27,7 @@ from rewardtune.finetune import (
     run_training,
     unet_finetune_step,
 )
+from rewardtune.inference import sample_from_cond
 from rewardtune.models import (
     DenoiserParams,
     ParamBag,
@@ -314,10 +315,22 @@ class TestChainStep:
                                  baseline_world, [(1,)], [], plan, 1, sched,
                                  RewardSpec.default())
 
-    def test_chain_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("cfg_in_chain", [False, True])
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    def test_chain_gradient_matches_finite_differences(self, sampler, cfg_in_chain):
         # truncated objective: the first N-K steps are a fixed (detached)
         # function of the starting noise, so the oracle pins that prefix at
-        # its baseline value and differentiates only the recorded suffix
+        # its baseline value and differentiates only the recorded suffix;
+        # guidance is written out here, sharing no code with the chain
+        w = 3.0
+
+        def guided_eps(den, t, z, c):
+            eps = denoise(den, t, z, c)
+            if cfg_in_chain:
+                eps_u = denoise(den, t, z, den.null_cond)
+                eps = ta.sub(ta.mul(eps, w), ta.mul(eps_u, w - 1.0))
+            return eps
+
         with ta.default_dtype(np.float64):
             world, text, image, den = _f64_setup()
             text.set_requires_grad(True)
@@ -335,8 +348,8 @@ class TestChainStep:
                 c0 = text_encode(text, prompt)
                 z = Tensor(z0.copy())
                 for t, t_prev in transitions[:split]:
-                    eps = denoise(den, t, z, c0)
-                    z = sampler_step("ddim", z, eps, t, t_prev, sched)
+                    eps = guided_eps(den, t, z, c0)
+                    z = sampler_step(sampler, z, eps, t, t_prev, sched)
                 z_mid = z.data.copy()
 
             def objective(named):
@@ -344,18 +357,46 @@ class TestChainStep:
                 c = text_encode(tp, prompt)
                 zz = Tensor(z_mid.copy())
                 for t, t_prev in transitions[split:]:
-                    eps = denoise(den, t, zz, c)
-                    zz = sampler_step("ddim", zz, eps, t, t_prev, sched)
+                    eps = guided_eps(den, t, zz, c)
+                    zz = sampler_step(sampler, zz, eps, t, t_prev, sched)
                 return combined_loss(zz, prompt, spec, world=world,
                                      image_params=image, text_params=tp)
 
             fd = ta.finite_diff_grad(objective, text.named(), h=1e-4)
             result = prompt_finetune_step(text, den, image, world, [prompt],
-                                          [z0], plan, k_last, sched, spec)
+                                          [z0], plan, k_last, sched, spec,
+                                          sampler=sampler, cfg_in_chain=cfg_in_chain,
+                                          cfg_scale=w)
             for name, g in result.grads.items():
                 mask = np.abs(fd[name]) > 1e-7
                 if mask.any():
                     assert _rel(g[mask], fd[name][mask]).max() < 1e-3, name
+
+    @pytest.mark.parametrize("k_last", [1, 6])
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    def test_chain_forward_matches_sampler(self, sampler, w, k_last):
+        # the chain the gradient runs through walks, bit for bit, the same
+        # trajectory the sampler does from the same noise draw
+        world, text, image, den = _f64_setup()
+        text.set_requires_grad(True)
+        sched = make_schedule("linear-beta", 1000)
+        plan = make_step_plan(6)
+        prompt = (1, 3)
+        seed = 5
+        rng = np.random.default_rng(derive_seed(seed, "sample"))
+        z0 = rng.standard_normal(world.d).astype(np.float32)
+
+        result = prompt_finetune_step(text, den, image, world, [prompt], [z0],
+                                      plan, k_last, sched, RewardSpec.default(),
+                                      sampler=sampler, cfg_in_chain=True,
+                                      cfg_scale=w)
+        with ta.pause_recording():
+            cond = text_encode(text, prompt)
+        expected = sample_from_cond(cond, den, plan, w, seed, sampler=sampler,
+                                    sched=sched)
+        assert result.x_hats[0].dtype == expected.dtype
+        assert result.x_hats[0].tobytes() == expected.tobytes()
 
     def test_checkpointed_chain_matches_plain_tape(self, baseline_world,
                                                    baseline_text, baseline_image,

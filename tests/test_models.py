@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -310,6 +311,26 @@ class TestCheckpoint:
         blob = CHECKPOINT_MAGIC + struct.pack("<II", 99, 0)
         with pytest.raises(CheckpointError, match="version"):
             deserialize_state(blob)
+
+    def test_non_utf8_name_rejected(self):
+        blob = serialize_state({"ab": np.zeros(1, np.float32)})
+        bad = blob.replace(b"ab", b"\xff\xfe", 1)
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            deserialize_state(bad)
+
+    def test_failed_save_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.rcpt"
+        save_checkpoint(self._random_state(0), path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            save_checkpoint(self._random_state(1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.rcpt"]
 
     def test_zero_and_single_element_tensors(self, tmp_path):
         state = {
