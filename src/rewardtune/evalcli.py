@@ -112,6 +112,10 @@ class ModelEval:
         if not all(np.isfinite(v) for v in values):
             raise ValueError(f"non-finite metric for model {self.name!r}")
 
+    def reward_row(self):
+        """The reward means in REWARD_COLUMNS order."""
+        return tuple(self.reward_means[k] for k, _ in REWARD_COLUMNS)
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -138,11 +142,9 @@ class EvalReport:
     def table(self):
         header = ("model",) + tuple(col for _, col in REWARD_COLUMNS) + (
             "diversity", "spread")
-        rows = []
-        for e in self.entries:
-            rows.append((e.name,) + tuple(e.reward_means[k] for k, _ in REWARD_COLUMNS)
-                        + (e.diversity, e.spread))
-        return Table(header=header, rows=tuple(rows))
+        rows = tuple((e.name,) + e.reward_row() + (e.diversity, e.spread)
+                     for e in self.entries)
+        return Table(header=header, rows=rows)
 
     def to_csv(self):
         return self.table().to_csv()
@@ -178,11 +180,13 @@ def _named_states(checkpoints):
     return [(str(name), state) for name, state in checkpoints]
 
 
+def _encoders_from(state):
+    return (TextEncoderParams.from_state(state), ImageEncoderParams.from_state(state),
+            DenoiserParams.from_state(state), world_from_state(state))
+
+
 def _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched):
-    text = TextEncoderParams.from_state(state)
-    image = ImageEncoderParams.from_state(state)
-    denoiser = DenoiserParams.from_state(state)
-    world = world_from_state(state)
+    text, image, denoiser, world = _encoders_from(state)
 
     with ta.pause_recording():
         conds = [text_encode(text, p) for p in prompts]
@@ -254,6 +258,12 @@ def _holdout_prompts(config, world):
     return holdout
 
 
+def _holdout_score(name, state, holdout, plan, w, seeds, sampler, sched):
+    """One model's ModelEval on the holdout prompts."""
+    return evaluate([(name, state)], holdout, plan, w, seeds,
+                    sampler=sampler, sched=sched).entries[0]
+
+
 # ---------------------------------------------------------------------------
 # ablation grids
 
@@ -261,6 +271,27 @@ def _holdout_prompts(config, world):
 def _cell_seeds(base_seed, *labels):
     """Two derived seeds per grid cell, reproducible in isolation."""
     return (derive_seed(base_seed, *labels), derive_seed(base_seed, *labels, 1))
+
+
+def _score_grid(base_config, state_in, header, cells, w, out_dir, stem):
+    """Score each (label, state, sampler, n) cell on the holdout under
+    ``_cell_seeds(base_config.seed, label, n)``; one row per cell, in order.
+
+    Returns the Table; when ``out_dir`` is given writes <stem>.csv/.txt.
+    """
+    holdout = _holdout_prompts(base_config, world_from_state(state_in))
+    sched = make_schedule(base_config.schedule_kind, base_config.t_train)
+    rows = []
+    for label, state, sampler, n in cells:
+        plan = make_step_plan(n, base_config.t_train)
+        e = _holdout_score(label, state, holdout, plan, w,
+                           _cell_seeds(base_config.seed, label, n), sampler, sched)
+        rows.append((label, n) + e.reward_row())
+    table = Table(header=header + tuple(col for _, col in REWARD_COLUMNS),
+                  rows=tuple(rows))
+    if out_dir:
+        table.write(out_dir, stem)
+    return table
 
 
 def ablate_steps(base_config, state_in, train_ks, test_ns, *, w=1.0, out_dir=None):
@@ -280,32 +311,12 @@ def ablate_steps(base_config, state_in, train_ks, test_ns, *, w=1.0, out_dir=Non
                 f"train K={k} outside [1, {base_config.n_steps}] for N={base_config.n_steps}"
             )
 
-    world = world_from_state(state_in)
-    holdout = _holdout_prompts(base_config, world)
-    sched = make_schedule(base_config.schedule_kind, base_config.t_train)
-
-    trained = {}
+    cells = []
     for k in ks:
-        cfg = dataclasses.replace(base_config, k_last=k)
-        trained[k], _ = run_training(cfg, state_in)
-
-    def eval_cell(k, n):
-        plan = make_step_plan(n, base_config.t_train)
-        report = evaluate(
-            trained[k], holdout, plan, w, _cell_seeds(base_config.seed, k, n),
-            sampler=base_config.sampler, sched=sched,
-        )
-        e = report.entries[0]
-        return (k, n) + tuple(e.reward_means[kind] for kind, _ in REWARD_COLUMNS)
-
-    rows = [eval_cell(k, n) for k in ks for n in ns]
-    table = Table(
-        header=("train_k", "test_n") + tuple(col for _, col in REWARD_COLUMNS),
-        rows=tuple(rows),
-    )
-    if out_dir:
-        table.write(out_dir, "ablate_steps")
-    return table
+        state, _ = run_training(dataclasses.replace(base_config, k_last=k), state_in)
+        cells.extend((k, state, base_config.sampler, n) for n in ns)
+    return _score_grid(base_config, state_in, ("train_k", "test_n"), cells, w,
+                       out_dir, "ablate_steps")
 
 
 def ablate_schedulers(base_config, state_in, kinds, steps, *, w=1.0, out_dir=None):
@@ -325,28 +336,10 @@ def ablate_schedulers(base_config, state_in, kinds, steps, *, w=1.0, out_dir=Non
     if not seen or not ns:
         raise ValueError("kinds and steps must be non-empty")
 
-    world = world_from_state(state_in)
-    holdout = _holdout_prompts(base_config, world)
-    sched = make_schedule(base_config.schedule_kind, base_config.t_train)
     state_ft, _ = run_training(base_config, state_in)
-
-    def eval_cell(kind, n):
-        plan = make_step_plan(n, base_config.t_train)
-        report = evaluate(
-            state_ft, holdout, plan, w, _cell_seeds(base_config.seed, kind, n),
-            sampler=kind, sched=sched,
-        )
-        e = report.entries[0]
-        return (kind, n) + tuple(e.reward_means[k] for k, _ in REWARD_COLUMNS)
-
-    rows = [eval_cell(kind, n) for kind in sorted(seen) for n in ns]
-    table = Table(
-        header=("sampler", "steps") + tuple(col for _, col in REWARD_COLUMNS),
-        rows=tuple(rows),
-    )
-    if out_dir:
-        table.write(out_dir, "ablate_schedulers")
-    return table
+    cells = [(kind, state_ft, kind, n) for kind in sorted(seen) for n in ns]
+    return _score_grid(base_config, state_in, ("sampler", "steps"), cells, w,
+                       out_dir, "ablate_schedulers")
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +401,7 @@ def collapse_experiment(config, state_in, *, gamma_clip=100.0, w=1.0, out_dir=No
     constrained_state, _ = run_training(dataclasses.replace(config, rewards=anchored), state_in)
 
     def score(name, state):
-        report = evaluate(state, holdout, plan, w, seeds,
-                          sampler=config.sampler, sched=sched)
-        return dataclasses.replace(report.entries[0], name=name)
+        return _holdout_score(name, state, holdout, plan, w, seeds, config.sampler, sched)
 
     result = CollapseResult(
         gamma_clip=float(gamma_clip),
@@ -440,28 +431,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _parse_ints(text, flag):
+def _parse_numbers(text, flag, kind=int):
+    """Comma- or space-separated ints (or ``kind``) from one flag's text."""
     try:
-        values = [int(v) for v in text.replace(",", " ").split()]
+        values = [kind(v) for v in text.replace(",", " ").split()]
     except ValueError:
-        raise ValueError(f"{flag} expects integers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag} is empty")
-    return values
-
-
-def _parse_floats(text, flag):
-    try:
-        values = [float(v) for v in text.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"{flag} expects numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} expects {noun}, got {text!r}") from None
     if not values:
         raise ValueError(f"{flag} is empty")
     return values
 
 
 def _parse_prompt(text, world):
-    tokens = tuple(_parse_ints(text, "--prompt"))
+    tokens = tuple(_parse_numbers(text, "--prompt"))
     for tok in tokens:
         if tok not in world.token_ids:
             valid = " ".join(str(t) for t in world.token_ids)
@@ -496,17 +479,16 @@ def _train_config(args, **overrides):
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
-def _pretrain_config(args, **overrides):
+def _pretrain_config(args, *labels):
+    """The --config file's PretrainConfig, or None without one; an explicit
+    --seed replaces its seed with one derived under ``labels``."""
     raw = _load_json_config(args.config)
     if not raw:
         return None
     cfg = PretrainConfig.from_dict(raw)
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
-
-
-def _encoders_from(state):
-    return (TextEncoderParams.from_state(state), ImageEncoderParams.from_state(state),
-            DenoiserParams.from_state(state), world_from_state(state))
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=derive_seed(args.seed, *labels))
+    return cfg
 
 
 def _sample_meta(prompt, args, extra=None):
@@ -529,21 +511,14 @@ def _announce(path):
 
 def _cmd_pretrain_clip(args):
     seed = _cli_seed(args)
-    cfg = _pretrain_config(args)
-    if cfg is None:
-        cfg = PretrainConfig(seed=derive_seed(seed, "clip"))
-    elif args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=derive_seed(seed, "clip"))
+    cfg = _pretrain_config(args, "clip") or PretrainConfig(seed=derive_seed(seed, "clip"))
     world = make_world(derive_seed(seed, "world"))
     text = init_text_encoder(derive_seed(seed, "init-text"))
     image = init_image_encoder(derive_seed(seed, "init-image"))
     _, _, info = clip_pretrain(text, image, world, cfg)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    rows = tuple(
-        (it, loss, temp)
-        for it, (loss, temp) in enumerate(zip(info["losses"], info["temperatures"]))
-    )
+    rows = tuple((it, loss, temp) for it, (loss, temp)
+                 in enumerate(zip(info["losses"], info["temperatures"])))
     Table(header=("iter", "loss", "temperature"), rows=rows).write(
         args.out_dir, "clip_metrics")
     state = {**text.state(), **image.state(), **world_state(world)}
@@ -562,18 +537,13 @@ def _cmd_pretrain_diffusion(args):
     denoiser = init_denoiser(derive_seed(seed, "init-denoiser"))
     sched = make_schedule(args.schedule, args.t_train)
 
-    single = _pretrain_config(args)
-    if single is not None:
-        stages = [dataclasses.replace(single, seed=derive_seed(seed, "diffusion", 0))
-                  if args.seed is not None else single]
-    else:
-        stages = denoiser_stage_configs(seed)
+    single = _pretrain_config(args, "diffusion", 0)
+    stages = [single] if single is not None else denoiser_stage_configs(seed)
     losses = []
     for cfg in stages:
         _, info = diffusion_pretrain(denoiser, text, world, sched, cfg)
         losses.extend(info["losses"])
 
-    os.makedirs(args.out_dir, exist_ok=True)
     rows = tuple((it, loss) for it, loss in enumerate(losses))
     Table(header=("iter", "loss"), rows=rows).write(args.out_dir, "diffusion_metrics")
     out_state = {**text.state(), **image.state(), **denoiser.state(), **world_state(world)}
@@ -583,21 +553,13 @@ def _cmd_pretrain_diffusion(args):
     print(f"digest {state_digest(out_state)}")
 
 
-def _run_finetune(args, regime):
-    cfg = _train_config(args, regime=regime)
+def _cmd_finetune(args):
+    cfg = _train_config(args, regime=args.regime)
     state_in = load_checkpoint(args.checkpoint)
     state_out, _ = run_training(cfg, state_in, out_dir=args.out_dir)
     _announce(os.path.join(args.out_dir, "model.rcpt"))
     _announce(os.path.join(args.out_dir, "metrics.csv"))
     print(f"digest {state_digest(state_out)}")
-
-
-def _cmd_finetune_text(args):
-    _run_finetune(args, args.regime)
-
-
-def _cmd_finetune_unet(args):
-    _run_finetune(args, "unet-chain")
 
 
 def _cmd_sample(args):
@@ -629,7 +591,7 @@ def _cmd_interpolate(args):
     # frozen components come from the first (base) checkpoint
     denoiser = DenoiserParams.from_state(state_a)
     prompt = _parse_prompt(args.prompt, world_from_state(state_a))
-    lambdas = _parse_floats(args.lambdas, "--lambdas")
+    lambdas = _parse_numbers(args.lambdas, "--lambdas", float)
     plan = make_step_plan(args.steps, args.t_train)
     sched = make_schedule(args.schedule, args.t_train)
 
@@ -642,18 +604,15 @@ def _cmd_interpolate(args):
         path = os.path.join(args.out_dir, f"sample_{i:02d}.f32")
         write_sample(path, x, _sample_meta(prompt, args, {"lambda": float(lam)}))
         _announce(path)
-    rows = tuple(
-        (la, lb, d) for la, lb, d in zip(lambdas, lambdas[1:], distances)
-    )
-    Table(header=("lambda_from", "lambda_to", "distance"), rows=rows).write(
-        args.out_dir, "interpolation")
+    Table(header=("lambda_from", "lambda_to", "distance"),
+          rows=tuple(zip(lambdas, lambdas[1:], distances))).write(args.out_dir, "interpolation")
     _announce(os.path.join(args.out_dir, "interpolation.csv"))
 
 
 def _cmd_mix(args):
     _reject_config(args)
     paths = [p for p in args.checkpoints.split(",") if p]
-    weights = _parse_floats(args.weights, "--weights")
+    weights = _parse_numbers(args.weights, "--weights", float)
     if len(paths) != len(weights):
         raise ValueError(
             f"got {len(paths)} checkpoints but {len(weights)} weights")
@@ -688,10 +647,8 @@ def _cmd_evaluate(args):
         _, prompt_set = make_prompt_sets(world, 48, 36, seed=DEFAULT_SPLIT_SEED)
     plan = make_step_plan(args.steps, args.t_train)
     sched = make_schedule(args.schedule, args.t_train)
-    if args.seeds:
-        seeds = _parse_ints(args.seeds, "--seeds")
-    else:
-        seeds = list(_cell_seeds(_cli_seed(args), "eval"))
+    seeds = (_parse_numbers(args.seeds, "--seeds") if args.seeds
+             else list(_cell_seeds(_cli_seed(args), "eval")))
 
     report = evaluate(named, prompt_set, plan, args.w, seeds,
                       sampler=args.sampler, sched=sched, out_dir=args.out_dir)
@@ -699,36 +656,31 @@ def _cmd_evaluate(args):
     print(report.render_text(), end="")
 
 
-def _cmd_ablate_steps(args):
+def _run_experiment(args, stem, run):
+    """Build the TrainConfig, load the checkpoint, run the experiment that
+    writes ``<stem>.csv``, announce that file and print the returned Table."""
     cfg = _train_config(args)
     state = load_checkpoint(args.checkpoint)
-    table = ablate_steps(
-        cfg, state, _parse_ints(args.train_k, "--train-k"),
-        _parse_ints(args.test_n, "--test-n"), w=args.w, out_dir=args.out_dir,
-    )
-    _announce(os.path.join(args.out_dir, "ablate_steps.csv"))
+    table = run(cfg, state)
+    _announce(os.path.join(args.out_dir, f"{stem}.csv"))
     print(table.render_text(), end="")
+
+
+def _cmd_ablate_steps(args):
+    _run_experiment(args, "ablate_steps", lambda cfg, state: ablate_steps(
+        cfg, state, _parse_numbers(args.train_k, "--train-k"),
+        _parse_numbers(args.test_n, "--test-n"), w=args.w, out_dir=args.out_dir))
 
 
 def _cmd_ablate_schedulers(args):
-    cfg = _train_config(args)
-    state = load_checkpoint(args.checkpoint)
-    kinds = [k for k in args.kinds.split(",") if k]
-    table = ablate_schedulers(
-        cfg, state, kinds, _parse_ints(args.steps, "--steps"),
-        w=args.w, out_dir=args.out_dir,
-    )
-    _announce(os.path.join(args.out_dir, "ablate_schedulers.csv"))
-    print(table.render_text(), end="")
+    _run_experiment(args, "ablate_schedulers", lambda cfg, state: ablate_schedulers(
+        cfg, state, [k for k in args.kinds.split(",") if k],
+        _parse_numbers(args.steps, "--steps"), w=args.w, out_dir=args.out_dir))
 
 
 def _cmd_collapse(args):
-    cfg = _train_config(args)
-    state = load_checkpoint(args.checkpoint)
-    result = collapse_experiment(cfg, state, gamma_clip=args.gamma_clip,
-                                 w=args.w, out_dir=args.out_dir)
-    _announce(os.path.join(args.out_dir, "collapse.csv"))
-    print(result.table().render_text(), end="")
+    _run_experiment(args, "collapse", lambda cfg, state: collapse_experiment(
+        cfg, state, gamma_clip=args.gamma_clip, w=args.w, out_dir=args.out_dir).table())
 
 
 def _add_sampling_flags(p):
@@ -764,15 +716,16 @@ def build_parser():
     p.add_argument("--schedule", choices=sorted(SCHEDULE_KINDS), default="linear-beta")
     p.add_argument("--t-train", type=int, default=1000)
 
-    p = add("finetune-text", _cmd_finetune_text,
+    p = add("finetune-text", _cmd_finetune,
             "reward fine-tuning of the text encoder")
     p.add_argument("--checkpoint", required=True, help="pretrained checkpoint")
     p.add_argument("--regime", choices=("prompt-chain", "direct"),
                    default="prompt-chain")
 
-    p = add("finetune-unet", _cmd_finetune_unet,
+    p = add("finetune-unet", _cmd_finetune,
             "reward fine-tuning of the denoiser")
     p.add_argument("--checkpoint", required=True, help="pretrained checkpoint")
+    p.set_defaults(regime="unet-chain")
 
     p = add("sample", _cmd_sample, "draw one sample for a prompt")
     p.add_argument("--checkpoint", required=True)

@@ -96,6 +96,8 @@ class TrainConfig:
             raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive or None")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be non-negative")
 
     @classmethod
     def from_dict(cls, raw):
@@ -378,7 +380,10 @@ def run_training(config, state_in, out_dir=None):
     denoiser = DenoiserParams.from_state(state_in)
     world = world_from_state(state_in)
 
-    trainable = denoiser if config.regime == "unet-chain" else text
+    if config.regime == "unet-chain":
+        trainable, frozen, step_fn = denoiser, text, unet_finetune_step
+    else:
+        trainable, frozen, step_fn = text, denoiser, prompt_finetune_step
     trainable.set_requires_grad(True)
     constraint_text = None
     if config.constraint_uses_frozen_copy:
@@ -408,16 +413,17 @@ def run_training(config, state_in, out_dir=None):
             idx = rng.integers(0, len(train_set), size=config.batch_size)
             prompts = [train_set.prompts[i] for i in idx]
             z_inits = rng.standard_normal((config.batch_size, world.d)).astype(np.float32)
-            step_fn = unet_finetune_step if config.regime == "unet-chain" else prompt_finetune_step
-            lead = denoiser if config.regime == "unet-chain" else text
-            other = text if config.regime == "unet-chain" else denoiser
             result = step_fn(
-                lead, other, image, world, prompts, z_inits, plan,
+                trainable, frozen, image, world, prompts, z_inits, plan,
                 config.k_last, sched, config.rewards, sampler=config.sampler,
                 cfg_in_chain=config.cfg_in_chain, cfg_scale=config.cfg_scale,
                 constraint_text=constraint_text,
             )
-        grads, _ = clip_global_norm(result.grads, config.grad_clip)
+        grads, grad_norm = clip_global_norm(result.grads, config.grad_clip)
+        if not (math.isfinite(result.loss) and math.isfinite(grad_norm)):
+            raise FloatingPointError(
+                f"iteration {it}: non-finite loss {result.loss} or gradient norm "
+                f"{grad_norm}; stopped before the update")
         adamw_update(trainable, grads, opt, config.lr)
         rows.append((
             it,

@@ -9,6 +9,7 @@ denoising chain backprop runs in seconds.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -226,6 +227,7 @@ def denoise(params, t, z_t, c):
 
 CHECKPOINT_MAGIC = b"RCPT"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_MAX_NDIM = 32  # the lowest array rank limit of supported NumPy releases
 
 
 class CheckpointError(RuntimeError):
@@ -284,10 +286,16 @@ def deserialize_state(blob):
         if name in state:
             raise CheckpointError(f"duplicate checkpoint entry '{name}'")
         (ndim,) = struct.unpack("<I", take(4))
+        if ndim > CHECKPOINT_MAX_NDIM:
+            raise CheckpointError(f"checkpoint entry '{name}' has {ndim} dimensions "
+                                  f"(max {CHECKPOINT_MAX_NDIM})")
         dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        n_vals = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(take(4 * n_vals), dtype="<f4").reshape(dims).copy()
-        state[name] = data
+        # Python ints, so a huge shape cannot wrap to a small byte count
+        payload = take(4 * math.prod(dims))
+        try:
+            state[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError:  # e.g. a zero-size shape too large for NumPy
+            raise CheckpointError(f"checkpoint entry '{name}' has bad shape {dims}") from None
     if offset != len(view):
         raise CheckpointError("trailing bytes after checkpoint payload")
     return state

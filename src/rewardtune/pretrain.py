@@ -47,8 +47,14 @@ class PretrainConfig:
     log_temp_max: float = math.log(100.0)
 
     def __post_init__(self):
+        if self.lr <= 0:
+            raise ValueError("learning rate must be positive")
+        if self.iterations < 0:
+            raise ValueError("iterations must be non-negative")
         if self.batch_size < 2:
             raise ValueError("contrastive pretraining needs batch size >= 2")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ValueError("grad_clip must be positive or None")
         if not (0.0 <= self.null_drop < 1.0):
             raise ValueError("null_drop must be in [0, 1)")
         if self.lr_final is not None and not (0.0 < self.lr_final <= self.lr):

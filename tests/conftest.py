@@ -21,9 +21,9 @@ BASELINE_SEED = 42
 def baseline_state():
     """Merged world + pretrained text/image/denoiser state at seed 42.
 
-    Building runs both pretraining stages (~2 minutes). Set
-    REWARDTUNE_TEST_CACHE to a directory to reuse the checkpoint across
-    pytest invocations while iterating locally.
+    Building runs both pretraining stages (3 to 5 minutes on a 2-core
+    machine). Set REWARDTUNE_TEST_CACHE to a directory to reuse the
+    checkpoint across pytest invocations while iterating locally.
     """
     cache_dir = os.environ.get("REWARDTUNE_TEST_CACHE")
     if cache_dir:

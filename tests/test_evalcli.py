@@ -1,5 +1,6 @@
 """Evaluation reports, ablation grids, the collapse experiment, and the CLI."""
 
+import dataclasses
 import json
 import os
 
@@ -17,9 +18,10 @@ from rewardtune.evalcli import (
     collapse_experiment,
     evaluate,
 )
-from rewardtune.finetune import TrainConfig
+from rewardtune.finetune import TrainConfig, run_training
 from rewardtune.models import load_checkpoint, state_digest
 from rewardtune.schedule import make_step_plan
+from rewardtune.util import derive_seed
 
 PLAN25 = make_step_plan(25)
 PLAN5 = make_step_plan(5)
@@ -159,6 +161,28 @@ class TestEvaluate:
 
 
 TINY = TrainConfig(iterations=2, batch_size=2, n_steps=10, k_last=3, seed=3)
+READOUTS = ("image-style", "alignment", "clip-constraint")
+
+
+def _isolated_cell(state, holdout, label, n, w, sampler):
+    """Reward means of one grid cell, scored on its own under its derived seeds."""
+    seeds = (derive_seed(TINY.seed, label, n), derive_seed(TINY.seed, label, n, 1))
+    report = evaluate(state, holdout, make_step_plan(n), w, seeds, sampler=sampler)
+    return tuple(report.entries[0].reward_means[k] for k in READOUTS)
+
+
+class TestGridCellsReproducibleInIsolation:
+    def test_scheduler_cell_matches_direct_evaluate(self, baseline_state, holdout):
+        table = ablate_schedulers(TINY, baseline_state, ["euler"], [5], w=3.0)
+        trained, _ = run_training(TINY, baseline_state)
+        assert table.rows[0][:2] == ("euler", 5)
+        assert table.rows[0][2:] == _isolated_cell(trained, holdout, "euler", 5, 3.0, "euler")
+
+    def test_steps_cell_matches_direct_evaluate(self, baseline_state, holdout):
+        table = ablate_steps(TINY, baseline_state, [2], [5], w=1.0)
+        trained, _ = run_training(dataclasses.replace(TINY, k_last=2), baseline_state)
+        assert table.rows[0][:2] == (2, 5)
+        assert table.rows[0][2:] == _isolated_cell(trained, holdout, 2, 5, 1.0, TINY.sampler)
 
 
 class TestAblateSteps:
@@ -395,6 +419,21 @@ class TestCliPipeline:
             baseline_state, "text/")
         assert _partial_digest(trained, "denoiser/") != _partial_digest(
             baseline_state, "denoiser/")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_run_exits_2_without_checkpoint(self, baseline_ckpt, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "ft.json"
+        cfg.write_text(json.dumps({"lr": 1e30, "iterations": 4, "batch_size": 1,
+                                   "n_steps": 3, "k_last": 1}))
+        rc = cli_main(["finetune-text", "--config", str(cfg),
+                       "--checkpoint", baseline_ckpt,
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "iteration 1: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.rcpt").exists()
+        assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_unknown_config_key_exits_2(self, baseline_ckpt, tmp_path, capsys):
         cfg = tmp_path / "ft.json"

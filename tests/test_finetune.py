@@ -177,6 +177,7 @@ class TestTrainConfig:
         (dict(sampler="heun"), "unknown sampler"),
         (dict(schedule_kind="sigmoid"), "unknown schedule"),
         (dict(grad_clip=0.0), "grad_clip"),
+        (dict(checkpoint_interval=-2), "checkpoint_interval"),
     ])
     def test_invalid_values_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -562,6 +563,18 @@ class TestRunTraining:
         assert changed
         assert all(k.startswith("text/") for k in changed)
         assert len(metrics.rows) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_stops_before_update(self, baseline_state, tmp_path):
+        # lr=1e30 blows the text encoder up after one update: the loss of
+        # iteration 1 is inf, so no update or file may follow it
+        cfg = TrainConfig(lr=1e30, iterations=4, batch_size=1, n_steps=3, k_last=1,
+                          checkpoint_interval=1)
+        out_dir = tmp_path / "run"
+        with pytest.raises(FloatingPointError, match="iteration 1: non-finite"):
+            run_training(cfg, baseline_state, out_dir=str(out_dir))
+        assert sorted(p.name for p in out_dir.iterdir()) == ["checkpoint_000001.rcpt"]
 
     def test_unet_chain_improves_reward(self, baseline_state):
         cfg = TrainConfig(regime="unet-chain", n_steps=5, k_last=3,

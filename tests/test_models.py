@@ -318,6 +318,38 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="UTF-8"):
             deserialize_state(bad)
 
+    @staticmethod
+    def _one_entry_blob(dims):
+        """A one-entry checkpoint declaring ``dims`` but carrying no data."""
+        head = struct.pack("<I", 1) + b"x" + struct.pack("<I", len(dims))
+        return (CHECKPOINT_MAGIC + struct.pack("<II", 1, 1) + head
+                + b"".join(struct.pack("<I", d) for d in dims))
+
+    @pytest.mark.parametrize("dims,match", [
+        ((1,) * 70, "70 dimensions"),
+        # 2**64 elements: the product wraps to 0 in int64
+        ((2 ** 21, 2 ** 21, 2 ** 22), "truncated"),
+        ((0, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1), "bad shape"),
+    ])
+    def test_impossible_shape_rejected(self, dims, match):
+        with pytest.raises(CheckpointError, match=match):
+            deserialize_state(self._one_entry_blob(dims))
+
+    def test_mutated_blobs_raise_only_checkpoint_error(self):
+        good = serialize_state({"a/b": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                "c": np.float32(1.0)})
+        rng = np.random.default_rng(0)
+        for _ in range(3000):
+            blob = bytearray(good)
+            for _ in range(rng.integers(1, 4)):
+                blob[rng.integers(0, len(blob))] = rng.integers(0, 256)
+            if rng.random() < 0.3:
+                blob = blob[:rng.integers(0, len(blob))]
+            try:
+                deserialize_state(bytes(blob))
+            except CheckpointError:
+                pass
+
     def test_failed_save_keeps_earlier_file(self, tmp_path, monkeypatch):
         path = tmp_path / "ck.rcpt"
         save_checkpoint(self._random_state(0), path)

@@ -96,6 +96,20 @@ class TestPretrainConfig:
         with pytest.raises(ValueError, match="null_drop"):
             PretrainConfig(null_drop=-0.1)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(lr=0.0), "learning rate"),
+        (dict(lr=-1e-3), "learning rate"),
+        (dict(iterations=-1), "iterations"),
+        (dict(grad_clip=0.0), "grad_clip"),
+        (dict(grad_clip=-1.0), "grad_clip"),
+    ])
+    def test_invalid_values_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            PretrainConfig(**kwargs)
+
+    def test_clipping_can_be_disabled(self):
+        assert PretrainConfig(grad_clip=None).grad_clip is None
+
     def test_lr_final_must_not_exceed_lr(self):
         with pytest.raises(ValueError, match="lr_final"):
             PretrainConfig(lr=1e-3, lr_final=2e-3)
