@@ -18,16 +18,14 @@ import numpy as np
 
 from . import tensorad as ta
 from .data import (DEFAULT_SPLIT_SEED, load_prompts, make_prompt_sets,
-                   make_world, world_from_state, world_state)
+                   world_from_state, world_state)
 from .finetune import TrainConfig, run_training
 from .inference import (DEFAULT_LAMBDA_SWEEP, continuity_probe, mix_styles,
                         sample_from_cond, write_sample)
 from .models import (DenoiserParams, ImageEncoderParams, TextEncoderParams,
-                     init_denoiser, init_image_encoder, init_text_encoder,
                      load_checkpoint, save_checkpoint, state_digest,
                      text_encode)
-from .pretrain import (PretrainConfig, clip_pretrain, denoiser_stage_configs,
-                       diffusion_pretrain)
+from .pretrain import PretrainConfig, pretrain_denoiser, pretrain_encoders
 from .rewards import READOUT_SPEC, RewardSpec, readout_means, reward_values
 from .schedule import SAMPLER_STEPS, SCHEDULE_KINDS, make_schedule, make_step_plan
 from .tensorad import Tensor
@@ -510,12 +508,8 @@ def _announce(path):
 
 
 def _cmd_pretrain_clip(args):
-    seed = _cli_seed(args)
-    cfg = _pretrain_config(args, "clip") or PretrainConfig(seed=derive_seed(seed, "clip"))
-    world = make_world(derive_seed(seed, "world"))
-    text = init_text_encoder(derive_seed(seed, "init-text"))
-    image = init_image_encoder(derive_seed(seed, "init-image"))
-    _, _, info = clip_pretrain(text, image, world, cfg)
+    text, image, world, info = pretrain_encoders(_cli_seed(args),
+                                                 _pretrain_config(args, "clip"))
 
     rows = tuple((it, loss, temp) for it, (loss, temp)
                  in enumerate(zip(info["losses"], info["temperatures"])))
@@ -529,20 +523,13 @@ def _cmd_pretrain_clip(args):
 
 
 def _cmd_pretrain_diffusion(args):
-    seed = _cli_seed(args)
     state = load_checkpoint(args.checkpoint)
     text = TextEncoderParams.from_state(state)
     image = ImageEncoderParams.from_state(state)
     world = world_from_state(state)
-    denoiser = init_denoiser(derive_seed(seed, "init-denoiser"))
     sched = make_schedule(args.schedule, args.t_train)
-
-    single = _pretrain_config(args, "diffusion", 0)
-    stages = [single] if single is not None else denoiser_stage_configs(seed)
-    losses = []
-    for cfg in stages:
-        _, info = diffusion_pretrain(denoiser, text, world, sched, cfg)
-        losses.extend(info["losses"])
+    denoiser, losses = pretrain_denoiser(text, world, _cli_seed(args), sched,
+                                         _pretrain_config(args, "diffusion", 0))
 
     rows = tuple((it, loss) for it, loss in enumerate(losses))
     Table(header=("iter", "loss"), rows=rows).write(args.out_dir, "diffusion_metrics")
@@ -644,7 +631,7 @@ def _cmd_evaluate(args):
     if args.prompts:
         prompt_set = load_prompts(args.prompts)
     else:
-        _, prompt_set = make_prompt_sets(world, 48, 36, seed=DEFAULT_SPLIT_SEED)
+        prompt_set = _holdout_prompts(TrainConfig(), world)
     plan = make_step_plan(args.steps, args.t_train)
     sched = make_schedule(args.schedule, args.t_train)
     seeds = (_parse_numbers(args.seeds, "--seeds") if args.seeds

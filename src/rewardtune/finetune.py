@@ -10,8 +10,9 @@ Three regimes over the frozen pieces of the pipeline:
 - unet-chain: the same chain, but gradients land on the denoiser while the
   (already fine-tuned) text encoder stays frozen.
 
-Plus AdamW with decoupled weight decay, global-norm gradient clipping, and
-the seed-deterministic training loop with CSV metrics.
+Plus AdamW with decoupled weight decay, global-norm gradient clipping, the
+one update step every training loop takes (``optimizer_step``), and the
+seed-deterministic training loop with CSV metrics.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class TrainConfig:
     schedule_kind: str = "linear-beta"
     t_train: int = DEFAULT_T_TRAIN
     checkpoint_interval: int = 0  # 0 = final checkpoint only
-    constraint_uses_frozen_copy: bool = False
     n_train_prompts: int = 48
     n_holdout_prompts: int = 36
 
@@ -112,26 +112,24 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OptimizerState:
     m: dict
     v: dict
     step: int
-    beta1: float
-    beta2: float
-    eps: float
     weight_decay: float
 
     @classmethod
-    def for_params(cls, named, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    def for_params(cls, named, weight_decay=0.0):
         return cls(
             m={k: np.zeros(t.data.shape, dtype=np.float64) for k, t in named.items()},
             v={k: np.zeros(t.data.shape, dtype=np.float64) for k, t in named.items()},
             step=0,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
             weight_decay=weight_decay,
         )
 
@@ -149,21 +147,19 @@ def clip_global_norm(grads, max_norm):
     return clipped, norm
 
 
-def adamw_update(params, grads, state, lr, wd=None):
+def adamw_update(params, grads, state, lr):
     """Bias-corrected Adam step with weight decay applied to the parameters.
 
     Moments are kept in float64; the decayed-and-stepped parameters are cast
     back to the parameter dtype. Mutates ``params`` and ``state`` in place.
     """
-    if wd is None:
-        wd = state.weight_decay
     named = params.named()
     for name in named:
         if name not in grads:
             raise KeyError(f"missing gradient for trainable parameter '{name}'")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, wd = ADAM_BETA1, ADAM_BETA2, state.weight_decay
     updated = {}
     for name, tensor in named.items():
         g = np.asarray(grads[name], dtype=np.float64)
@@ -172,10 +168,23 @@ def adamw_update(params, grads, state, lr, wd=None):
         m_hat = state.m[name] / (1.0 - b1**t)
         v_hat = state.v[name] / (1.0 - b2**t)
         p = tensor.data.astype(np.float64)
-        p = p - lr * wd * p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p = p - lr * wd * p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         updated[name] = Tensor(p.astype(tensor.data.dtype), requires_grad=tensor.requires_grad)
     params.apply_update(updated)
     return params, state
+
+
+def optimizer_step(params, grads, loss, opt, lr, grad_clip, iteration):
+    """The update policy of every training loop: clip ``grads`` to global
+    norm ``grad_clip``, stop before the update when the loss or the pre-clip
+    norm is non-finite, then take one AdamW step.
+    """
+    grads, grad_norm = clip_global_norm(grads, grad_clip)
+    if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+        raise FloatingPointError(
+            f"iteration {iteration}: non-finite loss {loss} or gradient norm "
+            f"{grad_norm}; stopped before the update")
+    adamw_update(params, grads, opt, lr)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +249,7 @@ def collect_grads(param_set):
 
 
 def direct_finetune_step(text_params, denoiser, image_params, world, batch,
-                         ts, noises, sched, spec, constraint_text=None):
+                         ts, noises, sched, spec):
     """One-shot regime: z_t from data, x_hat = predict_x0, reward gradient on T.
 
     ``batch`` is a list of (x, prompt) pairs; ``ts`` and ``noises`` give the
@@ -250,7 +259,6 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
         raise ValueError("empty batch")
     if not (len(batch) == len(ts) == len(noises)):
         raise ValueError("batch, ts, and noises must have equal length")
-    constraint_text = constraint_text if constraint_text is not None else text_params
     tape = ta.Tape()
     x_hats = []
     prompts = []
@@ -264,7 +272,7 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
             eps_hat = denoise(denoiser, t, z_t, c)
             x_hat = predict_x0(z_t, eps_hat, t, sched)
             li = combined_loss(x_hat, prompt, spec, world=world,
-                               image_params=image_params, text_params=constraint_text)
+                               image_params=image_params, text_params=text_params)
             total = li if total is None else ta.add(total, li)
             x_hats.append(x_hat)
             prompts.append(prompt)
@@ -281,12 +289,11 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
 
 def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
                 z_inits, plan, k_last, sched, spec, sampler, cfg_in_chain,
-                cfg_scale, constraint_text, record_step_norms):
+                cfg_scale, record_step_norms):
     if not prompts:
         raise ValueError("empty prompt batch")
     if len(prompts) != len(z_inits):
         raise ValueError("prompts and z_inits must have equal length")
-    constraint_text = constraint_text if constraint_text is not None else text_params
     tape = ta.Tape()
     x_hats = []
     all_taps = []
@@ -299,7 +306,7 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
                 collect_taps=record_step_norms,
             )
             li = combined_loss(x_hat, prompt, spec, world=world,
-                               image_params=image_params, text_params=constraint_text)
+                               image_params=image_params, text_params=text_params)
             total = li if total is None else ta.add(total, li)
             x_hats.append(x_hat)
             all_taps.append(taps)
@@ -327,22 +334,20 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
 
 def prompt_finetune_step(text_params, denoiser, image_params, world, prompts,
                          z_inits, plan, k_last, sched, spec, sampler="ddim",
-                         cfg_in_chain=False, cfg_scale=7.5, constraint_text=None,
-                         record_step_norms=False):
+                         cfg_in_chain=False, cfg_scale=7.5, record_step_norms=False):
     """Full-chain regime: gradients through the last K steps land on T."""
     return _chain_step(text_params, text_params, denoiser, image_params, world,
                        prompts, z_inits, plan, k_last, sched, spec, sampler,
-                       cfg_in_chain, cfg_scale, constraint_text, record_step_norms)
+                       cfg_in_chain, cfg_scale, record_step_norms)
 
 
 def unet_finetune_step(denoiser, text_params, image_params, world, prompts,
                        z_inits, plan, k_last, sched, spec, sampler="ddim",
-                       cfg_in_chain=False, cfg_scale=7.5, constraint_text=None,
-                       record_step_norms=False):
+                       cfg_in_chain=False, cfg_scale=7.5, record_step_norms=False):
     """Denoiser stage: same chain, frozen text encoder, gradients on the denoiser."""
     return _chain_step(denoiser, text_params, denoiser, image_params, world,
                        prompts, z_inits, plan, k_last, sched, spec, sampler,
-                       cfg_in_chain, cfg_scale, constraint_text, record_step_norms)
+                       cfg_in_chain, cfg_scale, record_step_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +390,6 @@ def run_training(config, state_in, out_dir=None):
     else:
         trainable, frozen, step_fn = text, denoiser, prompt_finetune_step
     trainable.set_requires_grad(True)
-    constraint_text = None
-    if config.constraint_uses_frozen_copy:
-        constraint_text = TextEncoderParams.from_state(state_in)
 
     sched = make_schedule(config.schedule_kind, config.t_train)
     plan = make_step_plan(config.n_steps, config.t_train)
@@ -405,10 +407,8 @@ def run_training(config, state_in, out_dir=None):
             batch = [sample_pair(world, rng) for _ in range(config.batch_size)]
             ts = rng.integers(0, config.t_train, size=config.batch_size)
             noises = rng.standard_normal((config.batch_size, world.d)).astype(np.float32)
-            result = direct_finetune_step(
-                text, denoiser, image, world, batch, ts, noises, sched,
-                config.rewards, constraint_text=constraint_text,
-            )
+            result = direct_finetune_step(text, denoiser, image, world, batch, ts,
+                                          noises, sched, config.rewards)
         else:
             idx = rng.integers(0, len(train_set), size=config.batch_size)
             prompts = [train_set.prompts[i] for i in idx]
@@ -417,14 +417,9 @@ def run_training(config, state_in, out_dir=None):
                 trainable, frozen, image, world, prompts, z_inits, plan,
                 config.k_last, sched, config.rewards, sampler=config.sampler,
                 cfg_in_chain=config.cfg_in_chain, cfg_scale=config.cfg_scale,
-                constraint_text=constraint_text,
             )
-        grads, grad_norm = clip_global_norm(result.grads, config.grad_clip)
-        if not (math.isfinite(result.loss) and math.isfinite(grad_norm)):
-            raise FloatingPointError(
-                f"iteration {it}: non-finite loss {result.loss} or gradient norm "
-                f"{grad_norm}; stopped before the update")
-        adamw_update(trainable, grads, opt, config.lr)
+        optimizer_step(trainable, result.grads, result.loss, opt, config.lr,
+                       config.grad_clip, it)
         rows.append((
             it,
             result.loss,

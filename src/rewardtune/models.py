@@ -12,6 +12,7 @@ import hashlib
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,9 +32,14 @@ class ModelConfig:
 
 
 class _ParamSet:
-    """Shared plumbing: named tensors, state packing, trainability."""
+    """Shared plumbing: named tensors, state packing, trainability.
+
+    ``dims`` gives each field's shape as one letter per axis; a letter names
+    one width, which every field using it must share.
+    """
 
     prefix = ""
+    dims = {}
 
     def named(self):
         return {f"{self.prefix}/{f.name}": getattr(self, f.name) for f in fields(self)}
@@ -46,13 +52,30 @@ class _ParamSet:
 
     @classmethod
     def from_state(cls, state, requires_grad=False):
-        vals = []
+        """Build from a merged state. Raises KeyError for a missing entry and
+        CheckpointError naming an entry that holds a non-finite value or whose
+        shape disagrees with the widths most of the set's entries agree on."""
+        vals = {}
         for f in fields(cls):
             key = f"{cls.prefix}/{f.name}"
             if key not in state:
                 raise KeyError(f"checkpoint missing entry '{key}'")
-            vals.append(Tensor(state[key], requires_grad=requires_grad))
-        return cls(*vals)
+            vals[f.name] = Tensor(state[key], requires_grad=requires_grad)
+            if not np.all(np.isfinite(vals[f.name].data)):
+                raise CheckpointError(f"checkpoint entry '{key}' holds a non-finite value")
+        votes = {}
+        for name, t in vals.items():
+            if t.data.ndim == len(cls.dims[name]):
+                for letter, n in zip(cls.dims[name], t.data.shape):
+                    votes.setdefault(letter, Counter())[n] += 1
+        for name, t in vals.items():
+            want = [votes[letter].most_common(1)[0][0] if letter in votes else letter
+                    for letter in cls.dims[name]]
+            if list(t.data.shape) != want:
+                raise CheckpointError(
+                    f"checkpoint entry '{cls.prefix}/{name}' has shape {t.data.shape}; "
+                    f"the other '{cls.prefix}/' entries need ({', '.join(map(str, want))})")
+        return cls(**vals)
 
     def set_requires_grad(self, flag):
         for f in fields(self):
@@ -94,6 +117,7 @@ class TextEncoderParams(_ParamSet):
     b2: Tensor     # (C,)
 
     prefix = "text"
+    dims = {"embed": "VE", "w1": "EH", "b1": "H", "w2": "HC", "b2": "C"}
 
 
 @dataclass
@@ -104,6 +128,7 @@ class ImageEncoderParams(_ParamSet):
     b2: Tensor
 
     prefix = "image"
+    dims = {"w1": "DH", "b1": "H", "w2": "HC", "b2": "C"}
 
 
 @dataclass
@@ -117,6 +142,8 @@ class DenoiserParams(_ParamSet):
     null_cond: Tensor  # (C,), the learned null conditioning
 
     prefix = "denoiser"
+    dims = {"w1": "IH", "b1": "H", "w2": "HH", "b2": "H", "w3": "HD", "b3": "D",
+            "null_cond": "C"}
 
     @property
     def d(self):

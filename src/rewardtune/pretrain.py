@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensorad as ta
 from .data import make_world, sample_pair, world_state
-from .finetune import OptimizerState, adamw_update, clip_global_norm, collect_grads
+from .finetune import OptimizerState, collect_grads, optimizer_step
 from .models import (
     ParamBag,
     denoise,
@@ -28,9 +28,14 @@ from .models import (
     text_encode,
 )
 from .rewards import reward_clip_constraint
-from .schedule import forward_diffuse, make_schedule
+from .schedule import DEFAULT_T_TRAIN, forward_diffuse, make_schedule
 from .tensorad import Tensor
 from .util import derive_seed, reject_unknown_keys
+
+# contrastive stage: the learned log logit scale starts at log(1/0.07) and is
+# clamped at log(100) so exp() stays in float range
+TEMP_INIT = math.log(1.0 / 0.07)
+LOG_TEMP_MAX = math.log(100.0)
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,6 @@ class PretrainConfig:
     seed: int = 0
     grad_clip: float = 1.0
     null_drop: float = 0.1                      # denoiser stage only
-    temp_init: float = math.log(1.0 / 0.07)     # contrastive stage only
-    log_temp_max: float = math.log(100.0)
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -114,13 +117,13 @@ def clip_pretrain(text_params, image_params, world, config):
     rng = np.random.default_rng(derive_seed(config.seed, "clip-pretrain"))
     text_params.set_requires_grad(True)
     image_params.set_requires_grad(True)
-    log_temp = Tensor(np.asarray(config.temp_init), requires_grad=True)
+    log_temp = Tensor(np.asarray(TEMP_INIT), requires_grad=True)
     bag = ParamBag({**text_params.named(), **image_params.named(), "clip/log_temp": log_temp})
     opt = OptimizerState.for_params(bag.named(), weight_decay=config.weight_decay)
 
     losses = []
     temperatures = []
-    for _ in range(config.iterations):
+    for it in range(config.iterations):
         batch = [sample_pair(world, rng) for _ in range(config.batch_size)]
         tape = ta.Tape()
         with tape:
@@ -133,16 +136,14 @@ def clip_pretrain(text_params, image_params, world, config):
             ]
             loss = contrastive_loss_from_logits(logits)
         ta.backward(tape, loss)
-        grads = collect_grads(bag)
-        grads, _ = clip_global_norm(grads, config.grad_clip)
-        adamw_update(bag, grads, opt, config.lr)
-        # keep the logit scale bounded so exp() stays in float range
+        losses.append(loss.item())
+        optimizer_step(bag, collect_grads(bag), losses[-1], opt, config.lr,
+                       config.grad_clip, it)
         lt = bag["clip/log_temp"]
-        clamped = np.minimum(lt.data, np.float32(config.log_temp_max))
+        clamped = np.minimum(lt.data, np.float32(LOG_TEMP_MAX))
         bag.apply_update({"clip/log_temp": Tensor(clamped, requires_grad=True)})
         text_params.apply_update({k: v for k, v in bag.named().items() if k.startswith("text/")})
         image_params.apply_update({k: v for k, v in bag.named().items() if k.startswith("image/")})
-        losses.append(loss.item())
         temperatures.append(float(np.exp(bag["clip/log_temp"].data)))
 
     text_params.set_requires_grad(False)
@@ -152,7 +153,7 @@ def clip_pretrain(text_params, image_params, world, config):
     return text_params, image_params, info
 
 
-def clip_holdout_stats(text_params, image_params, world, prompts, seed, noise_scale=None):
+def clip_holdout_stats(text_params, image_params, world, prompts, seed):
     """Matched vs. mismatched cosine stats on held-out prompts.
 
     Returns (matched_mean, mismatched_mean, triple_accuracy) where a triple
@@ -163,8 +164,7 @@ def clip_holdout_stats(text_params, image_params, world, prompts, seed, noise_sc
     with ta.pause_recording():
         for p in prompts:
             x = world.pattern_sum(p).astype(np.float64)
-            scale = world.noise_scale if noise_scale is None else noise_scale
-            x = x + scale * rng.standard_normal(world.d)
+            x = x + world.noise_scale * rng.standard_normal(world.d)
             xs.append(x.astype(np.float32))
         matched = []
         mismatched = []
@@ -210,17 +210,17 @@ def diffusion_pretrain(denoiser, text_params, world, sched, config):
                 total = li if total is None else ta.add(total, li)
             loss = ta.mul(total, 1.0 / config.batch_size)
         ta.backward(tape, loss)
-        grads = collect_grads(denoiser)
-        grads, _ = clip_global_norm(grads, config.grad_clip)
-        adamw_update(denoiser, grads, opt, config.lr_at(it))
         losses.append(loss.item())
+        optimizer_step(denoiser, collect_grads(denoiser), losses[-1], opt,
+                       config.lr_at(it), config.grad_clip, it)
 
     denoiser.set_requires_grad(False)
     return denoiser, {"losses": losses}
 
 
-def diffusion_holdout_mse(denoiser, text_params, world, sched, seed, n=200):
-    """Mean conditioned noise-prediction error on fresh draws."""
+def diffusion_holdout_mse(denoiser, text_params, world, sched, seed):
+    """Mean conditioned noise-prediction error on 200 fresh draws."""
+    n = 200
     rng = np.random.default_rng(derive_seed(seed, "diffusion-holdout"))
     total = 0.0
     with ta.pause_recording():
@@ -250,27 +250,40 @@ def moving_average(values, window):
 DENOISER_STAGES = ((6000, 3e-3), (4000, 1e-3), (3000, 3e-4))
 
 
-def denoiser_stage_configs(seed):
-    """One PretrainConfig per DENOISER_STAGES entry, seeded from ``seed``."""
-    return [
-        PretrainConfig(seed=derive_seed(seed, "diffusion", i),
-                       iterations=n, batch_size=32, lr=lr)
-        for i, (n, lr) in enumerate(DENOISER_STAGES)
-    ]
-
-
-def make_pretrained_baseline(seed=42, clip_config=None, diffusion_config=None,
-                             schedule_kind="linear-beta", t_train=1000):
-    """World + both pretraining stages from one seed; returns the merged state."""
+def pretrain_encoders(seed, config=None):
+    """World, encoder inits and the contrastive stage, all from ``seed``;
+    ``config`` replaces the default stage config. Returns (text, image,
+    world, info) with clip_pretrain's info."""
     world = make_world(derive_seed(seed, "world"))
     text = init_text_encoder(derive_seed(seed, "init-text"))
     image = init_image_encoder(derive_seed(seed, "init-image"))
+    if config is None:
+        config = PretrainConfig(seed=derive_seed(seed, "clip"))
+    _, _, info = clip_pretrain(text, image, world, config)
+    return text, image, world, info
+
+
+def pretrain_denoiser(text, world, seed, sched, config=None):
+    """Denoiser init from ``seed``, then one stage under ``config`` or, by
+    default, every DENOISER_STAGES entry. Returns (denoiser, losses) with the
+    losses of all stages in order."""
     denoiser = init_denoiser(derive_seed(seed, "init-denoiser"))
-    sched = make_schedule(schedule_kind, t_train)
-    ccfg = clip_config or PretrainConfig(seed=derive_seed(seed, "clip"))
-    dstages = ([diffusion_config] if diffusion_config is not None
-               else denoiser_stage_configs(seed))
-    clip_pretrain(text, image, world, ccfg)
-    for dcfg in dstages:
-        diffusion_pretrain(denoiser, text, world, sched, dcfg)
+    if config is not None:
+        stages = [config]
+    else:
+        stages = [PretrainConfig(seed=derive_seed(seed, "diffusion", i),
+                                 iterations=n, batch_size=32, lr=lr)
+                  for i, (n, lr) in enumerate(DENOISER_STAGES)]
+    losses = []
+    for cfg in stages:
+        _, info = diffusion_pretrain(denoiser, text, world, sched, cfg)
+        losses.extend(info["losses"])
+    return denoiser, losses
+
+
+def make_pretrained_baseline(seed=42, clip_config=None, diffusion_config=None):
+    """World + both pretraining stages from one seed; returns the merged state."""
+    text, image, world, _ = pretrain_encoders(seed, clip_config)
+    sched = make_schedule("linear-beta", DEFAULT_T_TRAIN)
+    denoiser, _ = pretrain_denoiser(text, world, seed, sched, diffusion_config)
     return {**text.state(), **image.state(), **denoiser.state(), **world_state(world)}

@@ -44,7 +44,6 @@ __all__ = [
     "default_dtype",
     "get_default_dtype",
     "debug_checks",
-    "set_debug_checks",
     "add",
     "sub",
     "mul",
@@ -85,10 +84,6 @@ _STATE = _ThreadState()
 class AutodiffError(RuntimeError):
     """Malformed backward pass, non-finite value in debug mode, or a
     checkpoint-segment contract violation."""
-
-
-def set_debug_checks(flag):
-    _STATE.debug = bool(flag)
 
 
 @contextlib.contextmanager

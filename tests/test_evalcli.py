@@ -19,7 +19,7 @@ from rewardtune.evalcli import (
     evaluate,
 )
 from rewardtune.finetune import TrainConfig, run_training
-from rewardtune.models import load_checkpoint, state_digest
+from rewardtune.models import load_checkpoint, save_checkpoint, state_digest
 from rewardtune.schedule import make_step_plan
 from rewardtune.util import derive_seed
 
@@ -346,6 +346,22 @@ class TestCliSample:
                        "--prompt", "0", "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("key,corrupt,message", [
+        ("denoiser/w1", lambda a: a[:, :-1], "entry 'denoiser/w1' has shape"),
+        ("text/b2", lambda a: np.full_like(a, np.nan), "entry 'text/b2' holds a non-finite"),
+    ], ids=["short-column", "nan"])
+    def test_corrupt_checkpoint_exits_2_at_load(self, baseline_state, tmp_path, capsys,
+                                                key, corrupt, message):
+        state = dict(baseline_state)
+        state[key] = corrupt(state[key])
+        path = tmp_path / "bad.rcpt"
+        save_checkpoint(state, str(path))
+        rc = cli_main(["sample", "--checkpoint", str(path), "--prompt", "1",
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_flag_rejected_for_sample(self, baseline_ckpt, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{}")
@@ -443,6 +459,34 @@ class TestCliPipeline:
                        "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_pretrain_exits_2_without_checkpoint(self, baseline_ckpt, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "diff.json"
+        cfg.write_text(json.dumps({"iterations": 3, "batch_size": 2, "lr": 1e30}))
+        rc = cli_main(["pretrain-diffusion", "--config", str(cfg),
+                       "--checkpoint", baseline_ckpt,
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "iteration 1: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.rcpt").exists()
+        assert not (tmp_path / "out" / "diffusion_metrics.csv").exists()
+
+    @pytest.mark.parametrize("command,key", [
+        ("finetune-text", "constraint_uses_frozen_copy"),
+        ("pretrain-diffusion", "temp_init"),
+        ("pretrain-diffusion", "log_temp_max"),
+    ])
+    def test_removed_config_key_exits_2(self, baseline_ckpt, tmp_path, capsys,
+                                        command, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"iterations": 2, key: 1.0}))
+        rc = cli_main([command, "--config", str(cfg), "--checkpoint", baseline_ckpt,
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
 
     def test_non_object_config_exits_2(self, baseline_ckpt, tmp_path, capsys):
         cfg = tmp_path / "ft.json"

@@ -187,6 +187,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown config keys: momentum, nsteps"):
             TrainConfig.from_dict({"nsteps": 5, "momentum": 0.9})
 
+    def test_from_dict_rejects_removed_keys(self):
+        with pytest.raises(ValueError,
+                           match="unknown config keys: constraint_uses_frozen_copy"):
+            TrainConfig.from_dict({"constraint_uses_frozen_copy": True})
+
     def test_from_dict_parses_rewards(self):
         cfg = TrainConfig.from_dict({
             "regime": "direct",

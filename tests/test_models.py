@@ -407,6 +407,36 @@ class TestCheckpoint:
         with pytest.raises(KeyError, match="text/embed"):
             TextEncoderParams.from_state({})
 
+    @pytest.mark.parametrize("key,cut", [
+        ("denoiser/w1", np.s_[:, :-1]),      # one column short
+        ("denoiser/b3", np.s_[:-1]),
+        ("denoiser/w2", np.s_[:-1, :]),
+        ("text/embed", np.s_[0]),            # wrong rank
+        ("image/b1", np.s_[1:]),
+    ])
+    def test_from_state_names_mismatched_shape(self, key, cut):
+        state = {**init_text_encoder(1).state(), **init_image_encoder(2).state(),
+                 **init_denoiser(3).state()}
+        state[key] = state[key][cut]
+        cls = {"text": TextEncoderParams, "image": ImageEncoderParams,
+               "denoiser": DenoiserParams}[key.split("/")[0]]
+        with pytest.raises(CheckpointError, match=f"entry '{key}' has shape"):
+            cls.from_state(state)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_from_state_names_non_finite_entry(self, value):
+        state = init_text_encoder(1).state()
+        b2 = state["text/b2"].copy()
+        b2[3] = value
+        state["text/b2"] = b2
+        with pytest.raises(CheckpointError, match="entry 'text/b2' holds a non-finite"):
+            TextEncoderParams.from_state(state)
+
+    def test_from_state_accepts_other_model_widths(self):
+        den = init_denoiser(3, SMALL)
+        back = DenoiserParams.from_state(den.state())
+        assert (back.d, back.c_width, back.t_embed) == (SMALL.d, SMALL.c_width, SMALL.t_embed)
+
     def test_digest_sensitive_to_values(self):
         a = {"x": np.zeros(3, np.float32)}
         b = {"x": np.asarray([0.0, 0.0, 1e-7], np.float32)}

@@ -107,6 +107,11 @@ class TestPretrainConfig:
         with pytest.raises(ValueError, match=match):
             PretrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("key", ["temp_init", "log_temp_max"])
+    def test_from_dict_rejects_removed_keys(self, key):
+        with pytest.raises(ValueError, match=f"unknown config keys: {key}"):
+            PretrainConfig.from_dict({"iterations": 3, key: 1.0})
+
     def test_clipping_can_be_disabled(self):
         assert PretrainConfig(grad_clip=None).grad_clip is None
 
@@ -215,6 +220,19 @@ class TestDiffusionPretrain:
         cfg = PretrainConfig(seed=13, iterations=40, batch_size=8, lr=3e-3)
         diffusion_pretrain(den, text, world, sched, cfg)
         assert state_digest(text.state()) == before
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_stops_before_update(self):
+        # lr=1e30 blows the denoiser up after one update: iteration 1's loss
+        # is NaN, so no second update may follow
+        world = make_world(derive_seed(7, "world"))
+        text = init_text_encoder(derive_seed(7, "init-text"))
+        den = init_denoiser(derive_seed(7, "init-denoiser"))
+        sched = make_schedule("linear-beta", 1000)
+        cfg = PretrainConfig(seed=3, iterations=3, batch_size=2, lr=1e30)
+        with pytest.raises(FloatingPointError, match="iteration 1: non-finite"):
+            diffusion_pretrain(den, text, world, sched, cfg)
 
     def test_deterministic_given_seed(self, diffusion_run):
         world, text, _, sched, _ = diffusion_run
