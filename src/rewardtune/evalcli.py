@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorad as ta
-from .data import (DEFAULT_SPLIT_SEED, load_prompts, make_prompt_sets,
-                   world_from_state, world_state)
-from .finetune import TrainConfig, run_training
-from .inference import (DEFAULT_LAMBDA_SWEEP, continuity_probe, mix_styles,
+from .data import load_prompts, world_from_state
+from .finetune import TrainConfig, prompt_split, run_training
+from .inference import (DEFAULT_LAMBDA_SWEEP, continuity_probe, mix_styles, sample,
                         sample_from_cond, write_sample)
 from .models import (DenoiserParams, ImageEncoderParams, TextEncoderParams,
-                     load_checkpoint, save_checkpoint, state_digest,
-                     text_encode)
+                     load_checkpoint, merged_state, model_from_state,
+                     save_checkpoint, state_digest, text_encode)
 from .pretrain import PretrainConfig, pretrain_denoiser, pretrain_encoders
 from .rewards import READOUT_SPEC, RewardSpec, readout_means, reward_values
 from .schedule import SAMPLER_STEPS, SCHEDULE_KINDS, make_schedule, make_step_plan
@@ -178,13 +177,8 @@ def _named_states(checkpoints):
     return [(str(name), state) for name, state in checkpoints]
 
 
-def _encoders_from(state):
-    return (TextEncoderParams.from_state(state), ImageEncoderParams.from_state(state),
-            DenoiserParams.from_state(state), world_from_state(state))
-
-
 def _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched):
-    text, image, denoiser, world = _encoders_from(state)
+    text, image, denoiser, world = model_from_state(state)
 
     with ta.pause_recording():
         conds = [text_encode(text, p) for p in prompts]
@@ -249,13 +243,6 @@ def evaluate(checkpoints, prompt_set, plan, w, seeds, *, sampler="ddim",
     return report
 
 
-def _holdout_prompts(config, world):
-    _, holdout = make_prompt_sets(
-        world, config.n_train_prompts, config.n_holdout_prompts, seed=DEFAULT_SPLIT_SEED
-    )
-    return holdout
-
-
 def _holdout_score(name, state, holdout, plan, w, seeds, sampler, sched):
     """One model's ModelEval on the holdout prompts."""
     return evaluate([(name, state)], holdout, plan, w, seeds,
@@ -277,7 +264,7 @@ def _score_grid(base_config, state_in, header, cells, w, out_dir, stem):
 
     Returns the Table; when ``out_dir`` is given writes <stem>.csv/.txt.
     """
-    holdout = _holdout_prompts(base_config, world_from_state(state_in))
+    _, holdout = prompt_split(base_config, world_from_state(state_in))
     sched = make_schedule(base_config.schedule_kind, base_config.t_train)
     rows = []
     for label, state, sampler, n in cells:
@@ -389,8 +376,7 @@ def collapse_experiment(config, state_in, *, gamma_clip=100.0, w=1.0, out_dir=No
         ("degenerate-collapse-probe", 1.0), ("clip-constraint", float(gamma_clip)),
     ))
 
-    world = world_from_state(state_in)
-    holdout = _holdout_prompts(config, world)
+    _, holdout = prompt_split(config, world_from_state(state_in))
     plan = make_step_plan(config.n_steps, config.t_train)
     sched = make_schedule(config.schedule_kind, config.t_train)
     seeds = _cell_seeds(config.seed, "collapse-eval")
@@ -515,7 +501,7 @@ def _cmd_pretrain_clip(args):
                  in enumerate(zip(info["losses"], info["temperatures"])))
     Table(header=("iter", "loss", "temperature"), rows=rows).write(
         args.out_dir, "clip_metrics")
-    state = {**text.state(), **image.state(), **world_state(world)}
+    state = merged_state(world, text, image)
     path = os.path.join(args.out_dir, "clip.rcpt")
     save_checkpoint(state, path)
     _announce(path)
@@ -533,7 +519,7 @@ def _cmd_pretrain_diffusion(args):
 
     rows = tuple((it, loss) for it, loss in enumerate(losses))
     Table(header=("iter", "loss"), rows=rows).write(args.out_dir, "diffusion_metrics")
-    out_state = {**text.state(), **image.state(), **denoiser.state(), **world_state(world)}
+    out_state = merged_state(world, text, image, denoiser)
     path = os.path.join(args.out_dir, "model.rcpt")
     save_checkpoint(out_state, path)
     _announce(path)
@@ -551,15 +537,12 @@ def _cmd_finetune(args):
 
 def _cmd_sample(args):
     _reject_config(args)
-    text, image, denoiser, world = _encoders_from(load_checkpoint(args.checkpoint))
+    text, image, denoiser, world = model_from_state(load_checkpoint(args.checkpoint))
     prompt = _parse_prompt(args.prompt, world)
     plan = make_step_plan(args.steps, args.t_train)
     sched = make_schedule(args.schedule, args.t_train)
-
-    with ta.pause_recording():
-        cond = text_encode(text, prompt)
-    x = sample_from_cond(cond, denoiser, plan, args.w, _cli_seed(args),
-                         sampler=args.sampler, sched=sched)
+    x = sample(text, denoiser, prompt, plan, args.w, _cli_seed(args),
+               sampler=args.sampler, sched=sched)
     scores = reward_values(Tensor(x), prompt, READOUT_SPEC, world=world,
                            image_params=image, text_params=text)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -631,7 +614,7 @@ def _cmd_evaluate(args):
     if args.prompts:
         prompt_set = load_prompts(args.prompts)
     else:
-        prompt_set = _holdout_prompts(TrainConfig(), world)
+        _, prompt_set = prompt_split(TrainConfig(), world)
     plan = make_step_plan(args.steps, args.t_train)
     sched = make_schedule(args.schedule, args.t_train)
     seeds = (_parse_numbers(args.seeds, "--seeds") if args.seeds

@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensorad as ta
-from .data import DEFAULT_SPLIT_SEED, make_prompt_sets, sample_pair, world_from_state, world_state
+from .data import make_prompt_sets, sample_pair
 from .models import (
     DenoiserParams,
-    ImageEncoderParams,
-    TextEncoderParams,
     denoise,
+    merged_state,
+    model_from_state,
     save_checkpoint,
     text_encode,
 )
@@ -248,6 +248,44 @@ def collect_grads(param_set):
     return out
 
 
+def _reward_step(trainable, items, x_hat_of, text_params, image_params, world, spec,
+                 record_step_norms=False):
+    """The step every regime shares: per item, in order, the forward pass
+    ``x_hat_of(prompt, *rest)`` -> (x_hat, tap ids) and then that item's reward
+    loss, summed as it goes (the order fixes the f32 gradient sums); then the
+    batch mean is differentiated into ``trainable``. ``items`` are tuples
+    whose first entry is the prompt.
+    """
+    tape = ta.Tape()
+    x_hats = []
+    all_taps = []
+    with tape:
+        total = None
+        for prompt, *rest in items:
+            x_hat, taps = x_hat_of(prompt, *rest)
+            li = combined_loss(x_hat, prompt, spec, world=world,
+                               image_params=image_params, text_params=text_params)
+            total = li if total is None else ta.add(total, li)
+            x_hats.append(x_hat)
+            all_taps.append(taps)
+        loss = ta.mul(total, 1.0 / len(items))
+    flat_taps = [tid for taps in all_taps for tid in taps] or None
+    ta.backward(tape, loss, tap_ids=flat_taps)
+    step_norms = None
+    if record_step_norms:
+        g = tape.grad_taps
+        step_norms = [[float(np.linalg.norm(g[tid])) if tid in g else 0.0 for tid in taps]
+                      for taps in all_taps]
+    return StepResult(
+        loss=loss.item(),
+        grads=collect_grads(trainable),
+        x_hats=[x.data for x in x_hats],
+        reward_means=readout_means(x_hats, [item[0] for item in items], world=world,
+                                   image_params=image_params, text_params=text_params),
+        step_grad_norms=step_norms,
+    )
+
+
 def direct_finetune_step(text_params, denoiser, image_params, world, batch,
                          ts, noises, sched, spec):
     """One-shot regime: z_t from data, x_hat = predict_x0, reward gradient on T.
@@ -259,32 +297,17 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
         raise ValueError("empty batch")
     if not (len(batch) == len(ts) == len(noises)):
         raise ValueError("batch, ts, and noises must have equal length")
-    tape = ta.Tape()
-    x_hats = []
-    prompts = []
-    with tape:
-        total = None
-        for (x, prompt), t, eps in zip(batch, ts, noises):
-            t = int(t)
-            sched.alpha_at(t)  # range check before any work
-            c = text_encode(text_params, prompt)
-            z_t = forward_diffuse(Tensor(np.asarray(x)), int(t), Tensor(np.asarray(eps)), sched)
-            eps_hat = denoise(denoiser, t, z_t, c)
-            x_hat = predict_x0(z_t, eps_hat, t, sched)
-            li = combined_loss(x_hat, prompt, spec, world=world,
-                               image_params=image_params, text_params=text_params)
-            total = li if total is None else ta.add(total, li)
-            x_hats.append(x_hat)
-            prompts.append(prompt)
-        loss = ta.mul(total, 1.0 / len(batch))
-    ta.backward(tape, loss)
-    return StepResult(
-        loss=loss.item(),
-        grads=collect_grads(text_params),
-        x_hats=[x.data for x in x_hats],
-        reward_means=readout_means(x_hats, prompts, world=world,
-                                   image_params=image_params, text_params=text_params),
-    )
+
+    def one_shot(prompt, x, t, eps):
+        t = int(t)
+        sched.alpha_at(t)  # range check before any work
+        c = text_encode(text_params, prompt)
+        z_t = forward_diffuse(Tensor(np.asarray(x)), t, Tensor(np.asarray(eps)), sched)
+        eps_hat = denoise(denoiser, t, z_t, c)
+        return predict_x0(z_t, eps_hat, t, sched), ()
+
+    items = [(prompt, x, t, eps) for (x, prompt), t, eps in zip(batch, ts, noises)]
+    return _reward_step(text_params, items, one_shot, text_params, image_params, world, spec)
 
 
 def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
@@ -294,42 +317,14 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
         raise ValueError("empty prompt batch")
     if len(prompts) != len(z_inits):
         raise ValueError("prompts and z_inits must have equal length")
-    tape = ta.Tape()
-    x_hats = []
-    all_taps = []
-    with tape:
-        total = None
-        for prompt, z0 in zip(prompts, z_inits):
-            x_hat, taps = _run_chain(
-                text_params, denoiser, prompt, z0, plan, sched, k_last,
-                sampler=sampler, cfg_in_chain=cfg_in_chain, cfg_scale=cfg_scale,
-                collect_taps=record_step_norms,
-            )
-            li = combined_loss(x_hat, prompt, spec, world=world,
-                               image_params=image_params, text_params=text_params)
-            total = li if total is None else ta.add(total, li)
-            x_hats.append(x_hat)
-            all_taps.append(taps)
-        loss = ta.mul(total, 1.0 / len(prompts))
-    flat_taps = [tid for taps in all_taps for tid in taps] or None
-    ta.backward(tape, loss, tap_ids=flat_taps)
-    step_norms = None
-    if record_step_norms:
-        step_norms = []
-        for taps in all_taps:
-            norms = []
-            for tid in taps:
-                g = tape.grad_taps.get(tid)
-                norms.append(0.0 if g is None else float(np.linalg.norm(g)))
-            step_norms.append(norms)
-    return StepResult(
-        loss=loss.item(),
-        grads=collect_grads(trainable),
-        x_hats=[x.data for x in x_hats],
-        reward_means=readout_means(x_hats, prompts, world=world,
-                                   image_params=image_params, text_params=text_params),
-        step_grad_norms=step_norms,
-    )
+
+    def chain(prompt, z0):
+        return _run_chain(text_params, denoiser, prompt, z0, plan, sched, k_last,
+                          sampler=sampler, cfg_in_chain=cfg_in_chain,
+                          cfg_scale=cfg_scale, collect_taps=record_step_norms)
+
+    return _reward_step(trainable, list(zip(prompts, z_inits)), chain, text_params,
+                        image_params, world, spec, record_step_norms)
 
 
 def prompt_finetune_step(text_params, denoiser, image_params, world, prompts,
@@ -370,8 +365,9 @@ class RunMetrics:
         return path
 
 
-def _merged_state(text, image, denoiser, world):
-    return {**text.state(), **image.state(), **denoiser.state(), **world_state(world)}
+def prompt_split(config, world):
+    """The (train, holdout) prompt sets of ``config``'s sizes; every run shares the split."""
+    return make_prompt_sets(world, config.n_train_prompts, config.n_holdout_prompts)
 
 
 def run_training(config, state_in, out_dir=None):
@@ -380,10 +376,7 @@ def run_training(config, state_in, out_dir=None):
     ``state_in`` is a merged checkpoint state holding text/image/denoiser
     parameters and the world. Fully determined by (config, state_in).
     """
-    text = TextEncoderParams.from_state(state_in)
-    image = ImageEncoderParams.from_state(state_in)
-    denoiser = DenoiserParams.from_state(state_in)
-    world = world_from_state(state_in)
+    text, image, denoiser, world = model_from_state(state_in)
 
     if config.regime == "unet-chain":
         trainable, frozen, step_fn = denoiser, text, unet_finetune_step
@@ -393,9 +386,7 @@ def run_training(config, state_in, out_dir=None):
 
     sched = make_schedule(config.schedule_kind, config.t_train)
     plan = make_step_plan(config.n_steps, config.t_train)
-    train_set, _ = make_prompt_sets(
-        world, config.n_train_prompts, config.n_holdout_prompts, seed=DEFAULT_SPLIT_SEED
-    )
+    train_set, _ = prompt_split(config, world)
     rng = np.random.default_rng(derive_seed(config.seed, "train", config.regime))
     opt = OptimizerState.for_params(trainable.named(), weight_decay=config.weight_decay)
     if out_dir:
@@ -429,10 +420,10 @@ def run_training(config, state_in, out_dir=None):
         ))
         if out_dir and config.checkpoint_interval and (it + 1) % config.checkpoint_interval == 0:
             path = os.path.join(out_dir, f"checkpoint_{it + 1:06d}.rcpt")
-            save_checkpoint(_merged_state(text, image, denoiser, world), path)
+            save_checkpoint(merged_state(world, text, image, denoiser), path)
 
     metrics = RunMetrics(rows=rows)
-    state_out = _merged_state(text, image, denoiser, world)
+    state_out = merged_state(world, text, image, denoiser)
     if out_dir:
         save_checkpoint(state_out, os.path.join(out_dir, "model.rcpt"))
         metrics.write_csv(os.path.join(out_dir, "metrics.csv"))

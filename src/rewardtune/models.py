@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensorad as ta
+from .data import world_from_state, world_state
 from .tensorad import Tensor
 
 
@@ -156,6 +157,35 @@ class DenoiserParams(_ParamSet):
     @property
     def t_embed(self):
         return self.w1.data.shape[0] - self.d - self.c_width
+
+
+# widths that more than one set carries, each as the entries (axis 0) that
+# must agree: the conditioning width C and the data width D
+_SHARED_WIDTHS = {
+    "conditioning": ("text/b2", "image/b2", "denoiser/null_cond"),
+    "data": ("world/pattern_0", "image/w1", "denoiser/b3"),
+}
+
+
+def merged_state(world, *param_sets):
+    """One checkpoint state: every set's entries plus the world's."""
+    return {k: v for params in param_sets for k, v in params.state().items()} | world_state(world)
+
+
+def model_from_state(state):
+    """(text, image, denoiser, world) from a merged state. Besides each set's
+    own checks, raises CheckpointError naming both entries when two sets
+    disagree on a width they share."""
+    model = (TextEncoderParams.from_state(state), ImageEncoderParams.from_state(state),
+             DenoiserParams.from_state(state), world_from_state(state))
+    for width, (first, *others) in _SHARED_WIDTHS.items():
+        for key in others:
+            a, b = np.shape(state[first]), np.shape(state[key])
+            if a[:1] != b[:1]:
+                raise CheckpointError(
+                    f"checkpoint entries '{first}' and '{key}' disagree on the {width} "
+                    f"width: shapes {a} and {b}")
+    return model
 
 
 def _uniform(rng, shape, fan_in):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorad as ta
-from .data import make_world, sample_pair, world_state
+from .data import make_world, sample_pair
 from .finetune import OptimizerState, collect_grads, optimizer_step
 from .models import (
     ParamBag,
@@ -25,6 +25,7 @@ from .models import (
     init_denoiser,
     init_image_encoder,
     init_text_encoder,
+    merged_state,
     text_encode,
 )
 from .rewards import reward_clip_constraint
@@ -286,4 +287,4 @@ def make_pretrained_baseline(seed=42, clip_config=None, diffusion_config=None):
     text, image, world, _ = pretrain_encoders(seed, clip_config)
     sched = make_schedule("linear-beta", DEFAULT_T_TRAIN)
     denoiser, _ = pretrain_denoiser(text, world, seed, sched, diffusion_config)
-    return {**text.state(), **image.state(), **denoiser.state(), **world_state(world)}
+    return merged_state(world, text, image, denoiser)

@@ -42,7 +42,6 @@ __all__ = [
     "finite_diff_grad",
     "pause_recording",
     "default_dtype",
-    "get_default_dtype",
     "debug_checks",
     "add",
     "sub",
@@ -95,10 +94,6 @@ def debug_checks():
         yield
     finally:
         _STATE.debug = old
-
-
-def get_default_dtype():
-    return _STATE.dtype
 
 
 @contextlib.contextmanager
@@ -181,10 +176,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        """A constant copy carrying the same values and no grad path."""
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(id={self.id}, shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -315,9 +306,6 @@ class Tape:
         assert popped is self
         return False
 
-    def __len__(self):
-        return len(self.nodes)
-
     def _check_guard(self, op, inputs):
         if self._guard is None:
             return
@@ -328,19 +316,6 @@ class Tape:
                     f"op '{op}' touches tensor id={t.id} that is not a declared "
                     "boundary input of the enclosing checkpoint segment"
                 )
-
-    def _record(self, op, inputs, out, saved, ctx, bw):
-        self._check_guard(op, inputs)
-        if not any(t._needs for t in inputs):
-            return out
-        out._needs = True
-        for t in inputs:
-            if t.requires_grad and not t._from_op:
-                self._leaves.setdefault(t.id, t)
-        node = TapeNode(op, tuple(t.id for t in inputs), out.id, saved, ctx, bw)
-        self._target.append(node)
-        self.stats.note(saved)
-        return out
 
     @contextlib.contextmanager
     def _capture(self, scratch, boundary_ids, watermark):
@@ -355,15 +330,22 @@ class Tape:
 
 
 def _trace(op, inputs, out_arr, saved, ctx, bw, save_out=False):
-    """Wrap an op's output and record it on the active tape. ``save_out``
-    appends the output itself to ``saved``, for backward rules that use it."""
-    needs = any(t._needs for t in inputs)
-    out = Tensor._wrap(out_arr, needs and _active_tape() is not None)
+    """Wrap an op's output; record it when a tape is active and an input needs
+    a gradient. ``save_out`` appends the output itself to ``saved``."""
     tape = _active_tape()
-    if tape is not None:
+    needs = tape is not None and any(t._needs for t in inputs)
+    out = Tensor._wrap(out_arr, needs)
+    if tape is None:
+        return out
+    tape._check_guard(op, inputs)
+    if needs:
         if save_out:
             saved = saved + (out,)
-        tape._record(op, inputs, out, saved, ctx, bw)
+        for t in inputs:
+            if t.requires_grad and not t._from_op:
+                tape._leaves.setdefault(t.id, t)
+        tape._target.append(TapeNode(op, tuple(t.id for t in inputs), out.id, saved, ctx, bw))
+        tape.stats.note(saved)
     return out
 
 
@@ -406,21 +388,17 @@ def _bw_sub(g, saved, ctx):
     return g, -g
 
 
-def _bw_sub_scalar(g, saved, ctx):
-    return (g,)
-
-
-def _bw_rsub_scalar(g, saved, ctx):
+def _bw_neg(g, saved, ctx):
     return (-g,)
 
 
 def sub(a, b):
     if isinstance(b, (int, float)):
         a = _as_tensor(a)
-        return _trace("sub_scalar", (a,), a.data - _STATE.dtype.type(b), (), None, _bw_sub_scalar)
+        return _trace("sub_scalar", (a,), a.data - _STATE.dtype.type(b), (), None, _bw_add_scalar)
     if isinstance(a, (int, float)):
         b = _as_tensor(b)
-        return _trace("rsub_scalar", (b,), _STATE.dtype.type(a) - b.data, (), None, _bw_rsub_scalar)
+        return _trace("rsub_scalar", (b,), _STATE.dtype.type(a) - b.data, (), None, _bw_neg)
     a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape("sub", a, b)
     return _trace("sub", (a, b), a.data - b.data, (), None, _bw_sub)
@@ -479,10 +457,6 @@ def div(a, b):
     if b.data.ndim != 0:
         _check_same_shape("div", a, b)
     return _trace("div", (a, b), a.data / b.data, (b,), None, _bw_div, save_out=True)
-
-
-def _bw_neg(g, saved, ctx):
-    return (-g,)
 
 
 def neg(a):
@@ -802,11 +776,7 @@ def _sweep_segment(tape, node, grads, taps, tap_set):
     g_outs = [grads.pop(oid, None) for oid in node.out_ids]
     if all(g is None for g in g_outs):
         return
-    scratch = []
-    boundary_ids = frozenset(t.id for t in node.inputs)
-    watermark = next(_ID_COUNTER)
-    with tape._capture(scratch, boundary_ids, watermark):
-        outs = node.fn(*node.inputs)
+    outs, scratch = _run_segment(tape, node.fn, node.inputs)
     outs = outs if isinstance(outs, tuple) else (outs,)
     if len(scratch) != node.recorded_len:
         raise AutodiffError(
@@ -821,9 +791,23 @@ def _sweep_segment(tape, node, grads, taps, tap_set):
         acc = grads.get(replayed.id)
         grads[replayed.id] = g if acc is None else acc + g
     _sweep(tape, scratch, grads, taps, tap_set)
-    for sub_node in scratch:
-        if isinstance(sub_node, TapeNode):
-            tape.stats.release(sub_node.saved)
+    _release(tape, scratch)
+
+
+def _run_segment(tape, fn, inputs):
+    """Call ``fn(*inputs)`` capturing its ops into a fresh scratch list, guarded
+    to touch only the boundary inputs and its own tensors; (outputs, scratch)."""
+    scratch = []
+    with tape._capture(scratch, frozenset(t.id for t in inputs), next(_ID_COUNTER)):
+        outs = fn(*inputs)
+    return outs, scratch
+
+
+def _release(tape, scratch):
+    """Stop counting the saved values of captured nodes as live."""
+    for node in scratch:
+        if isinstance(node, TapeNode):
+            tape.stats.release(node.saved)
 
 
 def checkpoint_segment(fn, inputs):
@@ -844,11 +828,7 @@ def checkpoint_segment(fn, inputs):
     tape._check_guard("segment", inputs)
     for t in inputs:
         t._boundary = True
-    scratch = []
-    boundary_ids = frozenset(t.id for t in inputs)
-    watermark = next(_ID_COUNTER)
-    with tape._capture(scratch, boundary_ids, watermark):
-        outs = fn(*inputs)
+    outs, scratch = _run_segment(tape, fn, inputs)
     single = not isinstance(outs, tuple)
     outs_t = (outs,) if single else tuple(outs)
     for o in outs_t:
@@ -856,11 +836,8 @@ def checkpoint_segment(fn, inputs):
             raise AutodiffError("checkpoint_segment: outputs must be Tensors")
         o._boundary = True
     if scratch:
-        node = SegmentNode(fn, inputs, tuple(o.id for o in outs_t), len(scratch))
-        tape._target.append(node)
-        for sub_node in scratch:
-            if isinstance(sub_node, TapeNode):
-                tape.stats.release(sub_node.saved)
+        tape._target.append(SegmentNode(fn, inputs, tuple(o.id for o in outs_t), len(scratch)))
+        _release(tape, scratch)
     return outs
 
 

@@ -349,7 +349,9 @@ class TestCliSample:
     @pytest.mark.parametrize("key,corrupt,message", [
         ("denoiser/w1", lambda a: a[:, :-1], "entry 'denoiser/w1' has shape"),
         ("text/b2", lambda a: np.full_like(a, np.nan), "entry 'text/b2' holds a non-finite"),
-    ], ids=["short-column", "nan"])
+        # the denoiser's only conditioning-width entry: only the cross-set check sees it
+        ("denoiser/null_cond", lambda a: a[:-1], "and 'denoiser/null_cond' disagree"),
+    ], ids=["short-column", "nan", "short-null-cond"])
     def test_corrupt_checkpoint_exits_2_at_load(self, baseline_state, tmp_path, capsys,
                                                 key, corrupt, message):
         state = dict(baseline_state)

@@ -41,7 +41,8 @@ from rewardtune.models import (
     text_encode,
 )
 from rewardtune.rewards import RewardSpec, combined_loss
-from rewardtune.schedule import make_schedule, make_step_plan, sampler_step
+from rewardtune.schedule import (forward_diffuse, make_schedule, make_step_plan,
+                                 predict_x0, sampler_step)
 from rewardtune.tensorad import Tensor
 from rewardtune.util import derive_seed
 
@@ -275,6 +276,39 @@ class TestDirectStep:
         assert a.loss == b.loss
         for name in a.grads:
             assert np.array_equal(a.grads[name], b.grads[name])
+
+    def test_matches_plain_tape(self, baseline_world, baseline_text, baseline_image,
+                                baseline_denoiser):
+        # the step is one tape over the batch: each item's forward pass and
+        # loss, summed in item order, then the mean; same bits as written out
+        sched = make_schedule("linear-beta", 1000)
+        spec = RewardSpec.default()
+        baseline_text.set_requires_grad(True)
+        batch, ts, noises = self._inputs(baseline_world, n=3, seed=4)
+        result = direct_finetune_step(baseline_text, baseline_denoiser,
+                                      baseline_image, baseline_world, batch,
+                                      ts, noises, sched, spec)
+
+        for t in baseline_text.tensors():
+            t.grad = None
+        tape = ta.Tape()
+        with tape:
+            total = None
+            for (x, prompt), t, eps in zip(batch, ts, noises):
+                t = int(t)
+                c = text_encode(baseline_text, prompt)
+                z_t = forward_diffuse(Tensor(x), t, Tensor(eps), sched)
+                x_hat = predict_x0(z_t, denoise(baseline_denoiser, t, z_t, c), t, sched)
+                li = combined_loss(x_hat, prompt, spec, world=baseline_world,
+                                   image_params=baseline_image,
+                                   text_params=baseline_text)
+                total = li if total is None else ta.add(total, li)
+            loss = ta.mul(total, 1.0 / 3)
+        ta.backward(tape, loss)
+
+        assert np.float32(result.loss) == loss.data.astype(np.float32)
+        for name, t in baseline_text.named().items():
+            assert np.array_equal(result.grads[name], t.grad), name
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rewardtune import tensorad as ta
+from rewardtune.data import make_world
 from rewardtune.models import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -19,6 +20,8 @@ from rewardtune.models import (
     init_image_encoder,
     init_text_encoder,
     load_checkpoint,
+    merged_state,
+    model_from_state,
     save_checkpoint,
     serialize_state,
     state_digest,
@@ -436,6 +439,24 @@ class TestCheckpoint:
         den = init_denoiser(3, SMALL)
         back = DenoiserParams.from_state(den.state())
         assert (back.d, back.c_width, back.t_embed) == (SMALL.d, SMALL.c_width, SMALL.t_embed)
+
+    def test_model_bundle_round_trips_baseline(self, baseline_state):
+        text, image, den, world = model_from_state(baseline_state)
+        assert state_digest(merged_state(world, text, image, den)) == state_digest(baseline_state)
+        assert not any(k.startswith("denoiser/") for k in merged_state(world, text, image))
+
+    @pytest.mark.parametrize("key,cut,other", [
+        ("denoiser/null_cond", np.s_[:-1], "text/b2"),       # conditioning width
+        ("image/w1", np.s_[:-1, :], "world/pattern_0"),      # data width
+    ])
+    def test_model_from_state_names_sets_that_disagree(self, key, cut, other):
+        # each entry is the only one of its set carrying that width, so the
+        # per-set check passes and only the cross-set check can see it
+        state = merged_state(make_world(0), init_text_encoder(1), init_image_encoder(2),
+                             init_denoiser(3))
+        state[key] = state[key][cut]
+        with pytest.raises(CheckpointError, match=f"'{other}' and '{key}' disagree"):
+            model_from_state(state)
 
     def test_digest_sensitive_to_values(self):
         a = {"x": np.zeros(3, np.float32)}

@@ -135,6 +135,10 @@ def test_debug_mode_traps_nan():
                 backward(tape, y)
 
 
+def test_every_export_exists():
+    assert [name for name in ta.__all__ if not hasattr(ta, name)] == []
+
+
 def test_no_tape_means_detached():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = ta.mul(x, x)
