@@ -21,37 +21,21 @@ from .data import load_prompts, world_from_state
 from .finetune import TrainConfig, prompt_split, run_training
 from .inference import (DEFAULT_LAMBDA_SWEEP, continuity_probe, mix_styles, sample,
                         sample_from_cond, write_sample)
-from .models import (DenoiserParams, ImageEncoderParams, TextEncoderParams,
-                     load_checkpoint, merged_state, model_from_state,
-                     save_checkpoint, state_digest, text_encode)
+from .models import (ImageEncoderParams, TextEncoderParams, load_checkpoint,
+                     merged_state, model_from_state, save_checkpoint, state_digest,
+                     text_encode)
 from .pretrain import PretrainConfig, pretrain_denoiser, pretrain_encoders
-from .rewards import READOUT_SPEC, RewardSpec, readout_means, reward_values
+from .rewards import (READOUT_COLUMNS, READOUT_SPEC, RewardSpec, readout_means,
+                      reward_values)
 from .schedule import SAMPLER_STEPS, SCHEDULE_KINDS, make_schedule, make_step_plan
 from .tensorad import Tensor
-from .util import derive_seed
+from .util import csv_text, derive_seed, format_cell, write_text
 
 MIN_EVAL_PROMPTS = 32
-
-# CSV column names for the reward readouts, in reporting order
-REWARD_COLUMNS = (
-    ("image-style", "reward_image"),
-    ("alignment", "reward_align"),
-    ("clip-constraint", "reward_clip"),
-)
 
 
 # ---------------------------------------------------------------------------
 # tables: one set of numbers, two renderings
-
-
-def _fmt_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.10g}"
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -62,14 +46,11 @@ class Table:
     rows: tuple
 
     def to_csv(self):
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(_fmt_cell(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return csv_text(self.header, self.rows)
 
     def render_text(self):
         cells = [list(self.header)] + [
-            [_fmt_cell(v) for v in row] for row in self.rows
+            [format_cell(v) for v in row] for row in self.rows
         ]
         widths = [max(len(r[i]) for r in cells) for i in range(len(self.header))]
         lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
@@ -80,15 +61,9 @@ class Table:
         os.makedirs(directory, exist_ok=True)
         csv_path = os.path.join(directory, f"{stem}.csv")
         txt_path = os.path.join(directory, f"{stem}.txt")
-        _write_text(csv_path, self.to_csv())
-        _write_text(txt_path, self.render_text())
+        write_text(csv_path, self.to_csv())
+        write_text(txt_path, self.render_text())
         return csv_path, txt_path
-
-
-def _write_text(path, content):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +85,8 @@ class ModelEval:
             raise ValueError(f"non-finite metric for model {self.name!r}")
 
     def reward_row(self):
-        """The reward means in REWARD_COLUMNS order."""
-        return tuple(self.reward_means[k] for k, _ in REWARD_COLUMNS)
+        """The reward means in READOUT_COLUMNS order."""
+        return tuple(self.reward_means[k] for k, _ in READOUT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -137,7 +112,7 @@ class EvalReport:
             raise ValueError("report needs at least 2 seeds")
 
     def table(self):
-        header = ("model",) + tuple(col for _, col in REWARD_COLUMNS) + (
+        header = ("model",) + tuple(col for _, col in READOUT_COLUMNS) + (
             "diversity", "spread")
         rows = tuple((e.name,) + e.reward_row() + (e.diversity, e.spread)
                      for e in self.entries)
@@ -227,8 +202,6 @@ def evaluate(checkpoints, prompt_set, plan, w, seeds, *, sampler="ddim",
         raise ValueError("evaluation needs at least 2 distinct seeds")
     if sampler not in SAMPLER_STEPS:
         raise ValueError(f"unknown sampler {sampler!r}")
-    if sched is None:
-        sched = make_schedule("linear-beta", plan.t_train)
 
     named = _named_states(checkpoints)
     if not named:
@@ -272,7 +245,7 @@ def _score_grid(base_config, state_in, header, cells, w, out_dir, stem):
         e = _holdout_score(label, state, holdout, plan, w,
                            _cell_seeds(base_config.seed, label, n), sampler, sched)
         rows.append((label, n) + e.reward_row())
-    table = Table(header=header + tuple(col for _, col in REWARD_COLUMNS),
+    table = Table(header=header + tuple(col for _, col in READOUT_COLUMNS),
                   rows=tuple(rows))
     if out_dir:
         table.write(out_dir, stem)
@@ -554,13 +527,10 @@ def _cmd_sample(args):
 
 def _cmd_interpolate(args):
     _reject_config(args)
-    state_a = load_checkpoint(args.checkpoint_a)
-    state_b = load_checkpoint(args.checkpoint_b)
-    text_a = TextEncoderParams.from_state(state_a)
-    text_b = TextEncoderParams.from_state(state_b)
-    # frozen components come from the first (base) checkpoint
-    denoiser = DenoiserParams.from_state(state_a)
-    prompt = _parse_prompt(args.prompt, world_from_state(state_a))
+    # the denoiser and world come from the first (base) checkpoint
+    text_a, _, denoiser, world = model_from_state(load_checkpoint(args.checkpoint_a))
+    text_b = TextEncoderParams.from_state(load_checkpoint(args.checkpoint_b))
+    prompt = _parse_prompt(args.prompt, world)
     lambdas = _parse_numbers(args.lambdas, "--lambdas", float)
     plan = make_step_plan(args.steps, args.t_train)
     sched = make_schedule(args.schedule, args.t_train)
@@ -586,10 +556,10 @@ def _cmd_mix(args):
     if len(paths) != len(weights):
         raise ValueError(
             f"got {len(paths)} checkpoints but {len(weights)} weights")
-    states = [load_checkpoint(p) for p in paths]
-    texts = [TextEncoderParams.from_state(s) for s in states]
-    denoiser = DenoiserParams.from_state(states[0])
-    prompt = _parse_prompt(args.prompt, world_from_state(states[0]))
+    # the denoiser and world come from the first (base) checkpoint
+    text, _, denoiser, world = model_from_state(load_checkpoint(paths[0]))
+    texts = [text] + [TextEncoderParams.from_state(load_checkpoint(p)) for p in paths[1:]]
+    prompt = _parse_prompt(args.prompt, world)
     plan = make_step_plan(args.steps, args.t_train)
     sched = make_schedule(args.schedule, args.t_train)
 

@@ -33,8 +33,8 @@ from .models import (
     save_checkpoint,
     text_encode,
 )
-from .inference import guided_step
-from .rewards import RewardSpec, combined_loss, readout_means
+from .inference import guided_step, walk_chain
+from .rewards import READOUT_COLUMNS, RewardSpec, combined_loss, readout_means
 from .schedule import (
     DEFAULT_T_TRAIN,
     SAMPLER_STEPS,
@@ -45,11 +45,12 @@ from .schedule import (
     predict_x0,
 )
 from .tensorad import Tensor
-from .util import derive_seed, reject_unknown_keys
+from .util import csv_text, derive_seed, reject_unknown_keys, write_text
 
 REGIMES = ("direct", "prompt-chain", "unet-chain")
 
-METRICS_HEADER = "iter,loss,reward_image,reward_align,reward_clip"
+METRICS_COLUMNS = ("iter", "loss") + tuple(col for _, col in READOUT_COLUMNS)
+METRICS_HEADER = ",".join(METRICS_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,7 @@ def _run_chain(text_params, denoiser, prompt, z_init, plan, sched, k_last,
                sampler="ddim", cfg_in_chain=False, cfg_scale=7.5, collect_taps=False):
     """Forward the N-step chain; record only the last K transitions.
 
-    Steps before the cut run detached on a value copy of c, so the gradient
+    Steps before the cut are one detached ``walk_chain``, so the gradient
     counts exactly the dependence through the recorded suffix. Each recorded
     transition is one recompute-on-backward segment.
     """
@@ -225,12 +226,7 @@ def _run_chain(text_params, denoiser, prompt, z_init, plan, sched, k_last,
     z = z_init if isinstance(z_init, Tensor) else Tensor(np.asarray(z_init))
     split = n - k_last
     if split:
-        with ta.pause_recording():
-            c_frozen = Tensor(c.data)
-            z_cur = z
-            for t, t_prev in transitions[:split]:
-                z_cur = guided_step(denoiser, t, t_prev, z_cur, c_frozen, w, sampler, sched)
-        z = Tensor(z_cur.data)
+        z = Tensor(walk_chain(denoiser, transitions[:split], z, c, w, sampler, sched))
     taps = []
     for t, t_prev in transitions[split:]:
         if collect_taps:
@@ -248,6 +244,8 @@ def collect_grads(param_set):
     return out
 
 
+# a diverging run overflows in here; optimizer_step then stops it with one error
+@np.errstate(over="ignore", invalid="ignore")
 def _reward_step(trainable, items, x_hat_of, text_params, image_params, world, spec,
                  record_step_norms=False):
     """The step every regime shares: per item, in order, the forward pass
@@ -351,18 +349,13 @@ def unet_finetune_step(denoiser, text_params, image_params, world, prompts,
 
 @dataclass
 class RunMetrics:
-    rows: list  # of (iter, loss, reward_image, reward_align, reward_clip)
+    rows: list  # of METRICS_COLUMNS tuples
 
     def to_csv(self):
-        lines = [METRICS_HEADER]
-        for it, loss, r_img, r_align, r_clip in self.rows:
-            lines.append(f"{it},{loss:.10g},{r_img:.10g},{r_align:.10g},{r_clip:.10g}")
-        return "\n".join(lines) + "\n"
+        return csv_text(METRICS_COLUMNS, self.rows)
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
-        return path
+        return write_text(path, self.to_csv())
 
 
 def prompt_split(config, world):
@@ -411,13 +404,8 @@ def run_training(config, state_in, out_dir=None):
             )
         optimizer_step(trainable, result.grads, result.loss, opt, config.lr,
                        config.grad_clip, it)
-        rows.append((
-            it,
-            result.loss,
-            result.reward_means["image-style"],
-            result.reward_means["alignment"],
-            result.reward_means["clip-constraint"],
-        ))
+        rows.append((it, result.loss)
+                    + tuple(result.reward_means[kind] for kind, _ in READOUT_COLUMNS))
         if out_dir and config.checkpoint_interval and (it + 1) % config.checkpoint_interval == 0:
             path = os.path.join(out_dir, f"checkpoint_{it + 1:06d}.rcpt")
             save_checkpoint(merged_state(world, text, image, denoiser), path)

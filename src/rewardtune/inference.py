@@ -18,7 +18,7 @@ from . import tensorad as ta
 from .models import denoise, text_encode
 from .schedule import SAMPLER_STEPS, cfg_combine, make_schedule, sampler_step
 from .tensorad import Tensor
-from .util import derive_seed
+from .util import derive_seed, write_text
 
 DEFAULT_LAMBDA_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -37,6 +37,16 @@ def guided_step(denoiser, t, t_prev, z, c, w, sampler, sched):
     return sampler_step(sampler, z, eps, t, t_prev, sched)
 
 
+def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
+    """Detached walk of ``z`` down ``transitions`` under conditioning ``c``;
+    returns the final latent array. Nothing is recorded, so ``c`` may be a
+    taped tensor."""
+    with ta.pause_recording():
+        for t, t_prev in transitions:
+            z = guided_step(denoiser, t, t_prev, z, c, w, sampler, sched)
+    return z.data
+
+
 def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
                      sched=None):
     """Deterministic sample from a fixed conditioning vector.
@@ -53,11 +63,8 @@ def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
     if sched is None:
         sched = make_schedule("linear-beta", plan.t_train)
     rng = np.random.default_rng(derive_seed(seed, "sample"))
-    with ta.pause_recording():
-        z = Tensor(rng.standard_normal(denoiser_params.d).astype(np.float32))
-        for t, t_prev in plan.transitions():
-            z = guided_step(denoiser_params, t, t_prev, z, cond, w, sampler, sched)
-    return z.data
+    z = Tensor(rng.standard_normal(denoiser_params.d).astype(np.float32))
+    return walk_chain(denoiser_params, plan.transitions(), z, cond, w, sampler, sched)
 
 
 def sample(text_params, denoiser_params, prompt, plan, w, seed, *,
@@ -137,9 +144,7 @@ def write_sample(path, x, meta):
     arr = np.ascontiguousarray(np.asarray(x, dtype="<f4"))
     with open(path, "wb") as fh:
         fh.write(arr.tobytes())
-    sidecar = json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    with open(f"{path}.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(sidecar)
+    write_text(f"{path}.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return path
 
 

@@ -196,21 +196,24 @@ def diffusion_pretrain(denoiser, text_params, world, sched, config):
 
     losses = []
     for it in range(config.iterations):
-        tape = ta.Tape()
-        with tape:
-            total = None
-            for _ in range(config.batch_size):
-                x, prompt = sample_pair(world, rng)
-                t = int(rng.integers(0, sched.t_train))
-                eps = rng.standard_normal(world.d).astype(np.float32)
-                use_null = bool(rng.random() < config.null_drop)
-                c = denoiser.null_cond if use_null else text_encode(text_params, prompt)
-                z_t = forward_diffuse(Tensor(x), t, Tensor(eps), sched)
-                eps_hat = denoise(denoiser, t, z_t, c)
-                li = ta.squared_error(eps_hat, Tensor(eps))
-                total = li if total is None else ta.add(total, li)
-            loss = ta.mul(total, 1.0 / config.batch_size)
-        ta.backward(tape, loss)
+        # a diverging run overflows in here; optimizer_step then stops it
+        # with one error
+        with np.errstate(over="ignore", invalid="ignore"):
+            tape = ta.Tape()
+            with tape:
+                total = None
+                for _ in range(config.batch_size):
+                    x, prompt = sample_pair(world, rng)
+                    t = int(rng.integers(0, sched.t_train))
+                    eps = rng.standard_normal(world.d).astype(np.float32)
+                    use_null = bool(rng.random() < config.null_drop)
+                    c = denoiser.null_cond if use_null else text_encode(text_params, prompt)
+                    z_t = forward_diffuse(Tensor(x), t, Tensor(eps), sched)
+                    eps_hat = denoise(denoiser, t, z_t, c)
+                    li = ta.squared_error(eps_hat, Tensor(eps))
+                    total = li if total is None else ta.add(total, li)
+                loss = ta.mul(total, 1.0 / config.batch_size)
+            ta.backward(tape, loss)
         losses.append(loss.item())
         optimizer_step(denoiser, collect_grads(denoiser), losses[-1], opt,
                        config.lr_at(it), config.grad_clip, it)

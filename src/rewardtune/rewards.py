@@ -139,11 +139,16 @@ def reward_values(x_hat, prompt, spec, *, world=None, image_params=None, text_pa
     return out
 
 
-# the three standard readouts reported for every sample; the weights are
-# irrelevant because reward_values returns unweighted values
-READOUT_SPEC = RewardSpec(entries=(
-    ("image-style", 1.0), ("alignment", 1.0), ("clip-constraint", 1.0),
-))
+# the three standard readouts reported for every sample, in reporting order:
+# (reward kind, CSV column name)
+READOUT_COLUMNS = (
+    ("image-style", "reward_image"),
+    ("alignment", "reward_align"),
+    ("clip-constraint", "reward_clip"),
+)
+
+# the weights are irrelevant because reward_values returns unweighted values
+READOUT_SPEC = RewardSpec(entries=tuple((kind, 1.0) for kind, _ in READOUT_COLUMNS))
 
 
 def readout_means(x_hats, prompts, *, world, image_params, text_params):

@@ -1,4 +1,4 @@
-"""Small shared helpers."""
+"""Small shared helpers: seeds, config keys and the one text-file writer."""
 
 from __future__ import annotations
 
@@ -30,3 +30,29 @@ def reject_unknown_keys(cls, raw):
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+
+
+def format_cell(value):
+    """One table or CSV cell: bools and ints as written, floats to 10
+    significant digits, anything else through ``str``."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.10g}"
+    return str(value)
+
+
+def csv_text(header, rows):
+    """Header line plus one ``format_cell`` line per row, newline-terminated."""
+    lines = [",".join(header)]
+    lines.extend(",".join(format_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_text(path, text):
+    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends; returns the path."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -438,8 +439,6 @@ class TestCliPipeline:
         assert _partial_digest(trained, "denoiser/") != _partial_digest(
             baseline_state, "denoiser/")
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_non_finite_run_exits_2_without_checkpoint(self, baseline_ckpt, tmp_path,
                                                        capsys):
         cfg = tmp_path / "ft.json"
@@ -462,8 +461,6 @@ class TestCliPipeline:
         assert rc == 2
         assert "unknown config keys" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_diverging_pretrain_exits_2_without_checkpoint(self, baseline_ckpt, tmp_path,
                                                            capsys):
         cfg = tmp_path / "diff.json"
@@ -475,6 +472,26 @@ class TestCliPipeline:
         assert "iteration 1: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.rcpt").exists()
         assert not (tmp_path / "out" / "diffusion_metrics.csv").exists()
+
+    @pytest.mark.parametrize("command,extra,chain", [
+        ("finetune-text", [], {"n_steps": 3, "k_last": 1}),
+        ("finetune-text", ["--regime", "direct"], {}),
+        ("finetune-unet", [], {"n_steps": 3, "k_last": 1}),
+        ("pretrain-diffusion", [], {}),
+    ], ids=["prompt-chain", "direct", "unet-chain", "pretrain-diffusion"])
+    def test_diverging_run_prints_one_line(self, baseline_ckpt, tmp_path, capsys,
+                                           command, extra, chain):
+        # any NumPy RuntimeWarning raised on the way would surface as the error
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"lr": 1e30, "iterations": 3, "batch_size": 2, **chain}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli_main([command, "--config", str(cfg), "--checkpoint", baseline_ckpt,
+                           "--out-dir", str(tmp_path / "out")] + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("rewardtune: error: iteration 1: non-finite loss ")
 
     @pytest.mark.parametrize("command,key", [
         ("finetune-text", "constraint_uses_frozen_copy"),
@@ -561,6 +578,32 @@ class TestCliInterpolateAndMix:
                        "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "sum to 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt,message", [
+        ({"denoiser/null_cond": lambda a: a[:-1]}, "and 'denoiser/null_cond' disagree"),
+        # one data column narrower than the world, consistent within the set
+        ({"denoiser/b3": lambda a: a[:-1], "denoiser/w3": lambda a: a[:, :-1],
+          "denoiser/w1": lambda a: a[:-1]}, "and 'denoiser/b3' disagree"),
+    ], ids=["short-null-cond", "narrow-denoiser"])
+    @pytest.mark.parametrize("command", ["interpolate", "mix"])
+    def test_corrupt_base_checkpoint_exits_2_at_load(self, baseline_state, baseline_ckpt,
+                                                     tmp_path, capsys, command, corrupt,
+                                                     message):
+        state = dict(baseline_state)
+        for key, fn in corrupt.items():
+            state[key] = fn(state[key])
+        bad = str(tmp_path / "bad.rcpt")
+        save_checkpoint(state, bad)
+        if command == "interpolate":
+            args = ["interpolate", "--checkpoint-a", bad, "--checkpoint-b", baseline_ckpt]
+        else:
+            args = ["mix", "--checkpoints", f"{bad},{baseline_ckpt}",
+                    "--weights", "0.5,0.5"]
+        out = tmp_path / "out"
+        rc = cli_main(args + ["--prompt", "1", "--steps", "5", "--out-dir", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.f32"))
 
 
 class TestCliAblations:

@@ -1,0 +1,163 @@
+"""Property tests: every differentiable tensorad op's backward rule against
+the central-difference oracle, over hypothesis-drawn shapes and values.
+
+Runs in float64 so the difference quotient is not drowned by rounding noise.
+The draws are derandomized, so every run checks the same examples.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from rewardtune import tensorad as ta
+from rewardtune.tensorad import Tape, Tensor, backward, finite_diff_grad
+
+_SETTINGS = settings(derandomize=True, max_examples=20, deadline=None, database=None)
+_LENGTHS = st.integers(1, 8)
+_DIMS = st.integers(1, 6)
+
+
+def _values(shape, lo=-2.0, hi=2.0):
+    return hnp.arrays(np.float64, shape, elements=st.floats(lo, hi))
+
+
+def _signed(lo, hi):
+    """Floats with lo <= |x| <= hi, either sign: divisors kept off zero."""
+    return st.tuples(st.floats(lo, hi), st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+def _readout(out):
+    # a fixed weighting turns any output into a scalar the oracle can see
+    if out.data.ndim == 0:
+        return out
+    w = Tensor(np.linspace(0.5, 1.5, out.data.size).reshape(out.data.shape))
+    return ta.tensor_sum(ta.mul(out, w))
+
+
+def _check_backward(build, arrays, h=1e-6):
+    with ta.default_dtype(np.float64):
+        params = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+        with Tape() as tape:
+            grads = backward(tape, _readout(build(params)))
+        fd = finite_diff_grad(lambda p: _readout(build(p)), params, h=h)
+    for k, t in params.items():
+        np.testing.assert_allclose(grads[t.id], fd[k], rtol=1e-5, atol=1e-6, err_msg=k)
+
+
+# (op, input range): log and sqrt need positive inputs
+_UNARY = {
+    "neg": (ta.neg, (-2.0, 2.0)),
+    "tanh": (ta.tanh, (-2.0, 2.0)),
+    "silu": (ta.silu, (-2.0, 2.0)),
+    "exp": (ta.exp, (-2.0, 2.0)),
+    "log": (ta.log, (0.5, 3.0)),
+    "sqrt": (ta.sqrt, (0.5, 3.0)),
+    "tensor_sum": (ta.tensor_sum, (-2.0, 2.0)),
+    "tensor_mean": (ta.tensor_mean, (-2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNARY))
+@_SETTINGS
+@given(data=st.data())
+def test_unary(name, data):
+    op, (lo, hi) = _UNARY[name]
+    a = data.draw(_LENGTHS.flatmap(lambda n: _values(n, lo, hi)))
+    _check_backward(lambda p: op(p["a"]), {"a": a})
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "dot"])
+@_SETTINGS
+@given(data=st.data())
+def test_binary_same_shape(name, data):
+    n = data.draw(_LENGTHS)
+    a = data.draw(_values(n))
+    b = data.draw(hnp.arrays(np.float64, n, elements=_signed(0.5, 3.0)) if name == "div"
+                  else _values(n))
+    op = getattr(ta, name)
+    _check_backward(lambda p: op(p["a"], p["b"]), {"a": a, "b": b})
+
+
+# (label, op with the scalar s on the given side)
+_SCALAR_SIDES = {
+    "add-right": lambda a, s: ta.add(a, s),
+    "add-left": lambda a, s: ta.add(s, a),
+    "sub-right": lambda a, s: ta.sub(a, s),
+    "sub-left": lambda a, s: ta.sub(s, a),
+    "mul-right": lambda a, s: ta.mul(a, s),
+    "mul-left": lambda a, s: ta.mul(s, a),
+    "div-right": lambda a, s: ta.div(a, s),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_SCALAR_SIDES))
+@_SETTINGS
+@given(data=st.data())
+def test_python_scalar_operand(label, data):
+    a = data.draw(_LENGTHS.flatmap(_values))
+    s = data.draw(_signed(0.5, 3.0))
+    op = _SCALAR_SIDES[label]
+    _check_backward(lambda p: op(p["a"], s), {"a": a})
+
+
+# a 0-D tensor broadcasts against a vector in mul (either side) and div (right)
+_TENSOR_SCALAR_SIDES = {
+    "mul-right": lambda a, s: ta.mul(a, s),
+    "mul-left": lambda a, s: ta.mul(s, a),
+    "div-right": lambda a, s: ta.div(a, s),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_TENSOR_SCALAR_SIDES))
+@_SETTINGS
+@given(data=st.data())
+def test_tensor_scalar_operand(label, data):
+    a = data.draw(_LENGTHS.flatmap(_values))
+    s = np.asarray(data.draw(_signed(0.5, 3.0)))
+    op = _TENSOR_SCALAR_SIDES[label]
+    _check_backward(lambda p: op(p["a"], p["s"]), {"a": a, "s": s})
+
+
+@pytest.mark.parametrize("form", ["vec-mat", "mat-vec", "mat-mat"])
+@_SETTINGS
+@given(data=st.data())
+def test_matmul(form, data):
+    m, n, k = data.draw(_DIMS), data.draw(_DIMS), data.draw(_DIMS)
+    a_shape = (n,) if form == "vec-mat" else (m, n)
+    b_shape = (n,) if form == "mat-vec" else (n, k)
+    a, b = data.draw(_values(a_shape)), data.draw(_values(b_shape))
+    _check_backward(lambda p: ta.matmul(p["a"], p["b"]), {"a": a, "b": b})
+
+
+@_SETTINGS
+@given(parts=st.lists(_LENGTHS.flatmap(_values), min_size=1, max_size=3))
+def test_concat(parts):
+    names = [f"p{i}" for i in range(len(parts))]
+    _check_backward(lambda p: ta.concat([p[k] for k in names]), dict(zip(names, parts)))
+
+
+@_SETTINGS
+@given(values=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+def test_stack(values):
+    names = [f"s{i}" for i in range(len(values))]
+    _check_backward(lambda p: ta.stack([p[k] for k in names]),
+                    {k: np.asarray(v) for k, v in zip(names, values)})
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_row(data):
+    m, n = data.draw(_DIMS), data.draw(_DIMS)
+    i = data.draw(st.integers(0, m - 1))
+    _check_backward(lambda p: ta.row(p["m"], i), {"m": data.draw(_values((m, n)))})
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_slice1d(data):
+    n = data.draw(_LENGTHS)
+    start = data.draw(st.integers(0, n - 1))
+    stop = data.draw(st.integers(start + 1, n))
+    _check_backward(lambda p: ta.slice1d(p["a"], start, stop), {"a": data.draw(_values(n))})
