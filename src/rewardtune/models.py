@@ -248,8 +248,8 @@ def text_encode(params, prompt_tokens):
     for tok in ordered[1:]:
         acc = ta.add(acc, ta.row(params.embed, tok))
     pooled = ta.mul(acc, 1.0 / len(tokens))
-    h = ta.tanh(ta.add(ta.matmul(pooled, params.w1), params.b1))
-    return ta.add(ta.matmul(h, params.w2), params.b2)
+    h = ta.tanh(ta.linear(pooled, params.w1, params.b1))
+    return ta.linear(h, params.w2, params.b2)
 
 
 def image_encode(params, x):
@@ -258,8 +258,8 @@ def image_encode(params, x):
         raise ValueError(
             f"image_encode: expected width {params.w1.data.shape[0]}, got {x.data.shape}"
         )
-    h = ta.tanh(ta.add(ta.matmul(x, params.w1), params.b1))
-    return ta.add(ta.matmul(h, params.w2), params.b2)
+    h = ta.tanh(ta.linear(x, params.w1, params.b1))
+    return ta.linear(h, params.w2, params.b2)
 
 
 def denoise(params, t, z_t, c):
@@ -271,9 +271,9 @@ def denoise(params, t, z_t, c):
         raise ValueError(f"denoise: expected conditioning width {params.c_width}, got {c.data.shape}")
     temb = ta.time_embedding(t, params.t_embed)
     inp = ta.concat([z_t, temb, c])
-    h1 = ta.silu(ta.add(ta.matmul(inp, params.w1), params.b1))
-    h2 = ta.silu(ta.add(ta.matmul(h1, params.w2), params.b2))
-    return ta.add(ta.matmul(h2, params.w3), params.b3)
+    h1 = ta.silu(ta.linear(inp, params.w1, params.b1))
+    h2 = ta.silu(ta.linear(h1, params.w2, params.b2))
+    return ta.linear(h2, params.w3, params.b3)
 
 
 # ---------------------------------------------------------------------------

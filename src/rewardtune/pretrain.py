@@ -105,8 +105,16 @@ def contrastive_loss_from_logits(logits):
     return ta.mul(ta.add(ce_t, ce_i), 0.5)
 
 
-def _unit(v):
-    return ta.div(v, ta.norm(v))
+def _unit(v, kind, iteration):
+    """v / |v|. A diverging run overflows the norm while the loss stays
+    finite (the unit vectors are then all zeros and the loss sits at exactly
+    ln B), so the norm is where such a run is stopped."""
+    n = ta.norm(v)
+    if not np.isfinite(n.data):
+        raise FloatingPointError(
+            f"iteration {iteration}: non-finite {kind} embedding norm {n.item()}; "
+            "stopped before the update")
+    return ta.div(v, n)
 
 
 def clip_pretrain(text_params, image_params, world, config):
@@ -126,17 +134,21 @@ def clip_pretrain(text_params, image_params, world, config):
     temperatures = []
     for it in range(config.iterations):
         batch = [sample_pair(world, rng) for _ in range(config.batch_size)]
-        tape = ta.Tape()
-        with tape:
-            scale = ta.exp(bag["clip/log_temp"])
-            t_emb = [_unit(text_encode(text_params, p)) for _, p in batch]
-            i_emb = [_unit(image_encode(image_params, Tensor(x))) for x, _ in batch]
-            logits = [
-                [ta.mul(ta.dot(t_emb[i], i_emb[j]), scale) for j in range(len(batch))]
-                for i in range(len(batch))
-            ]
-            loss = contrastive_loss_from_logits(logits)
-        ta.backward(tape, loss)
+        # a diverging run overflows in here; _unit or optimizer_step then
+        # stops it with one error
+        with np.errstate(over="ignore", invalid="ignore"):
+            tape = ta.Tape()
+            with tape:
+                scale = ta.exp(bag["clip/log_temp"])
+                t_emb = [_unit(text_encode(text_params, p), "text", it) for _, p in batch]
+                i_emb = [_unit(image_encode(image_params, Tensor(x)), "image", it)
+                         for x, _ in batch]
+                logits = [
+                    [ta.mul(ta.dot(t_emb[i], i_emb[j]), scale) for j in range(len(batch))]
+                    for i in range(len(batch))
+                ]
+                loss = contrastive_loss_from_logits(logits)
+            ta.backward(tape, loss)
         losses.append(loss.item())
         optimizer_step(bag, collect_grads(bag), losses[-1], opt, config.lr,
                        config.grad_clip, it)

@@ -16,15 +16,16 @@ exactly. Because the replay performs the identical arithmetic in the
 identical order, checkpointed gradients are bit-for-bit equal to
 un-checkpointed ones.
 
-Reductions (sum, mean, dot, matmul) accumulate in float64 and round back to
-the working dtype. The working dtype is float32 by default; tests that
-compare against central finite differences run under ``default_dtype
+Reductions (sum, mean, dot, matmul, linear) accumulate in float64 and round
+back to the working dtype. The working dtype is float32 by default; tests
+that compare against central finite differences run under ``default_dtype
 (np.float64)`` so the difference quotient is not drowned by rounding noise.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import threading
@@ -49,6 +50,7 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "linear",
     "dot",
     "concat",
     "stack",
@@ -130,10 +132,12 @@ class Tensor:
 
     The value buffer is frozen after construction; only ``grad`` is written
     later (by ``backward``). Updates during training therefore replace
-    Tensors instead of mutating them.
+    Tensors instead of mutating them, which also keeps ``data64``, the
+    float64 copy cached on first use, in step with ``data``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "id", "_needs", "_from_op", "_boundary")
+    __slots__ = ("data", "requires_grad", "grad", "id", "_needs", "_from_op", "_boundary",
+                 "_data64")
 
     def __init__(self, data, requires_grad=False):
         arr = np.array(data, dtype=_STATE.dtype)
@@ -147,6 +151,7 @@ class Tensor:
         self._needs = self.requires_grad
         self._from_op = False
         self._boundary = False
+        self._data64 = None
 
     @classmethod
     def _wrap(cls, arr, needs):
@@ -164,7 +169,18 @@ class Tensor:
         t._needs = needs
         t._from_op = True
         t._boundary = False
+        t._data64 = None
         return t
+
+    @property
+    def data64(self):
+        """Read-only float64 copy of ``data``, widened once and then kept."""
+        wide = self._data64
+        if wide is None:
+            wide = self.data.astype(np.float64, copy=False)
+            wide.flags.writeable = False
+            self._data64 = wide
+        return wide
 
     @property
     def shape(self):
@@ -468,31 +484,50 @@ def _f64(x):
     return x.astype(np.float64, copy=False)
 
 
-def _bw_matmul(g, saved, ctx):
-    a, b = saved
-    ad, bd = _f64(a.data), _f64(b.data)
+def _product(op, x, w):
+    """x @ w in float64, rounded to the working dtype: the one place a dense
+    product widens, multiplies and rounds. ``w`` is read through its kept
+    float64 copy."""
+    if x.data.ndim == 0 or w.data.ndim == 0:
+        raise ValueError(f"{op}: operands must be 1-D or 2-D")
+    if x.data.shape[-1] != w.data.shape[0]:
+        raise ValueError(f"{op}: inner dims differ {x.data.shape} vs {w.data.shape}")
+    return (_f64(x.data) @ w.data64).astype(_STATE.dtype)
+
+
+def _product_grads(g, x, w):
+    """(dL/dx, dL/dw) of ``_product`` for upstream gradient ``g``."""
+    xd, wd = _f64(x.data), w.data64
     gd = _f64(g)
-    dt = a.data.dtype
-    if ad.ndim == 1 and bd.ndim == 2:
-        ga = (bd @ gd).astype(dt)
-        gb = np.outer(ad, gd).astype(dt)
-    elif ad.ndim == 2 and bd.ndim == 1:
-        ga = np.outer(gd, bd).astype(dt)
-        gb = (ad.T @ gd).astype(dt)
-    else:
-        ga = (gd @ bd.T).astype(dt)
-        gb = (ad.T @ gd).astype(dt)
-    return ga, gb
+    dt = x.data.dtype
+    if xd.ndim == 1 and wd.ndim == 2:
+        return (wd @ gd).astype(dt), np.outer(xd, gd).astype(dt)
+    if xd.ndim == 2 and wd.ndim == 1:
+        return np.outer(gd, wd).astype(dt), (xd.T @ gd).astype(dt)
+    return (gd @ wd.T).astype(dt), (xd.T @ gd).astype(dt)
+
+
+def _bw_matmul(g, saved, ctx):
+    return _product_grads(g, *saved)
 
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ValueError("matmul: operands must be 1-D or 2-D")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ValueError(f"matmul: inner dims differ {a.data.shape} vs {b.data.shape}")
-    out = (_f64(a.data) @ _f64(b.data)).astype(_STATE.dtype)
-    return _trace("matmul", (a, b), out, (a, b), None, _bw_matmul)
+    return _trace("matmul", (a, b), _product("matmul", a, b), (a, b), None, _bw_matmul)
+
+
+def _bw_linear(g, saved, ctx):
+    return (*_product_grads(g, *saved), g)
+
+
+def linear(x, w, b):
+    """Dense layer x @ w + b as one op: bit for bit ``add(matmul(x, w), b)``,
+    recorded as a single node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    out = _product("linear", x, w)
+    if out.shape != b.data.shape:
+        raise ValueError(f"linear: bias shape {b.data.shape} does not match output {out.shape}")
+    return _trace("linear", (x, w, b), out + b.data, (x, w), None, _bw_linear)
 
 
 def _bw_dot(g, saved, ctx):
@@ -694,15 +729,23 @@ def squared_error(a, b):
 def time_embedding(t, dim):
     """Sinusoidal embedding of an integer timestep; constant w.r.t. autodiff.
 
-    t is never a learned quantity, so the result carries no grad path.
+    t is never a learned quantity, so the result carries no grad path. The
+    float64 values are computed once per (t, dim); every call still returns
+    a fresh Tensor, so a checkpoint-segment replay sees a tensor of its own.
     """
+    return Tensor(_time_angles(t, dim))
+
+
+@functools.lru_cache(maxsize=4096)
+def _time_angles(t, dim):
     if dim % 2 != 0:
         raise ValueError("time_embedding: dim must be even")
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half, dtype=np.float64) / half)
     ang = float(t) * freqs
     emb = np.concatenate([np.sin(ang), np.cos(ang)])
-    return Tensor(emb)
+    emb.flags.writeable = False
+    return emb
 
 
 # ---------------------------------------------------------------------------

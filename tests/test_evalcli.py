@@ -473,25 +473,29 @@ class TestCliPipeline:
         assert not (tmp_path / "out" / "model.rcpt").exists()
         assert not (tmp_path / "out" / "diffusion_metrics.csv").exists()
 
-    @pytest.mark.parametrize("command,extra,chain", [
-        ("finetune-text", [], {"n_steps": 3, "k_last": 1}),
-        ("finetune-text", ["--regime", "direct"], {}),
-        ("finetune-unet", [], {"n_steps": 3, "k_last": 1}),
-        ("pretrain-diffusion", [], {}),
-    ], ids=["prompt-chain", "direct", "unet-chain", "pretrain-diffusion"])
+    @pytest.mark.parametrize("command,extra,chain,what", [
+        ("finetune-text", [], {"n_steps": 3, "k_last": 1}, "loss"),
+        ("finetune-text", ["--regime", "direct"], {}, "loss"),
+        ("finetune-unet", [], {"n_steps": 3, "k_last": 1}, "loss"),
+        ("pretrain-diffusion", [], {}, "loss"),
+        ("pretrain-clip", [], {}, "text embedding norm"),
+    ], ids=["prompt-chain", "direct", "unet-chain", "pretrain-diffusion", "pretrain-clip"])
     def test_diverging_run_prints_one_line(self, baseline_ckpt, tmp_path, capsys,
-                                           command, extra, chain):
+                                           command, extra, chain, what):
         # any NumPy RuntimeWarning raised on the way would surface as the error
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"lr": 1e30, "iterations": 3, "batch_size": 2, **chain}))
+        if command != "pretrain-clip":
+            extra = ["--checkpoint", baseline_ckpt] + extra
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rc = cli_main([command, "--config", str(cfg), "--checkpoint", baseline_ckpt,
+            rc = cli_main([command, "--config", str(cfg),
                            "--out-dir", str(tmp_path / "out")] + extra)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("rewardtune: error: iteration 1: non-finite loss ")
+        assert err.startswith(f"rewardtune: error: iteration 1: non-finite {what} ")
+        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize("command,key", [
         ("finetune-text", "constraint_uses_frozen_copy"),

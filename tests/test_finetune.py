@@ -150,6 +150,17 @@ class TestAdamW:
         want = np.float32(2.0 * (1.0 - 0.1 * 0.5))
         assert np.allclose(bag["p/x"].data, want, rtol=1e-7)
 
+    def test_replaced_parameter_widens_its_own_values(self):
+        bag = _scalar_bag([1.0, -1.0])
+        old = bag["p/x"]
+        old_wide = old.data64
+        opt = OptimizerState.for_params(bag.named())
+        adamw_update(bag, {"p/x": np.ones(2, dtype=np.float32)}, opt, lr=0.1)
+        new = bag["p/x"]
+        assert new is not old
+        assert np.array_equal(new.data64, new.data.astype(np.float64))
+        assert not np.array_equal(new.data64, old_wide)
+
     def test_missing_gradient_rejected(self):
         bag = _scalar_bag([1.0])
         opt = OptimizerState.for_params(bag.named())

@@ -308,9 +308,45 @@ def test_time_embedding_constant_and_distinct():
     assert e1.data.shape == (8,)
     assert np.array_equal(e1.data, e2.data)
     assert not np.array_equal(e1.data, e3.data)
+    assert e1.data.tobytes() == e2.data.tobytes() and e1.id != e2.id
     assert e1._needs is False and e1.requires_grad is False
     with pytest.raises(ValueError):
         ta.time_embedding(3, 7)
+
+
+def test_linear_equals_matmul_then_add_bitwise():
+    rng = np.random.default_rng(41)
+    arrays = {"x": rng.standard_normal(6), "w": rng.standard_normal((6, 6)),
+              "b": rng.standard_normal(6)}
+    runs = []
+    for layer in (ta.linear, lambda x, w, b: ta.add(ta.matmul(x, w), b)):
+        leaves = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+        with Tape() as tape:
+            x, w, b = leaves.values()
+            out = layer(ta.tanh(layer(x, w, b)), w, b)  # w and b used twice
+            loss = ta.tensor_sum(ta.mul(out, Tensor(np.linspace(0.5, 1.5, 6))))
+        grads = backward(tape, loss)
+        runs.append([out.data.tobytes()] + [grads[t.id].tobytes() for t in leaves.values()])
+    assert runs[0] == runs[1]
+
+
+def test_linear_records_one_node():
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    with Tape() as tape:
+        ta.linear(Tensor(np.ones(3)), w, Tensor(np.zeros(2)))
+    assert [n.op for n in tape.nodes] == ["linear"]
+    with pytest.raises(ValueError, match="bias shape"):
+        ta.linear(Tensor(np.ones(3)), w, Tensor(np.zeros(3)))
+
+
+def test_data64_is_read_only_widened_copy():
+    t = Tensor(np.random.default_rng(42).standard_normal((4, 3)))
+    wide = t.data64
+    assert wide.dtype == np.float64 and not wide.flags.writeable
+    assert np.array_equal(wide, t.data.astype(np.float64))
+    assert t.data64 is wide
+    with pytest.raises(ValueError):
+        wide[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

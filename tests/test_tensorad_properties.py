@@ -131,6 +131,17 @@ def test_matmul(form, data):
     _check_backward(lambda p: ta.matmul(p["a"], p["b"]), {"a": a, "b": b})
 
 
+@pytest.mark.parametrize("form", ["vec-mat", "mat-mat"])
+@_SETTINGS
+@given(data=st.data())
+def test_linear(form, data):
+    m, n, k = data.draw(_DIMS), data.draw(_DIMS), data.draw(_DIMS)
+    x_shape, out_shape = ((n,), (k,)) if form == "vec-mat" else ((m, n), (m, k))
+    arrays = {"x": data.draw(_values(x_shape)), "w": data.draw(_values((n, k))),
+              "b": data.draw(_values(out_shape))}
+    _check_backward(lambda p: ta.linear(p["x"], p["w"], p["b"]), arrays)
+
+
 @_SETTINGS
 @given(parts=st.lists(_LENGTHS.flatmap(_values), min_size=1, max_size=3))
 def test_concat(parts):
