@@ -208,27 +208,16 @@ def _segment_step(t, t_prev, sampler, w, sched):
     return step
 
 
-def _run_chain(text_params, denoiser, prompt, z_init, plan, sched, k_last,
-               sampler="ddim", cfg_in_chain=False, cfg_scale=7.5, collect_taps=False):
-    """Forward the N-step chain; record only the last K transitions.
-
-    Steps before the cut are one detached ``walk_chain``, so the gradient
-    counts exactly the dependence through the recorded suffix. Each recorded
-    transition is one recompute-on-backward segment.
-    """
-    transitions = plan.transitions()
-    n = len(transitions)
-    if not (1 <= k_last <= n):
-        raise ValueError(f"need 1 <= K <= {n} recorded steps, got K={k_last}")
+def _run_chain(text_params, denoiser, prompt, z, transitions, sched, w, sampler,
+               collect_taps=False):
+    """The recorded suffix of one item's chain: encode ``prompt`` on the tape,
+    then walk the mid-chain latent ``z`` down ``transitions``, each step one
+    recompute-on-backward segment. Returns (final latent, the ids of the
+    latents entering each step when ``collect_taps``)."""
     c = text_encode(text_params, prompt)
     den_tensors = denoiser.tensors()
-    w = cfg_scale if cfg_in_chain else 1.0
-    z = z_init if isinstance(z_init, Tensor) else Tensor(np.asarray(z_init))
-    split = n - k_last
-    if split:
-        z = Tensor(walk_chain(denoiser, transitions[:split], z, c, w, sampler, sched))
     taps = []
-    for t, t_prev in transitions[split:]:
+    for t, t_prev in transitions:
         if collect_taps:
             taps.append(z.id)
         z = ta.checkpoint_segment(_segment_step(t, t_prev, sampler, w, sched),
@@ -311,17 +300,34 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
 def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
                 z_inits, plan, k_last, sched, spec, sampler, cfg_in_chain,
                 cfg_scale, record_step_norms):
+    """Forward the N-step chain of every item; record only the last K steps.
+
+    The first N-K steps of all B items are one detached ``walk_chain`` over
+    a (B, D) latent, so the gradient counts exactly the dependence through
+    the recorded suffix. Each item's suffix, with its taped prompt encoding,
+    then runs inside that item's forward pass (``_run_chain``).
+    """
     if not prompts:
         raise ValueError("empty prompt batch")
     if len(prompts) != len(z_inits):
         raise ValueError("prompts and z_inits must have equal length")
+    transitions = plan.transitions()
+    n = len(transitions)
+    if not (1 <= k_last <= n):
+        raise ValueError(f"need 1 <= K <= {n} recorded steps, got K={k_last}")
+    split = n - k_last
+    w = cfg_scale if cfg_in_chain else 1.0
+    z = Tensor(np.stack([z0.data if isinstance(z0, Tensor) else np.asarray(z0) for z0 in z_inits]))
+    # a diverging run overflows in here; optimizer_step then stops it with one error
+    with ta.pause_recording(), np.errstate(over="ignore", invalid="ignore"):
+        c = Tensor(np.stack([text_encode(text_params, p).data for p in prompts]))
+        z_mid = walk_chain(denoiser, transitions[:split], z, c, w, sampler, sched)
 
-    def chain(prompt, z0):
-        return _run_chain(text_params, denoiser, prompt, z0, plan, sched, k_last,
-                          sampler=sampler, cfg_in_chain=cfg_in_chain,
-                          cfg_scale=cfg_scale, collect_taps=record_step_norms)
+    def chain(prompt, z_row):
+        return _run_chain(text_params, denoiser, prompt, Tensor(z_row), transitions[split:],
+                          sched, w, sampler, record_step_norms)
 
-    return _reward_step(trainable, list(zip(prompts, z_inits)), chain, text_params,
+    return _reward_step(trainable, list(zip(prompts, z_mid)), chain, text_params,
                         image_params, world, spec, record_step_norms)
 
 

@@ -40,11 +40,28 @@ def guided_step(denoiser, t, t_prev, z, c, w, sampler, sched):
 def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     """Detached walk of ``z`` down ``transitions`` under conditioning ``c``;
     returns the final latent array. Nothing is recorded, so ``c`` may be a
-    taped tensor."""
+    taped tensor. A (B, D) ``z`` with a (B, C) ``c`` walks B chains at once,
+    each row bit for bit the walk of that row alone."""
     with ta.pause_recording():
         for t, t_prev in transitions:
             z = guided_step(denoiser, t, t_prev, z, c, w, sampler, sched)
     return z.data
+
+
+def start_noise(seed, d):
+    """The (D,) latent every sampling chain of ``seed`` starts from."""
+    rng = np.random.default_rng(derive_seed(seed, "sample"))
+    return Tensor(rng.standard_normal(d).astype(np.float32))
+
+
+def _checked_sched(plan, w, sampler, sched):
+    """Reject a negative guidance scale or an unknown sampler; the schedule
+    to walk (linear-beta over the plan's horizon when ``sched`` is None)."""
+    if w < 0:
+        raise ValueError("guidance scale must be non-negative")
+    if sampler not in SAMPLER_STEPS:
+        raise ValueError(f"unknown sampler {sampler!r}")
+    return make_schedule("linear-beta", plan.t_train) if sched is None else sched
 
 
 def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
@@ -56,14 +73,8 @@ def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
     unconditional, 1 skips the unconditional branch entirely (bit-identical
     to conditional-only sampling), larger values extrapolate.
     """
-    if w < 0:
-        raise ValueError("guidance scale must be non-negative")
-    if sampler not in SAMPLER_STEPS:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    if sched is None:
-        sched = make_schedule("linear-beta", plan.t_train)
-    rng = np.random.default_rng(derive_seed(seed, "sample"))
-    z = Tensor(rng.standard_normal(denoiser_params.d).astype(np.float32))
+    sched = _checked_sched(plan, w, sampler, sched)
+    z = start_noise(seed, denoiser_params.d)
     return walk_chain(denoiser_params, plan.transitions(), z, cond, w, sampler, sched)
 
 
@@ -121,17 +132,20 @@ def continuity_probe(text_original, text_finetuned, denoiser_params, prompt,
     """Samples along the interpolation sweep, all from the same noise draw.
 
     Returns (samples, distances): one sample per interpolation weight and the
-    Euclidean gap between consecutive samples. The first sample is
-    bit-identical to sampling with the original encoder.
+    Euclidean gap between consecutive samples. The sweep walks as one (L, D)
+    chain; each sample is bit-identical to ``sample_from_cond`` on its blend,
+    so the first equals sampling with the original encoder.
     """
+    if not lambdas:
+        raise ValueError("continuity_probe: empty interpolation sweep")
+    sched = _checked_sched(plan, w, sampler, sched)
+    d = denoiser_params.d
     with ta.pause_recording():
         c0 = text_encode(text_original, prompt)
         c1 = text_encode(text_finetuned, prompt)
-    samples = []
-    for lam in lambdas:
-        cond = interpolate_embeddings(c0, c1, lam)
-        samples.append(sample_from_cond(cond, denoiser_params, plan, w, seed,
-                                        sampler=sampler, sched=sched))
+        conds = Tensor(np.stack([interpolate_embeddings(c0, c1, lam).data for lam in lambdas]))
+        z = ta.broadcast_rows(start_noise(seed, d), (len(lambdas), d))
+    samples = list(walk_chain(denoiser_params, plan.transitions(), z, conds, w, sampler, sched))
     distances = [
         float(np.linalg.norm(b.astype(np.float64) - a.astype(np.float64)))
         for a, b in zip(samples, samples[1:])

@@ -263,14 +263,24 @@ def image_encode(params, x):
 
 
 def denoise(params, t, z_t, c):
-    """eps(t, z_t, c): predicted noise, conditioned on c (or the null vector)."""
-    d = params.d
-    if z_t.data.shape != (d,):
-        raise ValueError(f"denoise: expected z_t width {d}, got {z_t.data.shape}")
-    if c.data.shape != (params.c_width,):
-        raise ValueError(f"denoise: expected conditioning width {params.c_width}, got {c.data.shape}")
-    temb = ta.time_embedding(t, params.t_embed)
-    inp = ta.concat([z_t, temb, c])
+    """eps(t, z_t, c): predicted noise, conditioned on c (or the null vector).
+
+    ``z_t`` is one latent (D,) or a batch (B, D); ``c`` is one conditioning
+    (C,), shared by every row, or one per row (B, C). Row i of a batch gets
+    the bits ``denoise(params, t, z_t[i], c[i])`` gets.
+    """
+    d, cw, te = params.d, params.c_width, params.t_embed
+    zs, cs = z_t.data.shape, c.data.shape
+    rows = zs[:-1]
+    if zs != rows + (d,) or len(rows) > 1:
+        raise ValueError(f"denoise: expected z_t width {d}, got {zs} (conditioning {cs})")
+    c_rows = rows + (cw,)
+    if cs != c_rows and cs != (cw,):
+        if cs[-1:] != (cw,) or len(cs) > 2:
+            raise ValueError(f"denoise: expected conditioning width {cw}, got {cs} (z_t {zs})")
+        raise ValueError(f"denoise: z_t {zs} and conditioning {cs} disagree on the row count")
+    temb = ta.broadcast_rows(ta.time_embedding(t, te), rows + (te,))
+    inp = ta.concat([z_t, temb, ta.broadcast_rows(c, c_rows)])
     h1 = ta.silu(ta.linear(inp, params.w1, params.b1))
     h2 = ta.silu(ta.linear(h1, params.w2, params.b2))
     return ta.linear(h2, params.w3, params.b3)

@@ -17,7 +17,10 @@ identical order, checkpointed gradients are bit-for-bit equal to
 un-checkpointed ones.
 
 Reductions (sum, mean, dot, matmul, linear) accumulate in float64 and round
-back to the working dtype. The working dtype is float32 by default; tests
+back to the working dtype. The elementwise ops, ``linear``, ``concat`` and
+``broadcast_rows`` also take a batch of rows, shape (B, n), and give each row
+the bits that row alone would get, so a batched forward pass reproduces B
+single ones. The working dtype is float32 by default; tests
 that compare against central finite differences run under ``default_dtype
 (np.float64)`` so the difference quotient is not drowned by rounding noise.
 """
@@ -56,6 +59,7 @@ __all__ = [
     "stack",
     "slice1d",
     "row",
+    "broadcast_rows",
     "tensor_sum",
     "tensor_mean",
     "tanh",
@@ -348,11 +352,12 @@ class Tape:
 def _trace(op, inputs, out_arr, saved, ctx, bw, save_out=False):
     """Wrap an op's output; record it when a tape is active and an input needs
     a gradient. ``save_out`` appends the output itself to ``saved``."""
-    tape = _active_tape()
-    needs = tape is not None and any(t._needs for t in inputs)
-    out = Tensor._wrap(out_arr, needs)
+    stack = _STATE.tape_stack  # _active_tape(), inlined: every op passes here
+    tape = stack[-1] if stack else None
     if tape is None:
-        return out
+        return Tensor._wrap(out_arr, False)
+    needs = any(t._needs for t in inputs)
+    out = Tensor._wrap(out_arr, needs)
     tape._check_guard(op, inputs)
     if needs:
         if save_out:
@@ -421,10 +426,13 @@ def sub(a, b):
 
 
 def _unbroadcast(g, shape):
+    """``g`` summed in float64 over the leading axes ``shape`` lacks: all of
+    them for a 0-D operand, the rows for a row operand (a row bias or a
+    broadcast row)."""
     if g.shape == shape:
         return g
-    # only scalar-against-tensor broadcasting is supported
-    return np.asarray(g.sum(dtype=np.float64)).astype(g.dtype)
+    lead = tuple(range(g.ndim - len(shape)))
+    return np.asarray(g.sum(axis=lead, dtype=np.float64)).astype(g.dtype)
 
 
 def _bw_mul(g, saved, ctx):
@@ -487,12 +495,17 @@ def _f64(x):
 def _product(op, x, w):
     """x @ w in float64, rounded to the working dtype: the one place a dense
     product widens, multiplies and rounds. ``w`` is read through its kept
-    float64 copy."""
+    float64 copy. A 2-D ``x`` is a stack of row vectors, each multiplied on
+    its own (``np.matmul`` over (B, 1, K)), so row i equals the product of
+    ``x[i]`` alone bit for bit; a 2-D gemm would not."""
     if x.data.ndim == 0 or w.data.ndim == 0:
         raise ValueError(f"{op}: operands must be 1-D or 2-D")
     if x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"{op}: inner dims differ {x.data.shape} vs {w.data.shape}")
-    return (_f64(x.data) @ w.data64).astype(_STATE.dtype)
+    x64 = _f64(x.data)
+    if x64.ndim == 2:
+        return np.matmul(x64[:, None, :], w.data64)[:, 0].astype(_STATE.dtype)
+    return (x64 @ w.data64).astype(_STATE.dtype)
 
 
 def _product_grads(g, x, w):
@@ -517,17 +530,19 @@ def matmul(a, b):
 
 
 def _bw_linear(g, saved, ctx):
-    return (*_product_grads(g, *saved), g)
+    return (*_product_grads(g, *saved), _unbroadcast(g, ctx))
 
 
 def linear(x, w, b):
     """Dense layer x @ w + b as one op: bit for bit ``add(matmul(x, w), b)``,
-    recorded as a single node."""
+    recorded as a single node. ``b`` has the output's shape or, for a batch
+    of rows, one row's shape."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     out = _product("linear", x, w)
-    if out.shape != b.data.shape:
-        raise ValueError(f"linear: bias shape {b.data.shape} does not match output {out.shape}")
-    return _trace("linear", (x, w, b), out + b.data, (x, w), None, _bw_linear)
+    bias = b.data.shape
+    if bias != out.shape and bias != out.shape[-1:]:
+        raise ValueError(f"linear: bias shape {bias} does not match output {out.shape}")
+    return _trace("linear", (x, w, b), out + b.data, (x, w), bias, _bw_linear)
 
 
 def _bw_dot(g, saved, ctx):
@@ -548,20 +563,23 @@ def _bw_concat(g, saved, ctx):
     grads = []
     offset = 0
     for n in ctx:
-        grads.append(g[offset:offset + n])
+        grads.append(g[..., offset:offset + n])
         offset += n
     return tuple(grads)
 
 
 def concat(parts):
+    """Join on the last axis: 1-D vectors, or 2-D batches with equal row counts."""
     parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ValueError("concat: no inputs")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ValueError("concat: inputs must be 1-D")
-    lengths = tuple(p.data.shape[0] for p in parts)
-    out = np.concatenate([p.data for p in parts])
+    arrays = [p.data for p in parts]
+    try:
+        out = np.concatenate(arrays, -1)
+    except ValueError:  # no inputs, a 0-D input, or ranks or row counts that differ
+        out = None
+    if out is None or out.ndim > 2:
+        raise ValueError("concat: inputs must be 1-D, or 2-D with equal row counts; got ["
+                         + ", ".join(str(a.shape) for a in arrays) + "]")
+    lengths = tuple(a.shape[-1] for a in arrays)
     return _trace("concat", tuple(parts), out, (), lengths, _bw_concat)
 
 
@@ -613,6 +631,22 @@ def row(m, i):
         raise ValueError(f"row: index {i} out of range for {m.data.shape[0]} rows")
     out = m.data[i].copy()
     return _trace("row", (m,), out, (), (m.data.shape, int(i)), _bw_row)
+
+
+def _bw_broadcast_rows(g, saved, ctx):
+    return (_unbroadcast(g, ctx),)
+
+
+def broadcast_rows(a, shape):
+    """``a`` as a (B, n) batch of B equal rows; ``a`` itself when it already
+    has the tuple ``shape``. The backward rule sums the rows' gradients, so a
+    taped batch keeps the graph back to ``a``, a Tensor."""
+    if a.data.shape == shape:
+        return a
+    if a.data.ndim != 1 or len(shape) != 2 or shape[1:] != a.data.shape:
+        raise ValueError(f"broadcast_rows: cannot broadcast {a.data.shape} to {shape}")
+    out = np.broadcast_to(a.data, shape).copy()
+    return _trace("broadcast_rows", (a,), out, (), a.data.shape, _bw_broadcast_rows)
 
 
 def _bw_sum(g, saved, ctx):

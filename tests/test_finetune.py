@@ -27,7 +27,7 @@ from rewardtune.finetune import (
     run_training,
     unet_finetune_step,
 )
-from rewardtune.inference import sample_from_cond
+from rewardtune.inference import guided_step, sample_from_cond, walk_chain
 from rewardtune.models import (
     DenoiserParams,
     ParamBag,
@@ -564,6 +564,60 @@ class TestChainStep:
         opt = OptimizerState.for_params(baseline_denoiser.named())
         adamw_update(baseline_denoiser, result.grads, opt, lr=1e-3)
         assert state_digest(baseline_text.state()) == text_before
+
+
+    @pytest.mark.parametrize("cfg_in_chain", [False, True])
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    @pytest.mark.parametrize("regime", ["prompt-chain", "unet-chain"])
+    def test_batched_prefix_matches_per_item_chains(self, baseline_world, baseline_text,
+                                                    baseline_image, baseline_denoiser,
+                                                    regime, sampler, cfg_in_chain):
+        # the detached prefix walks all items as one batch; against a reference
+        # that walks each item's prefix alone and records each suffix on one
+        # plain tape, loss, every gradient and every x_hat agree to the byte
+        w = 3.0
+        sched = make_schedule("linear-beta", 1000)
+        plan = make_step_plan(6)
+        k_last = 2
+        prompts = [(1, 3), (0,), (2, 5, 7)]
+        z0s = np.random.default_rng(41).standard_normal((3, 16)).astype(np.float32)
+        spec = RewardSpec.default()
+        text, den = baseline_text, baseline_denoiser
+        trainable, step = ((text, prompt_finetune_step) if regime == "prompt-chain"
+                           else (den, unet_finetune_step))
+        trainable.set_requires_grad(True)
+        frozen = den if trainable is text else text
+        result = step(trainable, frozen, baseline_image, baseline_world, prompts, list(z0s),
+                      plan, k_last, sched, spec, sampler=sampler,
+                      cfg_in_chain=cfg_in_chain, cfg_scale=w)
+
+        chain_w = w if cfg_in_chain else 1.0
+        transitions = plan.transitions()
+        split = len(transitions) - k_last
+        for t in trainable.tensors():
+            t.grad = None
+        tape = ta.Tape()
+        x_hats = []
+        with tape:
+            total = None
+            for prompt, z0 in zip(prompts, z0s):
+                c = text_encode(text, prompt)
+                z = Tensor(walk_chain(den, transitions[:split], Tensor(z0), c, chain_w,
+                                      sampler, sched))
+                for t, t_prev in transitions[split:]:
+                    z = guided_step(den, t, t_prev, z, c, chain_w, sampler, sched)
+                li = combined_loss(z, prompt, spec, world=baseline_world,
+                                   image_params=baseline_image, text_params=text)
+                total = li if total is None else ta.add(total, li)
+                x_hats.append(z.data)
+            loss = ta.mul(total, 1.0 / len(prompts))
+        ta.backward(tape, loss)
+
+        assert np.float64(result.loss).tobytes() == np.float64(loss.item()).tobytes()
+        for name, t in trainable.named().items():
+            want = t.grad if t.grad is not None else np.zeros_like(t.data)
+            assert result.grads[name].tobytes() == want.tobytes(), name
+        assert [x.tobytes() for x in result.x_hats] == [x.tobytes() for x in x_hats]
 
 
 # ---------------------------------------------------------------------------

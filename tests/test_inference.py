@@ -15,6 +15,8 @@ from rewardtune.inference import (
     read_sample,
     sample,
     sample_from_cond,
+    start_noise,
+    walk_chain,
     write_sample,
 )
 from rewardtune.models import denoise, init_text_encoder, text_encode
@@ -218,3 +220,60 @@ class TestSampleIO:
         a = sample_from_cond(cond, baseline_denoiser, plan, 1.0, seed=8)
         b = sample(baseline_text, baseline_denoiser, (5,), plan, 1.0, seed=8)
         assert np.array_equal(a, b)
+
+
+class TestBatchedWalk:
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    def test_rows_equal_single_walks_bytewise(self, baseline_text, baseline_denoiser,
+                                              sampler, w, batch):
+        plan = make_step_plan(7)
+        sched = make_schedule("linear-beta", 1000)
+        rng = np.random.default_rng(31)
+        prompts = [(1, 2), (5,), (3, 3, 7), (0, 6)][:batch]
+        with ta.pause_recording():
+            conds = [text_encode(baseline_text, p) for p in prompts]
+        zs = rng.standard_normal((batch, 16)).astype(np.float32)
+        got = walk_chain(baseline_denoiser, plan.transitions(), Tensor(zs),
+                         Tensor(np.stack([c.data for c in conds])), w, sampler, sched)
+        assert got.shape == (batch, 16)
+        for i in range(batch):
+            alone = walk_chain(baseline_denoiser, plan.transitions(), Tensor(zs[i]),
+                               conds[i], w, sampler, sched)
+            assert got[i].dtype == alone.dtype
+            assert got[i].tobytes() == alone.tobytes(), i
+
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    def test_probe_rows_equal_sampling_each_blend(self, baseline_text, baseline_denoiser, w):
+        # the sweep walks as one batch; every sample, not only the endpoints,
+        # is the sample of its own blend
+        other = init_text_encoder(99)
+        plan = make_step_plan(6)
+        lambdas = (0.0, 0.3, 0.5, 1.0)
+        samples, _ = continuity_probe(baseline_text, other, baseline_denoiser, (3, 4),
+                                      plan, w, seed=2, lambdas=lambdas, sampler="euler")
+        with ta.pause_recording():
+            c0 = text_encode(baseline_text, (3, 4))
+            c1 = text_encode(other, (3, 4))
+        for lam, x in zip(lambdas, samples):
+            alone = sample_from_cond(interpolate_embeddings(c0, c1, lam), baseline_denoiser,
+                                     plan, w, seed=2, sampler="euler")
+            assert x.tobytes() == alone.tobytes(), lam
+
+    def test_probe_checks_arguments(self, baseline_text, baseline_denoiser):
+        plan = make_step_plan(3)
+        with pytest.raises(ValueError, match="non-negative"):
+            continuity_probe(baseline_text, baseline_text, baseline_denoiser, (1,), plan,
+                             -1.0, seed=0)
+        with pytest.raises(ValueError, match="unknown sampler"):
+            continuity_probe(baseline_text, baseline_text, baseline_denoiser, (1,), plan,
+                             1.0, seed=0, sampler="heun")
+        with pytest.raises(ValueError, match="empty interpolation sweep"):
+            continuity_probe(baseline_text, baseline_text, baseline_denoiser, (1,), plan,
+                             1.0, seed=0, lambdas=())
+
+    def test_start_noise_is_the_seeded_draw(self):
+        rng = np.random.default_rng(derive_seed(12, "sample"))
+        want = rng.standard_normal(16).astype(np.float32)
+        assert start_noise(12, 16).data.tobytes() == want.tobytes()

@@ -179,6 +179,35 @@ class TestDenoise:
             denoise(params, 0, z, Tensor(np.zeros(3)))
         assert denoise(params, 0, z, c).data.shape == (16,)
 
+    @pytest.mark.parametrize("z_shape, c_shape", [
+        ((3, 16), (2, 8)),   # row counts differ
+        ((16,), (3, 8)),     # one latent, a batch of conditionings
+        ((3, 4), (3, 8)),    # latent width
+        ((3, 16), (3, 5)),   # conditioning width
+        ((3, 16), (5,)),     # shared conditioning width
+        ((2, 3, 16), (8,)),  # a latent of rank 3
+    ])
+    def test_batched_shape_checks_name_both_shapes(self, z_shape, c_shape):
+        # a bad batch fails in denoise's own check, never inside concat or linear
+        params = init_denoiser(0)
+        with pytest.raises(ValueError) as err:
+            denoise(params, 0, Tensor(np.zeros(z_shape)), Tensor(np.zeros(c_shape)))
+        msg = str(err.value)
+        assert msg.startswith("denoise:")
+        assert str(z_shape) in msg and str(c_shape) in msg
+
+    @pytest.mark.parametrize("shared_cond", [False, True])
+    def test_batch_rows_equal_single_calls_bitwise(self, shared_cond):
+        params = init_denoiser(9)
+        rng = np.random.default_rng(4)
+        z = Tensor(rng.standard_normal((4, 16)))
+        c = Tensor(rng.standard_normal(8 if shared_cond else (4, 8)))
+        out = denoise(params, 321, z, c).data
+        assert out.shape == (4, 16)
+        for i in range(4):
+            c_i = c if shared_cond else Tensor(c.data[i])
+            assert out[i].tobytes() == denoise(params, 321, Tensor(z.data[i]), c_i).data.tobytes()
+
     def test_derived_size_properties(self):
         params = init_denoiser(0, SMALL)
         assert params.d == SMALL.d

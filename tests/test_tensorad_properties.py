@@ -172,3 +172,118 @@ def test_slice1d(data):
     start = data.draw(st.integers(0, n - 1))
     stop = data.draw(st.integers(start + 1, n))
     _check_backward(lambda p: ta.slice1d(p["a"], start, stop), {"a": data.draw(_values(n))})
+
+
+# ---------------------------------------------------------------------------
+# batched forward ops: a (B, n) batch gives every row the bits that row alone
+# gets, in float32 (the working dtype the batched chain relies on) and in
+# float64, where a product's rounding is not hidden by the cast to float32
+
+_BATCHES = [1, 2, 5]
+
+
+def _rows(batch, n, lo=-3.0, hi=3.0):
+    return _values((batch, n), lo, hi)
+
+
+def _assert_rowwise(batched, per_row, arrays, batch):
+    """``batched(arrays)`` row i equals ``per_row`` on row i of every array
+    named ``r_*`` (and the other arrays whole), byte for byte."""
+    for dtype in (np.float32, np.float64):
+        with ta.default_dtype(dtype):
+            out = batched({k: Tensor(a) for k, a in arrays.items()}).data
+            assert out.shape[0] == batch
+            for i in range(batch):
+                want = per_row({k: Tensor(a[i] if k.startswith("r_") else a)
+                                for k, a in arrays.items()}).data
+                assert out[i].dtype == want.dtype == dtype
+                assert out[i].tobytes() == want.tobytes(), (dtype, i)
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_linear_rows_bitwise(batch, data):
+    n, k = data.draw(st.integers(1, 70)), data.draw(st.integers(1, 70))
+    arrays = {"r_x": data.draw(_rows(batch, n)), "w": data.draw(_values((n, k))),
+              "b": data.draw(_values(k))}
+    layer = lambda p: ta.linear(p["r_x"], p["w"], p["b"])  # noqa: E731
+    _assert_rowwise(layer, layer, arrays, batch)
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_concat_rows_bitwise(batch, data):
+    widths = data.draw(st.lists(_LENGTHS, min_size=1, max_size=3))
+    arrays = {f"r_{i}": data.draw(_rows(batch, n)) for i, n in enumerate(widths)}
+    join = lambda p: ta.concat([p[k] for k in sorted(p)])  # noqa: E731
+    _assert_rowwise(join, join, arrays, batch)
+
+
+# elementwise ops on a batch: every (B, n) operand is split into its rows
+_ELEMENTWISE = {
+    "silu": lambda p: ta.silu(p["r_a"]),
+    "tanh": lambda p: ta.tanh(p["r_a"]),
+    "add": lambda p: ta.add(p["r_a"], p["r_b"]),
+    "sub": lambda p: ta.sub(p["r_a"], p["r_b"]),
+    "mul": lambda p: ta.mul(p["r_a"], p["r_b"]),
+    "add-scalar": lambda p: ta.add(p["r_a"], 0.37),
+    "sub-scalar": lambda p: ta.sub(p["r_a"], 0.37),
+    "rsub-scalar": lambda p: ta.sub(0.37, p["r_a"]),
+    "mul-scalar": lambda p: ta.mul(p["r_a"], 1.7),
+    "mul-0d-tensor": lambda p: ta.mul(p["r_a"], p["s"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_elementwise_rows_bitwise(name, batch, data):
+    n = data.draw(st.integers(1, 70))
+    arrays = {"r_a": data.draw(_rows(batch, n, -9.0, 9.0)), "r_b": data.draw(_rows(batch, n)),
+              "s": np.asarray(data.draw(_signed(0.5, 3.0)))}
+    _assert_rowwise(_ELEMENTWISE[name], _ELEMENTWISE[name], arrays, batch)
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(a=_LENGTHS.flatmap(_values))
+def test_broadcast_rows_bitwise(batch, a):
+    out = ta.broadcast_rows(Tensor(a), (batch, a.size)).data
+    row = Tensor(a).data
+    assert out.shape == (batch, a.size)
+    assert all(out[i].tobytes() == row.tobytes() for i in range(batch))
+    same = Tensor(a)
+    assert ta.broadcast_rows(same, same.data.shape) is same
+
+
+# backward rules of the batched forms
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_linear_row_bias(batch, data):
+    n, k = data.draw(_DIMS), data.draw(_DIMS)
+    arrays = {"x": data.draw(_values((batch, n))), "w": data.draw(_values((n, k))),
+              "b": data.draw(_values(k))}
+    _check_backward(lambda p: ta.linear(p["x"], p["w"], p["b"]), arrays)
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_concat_rows(batch, data):
+    widths = data.draw(st.lists(_LENGTHS, min_size=1, max_size=3))
+    arrays = {f"p{i}": data.draw(_values((batch, n))) for i, n in enumerate(widths)}
+    _check_backward(lambda p: ta.concat([p[k] for k in sorted(p)]), arrays)
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(a=_LENGTHS.flatmap(_values))
+def test_broadcast_rows(batch, a):
+    # through a silu so each row's gradient differs and the row sum is seen
+    _check_backward(lambda p: ta.silu(ta.broadcast_rows(p["a"], (batch, a.size))), {"a": a})
