@@ -265,9 +265,10 @@ def image_encode(params, x):
 def denoise(params, t, z_t, c):
     """eps(t, z_t, c): predicted noise, conditioned on c (or the null vector).
 
-    ``z_t`` is one latent (D,) or a batch (B, D); ``c`` is one conditioning
-    (C,), shared by every row, or one per row (B, C). Row i of a batch gets
-    the bits ``denoise(params, t, z_t[i], c[i])`` gets.
+    ``z_t`` is one latent (D,) or a batch (B, D); ``t`` is one timestep,
+    shared by every row, or a sequence of one per row; ``c`` is one
+    conditioning (C,), shared by every row, or one per row (B, C). Row i of
+    a batch gets the bits ``denoise(params, t[i], z_t[i], c[i])`` gets.
     """
     d, cw, te = params.d, params.c_width, params.t_embed
     zs, cs = z_t.data.shape, c.data.shape
@@ -279,7 +280,11 @@ def denoise(params, t, z_t, c):
         if cs[-1:] != (cw,) or len(cs) > 2:
             raise ValueError(f"denoise: expected conditioning width {cw}, got {cs} (z_t {zs})")
         raise ValueError(f"denoise: z_t {zs} and conditioning {cs} disagree on the row count")
-    temb = ta.broadcast_rows(ta.time_embedding(t, te), rows + (te,))
+    temb = ta.time_embedding(t, te)
+    if temb.data.shape[:-1] != rows:
+        if temb.data.ndim != 1:
+            raise ValueError(f"denoise: {len(temb.data)} timesteps for z_t {zs}")
+        temb = ta.broadcast_rows(temb, rows + (te,))
     inp = ta.concat([z_t, temb, ta.broadcast_rows(c, c_rows)])
     h1 = ta.silu(ta.linear(inp, params.w1, params.b1))
     h2 = ta.silu(ta.linear(h1, params.w2, params.b2))

@@ -117,6 +117,17 @@ def _unit(v, kind, iteration):
     return ta.div(v, n)
 
 
+def contrastive_loss(text_params, image_params, log_temp, batch, iteration=0):
+    """The contrastive stage's loss on one batch of (x, prompt) pairs: unit
+    text and image embeddings, their dot products times exp(log_temp) as the
+    logits, then the symmetric cross-entropy."""
+    scale = ta.exp(log_temp)
+    t_emb = [_unit(text_encode(text_params, p), "text", iteration) for _, p in batch]
+    i_emb = [_unit(image_encode(image_params, Tensor(x)), "image", iteration) for x, _ in batch]
+    logits = [[ta.mul(ta.dot(t, i), scale) for i in i_emb] for t in t_emb]
+    return contrastive_loss_from_logits(logits)
+
+
 def clip_pretrain(text_params, image_params, world, config):
     """Contrastive pretraining of both encoders with a learned temperature.
 
@@ -139,15 +150,8 @@ def clip_pretrain(text_params, image_params, world, config):
         with np.errstate(over="ignore", invalid="ignore"):
             tape = ta.Tape()
             with tape:
-                scale = ta.exp(bag["clip/log_temp"])
-                t_emb = [_unit(text_encode(text_params, p), "text", it) for _, p in batch]
-                i_emb = [_unit(image_encode(image_params, Tensor(x)), "image", it)
-                         for x, _ in batch]
-                logits = [
-                    [ta.mul(ta.dot(t_emb[i], i_emb[j]), scale) for j in range(len(batch))]
-                    for i in range(len(batch))
-                ]
-                loss = contrastive_loss_from_logits(logits)
+                loss = contrastive_loss(text_params, image_params, bag["clip/log_temp"],
+                                        batch, it)
             ta.backward(tape, loss)
         losses.append(loss.item())
         optimizer_step(bag, collect_grads(bag), losses[-1], opt, config.lr,
@@ -195,36 +199,84 @@ def clip_holdout_stats(text_params, image_params, world, prompts, seed):
     return float(matched.mean()), float(mismatched.mean()), accuracy
 
 
+@dataclass(frozen=True)
+class NoisedBatch:
+    """Denoiser training rows: clean data, a timestep and injected noise per
+    row, the prompts, and the rows conditioned on the learned null vector."""
+
+    x: np.ndarray        # (B, D) float32
+    t: tuple             # one timestep per row
+    eps: np.ndarray      # (B, D) float32
+    prompts: tuple
+    null_rows: tuple     # ascending row indices
+
+    @classmethod
+    def draw(cls, world, sched, rng, n, null_drop=None):
+        """``n`` rows, each drawn in the order one item has always drawn
+        them: the (x, prompt) pair, t, eps and, when ``null_drop`` is given,
+        the null flag."""
+        xs, ts, noises, prompts, nulls = [], [], [], [], []
+        for i in range(n):
+            x, prompt = sample_pair(world, rng)
+            xs.append(x)
+            prompts.append(prompt)
+            ts.append(int(rng.integers(0, sched.t_train)))
+            noises.append(rng.standard_normal(world.d).astype(np.float32))
+            if null_drop is not None and rng.random() < null_drop:
+                nulls.append(i)
+        return cls(np.stack(xs), tuple(ts), np.stack(noises), tuple(prompts), tuple(nulls))
+
+    def conditioning(self, text_params, codes):
+        """(B, C) frozen text encodings, one per row. ``codes`` keeps each
+        distinct prompt's encoding (keyed by its sorted tokens, which is all
+        ``text_encode`` reads), so a prompt is encoded once per ``codes``."""
+        rows = []
+        for prompt in self.prompts:
+            key = tuple(sorted(prompt))
+            code = codes.get(key)
+            if code is None:
+                code = codes[key] = text_encode(text_params, key).data
+            rows.append(code)
+        return Tensor(np.stack(rows))
+
+    def errors(self, denoiser, cond, sched):
+        """The (B,) noise-prediction errors of ``denoiser`` under ``cond``."""
+        eps = Tensor(self.eps)
+        z_t = forward_diffuse(Tensor(self.x), self.t, eps, sched)
+        return ta.squared_error(denoise(denoiser, self.t, z_t, cond), eps)
+
+
+def denoiser_loss(denoiser, batch, cond, sched):
+    """The denoiser stage's loss: the batch mean of the rows' errors, with
+    the null rows of ``cond`` replaced by ``denoiser.null_cond``. Bit for bit
+    the loop that sums B single-row losses in row order."""
+    cond = ta.put_rows(cond, batch.null_rows, denoiser.null_cond)
+    return ta.batch_mean(batch.errors(denoiser, cond, sched))
+
+
 def diffusion_pretrain(denoiser, text_params, world, sched, config):
     """Noise-prediction training of the denoiser with the text encoder frozen.
 
     Conditioning is replaced by the learned null vector with probability
-    ``config.null_drop``. Returns (denoiser, info).
+    ``config.null_drop``. Each iteration is one taped pass over the batch's
+    rows. Returns (denoiser, info).
     """
     rng = np.random.default_rng(derive_seed(config.seed, "diffusion-pretrain"))
     text_params.set_requires_grad(False)
     denoiser.set_requires_grad(True)
     opt = OptimizerState.for_params(denoiser.named(), weight_decay=config.weight_decay)
 
+    codes = {}
     losses = []
     for it in range(config.iterations):
+        batch = NoisedBatch.draw(world, sched, rng, config.batch_size, config.null_drop)
+        cond = batch.conditioning(text_params, codes)
         # a diverging run overflows in here; optimizer_step then stops it
         # with one error
         with np.errstate(over="ignore", invalid="ignore"):
             tape = ta.Tape()
             with tape:
-                total = None
-                for _ in range(config.batch_size):
-                    x, prompt = sample_pair(world, rng)
-                    t = int(rng.integers(0, sched.t_train))
-                    eps = rng.standard_normal(world.d).astype(np.float32)
-                    use_null = bool(rng.random() < config.null_drop)
-                    c = denoiser.null_cond if use_null else text_encode(text_params, prompt)
-                    z_t = forward_diffuse(Tensor(x), t, Tensor(eps), sched)
-                    eps_hat = denoise(denoiser, t, z_t, c)
-                    li = ta.squared_error(eps_hat, Tensor(eps))
-                    total = li if total is None else ta.add(total, li)
-                loss = ta.mul(total, 1.0 / config.batch_size)
+                loss = denoiser_loss(denoiser, batch, cond, sched)
             ta.backward(tape, loss)
         losses.append(loss.item())
         optimizer_step(denoiser, collect_grads(denoiser), losses[-1], opt,
@@ -235,19 +287,16 @@ def diffusion_pretrain(denoiser, text_params, world, sched, config):
 
 
 def diffusion_holdout_mse(denoiser, text_params, world, sched, seed):
-    """Mean conditioned noise-prediction error on 200 fresh draws."""
+    """Mean conditioned noise-prediction error on 200 fresh draws, summed as
+    Python floats in draw order."""
     n = 200
     rng = np.random.default_rng(derive_seed(seed, "diffusion-holdout"))
-    total = 0.0
+    batch = NoisedBatch.draw(world, sched, rng, n)
     with ta.pause_recording():
-        for _ in range(n):
-            x, prompt = sample_pair(world, rng)
-            t = int(rng.integers(0, sched.t_train))
-            eps = rng.standard_normal(world.d).astype(np.float32)
-            c = text_encode(text_params, prompt)
-            z_t = forward_diffuse(Tensor(x), t, Tensor(eps), sched)
-            eps_hat = denoise(denoiser, t, z_t, c)
-            total += ta.squared_error(eps_hat, Tensor(eps)).item()
+        errors = batch.errors(denoiser, batch.conditioning(text_params, {}), sched)
+    total = 0.0
+    for e in errors.data.tolist():
+        total += e
     return total / n
 
 

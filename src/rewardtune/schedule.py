@@ -48,6 +48,18 @@ class NoiseSchedule:
         self._check_t(t)
         return float(self.sigma[t])
 
+    def columns_at(self, ts):
+        """(alpha, sigma) at one timestep per row, as (B, 1) Tensor columns
+        in the working dtype: row i holds the bits ``alpha_at(ts[i])`` and
+        ``sigma_at(ts[i])`` take as a scalar operand."""
+        idx = np.asarray(ts, dtype=np.int64)
+        if idx.ndim != 1:
+            raise ValueError(f"expected one timestep per row, got shape {idx.shape}")
+        bad = idx[(idx < 0) | (idx >= self.t_train)]
+        if bad.size:
+            self._check_t(int(bad[0]))
+        return Tensor(self.alpha[idx, None]), Tensor(self.sigma[idx, None])
+
     def _check_t(self, t):
         if not (0 <= t < self.t_train):
             raise ValueError(f"timestep {t} outside [0, {self.t_train})")
@@ -122,9 +134,13 @@ def make_step_plan(n_steps, t_train=DEFAULT_T_TRAIN):
 
 
 def forward_diffuse(x, t, eps, sched):
-    """z_t = alpha_t * x + sigma_t * eps; differentiable in x and eps."""
-    a = sched.alpha_at(t)
-    s = sched.sigma_at(t)
+    """z_t = alpha_t * x + sigma_t * eps; differentiable in x and eps. For
+    (B, D) rows ``t`` may hold one timestep per row; row i then gets the bits
+    ``forward_diffuse(x[i], t[i], eps[i], sched)`` gets."""
+    if isinstance(t, (int, np.integer)):
+        a, s = sched.alpha_at(t), sched.sigma_at(t)
+    else:
+        a, s = sched.columns_at(t)
     return ta.add(ta.mul(x, a), ta.mul(eps, s))
 
 

@@ -17,10 +17,13 @@ identical order, checkpointed gradients are bit-for-bit equal to
 un-checkpointed ones.
 
 Reductions (sum, mean, dot, matmul, linear) accumulate in float64 and round
-back to the working dtype. The elementwise ops, ``linear``, ``concat`` and
-``broadcast_rows`` also take a batch of rows, shape (B, n), and give each row
-the bits that row alone would get, so a batched forward pass reproduces B
-single ones. The working dtype is float32 by default; tests
+back to the working dtype. The elementwise ops, ``linear``, ``concat``,
+``broadcast_rows``, ``put_rows``, ``row_mean`` and ``batch_mean`` also take a
+batch of rows, shape (B, n), and a batched tape reproduces B single-row tapes
+bit for bit, forward and backward: each row gets the bits that row alone
+would get, and a gradient summed over the rows (a weight, a row bias, a
+broadcast row) adds the per-row terms in the order the B tapes would, last
+row first (``_tape_sum``). The working dtype is float32 by default; tests
 that compare against central finite differences run under ``default_dtype
 (np.float64)`` so the difference quotient is not drowned by rounding noise.
 """
@@ -60,8 +63,11 @@ __all__ = [
     "slice1d",
     "row",
     "broadcast_rows",
+    "put_rows",
     "tensor_sum",
     "tensor_mean",
+    "row_mean",
+    "batch_mean",
     "tanh",
     "silu",
     "exp",
@@ -425,14 +431,36 @@ def sub(a, b):
     return _trace("sub", (a, b), a.data - b.data, (), None, _bw_sub)
 
 
+def _tape_sum(terms):
+    """A (B, ...) stack of per-row gradient terms summed over the rows as B
+    single-row tapes add them into one tensor: in the terms' dtype, last row
+    first. ``np.add.reduce`` over the reversed rows adds them one by one,
+    starting from -0.0 so that the first term keeps its sign of zero, as it
+    does on a tape; with one element per row it would pair the terms
+    instead, so that case takes the strictly sequential ``np.cumsum``."""
+    rev = terms[::-1]
+    if terms[0].size > 1:
+        return np.add.reduce(rev, axis=0, initial=-0.0)
+    return np.asarray(np.cumsum(rev, axis=0)[-1])
+
+
 def _unbroadcast(g, shape):
-    """``g`` summed in float64 over the leading axes ``shape`` lacks: all of
-    them for a 0-D operand, the rows for a row operand (a row bias or a
-    broadcast row)."""
+    """``g`` reduced to an operand's ``shape``: over the rows in tape order
+    for a row operand (a row bias or a broadcast row), in float64 along each
+    row for a (B, 1) column, and in float64 over everything for a 0-D
+    operand."""
     if g.shape == shape:
         return g
-    lead = tuple(range(g.ndim - len(shape)))
-    return np.asarray(g.sum(axis=lead, dtype=np.float64)).astype(g.dtype)
+    if shape and len(shape) == g.ndim - 1:
+        return _tape_sum(g)
+    column = len(shape) == g.ndim
+    return np.asarray(g.sum(axis=-1 if column else None, dtype=np.float64,
+                            keepdims=column)).astype(g.dtype)
+
+
+def _is_column(c, a):
+    """True when ``c`` is a (B, 1) column scaling the rows of the (B, n) ``a``."""
+    return a.ndim == 2 and c.shape == (a.shape[0], 1)
 
 
 def _bw_mul(g, saved, ctx):
@@ -452,11 +480,12 @@ def mul(a, b):
     if isinstance(a, (int, float)):
         return mul(b, a)
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        pass  # scalar tensor against anything is fine
-    else:
+    x, y = a.data, b.data
+    # a scalar tensor against anything, or a (B, 1) column against (B, n) rows
+    if (x.shape != y.shape and x.ndim and y.ndim
+            and not (_is_column(y, x) or _is_column(x, y))):
         _check_same_shape("mul", a, b)
-    return _trace("mul", (a, b), a.data * b.data, (a, b), None, _bw_mul)
+    return _trace("mul", (a, b), x * y, (a, b), None, _bw_mul)
 
 
 def _bw_div(g, saved, ctx):
@@ -509,15 +538,23 @@ def _product(op, x, w):
 
 
 def _product_grads(g, x, w):
-    """(dL/dx, dL/dw) of ``_product`` for upstream gradient ``g``."""
-    xd, wd = _f64(x.data), w.data64
-    gd = _f64(g)
-    dt = x.data.dtype
-    if xd.ndim == 1 and wd.ndim == 2:
+    """(dL/dx, dL/dw) of ``_product`` for upstream gradient ``g``. A 2-D ``x``
+    is a stack of rows, so each row's dx is that row's own product and dw
+    sums the rows' terms as their single-row tapes would (``_tape_sum``).
+    A row's term is ``x_i * g_i`` rounded once to the working dtype: in f64
+    the product of two f32 values is exact, so this is the 1-D rule's
+    f64 outer product cast down."""
+    wd, dt = w.data64, x.data.dtype
+    if x.data.ndim == 1:
+        xd, gd = _f64(x.data), _f64(g)
         return (wd @ gd).astype(dt), np.outer(xd, gd).astype(dt)
-    if xd.ndim == 2 and wd.ndim == 1:
-        return np.outer(gd, wd).astype(dt), (xd.T @ gd).astype(dt)
-    return (gd @ wd.T).astype(dt), (xd.T @ gd).astype(dt)
+    if wd.ndim == 1:
+        dx = np.outer(_f64(g), wd)
+        terms = x.data * g[:, None]
+    else:
+        dx = np.matmul(wd, _f64(g)[:, :, None])[:, :, 0]
+        terms = x.data[:, :, None] * g[:, None, :]
+    return dx.astype(dt), _tape_sum(terms.astype(dt, copy=False))
 
 
 def _bw_matmul(g, saved, ctx):
@@ -649,6 +686,30 @@ def broadcast_rows(a, shape):
     return _trace("broadcast_rows", (a,), out, (), a.data.shape, _bw_broadcast_rows)
 
 
+def _bw_put_rows(g, saved, ctx):
+    ga = g.copy()
+    ga[ctx, :] = 0
+    gv = _tape_sum(g[ctx, :]) if ctx else np.zeros(g.shape[1:], dtype=g.dtype)
+    return ga, gv
+
+
+def put_rows(a, rows, v):
+    """The (B, n) batch ``a`` with each row listed in ``rows`` (ascending
+    indices) replaced by the 1-D ``v``, as if each of those rows had used
+    ``v`` itself: ``v``'s gradient adds those rows' gradients last row first,
+    and is zeros when ``rows`` is empty."""
+    a, v = _as_tensor(a), _as_tensor(v)
+    rows = list(rows)
+    if a.data.ndim != 2 or v.data.shape != a.data.shape[1:]:
+        raise ValueError(f"put_rows: cannot put {v.data.shape} into rows of {a.data.shape}")
+    if rows != sorted(set(rows)) or not all(0 <= i < a.data.shape[0] for i in rows):
+        raise ValueError(f"put_rows: rows {rows} are not ascending indices below "
+                         f"{a.data.shape[0]}")
+    out = a.data.copy()
+    out[rows, :] = v.data
+    return _trace("put_rows", (a, v), out, (), rows, _bw_put_rows)
+
+
 def _bw_sum(g, saved, ctx):
     return (np.full(ctx, g, dtype=g.dtype),)
 
@@ -671,6 +732,40 @@ def tensor_mean(a):
         raise ValueError("mean: empty tensor")
     out = np.asarray((a.data.sum(dtype=np.float64) / n).astype(_STATE.dtype))
     return _trace("mean", (a,), out, (), (a.data.shape, n), _bw_mean)
+
+
+def _bw_row_mean(g, saved, ctx):
+    return (np.repeat((g / ctx[1])[:, None], ctx[1], axis=1),)
+
+
+def row_mean(a):
+    """Mean of each row of a (B, n) batch: the (B,) vector of what
+    ``tensor_mean`` gives each row alone (float64 row sums)."""
+    a = _as_tensor(a)
+    if a.data.ndim != 2 or a.data.shape[1] == 0:
+        raise ValueError(f"row_mean: input must be (B, n) with n >= 1, got {a.data.shape}")
+    n = a.data.shape[1]
+    out = (a.data.sum(axis=1, dtype=np.float64) / n).astype(_STATE.dtype)
+    return _trace("row_mean", (a,), out, (), a.data.shape, _bw_row_mean)
+
+
+def _bw_batch_mean(g, saved, ctx):
+    n, scale = ctx
+    return (np.full(n, g * scale, dtype=g.dtype),)
+
+
+def batch_mean(a):
+    """Mean of a (B,) vector of per-row losses, bit for bit the loop
+    ``total = l_0; total = add(total, l_i) ...; mul(total, 1 / B)``: the
+    working dtype's adds in row order, strictly sequential (``np.cumsum``; a
+    1-D ``np.add.reduce`` pairs its terms from 9 on), then one multiply."""
+    a = _as_tensor(a)
+    if a.data.ndim != 1 or a.data.shape[0] == 0:
+        raise ValueError(f"batch_mean: input must be a non-empty vector, got {a.data.shape}")
+    n = a.data.shape[0]
+    scale = _STATE.dtype.type(1.0 / n)
+    out = np.asarray(np.cumsum(a.data)[-1] * scale)
+    return _trace("batch_mean", (a,), out, (), (n, scale), _bw_batch_mean)
 
 
 def _bw_tanh(g, saved, ctx):
@@ -755,19 +850,24 @@ def cosine_similarity(a, b):
 
 
 def squared_error(a, b):
-    """Mean squared error between two same-shape tensors."""
+    """Mean squared error between two same-shape tensors; for (B, n) rows,
+    the (B,) vector of each row's error."""
     d = sub(a, b)
-    return tensor_mean(mul(d, d))
+    sq = mul(d, d)
+    return row_mean(sq) if sq.data.ndim == 2 else tensor_mean(sq)
 
 
 def time_embedding(t, dim):
-    """Sinusoidal embedding of an integer timestep; constant w.r.t. autodiff.
+    """Sinusoidal embedding of an integer timestep, or a (B, dim) row per
+    timestep of a sequence; constant w.r.t. autodiff.
 
     t is never a learned quantity, so the result carries no grad path. The
     float64 values are computed once per (t, dim); every call still returns
     a fresh Tensor, so a checkpoint-segment replay sees a tensor of its own.
     """
-    return Tensor(_time_angles(t, dim))
+    if isinstance(t, (int, np.integer)):
+        return Tensor(_time_angles(t, dim))
+    return Tensor(np.array([_time_angles(int(s), dim) for s in t]))
 
 
 @functools.lru_cache(maxsize=4096)

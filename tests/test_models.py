@@ -208,6 +208,19 @@ class TestDenoise:
             c_i = c if shared_cond else Tensor(c.data[i])
             assert out[i].tobytes() == denoise(params, 321, Tensor(z.data[i]), c_i).data.tobytes()
 
+    def test_per_row_timesteps_equal_single_calls_bitwise(self):
+        params = init_denoiser(9)
+        rng = np.random.default_rng(5)
+        z = Tensor(rng.standard_normal((5, 16)))
+        c = Tensor(rng.standard_normal((5, 8)))
+        ts = (999, 0, 321, 321, 17)
+        out = denoise(params, ts, z, c).data
+        for i, t in enumerate(ts):
+            want = denoise(params, t, Tensor(z.data[i]), Tensor(c.data[i])).data
+            assert out[i].tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match=r"denoise: 4 timesteps for z_t \(5, 16\)"):
+            denoise(params, ts[:4], z, c)
+
     def test_derived_size_properties(self):
         params = init_denoiser(0, SMALL)
         assert params.d == SMALL.d

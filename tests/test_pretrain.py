@@ -11,8 +11,13 @@ import numpy as np
 import pytest
 
 from rewardtune import tensorad as ta
-from rewardtune.data import make_prompt_sets, make_world
+from rewardtune.data import make_prompt_sets, make_world, sample_pair
+from rewardtune.finetune import OptimizerState, collect_grads, optimizer_step
 from rewardtune.models import (
+    DenoiserParams,
+    ImageEncoderParams,
+    ParamBag,
+    TextEncoderParams,
     init_denoiser,
     init_image_encoder,
     init_text_encoder,
@@ -21,18 +26,23 @@ from rewardtune.models import (
     denoise,
 )
 from rewardtune.pretrain import (
+    TEMP_INIT,
+    NoisedBatch,
     PretrainConfig,
     clip_holdout_stats,
     clip_pretrain,
+    contrastive_loss,
     contrastive_loss_from_logits,
+    denoiser_loss,
     diffusion_holdout_mse,
     diffusion_pretrain,
     make_pretrained_baseline,
     moving_average,
 )
-from rewardtune.schedule import make_schedule, make_step_plan, sampler_step
+from rewardtune.schedule import forward_diffuse, make_schedule, make_step_plan, sampler_step
 from rewardtune.tensorad import Tensor
 from rewardtune.util import derive_seed
+from test_finetune import _check_directional, _f64_setup
 
 
 def _logit_matrix(values):
@@ -241,6 +251,119 @@ class TestDiffusionPretrain:
             diffusion_pretrain(den, text, world, sched, cfg)
             digests.append(state_digest(den.state()))
         assert digests[0] == digests[1]
+
+
+def _per_item_pretrain(denoiser, text_params, world, sched, config):
+    """The denoiser stage as a loop over items, each its own 1-D ops on one
+    tape, summed in item order: the reference the batched tape reproduces."""
+    rng = np.random.default_rng(derive_seed(config.seed, "diffusion-pretrain"))
+    denoiser.set_requires_grad(True)
+    opt = OptimizerState.for_params(denoiser.named(), weight_decay=config.weight_decay)
+    losses = []
+    for it in range(config.iterations):
+        tape = ta.Tape()
+        with tape:
+            total = None
+            for _ in range(config.batch_size):
+                x, prompt = sample_pair(world, rng)
+                t = int(rng.integers(0, sched.t_train))
+                eps = rng.standard_normal(world.d).astype(np.float32)
+                use_null = bool(rng.random() < config.null_drop)
+                c = denoiser.null_cond if use_null else text_encode(text_params, prompt)
+                z_t = forward_diffuse(Tensor(x), t, Tensor(eps), sched)
+                eps_hat = denoise(denoiser, t, z_t, c)
+                li = ta.squared_error(eps_hat, Tensor(eps))
+                total = li if total is None else ta.add(total, li)
+            loss = ta.mul(total, 1.0 / config.batch_size)
+        ta.backward(tape, loss)
+        losses.append(loss.item())
+        optimizer_step(denoiser, collect_grads(denoiser), losses[-1], opt,
+                       config.lr_at(it), config.grad_clip, it)
+    return losses
+
+
+class TestBatchedDenoiserStage:
+    """One taped (B, ·) pass per iteration reproduces the per-item loop."""
+
+    @pytest.mark.parametrize("null_drop", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("batch", [2, 9, 32])
+    def test_matches_per_item_loop(self, batch, null_drop):
+        world = make_world(derive_seed(7, "world"))
+        text = init_text_encoder(derive_seed(7, "init-text"))
+        sched = make_schedule("linear-beta", 1000)
+        cfg = PretrainConfig(seed=derive_seed(31, batch), iterations=6, batch_size=batch,
+                             lr=3e-3, null_drop=null_drop)
+        want_den = init_denoiser(derive_seed(7, "init-denoiser"))
+        want = _per_item_pretrain(want_den, text, world, sched, cfg)
+        den, info = diffusion_pretrain(init_denoiser(derive_seed(7, "init-denoiser")),
+                                       text, world, sched, cfg)
+        assert np.array(info["losses"]).tobytes() == np.array(want).tobytes()
+        assert state_digest(den.state()) == state_digest(want_den.state())
+
+    def test_holdout_matches_per_draw_loop(self):
+        world = make_world(derive_seed(7, "world"))
+        text = init_text_encoder(derive_seed(7, "init-text"))
+        den = init_denoiser(derive_seed(7, "init-denoiser"))
+        sched = make_schedule("linear-beta", 1000)
+        rng = np.random.default_rng(derive_seed(3, "diffusion-holdout"))
+        total = 0.0
+        with ta.pause_recording():
+            for _ in range(200):
+                x, prompt = sample_pair(world, rng)
+                t = int(rng.integers(0, sched.t_train))
+                eps = rng.standard_normal(world.d).astype(np.float32)
+                z_t = forward_diffuse(Tensor(x), t, Tensor(eps), sched)
+                eps_hat = denoise(den, t, z_t, text_encode(text, prompt))
+                total += ta.squared_error(eps_hat, Tensor(eps)).item()
+        got = diffusion_holdout_mse(den, text, world, sched, seed=3)
+        assert got.hex() == (total / 200).hex()
+
+
+# directional-derivative oracle for both pretraining losses, in float64
+
+
+class TestPretrainingLossOracle:
+    @pytest.mark.parametrize("null_drop", [None, 0.5], ids=["no-null-rows", "null-rows"])
+    def test_denoiser_loss(self, null_drop):
+        with ta.default_dtype(np.float64):
+            world, text, _, den = _f64_setup()
+            den.set_requires_grad(True)
+            sched = make_schedule("linear-beta", 1000)
+            rng = np.random.default_rng(41)
+            batch = NoisedBatch.draw(world, sched, rng, 6, null_drop)
+            assert bool(batch.null_rows) == (null_drop is not None)
+            cond = batch.conditioning(text, {})
+            with ta.Tape() as tape:
+                loss = denoiser_loss(den, batch, cond, sched)
+            ta.backward(tape, loss)
+
+            def objective(named):
+                dp = DenoiserParams(**{k.split("/", 1)[1]: t for k, t in named.items()})
+                return denoiser_loss(dp, batch, cond, sched).item()
+
+            _check_directional(den, collect_grads(den), objective)
+
+    def test_contrastive_loss(self):
+        with ta.default_dtype(np.float64):
+            world, text, image, _ = _f64_setup()
+            text.set_requires_grad(True)
+            image.set_requires_grad(True)
+            log_temp = Tensor(np.asarray(TEMP_INIT), requires_grad=True)
+            bag = ParamBag({**text.named(), **image.named(), "clip/log_temp": log_temp})
+            rng = np.random.default_rng(43)
+            batch = [sample_pair(world, rng) for _ in range(4)]
+            with ta.Tape() as tape:
+                loss = contrastive_loss(text, image, log_temp, batch)
+            ta.backward(tape, loss)
+
+            def objective(named):
+                def part(cls):
+                    return cls(**{k.split("/", 1)[1]: t for k, t in named.items()
+                                  if k.startswith(cls.prefix + "/")})
+                return contrastive_loss(part(TextEncoderParams), part(ImageEncoderParams),
+                                        named["clip/log_temp"], batch).item()
+
+            _check_directional(bag, collect_grads(bag), objective)
 
 
 class TestMovingAverage:

@@ -96,6 +96,22 @@ def test_forward_diffuse_shape_mismatch():
         sc.forward_diffuse(Tensor([1.0]), 5, Tensor([1.0, 2.0]), s)
 
 
+def test_forward_diffuse_per_row_timesteps_bitwise():
+    s = sc.make_schedule("linear-beta", t_train=1000)
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((4, 16)))
+    eps = Tensor(rng.standard_normal((4, 16)))
+    ts = (0, 999, 500, 500)
+    z = sc.forward_diffuse(x, ts, eps, s).data
+    for i, t in enumerate(ts):
+        want = sc.forward_diffuse(Tensor(x.data[i]), t, Tensor(eps.data[i]), s).data
+        assert z[i].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="timestep 1000 outside"):
+        sc.forward_diffuse(x, (0, 1, 1000, 2), eps, s)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        sc.forward_diffuse(x, (0, 1, 2), eps, s)
+
+
 def test_predict_x0_zero_sigma():
     stub = StubSched({0: (0.5, 0.0)})
     xh = sc.predict_x0(Tensor([1.0, 2.0]), Tensor([9.0, 9.0]), 0, stub)

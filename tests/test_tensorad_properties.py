@@ -287,3 +287,111 @@ def test_concat_rows(batch, data):
 def test_broadcast_rows(batch, a):
     # through a silu so each row's gradient differs and the row sum is seen
     _check_backward(lambda p: ta.silu(ta.broadcast_rows(p["a"], (batch, a.size))), {"a": a})
+
+
+# ---------------------------------------------------------------------------
+# a batched tape equals B single-row tapes, forward and backward: the
+# denoiser stage's op sequence (null-row put, concat, two dense layers with a
+# silu, the squared error, the batch mean) over (B, ·) rows against the same
+# ops on each row alone, summed as the per-row loop sums them. B >= 9 catches
+# a pairwise sum where a sequential one is due.
+
+_TAPE_BATCHES = [1, 2, 5, 9, 33]
+
+
+def _batched_loss(p, nulls):
+    c = ta.put_rows(p["cond"], nulls, p["null"])
+    inp = ta.concat([p["x"], c])
+    h = ta.silu(ta.linear(inp, p["w1"], p["b1"]))
+    d = ta.sub(ta.linear(h, p["w2"], p["b2"]), p["target"])
+    return ta.batch_mean(ta.row_mean(ta.mul(d, d)))
+
+
+def _row_loss(p, i, null):
+    c = p["null"] if null else p["cond"][i]
+    inp = ta.concat([p["x"][i], c])
+    h = ta.silu(ta.linear(inp, p["w1"], p["b1"]))
+    d = ta.sub(ta.linear(h, p["w2"], p["b2"]), p["target"][i])
+    return ta.tensor_mean(ta.mul(d, d))
+
+
+def _grad(leaf):
+    """A leaf's gradient; zeros for one the tape never touched."""
+    return leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+
+
+@pytest.mark.parametrize("batch", _TAPE_BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_batched_tape_equals_row_tapes(batch, data):
+    n, m, hidden, k = (data.draw(st.integers(1, 9)) for _ in range(4))
+    nulls = sorted(data.draw(st.sets(st.integers(0, batch - 1))))
+    arrays = {"x": _rows(batch, n), "cond": _rows(batch, m), "target": _rows(batch, k),
+              "null": _values(m), "w1": _values((n + m, hidden)), "b1": _values(hidden),
+              "w2": _values((hidden, k)), "b2": _values(k)}
+    arrays = {name: data.draw(s) for name, s in arrays.items()}
+    row_leaves = ("x", "cond", "target")  # one leaf per row in the row tapes
+    for dtype in (np.float32, np.float64):
+        with ta.default_dtype(dtype):
+            p = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+            with Tape() as tape:
+                loss = _batched_loss(p, nulls)
+            backward(tape, loss)
+
+            q = {name: ([Tensor(r, requires_grad=True) for r in a] if name in row_leaves
+                        else Tensor(a, requires_grad=True)) for name, a in arrays.items()}
+            with Tape() as tape:
+                total = None
+                for i in range(batch):
+                    li = _row_loss(q, i, i in nulls)
+                    total = li if total is None else ta.add(total, li)
+                want = ta.mul(total, 1.0 / batch)
+            backward(tape, want)
+
+        assert loss.data.dtype == want.data.dtype == dtype
+        assert loss.data.tobytes() == want.data.tobytes(), dtype
+        for name, t in p.items():
+            if name in row_leaves:
+                expected = np.stack([_grad(r) for r in q[name]])
+            else:
+                expected = _grad(q[name])
+            assert t.grad.dtype == expected.dtype == dtype, name
+            assert t.grad.tobytes() == expected.tobytes(), (dtype, name)
+
+
+# backward rules of the row ops, against the central-difference oracle
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_put_rows(batch, data):
+    n = data.draw(_LENGTHS)
+    rows = sorted(data.draw(st.sets(st.integers(0, batch - 1))))
+    arrays = {"a": data.draw(_values((batch, n))), "v": data.draw(_values(n))}
+    # through a silu so each row's gradient differs and the row sum is seen
+    _check_backward(lambda p: ta.silu(ta.put_rows(p["a"], rows, p["v"])), arrays)
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_row_mean(batch, data):
+    a = data.draw(_LENGTHS.flatmap(lambda n: _values((batch, n))))
+    _check_backward(lambda p: ta.row_mean(p["a"]), {"a": a})
+
+
+@_SETTINGS
+@given(a=_LENGTHS.flatmap(_values))
+def test_batch_mean(a):
+    _check_backward(lambda p: ta.batch_mean(p["a"]), {"a": a})
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_mul_column(batch, data):
+    n = data.draw(_LENGTHS)
+    arrays = {"a": data.draw(_values((batch, n))), "c": data.draw(_values((batch, 1)))}
+    _check_backward(lambda p: ta.mul(p["a"], p["c"]), arrays)
+    _check_backward(lambda p: ta.mul(p["c"], p["a"]), arrays)
