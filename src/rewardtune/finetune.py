@@ -83,10 +83,7 @@ class TrainConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
         if not (1 <= self.k_last <= self.n_steps):
             raise ValueError(f"need 1 <= K <= N, got K={self.k_last}, N={self.n_steps}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
+        check_update_fields(self)
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.cfg_scale < 0:
@@ -95,8 +92,6 @@ class TrainConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.schedule_kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive or None")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be non-negative")
 
@@ -175,6 +170,16 @@ def adamw_update(params, grads, state, lr):
     return params, state
 
 
+def check_update_fields(config):
+    """Check ``lr``, ``iterations`` and ``grad_clip``, which every training config has."""
+    if config.lr <= 0:
+        raise ValueError("learning rate must be positive")
+    if config.iterations < 0:
+        raise ValueError("iterations must be non-negative")
+    if config.grad_clip is not None and config.grad_clip <= 0:
+        raise ValueError("grad_clip must be positive or None")
+
+
 def optimizer_step(params, grads, loss, opt, lr, grad_clip, iteration):
     """The update policy of every training loop: clip ``grads`` to global
     norm ``grad_clip``, stop before the update when the loss or the pre-clip
@@ -198,7 +203,7 @@ class StepResult:
     grads: dict        # parameter name -> gradient array
     x_hats: list       # final predictions, one per batch item
     reward_means: dict  # the three standard readouts, unweighted
-    step_grad_norms: list = None  # per item: |dL/dz| entering each recorded step
+    step_grad_norms: list  # per item: |dL/dz| entering each recorded step
 
 
 def _segment_step(t, t_prev, sampler, w, sched):
@@ -208,68 +213,57 @@ def _segment_step(t, t_prev, sampler, w, sched):
     return step
 
 
-def _run_chain(text_params, denoiser, prompt, z, transitions, sched, w, sampler,
-               collect_taps=False):
+def _run_chain(text_params, denoiser, prompt, z, transitions, sched, w, sampler):
     """The recorded suffix of one item's chain: encode ``prompt`` on the tape,
     then walk the mid-chain latent ``z`` down ``transitions``, each step one
     recompute-on-backward segment. Returns (final latent, the ids of the
-    latents entering each step when ``collect_taps``)."""
+    latents entering each step)."""
     c = text_encode(text_params, prompt)
     den_tensors = denoiser.tensors()
     taps = []
     for t, t_prev in transitions:
-        if collect_taps:
-            taps.append(z.id)
+        taps.append(z.id)
         z = ta.checkpoint_segment(_segment_step(t, t_prev, sampler, w, sched),
                                   (z, c) + den_tensors)
     return z, taps
 
 
-def collect_grads(param_set):
-    """Gradients keyed by name; parameters the loss never touched get zeros."""
-    out = {}
-    for name, t in param_set.named().items():
-        out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
-    return out
+def collect_grads(param_set, leaf_grads):
+    """Gradients keyed by name, read from the map of leaf id -> gradient that
+    this step's ``ta.backward`` returned; parameters the loss never touched
+    get zeros (a ``.grad`` buffer may still hold an earlier tape's)."""
+    return {name: leaf_grads[t.id] if t.id in leaf_grads else np.zeros_like(t.data)
+            for name, t in param_set.named().items()}
 
 
 # a diverging run overflows in here; optimizer_step then stops it with one error
 @np.errstate(over="ignore", invalid="ignore")
-def _reward_step(trainable, items, x_hat_of, text_params, image_params, world, spec,
-                 record_step_norms=False):
+def _reward_step(trainable, items, x_hat_of, text_params, image_params, world, spec):
     """The step every regime shares: per item, in order, the forward pass
-    ``x_hat_of(prompt, *rest)`` -> (x_hat, tap ids) and then that item's reward
-    loss, summed as it goes (the order fixes the f32 gradient sums); then the
-    batch mean is differentiated into ``trainable``. ``items`` are tuples
-    whose first entry is the prompt.
-    """
+    ``x_hat_of(prompt, *rest)`` -> (x_hat, tap ids) and that item's reward
+    loss; the losses' ``ta.batch_mean`` (adds in item order, which fix the f32
+    gradient sums) is differentiated into ``trainable`` and |dL/dz| read at
+    every tap. ``items`` are tuples whose first entry is the prompt."""
     tape = ta.Tape()
-    x_hats = []
-    all_taps = []
+    x_hats, losses, all_taps = [], [], []
     with tape:
-        total = None
         for prompt, *rest in items:
             x_hat, taps = x_hat_of(prompt, *rest)
-            li = combined_loss(x_hat, prompt, spec, world=world,
-                               image_params=image_params, text_params=text_params)
-            total = li if total is None else ta.add(total, li)
+            losses.append(combined_loss(x_hat, prompt, spec, world=world,
+                                        image_params=image_params, text_params=text_params))
             x_hats.append(x_hat)
             all_taps.append(taps)
-        loss = ta.mul(total, 1.0 / len(items))
-    flat_taps = [tid for taps in all_taps for tid in taps] or None
-    ta.backward(tape, loss, tap_ids=flat_taps)
-    step_norms = None
-    if record_step_norms:
-        g = tape.grad_taps
-        step_norms = [[float(np.linalg.norm(g[tid])) if tid in g else 0.0 for tid in taps]
-                      for taps in all_taps]
+        loss = ta.batch_mean(ta.stack(losses))
+    leaf_grads = ta.backward(tape, loss, tap_ids=[tid for taps in all_taps for tid in taps])
+    g = tape.grad_taps
     return StepResult(
         loss=loss.item(),
-        grads=collect_grads(trainable),
+        grads=collect_grads(trainable, leaf_grads),
         x_hats=[x.data for x in x_hats],
         reward_means=readout_means(x_hats, [item[0] for item in items], world=world,
                                    image_params=image_params, text_params=text_params),
-        step_grad_norms=step_norms,
+        step_grad_norms=[[float(np.linalg.norm(g[tid])) if tid in g else 0.0 for tid in taps]
+                         for taps in all_taps],
     )
 
 
@@ -299,7 +293,7 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
 
 def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
                 z_inits, plan, k_last, sched, spec, sampler, cfg_in_chain,
-                cfg_scale, record_step_norms):
+                cfg_scale):
     """Forward the N-step chain of every item; record only the last K steps.
 
     The first N-K steps of all B items are one detached ``walk_chain`` over
@@ -325,28 +319,28 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
 
     def chain(prompt, z_row):
         return _run_chain(text_params, denoiser, prompt, Tensor(z_row), transitions[split:],
-                          sched, w, sampler, record_step_norms)
+                          sched, w, sampler)
 
     return _reward_step(trainable, list(zip(prompts, z_mid)), chain, text_params,
-                        image_params, world, spec, record_step_norms)
+                        image_params, world, spec)
 
 
 def prompt_finetune_step(text_params, denoiser, image_params, world, prompts,
                          z_inits, plan, k_last, sched, spec, sampler="ddim",
-                         cfg_in_chain=False, cfg_scale=7.5, record_step_norms=False):
+                         cfg_in_chain=False, cfg_scale=7.5):
     """Full-chain regime: gradients through the last K steps land on T."""
     return _chain_step(text_params, text_params, denoiser, image_params, world,
                        prompts, z_inits, plan, k_last, sched, spec, sampler,
-                       cfg_in_chain, cfg_scale, record_step_norms)
+                       cfg_in_chain, cfg_scale)
 
 
 def unet_finetune_step(denoiser, text_params, image_params, world, prompts,
                        z_inits, plan, k_last, sched, spec, sampler="ddim",
-                       cfg_in_chain=False, cfg_scale=7.5, record_step_norms=False):
+                       cfg_in_chain=False, cfg_scale=7.5):
     """Denoiser stage: same chain, frozen text encoder, gradients on the denoiser."""
     return _chain_step(denoiser, text_params, denoiser, image_params, world,
                        prompts, z_inits, plan, k_last, sched, spec, sampler,
-                       cfg_in_chain, cfg_scale, record_step_norms)
+                       cfg_in_chain, cfg_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensorad as ta
 from .data import make_world, sample_pair
-from .finetune import OptimizerState, collect_grads, optimizer_step
+from .finetune import OptimizerState, check_update_fields, collect_grads, optimizer_step
 from .models import (
     ParamBag,
     denoise,
@@ -51,14 +51,9 @@ class PretrainConfig:
     null_drop: float = 0.1                      # denoiser stage only
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
+        check_update_fields(self)
         if self.batch_size < 2:
             raise ValueError("contrastive pretraining needs batch size >= 2")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive or None")
         if not (0.0 <= self.null_drop < 1.0):
             raise ValueError("null_drop must be in [0, 1)")
         if self.lr_final is not None and not (0.0 < self.lr_final <= self.lr):
@@ -152,9 +147,9 @@ def clip_pretrain(text_params, image_params, world, config):
             with tape:
                 loss = contrastive_loss(text_params, image_params, bag["clip/log_temp"],
                                         batch, it)
-            ta.backward(tape, loss)
+            grads = ta.backward(tape, loss)
         losses.append(loss.item())
-        optimizer_step(bag, collect_grads(bag), losses[-1], opt, config.lr,
+        optimizer_step(bag, collect_grads(bag, grads), losses[-1], opt, config.lr,
                        config.grad_clip, it)
         lt = bag["clip/log_temp"]
         clamped = np.minimum(lt.data, np.float32(LOG_TEMP_MAX))
@@ -277,9 +272,9 @@ def diffusion_pretrain(denoiser, text_params, world, sched, config):
             tape = ta.Tape()
             with tape:
                 loss = denoiser_loss(denoiser, batch, cond, sched)
-            ta.backward(tape, loss)
+            grads = ta.backward(tape, loss)
         losses.append(loss.item())
-        optimizer_step(denoiser, collect_grads(denoiser), losses[-1], opt,
+        optimizer_step(denoiser, collect_grads(denoiser, grads), losses[-1], opt,
                        config.lr_at(it), config.grad_clip, it)
 
     denoiser.set_requires_grad(False)

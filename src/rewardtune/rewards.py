@@ -87,11 +87,20 @@ class RewardSpec:
 
     @classmethod
     def from_config(cls, items):
-        """Parse [{"kind": ..., "weight": ...}, ...] from a run config."""
-        entries = []
-        for item in items:
-            entries.append((str(item["kind"]), float(item["weight"])))
-        return cls(entries=tuple(entries))
+        """Parse [{"kind": ..., "weight": ...}, ...] from a run config; a
+        malformed entry is rejected with one line naming ``rewards[i]``."""
+        form = '{"kind": ..., "weight": ...}'
+        if not isinstance(items, list):
+            raise ValueError(f"rewards must be a list of {form} objects, got {items!r}")
+        entries = ()
+        for i, item in enumerate(items):
+            if not isinstance(item, dict) or sorted(item) != ["kind", "weight"]:
+                raise ValueError(f"rewards[{i}] must be an object {form}, got {item!r}")
+            try:
+                entries += cls(entries=((str(item["kind"]), float(item["weight"])),)).entries
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"rewards[{i}]: {exc}") from None
+        return cls(entries=entries)
 
     @classmethod
     def default(cls):

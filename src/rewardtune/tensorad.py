@@ -547,6 +547,8 @@ def _product_grads(g, x, w):
     wd, dt = w.data64, x.data.dtype
     if x.data.ndim == 1:
         xd, gd = _f64(x.data), _f64(g)
+        if wd.ndim == 1:  # vector . vector: g is 0-D
+            return (wd * gd).astype(dt), (xd * gd).astype(dt)
         return (wd @ gd).astype(dt), np.outer(xd, gd).astype(dt)
     if wd.ndim == 1:
         dx = np.outer(_f64(g), wd)

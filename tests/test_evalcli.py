@@ -461,6 +461,26 @@ class TestCliPipeline:
         assert rc == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rewards,want", [
+        ([{"kind": "alignment", "weight": 1, "wieght": 2}], "rewards[0] must be an object"),
+        ([{"weight": 1}], "rewards[0] must be an object"),
+        (["alignment"], "rewards[0] must be an object"),
+        ({"kind": "alignment", "weight": 1}, "rewards must be a list"),
+    ], ids=["misspelled-key", "missing-kind", "bare-string", "bare-object"])
+    def test_malformed_reward_entry_exits_2(self, baseline_ckpt, tmp_path, capsys,
+                                            rewards, want):
+        cfg = tmp_path / "ft.json"
+        cfg.write_text(json.dumps({"iterations": 1, "batch_size": 1, "n_steps": 3,
+                                   "k_last": 1, "rewards": rewards}))
+        rc = cli_main(["finetune-text", "--config", str(cfg),
+                       "--checkpoint", baseline_ckpt,
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"rewardtune: error: {want}")
+        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
     def test_diverging_pretrain_exits_2_without_checkpoint(self, baseline_ckpt, tmp_path,
                                                            capsys):
         cfg = tmp_path / "diff.json"

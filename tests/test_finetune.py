@@ -540,8 +540,7 @@ class TestChainStep:
         result = prompt_finetune_step(baseline_text, baseline_denoiser,
                                       baseline_image, baseline_world,
                                       [(1,), (2, 3)], z, plan, 3, sched,
-                                      RewardSpec.default(),
-                                      record_step_norms=True)
+                                      RewardSpec.default())
         assert len(result.step_grad_norms) == 2
         for norms in result.step_grad_norms:
             assert len(norms) == 3
@@ -564,6 +563,30 @@ class TestChainStep:
         opt = OptimizerState.for_params(baseline_denoiser.named())
         adamw_update(baseline_denoiser, result.grads, opt, lr=1e-3)
         assert state_digest(baseline_text.state()) == text_before
+
+    def test_gradients_come_from_this_steps_tape(self, baseline_world, baseline_text,
+                                                 baseline_image, baseline_state):
+        # a guided step leaves a gradient in null_cond's .grad; an unguided
+        # step on the same tensors never reaches null_cond, so it must report
+        # what a fresh denoiser reports (zeros), not the earlier tape's value
+        sched = make_schedule("linear-beta", 1000)
+        plan = make_step_plan(3)
+        z0 = np.random.default_rng(8).standard_normal(16).astype(np.float32)
+
+        def step(den, cfg_in_chain):
+            return unet_finetune_step(den, baseline_text, baseline_image, baseline_world,
+                                      [(1, 2)], [z0], plan, 2, sched, RewardSpec.default(),
+                                      cfg_in_chain=cfg_in_chain, cfg_scale=3.0)
+
+        reused, fresh = (DenoiserParams.from_state(baseline_state) for _ in range(2))
+        reused.set_requires_grad(True)
+        fresh.set_requires_grad(True)
+        assert np.any(step(reused, True).grads["denoiser/null_cond"] != 0)
+        again, want = step(reused, False), step(fresh, False)
+        assert not np.any(again.grads["denoiser/null_cond"])
+        for name, g in want.grads.items():
+            assert again.grads[name].tobytes() == g.tobytes(), name
+        assert again.step_grad_norms == want.step_grad_norms
 
 
     @pytest.mark.parametrize("cfg_in_chain", [False, True])

@@ -275,9 +275,9 @@ def _per_item_pretrain(denoiser, text_params, world, sched, config):
                 li = ta.squared_error(eps_hat, Tensor(eps))
                 total = li if total is None else ta.add(total, li)
             loss = ta.mul(total, 1.0 / config.batch_size)
-        ta.backward(tape, loss)
+        grads = ta.backward(tape, loss)
         losses.append(loss.item())
-        optimizer_step(denoiser, collect_grads(denoiser), losses[-1], opt,
+        optimizer_step(denoiser, collect_grads(denoiser, grads), losses[-1], opt,
                        config.lr_at(it), config.grad_clip, it)
     return losses
 
@@ -335,13 +335,13 @@ class TestPretrainingLossOracle:
             cond = batch.conditioning(text, {})
             with ta.Tape() as tape:
                 loss = denoiser_loss(den, batch, cond, sched)
-            ta.backward(tape, loss)
+            grads = ta.backward(tape, loss)
 
             def objective(named):
                 dp = DenoiserParams(**{k.split("/", 1)[1]: t for k, t in named.items()})
                 return denoiser_loss(dp, batch, cond, sched).item()
 
-            _check_directional(den, collect_grads(den), objective)
+            _check_directional(den, collect_grads(den, grads), objective)
 
     def test_contrastive_loss(self):
         with ta.default_dtype(np.float64):
@@ -354,7 +354,7 @@ class TestPretrainingLossOracle:
             batch = [sample_pair(world, rng) for _ in range(4)]
             with ta.Tape() as tape:
                 loss = contrastive_loss(text, image, log_temp, batch)
-            ta.backward(tape, loss)
+            grads = ta.backward(tape, loss)
 
             def objective(named):
                 def part(cls):
@@ -363,7 +363,7 @@ class TestPretrainingLossOracle:
                 return contrastive_loss(part(TextEncoderParams), part(ImageEncoderParams),
                                         named["clip/log_temp"], batch).item()
 
-            _check_directional(bag, collect_grads(bag), objective)
+            _check_directional(bag, collect_grads(bag, grads), objective)
 
 
 class TestMovingAverage:

@@ -193,6 +193,13 @@ class TestRewardSpec:
         with pytest.raises(ValueError, match="unknown"):
             RewardSpec.from_config([{"kind": "hps", "weight": 1}])
 
+    @pytest.mark.parametrize("entry", [{"kind": "hps", "weight": 1},
+                                       {"kind": "alignment", "weight": [1]},
+                                       {"kind": "alignment", "weight": float("nan")}])
+    def test_from_config_names_the_bad_entry(self, entry):
+        with pytest.raises(ValueError, match=r"^rewards\[1\]: "):
+            RewardSpec.from_config([{"kind": "image-style", "weight": 1}, entry])
+
 
 class TestCombinedLoss:
     def _context(self, seed=0):

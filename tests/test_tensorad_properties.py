@@ -120,13 +120,13 @@ def test_tensor_scalar_operand(label, data):
     _check_backward(lambda p: op(p["a"], p["s"]), {"a": a, "s": s})
 
 
-@pytest.mark.parametrize("form", ["vec-mat", "mat-vec", "mat-mat"])
+@pytest.mark.parametrize("form", ["vec-vec", "vec-mat", "mat-vec", "mat-mat"])
 @_SETTINGS
 @given(data=st.data())
 def test_matmul(form, data):
     m, n, k = data.draw(_DIMS), data.draw(_DIMS), data.draw(_DIMS)
-    a_shape = (n,) if form == "vec-mat" else (m, n)
-    b_shape = (n,) if form == "mat-vec" else (n, k)
+    a_shape = (n,) if form.startswith("vec") else (m, n)
+    b_shape = (n,) if form.endswith("vec") else (n, k)
     a, b = data.draw(_values(a_shape)), data.draw(_values(b_shape))
     _check_backward(lambda p: ta.matmul(p["a"], p["b"]), {"a": a, "b": b})
 
