@@ -132,11 +132,12 @@ class EvalReport:
 
 
 def _mean_pairwise_distance(samples):
-    """Mean Euclidean distance over all unordered pairs, in float64."""
+    """Mean Euclidean distance over all unordered pairs of the (n, D) rows, in
+    float64."""
     n = len(samples)
     if n < 2:
         return 0.0
-    arr = np.stack(samples).astype(np.float64)
+    arr = samples.astype(np.float64)
     total = 0.0
     for i in range(n - 1):
         total += float(np.linalg.norm(arr[i + 1:] - arr[i], axis=1).sum())
@@ -158,25 +159,16 @@ def _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched):
     with ta.pause_recording():
         conds = [text_encode(text, p) for p in prompts]
 
-    # samples[j][i]: prompt i under seed j; one shared noise draw per seed so
+    # samples[j, i]: prompt i under seed j; one shared noise draw per seed so
     # diversity across prompts reflects conditioning, not the initial latent
-    samples = []
-    for s in seeds:
-        samples.append([
-            sample_from_cond(cond, denoiser, plan, w, s, sampler=sampler, sched=sched)
-            for cond in conds
-        ])
+    samples = np.array([[sample_from_cond(cond, denoiser, plan, w, s, sampler=sampler,
+                                          sched=sched) for cond in conds] for s in seeds])
 
-    means = readout_means([x for panel in samples for x in panel],
-                          prompts * len(seeds), world=world,
-                          image_params=image, text_params=text)
-
+    means = readout_means(samples.reshape(-1, samples.shape[-1]), prompts * len(seeds),
+                          world=world, image_params=image, text_params=text)
     diversity = _mean_pairwise_distance(samples[0])
-    per_prompt = [
-        _mean_pairwise_distance([samples[j][i] for j in range(len(seeds))])
-        for i in range(len(prompts))
-    ]
-    spread = float(np.mean(per_prompt))
+    spread = float(np.mean([_mean_pairwise_distance(samples[:, i])
+                            for i in range(len(prompts))]))
     return ModelEval(name=name, reward_means=means, diversity=diversity, spread=spread)
 
 

@@ -229,7 +229,7 @@ def _run_chain(text_params, denoiser, prompt, z, transitions, sched, w, sampler)
 
 
 def collect_grads(param_set, leaf_grads):
-    """Gradients keyed by name, read from the map of leaf id -> gradient that
+    """Gradients keyed by name, read from the map of tensor id -> gradient that
     this step's ``ta.backward`` returned; parameters the loss never touched
     get zeros (a ``.grad`` buffer may still hold an earlier tape's)."""
     return {name: leaf_grads[t.id] if t.id in leaf_grads else np.zeros_like(t.data)
@@ -254,11 +254,10 @@ def _reward_step(trainable, items, x_hat_of, text_params, image_params, world, s
             x_hats.append(x_hat)
             all_taps.append(taps)
         loss = ta.batch_mean(ta.stack(losses))
-    leaf_grads = ta.backward(tape, loss, tap_ids=[tid for taps in all_taps for tid in taps])
-    g = tape.grad_taps
+    g = ta.backward(tape, loss, tap_ids=[tid for taps in all_taps for tid in taps])
     return StepResult(
         loss=loss.item(),
-        grads=collect_grads(trainable, leaf_grads),
+        grads=collect_grads(trainable, g),
         x_hats=[x.data for x in x_hats],
         reward_means=readout_means(x_hats, [item[0] for item in items], world=world,
                                    image_params=image_params, text_params=text_params),

@@ -77,14 +77,6 @@ class RewardSpec:
             if not math.isfinite(weight):
                 raise ValueError(f"non-finite weight for {kind!r}: {weight}")
 
-    @property
-    def clip_weight(self):
-        return sum(w for k, w in self.entries if k == "clip-constraint")
-
-    @property
-    def has_clip_constraint(self):
-        return self.clip_weight > 0
-
     @classmethod
     def from_config(cls, items):
         """Parse [{"kind": ..., "weight": ...}, ...] from a run config; a
@@ -96,9 +88,12 @@ class RewardSpec:
         for i, item in enumerate(items):
             if not isinstance(item, dict) or sorted(item) != ["kind", "weight"]:
                 raise ValueError(f"rewards[{i}] must be an object {form}, got {item!r}")
+            weight = item["weight"]
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                raise ValueError(f"rewards[{i}]: weight must be a number, got {weight!r}")
             try:
-                entries += cls(entries=((str(item["kind"]), float(item["weight"])),)).entries
-            except (TypeError, ValueError) as exc:
+                entries += cls(entries=((str(item["kind"]), float(weight)),)).entries
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"rewards[{i}]: {exc}") from None
         return cls(entries=entries)
 

@@ -34,7 +34,6 @@ import contextlib
 import functools
 import itertools
 import math
-import threading
 
 import numpy as np
 
@@ -82,14 +81,17 @@ __all__ = [
 _ID_COUNTER = itertools.count(1)
 
 
-class _ThreadState(threading.local):
+class _State:
+    """The stack of active tapes, the working dtype and the debug switch: one
+    set per process, not thread-safe, so tapes are built on one thread."""
+
     def __init__(self):
         self.tape_stack = []
         self.dtype = np.dtype(np.float32)
         self.debug = False
 
 
-_STATE = _ThreadState()
+_STATE = _State()
 
 
 class AutodiffError(RuntimeError):
@@ -146,41 +148,35 @@ class Tensor:
     float64 copy cached on first use, in step with ``data``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "id", "_needs", "_from_op", "_boundary",
-                 "_data64")
+    __slots__ = ("data", "grad", "id", "_needs", "_from_op", "_boundary", "_data64")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.array(data, dtype=_STATE.dtype)
-        if _STATE.debug and not np.all(np.isfinite(arr)):
-            raise AutodiffError("non-finite value in tensor construction")
-        arr.flags.writeable = False
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self.id = next(_ID_COUNTER)
-        self._needs = self.requires_grad
-        self._from_op = False
-        self._boundary = False
-        self._data64 = None
+        self._fill(np.array(data, dtype=_STATE.dtype), bool(requires_grad), False)
 
     @classmethod
     def _wrap(cls, arr, needs):
+        """An op's output: ``arr`` itself when it has the working dtype."""
         t = cls.__new__(cls)
-        arr = np.asarray(arr)
-        if arr.dtype != _STATE.dtype:
-            arr = arr.astype(_STATE.dtype)
-        if _STATE.debug and not np.all(np.isfinite(arr)):
-            raise AutodiffError("non-finite value in op output")
-        arr.flags.writeable = False
-        t.data = arr
-        t.requires_grad = False
-        t.grad = None
-        t.id = next(_ID_COUNTER)
-        t._needs = needs
-        t._from_op = True
-        t._boundary = False
-        t._data64 = None
+        t._fill(np.asarray(arr, dtype=_STATE.dtype), needs, True)
         return t
+
+    def _fill(self, arr, needs, from_op):
+        if _STATE.debug and not np.all(np.isfinite(arr)):
+            raise AutodiffError("non-finite tensor value")
+        arr.flags.writeable = False
+        self.data = arr
+        self.grad = None
+        self.id = next(_ID_COUNTER)
+        self._needs = needs
+        self._from_op = from_op
+        self._boundary = False
+        self._data64 = None
+
+    @property
+    def requires_grad(self):
+        """True for a leaf built with ``requires_grad=True``; never for an op's
+        output."""
+        return self._needs and not self._from_op
 
     @property
     def data64(self):
@@ -310,8 +306,9 @@ class TapeStats:
 class Tape:
     """Append-only op record for one forward evaluation.
 
-    Use as a context manager; ops executed inside record themselves. A tape
-    is single-threaded; independent tapes may live on separate threads.
+    Use as a context manager; ops executed inside record themselves. The
+    stack of active tapes is one per process, so build and differentiate
+    tapes on one thread.
     """
 
     def __init__(self):
@@ -321,7 +318,6 @@ class Tape:
         self._guard = None  # (allowed boundary ids, id watermark) inside a segment
         self._used = False
         self.stats = TapeStats()
-        self.grad_taps = None
 
     def __enter__(self):
         _STATE.tape_stack.append(self)
@@ -369,7 +365,7 @@ def _trace(op, inputs, out_arr, saved, ctx, bw, save_out=False):
         if save_out:
             saved = saved + (out,)
         for t in inputs:
-            if t.requires_grad and not t._from_op:
+            if t._needs and not t._from_op:
                 tape._leaves.setdefault(t.id, t)
         tape._target.append(TapeNode(op, tuple(t.id for t in inputs), out.id, saved, ctx, bw))
         tape.stats.note(saved)
@@ -380,6 +376,12 @@ def _as_tensor(x):
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x))
+
+
+def _scalar(x):
+    """True for a constant operand of add, sub, mul and div: a Python or
+    NumPy number, or a 0-D array (a 0-D Tensor is an operand like any other)."""
+    return isinstance(x, (int, float, np.number)) or (isinstance(x, np.ndarray) and x.ndim == 0)
 
 
 def _check_same_shape(op, a, b):
@@ -400,11 +402,11 @@ def _bw_add_scalar(g, saved, ctx):
 
 
 def add(a, b):
-    if isinstance(b, (int, float)) or (isinstance(b, np.ndarray) and b.ndim == 0):
+    if _scalar(b):
         a = _as_tensor(a)
         out = a.data + _STATE.dtype.type(b)
         return _trace("add_scalar", (a,), out, (), None, _bw_add_scalar)
-    if isinstance(a, (int, float)):
+    if _scalar(a):
         return add(b, a)
     a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape("add", a, b)
@@ -420,10 +422,10 @@ def _bw_neg(g, saved, ctx):
 
 
 def sub(a, b):
-    if isinstance(b, (int, float)):
+    if _scalar(b):
         a = _as_tensor(a)
         return _trace("sub_scalar", (a,), a.data - _STATE.dtype.type(b), (), None, _bw_add_scalar)
-    if isinstance(a, (int, float)):
+    if _scalar(a):
         b = _as_tensor(b)
         return _trace("rsub_scalar", (b,), _STATE.dtype.type(a) - b.data, (), None, _bw_neg)
     a, b = _as_tensor(a), _as_tensor(b)
@@ -473,11 +475,11 @@ def _bw_mul_scalar(g, saved, ctx):
 
 
 def mul(a, b):
-    if isinstance(b, (int, float)):
+    if _scalar(b):
         a = _as_tensor(a)
         s = _STATE.dtype.type(b)
         return _trace("mul_scalar", (a,), a.data * s, (), s, _bw_mul_scalar)
-    if isinstance(a, (int, float)):
+    if _scalar(a):
         return mul(b, a)
     a, b = _as_tensor(a), _as_tensor(b)
     x, y = a.data, b.data
@@ -500,7 +502,7 @@ def _bw_div_scalar(g, saved, ctx):
 
 
 def div(a, b):
-    if isinstance(b, (int, float)):
+    if _scalar(b):
         if b == 0:
             raise ZeroDivisionError("div: scalar divisor is zero")
         a = _as_tensor(a)
@@ -584,18 +586,12 @@ def linear(x, w, b):
     return _trace("linear", (x, w, b), out + b.data, (x, w), bias, _bw_linear)
 
 
-def _bw_dot(g, saved, ctx):
-    a, b = saved
-    return g * b.data, g * a.data
-
-
 def dot(a, b):
+    """1-D a . b: the dense product's vector . vector case."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 1 or b.data.ndim != 1:
         raise ValueError("dot: operands must be 1-D")
-    _check_same_shape("dot", a, b)
-    out = np.float64(np.dot(_f64(a.data), _f64(b.data))).astype(_STATE.dtype)
-    return _trace("dot", (a, b), np.asarray(out), (a, b), None, _bw_dot)
+    return _trace("dot", (a, b), _product("dot", a, b), (a, b), None, _bw_matmul)
 
 
 def _bw_concat(g, saved, ctx):
@@ -891,11 +887,11 @@ def _time_angles(t, dim):
 def backward(tape, loss, tap_ids=None):
     """Reverse sweep over the tape seeded with dL/dL = 1.
 
-    Returns a map from leaf tensor id to its gradient array; every
-    requires_grad leaf that was touched by a recorded op appears, with zeros
-    when no path reaches the loss. Leaf ``.grad`` buffers are set to the same
-    arrays. ``tap_ids`` optionally captures gradients of intermediate tensors
-    by id into ``tape.grad_taps``.
+    Returns a map from tensor id to its gradient array. Every requires_grad
+    leaf that was touched by a recorded op appears, with zeros when no path
+    reaches the loss; leaf ``.grad`` buffers are set to the same arrays.
+    ``tap_ids`` names intermediate tensors whose gradients the map also
+    carries, each one that a gradient reaches.
     """
     if not isinstance(loss, Tensor):
         raise AutodiffError("backward: loss must be a Tensor")
@@ -917,7 +913,7 @@ def backward(tape, loss, tap_ids=None):
         popped = _STATE.tape_stack.pop()
         assert popped is tape
 
-    result = {}
+    result = taps or {}
     for leaf_id, leaf in tape._leaves.items():
         g = grads.get(leaf_id)
         if g is None:
@@ -925,7 +921,6 @@ def backward(tape, loss, tap_ids=None):
         g = np.asarray(g, dtype=leaf.data.dtype)
         leaf.grad = g
         result[leaf_id] = g
-    tape.grad_taps = taps
     return result
 
 

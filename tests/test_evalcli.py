@@ -466,7 +466,11 @@ class TestCliPipeline:
         ([{"weight": 1}], "rewards[0] must be an object"),
         (["alignment"], "rewards[0] must be an object"),
         ({"kind": "alignment", "weight": 1}, "rewards must be a list"),
-    ], ids=["misspelled-key", "missing-kind", "bare-string", "bare-object"])
+        ([{"kind": "alignment", "weight": "1e2"}], "rewards[0]: weight must be a number, got '1e2'"),
+        ([{"kind": "alignment", "weight": True}], "rewards[0]: weight must be a number, got True"),
+        ([{"kind": "alignment", "weight": None}], "rewards[0]: weight must be a number, got None"),
+    ], ids=["misspelled-key", "missing-kind", "bare-string", "bare-object", "string-weight",
+            "bool-weight", "null-weight"])
     def test_malformed_reward_entry_exits_2(self, baseline_ckpt, tmp_path, capsys,
                                             rewards, want):
         cfg = tmp_path / "ft.json"
@@ -479,7 +483,7 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"rewardtune: error: {want}")
-        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+        assert not (tmp_path / "out").exists()
 
     def test_diverging_pretrain_exits_2_without_checkpoint(self, baseline_ckpt, tmp_path,
                                                            capsys):

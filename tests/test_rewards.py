@@ -182,14 +182,12 @@ class TestRewardSpec:
         spec = RewardSpec.default()
         assert dict(spec.entries) == DEFAULT_WEIGHTS
         assert DEFAULT_WEIGHTS == {"clip-constraint": 100.0, "image-style": 1.0, "alignment": 100.0}
-        assert spec.has_clip_constraint and spec.clip_weight == 100.0
 
     def test_from_config(self):
         spec = RewardSpec.from_config(
             [{"kind": "image-style", "weight": 2}, {"kind": "alignment", "weight": 0.5}]
         )
         assert spec.entries == (("image-style", 2.0), ("alignment", 0.5))
-        assert not spec.has_clip_constraint
         with pytest.raises(ValueError, match="unknown"):
             RewardSpec.from_config([{"kind": "hps", "weight": 1}])
 

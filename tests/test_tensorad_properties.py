@@ -102,6 +102,54 @@ def test_python_scalar_operand(label, data):
     _check_backward(lambda p: op(p["a"], s), {"a": a})
 
 
+# a NumPy number or a 0-D array is the same constant as the Python float it holds
+_SCALAR_FORMS = {
+    "np.float32": np.float32,
+    "np.float64": np.float64,
+    "0-D f32 array": lambda s: np.array(s, dtype=np.float32),
+    "0-D f64 array": lambda s: np.array(s, dtype=np.float64),
+}
+
+
+def _scalar_op_bytes(op, a, s, dtype):
+    with ta.default_dtype(dtype):
+        x = Tensor(a, requires_grad=True)
+        with Tape() as tape:
+            out = op(x, s)
+            grads = backward(tape, _readout(out))
+    return out.data.tobytes(), grads[x.id].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("form", sorted(_SCALAR_FORMS))
+@pytest.mark.parametrize("label", sorted(_SCALAR_SIDES))
+@_SETTINGS
+@given(data=st.data())
+def test_numpy_scalar_operand_bytes(label, form, dtype, data):
+    a = data.draw(_LENGTHS.flatmap(_values))
+    s = _SCALAR_FORMS[form](data.draw(_signed(0.5, 3.0)))
+    op = _SCALAR_SIDES[label]
+    assert _scalar_op_bytes(op, a, s, dtype) == _scalar_op_bytes(op, a, float(s), dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@_SETTINGS
+@given(data=st.data())
+def test_dot_is_vector_matmul_bitwise(dtype, data):
+    n = data.draw(_LENGTHS)
+    a, b = data.draw(_values(n)), data.draw(_values(n))
+
+    def run(op):
+        with ta.default_dtype(dtype):
+            x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+            with Tape() as tape:
+                out = op(x, y)
+                grads = backward(tape, out)
+        return out.data.tobytes(), grads[x.id].tobytes(), grads[y.id].tobytes()
+
+    assert run(ta.dot) == run(ta.matmul)
+
+
 # a 0-D tensor broadcasts against a vector in mul (either side) and div (right)
 _TENSOR_SCALAR_SIDES = {
     "mul-right": lambda a, s: ta.mul(a, s),
