@@ -34,7 +34,7 @@ from .models import (
     text_encode,
 )
 from .inference import guided_step, walk_chain
-from .rewards import READOUT_COLUMNS, RewardSpec, combined_loss, readout_means
+from .rewards import READOUT_COLUMNS, RewardSpec, clip_entries, combined_loss, readout_means
 from .schedule import (
     DEFAULT_T_TRAIN,
     SAMPLER_STEPS,
@@ -213,21 +213,6 @@ def _segment_step(t, t_prev, sampler, w, sched):
     return step
 
 
-def _run_chain(text_params, denoiser, prompt, z, transitions, sched, w, sampler):
-    """The recorded suffix of one item's chain: encode ``prompt`` on the tape,
-    then walk the mid-chain latent ``z`` down ``transitions``, each step one
-    recompute-on-backward segment. Returns (final latent, the ids of the
-    latents entering each step)."""
-    c = text_encode(text_params, prompt)
-    den_tensors = denoiser.tensors()
-    taps = []
-    for t, t_prev in transitions:
-        taps.append(z.id)
-        z = ta.checkpoint_segment(_segment_step(t, t_prev, sampler, w, sched),
-                                  (z, c) + den_tensors)
-    return z, taps
-
-
 def collect_grads(param_set, leaf_grads):
     """Gradients keyed by name, read from the map of tensor id -> gradient that
     this step's ``ta.backward`` returned; parameters the loss never touched
@@ -238,31 +223,39 @@ def collect_grads(param_set, leaf_grads):
 
 # a diverging run overflows in here; optimizer_step then stops it with one error
 @np.errstate(over="ignore", invalid="ignore")
-def _reward_step(trainable, items, x_hat_of, text_params, image_params, world, spec):
-    """The step every regime shares: per item, in order, the forward pass
-    ``x_hat_of(prompt, *rest)`` -> (x_hat, tap ids) and that item's reward
-    loss; the losses' ``ta.batch_mean`` (adds in item order, which fix the f32
-    gradient sums) is differentiated into ``trainable`` and |dL/dz| read at
-    every tap. ``items`` are tuples whose first entry is the prompt."""
+def _reward_step(trainable, prompts, forward, text_params, image_params, world, spec):
+    """The step every regime shares, on one tape. Per prompt, in order: its
+    text encode, then one encode per weighted clip-constraint term, so the
+    text encoder's gradient terms come in the order per-item tapes give them
+    (clip, then chain, last item first). ``forward(encodes)`` -> (x_hat per
+    item, ids of (B, D) latents to tap) records the regime's forward pass.
+    Each item's reward loss follows, and the losses' ``ta.batch_mean``
+    (adds in item order) is differentiated into ``trainable``; |dL/dz| is
+    read per item at every tap. The readouts reuse the rewards the losses
+    computed."""
+    n_clip = clip_entries(spec)
     tape = ta.Tape()
-    x_hats, losses, all_taps = [], [], []
     with tape:
-        for prompt, *rest in items:
-            x_hat, taps = x_hat_of(prompt, *rest)
-            losses.append(combined_loss(x_hat, prompt, spec, world=world,
-                                        image_params=image_params, text_params=text_params))
-            x_hats.append(x_hat)
-            all_taps.append(taps)
+        encodes, clip_texts = [], []
+        for prompt in prompts:
+            encodes.append(text_encode(text_params, prompt))
+            clip_texts.append([text_encode(text_params, prompt) for _ in range(n_clip)])
+        x_hats, taps = forward(encodes)
+        values = [{} for _ in prompts]
+        losses = [combined_loss(x, prompt, spec, world=world, image_params=image_params,
+                                text_params=text_params, clip_texts=texts, values=vals)
+                  for x, prompt, texts, vals in zip(x_hats, prompts, clip_texts, values)]
         loss = ta.batch_mean(ta.stack(losses))
-    g = ta.backward(tape, loss, tap_ids=[tid for taps in all_taps for tid in taps])
+    g = ta.backward(tape, loss, tap_ids=taps)
+    x_hats = [x.data for x in x_hats]
     return StepResult(
         loss=loss.item(),
         grads=collect_grads(trainable, g),
-        x_hats=[x.data for x in x_hats],
-        reward_means=readout_means(x_hats, [item[0] for item in items], world=world,
-                                   image_params=image_params, text_params=text_params),
-        step_grad_norms=[[float(np.linalg.norm(g[tid])) if tid in g else 0.0 for tid in taps]
-                         for taps in all_taps],
+        x_hats=x_hats,
+        reward_means=readout_means(x_hats, prompts, world=world, image_params=image_params,
+                                   text_params=text_params, known=values, txt_embs=encodes),
+        step_grad_norms=[[float(np.linalg.norm(g[tid][b])) if tid in g else 0.0 for tid in taps]
+                         for b in range(len(prompts))],
     )
 
 
@@ -277,17 +270,19 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
         raise ValueError("empty batch")
     if not (len(batch) == len(ts) == len(noises)):
         raise ValueError("batch, ts, and noises must have equal length")
-
-    def one_shot(prompt, x, t, eps):
-        t = int(t)
+    ts = [int(t) for t in ts]
+    for t in ts:
         sched.alpha_at(t)  # range check before any work
-        c = text_encode(text_params, prompt)
-        z_t = forward_diffuse(Tensor(np.asarray(x)), t, Tensor(np.asarray(eps)), sched)
-        eps_hat = denoise(denoiser, t, z_t, c)
-        return predict_x0(z_t, eps_hat, t, sched), ()
 
-    items = [(prompt, x, t, eps) for (x, prompt), t, eps in zip(batch, ts, noises)]
-    return _reward_step(text_params, items, one_shot, text_params, image_params, world, spec)
+    def one_shot(encodes):
+        x_hats = []
+        for (x, _), t, eps, c in zip(batch, ts, noises, encodes):
+            z_t = forward_diffuse(Tensor(np.asarray(x)), t, Tensor(np.asarray(eps)), sched)
+            x_hats.append(predict_x0(z_t, denoise(denoiser, t, z_t, c), t, sched))
+        return x_hats, []
+
+    return _reward_step(text_params, [prompt for _, prompt in batch], one_shot, text_params,
+                        image_params, world, spec)
 
 
 def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
@@ -295,10 +290,12 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
                 cfg_scale):
     """Forward the N-step chain of every item; record only the last K steps.
 
-    The first N-K steps of all B items are one detached ``walk_chain`` over
-    a (B, D) latent, so the gradient counts exactly the dependence through
-    the recorded suffix. Each item's suffix, with its taped prompt encoding,
-    then runs inside that item's forward pass (``_run_chain``).
+    The B items walk as one (B, D) latent under the (B, C) stack of their
+    taped prompt encodes. The first N-K steps are one detached
+    ``walk_chain``, so the gradient counts exactly the dependence through
+    the recorded suffix; each of the last K steps is one recompute-on-backward
+    segment over the whole batch. The final latent is split into the items'
+    x_hats on the tape.
     """
     if not prompts:
         raise ValueError("empty prompt batch")
@@ -310,18 +307,19 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
         raise ValueError(f"need 1 <= K <= {n} recorded steps, got K={k_last}")
     split = n - k_last
     w = cfg_scale if cfg_in_chain else 1.0
-    z = Tensor(np.stack([z0.data if isinstance(z0, Tensor) else np.asarray(z0) for z0 in z_inits]))
-    # a diverging run overflows in here; optimizer_step then stops it with one error
-    with ta.pause_recording(), np.errstate(over="ignore", invalid="ignore"):
-        c = Tensor(np.stack([text_encode(text_params, p).data for p in prompts]))
-        z_mid = walk_chain(denoiser, transitions[:split], z, c, w, sampler, sched)
+    z0 = Tensor(np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in z_inits]))
+    den = denoiser.tensors()
 
-    def chain(prompt, z_row):
-        return _run_chain(text_params, denoiser, prompt, Tensor(z_row), transitions[split:],
-                          sched, w, sampler)
+    def chain(encodes):
+        c = ta.stack(encodes)
+        z = Tensor(walk_chain(denoiser, transitions[:split], z0, c, w, sampler, sched))
+        taps = []
+        for t, t_prev in transitions[split:]:
+            taps.append(z.id)
+            z = ta.checkpoint_segment(_segment_step(t, t_prev, sampler, w, sched), (z, c) + den)
+        return [ta.row(z, b) for b in range(len(prompts))], taps
 
-    return _reward_step(trainable, list(zip(prompts, z_mid)), chain, text_params,
-                        image_params, world, spec)
+    return _reward_step(trainable, prompts, chain, text_params, image_params, world, spec)
 
 
 def prompt_finetune_step(text_params, denoiser, image_params, world, prompts,

@@ -51,10 +51,12 @@ def reward_alignment(x_hat, prompt, world):
     return ta.cosine_similarity(x_hat, target)
 
 
-def reward_clip_constraint(x_hat, prompt, image_params, text_params):
-    """cos(I(x_hat), T(p)); gradient reaches both x_hat and the text encoder."""
+def reward_clip_constraint(x_hat, prompt, image_params, text_params, txt_emb=None):
+    """cos(I(x_hat), T(p)); gradient reaches both x_hat and the text encoder.
+    ``txt_emb`` is T(p) when the caller has encoded it already."""
     img_emb = image_encode(image_params, x_hat)
-    txt_emb = text_encode(text_params, prompt)
+    if txt_emb is None:
+        txt_emb = text_encode(text_params, prompt)
     return ta.cosine_similarity(img_emb, txt_emb)
 
 
@@ -102,7 +104,7 @@ class RewardSpec:
         return cls(entries=tuple(DEFAULT_WEIGHTS.items()))
 
 
-def _eval_reward(kind, x_hat, prompt, world, image_params, text_params):
+def _eval_reward(kind, x_hat, prompt, world, image_params, text_params, txt_emb=None):
     if kind == "image-style":
         return reward_image(x_hat)
     if kind == "alignment":
@@ -112,19 +114,35 @@ def _eval_reward(kind, x_hat, prompt, world, image_params, text_params):
     if kind == "clip-constraint":
         if image_params is None or text_params is None:
             raise ValueError("clip-constraint reward needs both encoders")
-        return reward_clip_constraint(x_hat, prompt, image_params, text_params)
+        return reward_clip_constraint(x_hat, prompt, image_params, text_params, txt_emb)
     if kind == "degenerate-collapse-probe":
         return reward_collapse_probe(x_hat)
     raise ValueError(f"unknown reward kind {kind!r}")
 
 
-def combined_loss(x_hat, prompt, spec, *, world=None, image_params=None, text_params=None):
-    """L = -sum gamma_i R_i; zero-weight terms are skipped entirely."""
+def clip_entries(spec):
+    """How many clip-constraint terms ``spec`` weights: each encodes the prompt."""
+    return sum(1 for kind, weight in spec.entries if kind == "clip-constraint" and weight != 0.0)
+
+
+def combined_loss(x_hat, prompt, spec, *, world=None, image_params=None, text_params=None,
+                  clip_texts=None, values=None):
+    """L = -sum gamma_i R_i; zero-weight terms are skipped entirely.
+
+    ``clip_texts`` holds T(p) for each weighted clip-constraint term in order
+    (``clip_entries``), encoded by the caller; without it each term encodes
+    the prompt here. A ``values`` dict receives each computed reward,
+    unweighted, by kind.
+    """
+    clip_texts = iter(clip_texts or ())
     loss = None
     for kind, weight in spec.entries:
         if weight == 0.0:
             continue
-        r = _eval_reward(kind, x_hat, prompt, world, image_params, text_params)
+        txt_emb = next(clip_texts, None) if kind == "clip-constraint" else None
+        r = _eval_reward(kind, x_hat, prompt, world, image_params, text_params, txt_emb)
+        if values is not None:
+            values[kind] = r.item()
         term = ta.mul(r, -float(weight))
         loss = term if loss is None else ta.add(loss, term)
     if loss is None:
@@ -132,13 +150,15 @@ def combined_loss(x_hat, prompt, spec, *, world=None, image_params=None, text_pa
     return loss
 
 
-def reward_values(x_hat, prompt, spec, *, world=None, image_params=None, text_params=None):
-    """Unweighted reward readouts for metrics rows, keyed by kind."""
+def reward_values(x_hat, prompt, spec, *, world=None, image_params=None, text_params=None,
+                  txt_emb=None):
+    """Unweighted reward readouts for metrics rows, keyed by kind; a clip
+    readout uses ``txt_emb`` as T(p) when given."""
     out = {}
     with ta.pause_recording():
         for kind, _ in spec.entries:
             out[kind] = _eval_reward(
-                kind, x_hat, prompt, world, image_params, text_params
+                kind, x_hat, prompt, world, image_params, text_params, txt_emb
             ).item()
     return out
 
@@ -155,15 +175,22 @@ READOUT_COLUMNS = (
 READOUT_SPEC = RewardSpec(entries=tuple((kind, 1.0) for kind, _ in READOUT_COLUMNS))
 
 
-def readout_means(x_hats, prompts, *, world, image_params, text_params):
+def readout_means(x_hats, prompts, *, world, image_params, text_params, known=None,
+                  txt_embs=None):
     """Mean of each standard readout over paired samples and prompts, summed
-    in the order given."""
+    in the order given. ``known[i]`` maps kinds to readouts of item i that
+    are already computed (``combined_loss``'s ``values``); only the others
+    are computed, a clip readout with ``txt_embs[i]`` as T(p) when given."""
     sums = {kind: 0.0 for kind, _ in READOUT_SPEC.entries}
-    for x_hat, prompt in zip(x_hats, prompts):
-        x = x_hat if isinstance(x_hat, Tensor) else Tensor(np.asarray(x_hat))
-        vals = reward_values(x, prompt, READOUT_SPEC, world=world,
-                             image_params=image_params, text_params=text_params)
-        for kind, v in vals.items():
-            sums[kind] += v
+    for i, (x_hat, prompt) in enumerate(zip(x_hats, prompts)):
+        vals = dict(known[i]) if known else {}
+        missing = tuple(entry for entry in READOUT_SPEC.entries if entry[0] not in vals)
+        if missing:
+            x = x_hat if isinstance(x_hat, Tensor) else Tensor(np.asarray(x_hat))
+            vals.update(reward_values(x, prompt, RewardSpec(entries=missing), world=world,
+                                     image_params=image_params, text_params=text_params,
+                                     txt_emb=txt_embs[i] if txt_embs else None))
+        for kind in sums:
+            sums[kind] += vals[kind]
     n = len(prompts)
     return {kind: total / n for kind, total in sums.items()}

@@ -21,11 +21,16 @@ back to the working dtype. The elementwise ops, ``linear``, ``concat``,
 ``broadcast_rows``, ``put_rows``, ``row_mean`` and ``batch_mean`` also take a
 batch of rows, shape (B, n), and a batched tape reproduces B single-row tapes
 bit for bit, forward and backward: each row gets the bits that row alone
-would get, and a gradient summed over the rows (a weight, a row bias, a
-broadcast row) adds the per-row terms in the order the B tapes would, last
-row first (``_tape_sum``). The working dtype is float32 by default; tests
-that compare against central finite differences run under ``default_dtype
-(np.float64)`` so the difference quotient is not drowned by rounding noise.
+would get. A gradient summed over the rows (a weight, a row bias, a
+broadcast or put row) is not summed in the backward rules: they return the
+per-row terms with their row indices. The sweep sums them at once, last row
+first (``_tape_sum``), except for a leaf that several recorded nodes read (a
+weight used by K recorded steps): it keeps those, and ``backward`` folds them
+item-major, rows last to first, each row's terms in sweep order, one add at
+a time. So every leaf gets the sum B single-row tapes give it.
+The working dtype is float32 by default; tests that compare against central
+finite differences run under ``default_dtype(np.float64)`` so the difference
+quotient is not drowned by rounding noise.
 """
 
 from __future__ import annotations
@@ -221,6 +226,9 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
+    def __rtruediv__(self, other):
+        return div(other, self)
+
     def __neg__(self):
         return neg(self)
 
@@ -314,6 +322,7 @@ class Tape:
     def __init__(self):
         self.nodes = []
         self._leaves = {}
+        self._uses = {}  # leaf id -> recorded nodes (replays included) that read it
         self._target = self.nodes
         self._guard = None  # (allowed boundary ids, id watermark) inside a segment
         self._used = False
@@ -366,7 +375,8 @@ def _trace(op, inputs, out_arr, saved, ctx, bw, save_out=False):
             saved = saved + (out,)
         for t in inputs:
             if t._needs and not t._from_op:
-                tape._leaves.setdefault(t.id, t)
+                tape._leaves[t.id] = t
+                tape._uses[t.id] = tape._uses.get(t.id, 0) + 1
         tape._target.append(TapeNode(op, tuple(t.id for t in inputs), out.id, saved, ctx, bw))
         tape.stats.note(saved)
     return out
@@ -433,28 +443,62 @@ def sub(a, b):
     return _trace("sub", (a, b), a.data - b.data, (), None, _bw_sub)
 
 
+def _add_in_order(terms):
+    """``terms[0] + terms[1] + ...`` in the terms' dtype, one add at a time,
+    as a tape adds the gradients a tensor receives. ``np.add.reduce`` over
+    the first axis adds the terms one by one, starting from -0.0 so that the
+    first term keeps its sign of zero, as it does on a tape; with one element
+    per term it would pair them instead, so that case takes the strictly
+    sequential ``np.cumsum``."""
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0, initial=-0.0)
+    return np.asarray(np.cumsum(terms, axis=0)[-1])
+
+
 def _tape_sum(terms):
     """A (B, ...) stack of per-row gradient terms summed over the rows as B
-    single-row tapes add them into one tensor: in the terms' dtype, last row
-    first. ``np.add.reduce`` over the reversed rows adds them one by one,
-    starting from -0.0 so that the first term keeps its sign of zero, as it
-    does on a tape; with one element per row it would pair the terms
-    instead, so that case takes the strictly sequential ``np.cumsum``."""
-    rev = terms[::-1]
-    if terms[0].size > 1:
-        return np.add.reduce(rev, axis=0, initial=-0.0)
-    return np.asarray(np.cumsum(rev, axis=0)[-1])
+    single-row tapes add them into one tensor: last row first."""
+    return _add_in_order(terms[::-1])
+
+
+class _RowTerms:
+    """A backward rule's gradient for a row operand, left unsummed:
+    ``terms[j]`` is what row ``rows[j]`` alone gives the operand, rows
+    ascending. ``_sweep`` sums them (``total``) or, for a leaf that several
+    nodes read, keeps them for ``backward`` to fold (``_fold_rows``)."""
+
+    __slots__ = ("terms", "rows")
+
+    def __init__(self, terms, rows):
+        self.terms = terms
+        self.rows = rows
+
+    def total(self):
+        """The terms summed last row first; zeros when there are none."""
+        if not len(self.rows):
+            return np.zeros(self.terms.shape[1:], dtype=self.terms.dtype)
+        return _tape_sum(self.terms)
+
+
+def _fold_rows(parts):
+    """A leaf's gradient from the ``_RowTerms`` its nodes gave it, in sweep
+    order, summed as B single-row tapes sum it: rows last to first, each
+    row's terms in sweep order, one add at a time from -0.0. With one node
+    this is that node's ``_tape_sum``."""
+    order = sorted((-r, k, j) for k, p in enumerate(parts) for j, r in enumerate(p.rows))
+    if not order:
+        return parts[0].total()
+    return _add_in_order(np.stack([parts[k].terms[j] for _, k, j in order]))
 
 
 def _unbroadcast(g, shape):
-    """``g`` reduced to an operand's ``shape``: over the rows in tape order
-    for a row operand (a row bias or a broadcast row), in float64 along each
-    row for a (B, 1) column, and in float64 over everything for a 0-D
-    operand."""
+    """``g`` reduced to an operand's ``shape``: unsummed ``_RowTerms`` for a
+    row operand (a row bias or a broadcast row), in float64 along each row
+    for a (B, 1) column, and in float64 over everything for a 0-D operand."""
     if g.shape == shape:
         return g
     if shape and len(shape) == g.ndim - 1:
-        return _tape_sum(g)
+        return _RowTerms(g, range(g.shape[0]))
     column = len(shape) == g.ndim
     return np.asarray(g.sum(axis=-1 if column else None, dtype=np.float64,
                             keepdims=column)).astype(g.dtype)
@@ -501,6 +545,11 @@ def _bw_div_scalar(g, saved, ctx):
     return (g / ctx,)
 
 
+def _bw_rdiv_scalar(g, saved, ctx):
+    b, out = saved
+    return (-g * out.data / b.data,)
+
+
 def div(a, b):
     if _scalar(b):
         if b == 0:
@@ -508,6 +557,10 @@ def div(a, b):
         a = _as_tensor(a)
         s = _STATE.dtype.type(b)
         return _trace("div_scalar", (a,), a.data / s, (), s, _bw_div_scalar)
+    if _scalar(a):
+        b = _as_tensor(b)
+        out = _STATE.dtype.type(a) / b.data
+        return _trace("rdiv_scalar", (b,), out, (b,), None, _bw_rdiv_scalar, save_out=True)
     a, b = _as_tensor(a), _as_tensor(b)
     if b.data.ndim != 0:
         _check_same_shape("div", a, b)
@@ -542,10 +595,10 @@ def _product(op, x, w):
 def _product_grads(g, x, w):
     """(dL/dx, dL/dw) of ``_product`` for upstream gradient ``g``. A 2-D ``x``
     is a stack of rows, so each row's dx is that row's own product and dw
-    sums the rows' terms as their single-row tapes would (``_tape_sum``).
-    A row's term is ``x_i * g_i`` rounded once to the working dtype: in f64
-    the product of two f32 values is exact, so this is the 1-D rule's
-    f64 outer product cast down."""
+    is the rows' unsummed terms (``_RowTerms``). A row's term is
+    ``x_i * g_i`` rounded once to the working dtype: in f64 the product of
+    two f32 values is exact, so this is the 1-D rule's f64 outer product
+    cast down."""
     wd, dt = w.data64, x.data.dtype
     if x.data.ndim == 1:
         xd, gd = _f64(x.data), _f64(g)
@@ -558,7 +611,7 @@ def _product_grads(g, x, w):
     else:
         dx = np.matmul(wd, _f64(g)[:, :, None])[:, :, 0]
         terms = x.data[:, :, None] * g[:, None, :]
-    return dx.astype(dt), _tape_sum(terms.astype(dt, copy=False))
+    return dx.astype(dt), _RowTerms(terms.astype(dt, copy=False), range(len(terms)))
 
 
 def _bw_matmul(g, saved, ctx):
@@ -622,15 +675,18 @@ def _bw_stack(g, saved, ctx):
     return tuple(np.asarray(g[i]) for i in range(ctx))
 
 
-def stack(scalars):
-    scalars = [_as_tensor(s) for s in scalars]
-    if not scalars:
+def stack(parts):
+    """0-D scalars as a vector, or equal 1-D rows as a (B, n) batch; row i
+    holds ``parts[i]``'s bits and its gradient is row i of the batch's."""
+    parts = [_as_tensor(p) for p in parts]
+    if not parts:
         raise ValueError("stack: no inputs")
-    for s in scalars:
-        if s.data.ndim != 0:
-            raise ValueError("stack: inputs must be 0-D scalars")
-    out = np.array([s.data for s in scalars], dtype=_STATE.dtype)
-    return _trace("stack", tuple(scalars), out, (), len(scalars), _bw_stack)
+    shape = parts[0].data.shape
+    if len(shape) > 1 or any(p.data.shape != shape for p in parts):
+        raise ValueError("stack: inputs must be 0-D scalars or 1-D rows of one length; got ["
+                         + ", ".join(str(p.data.shape) for p in parts) + "]")
+    out = np.array([p.data for p in parts], dtype=_STATE.dtype)
+    return _trace("stack", tuple(parts), out, (), len(parts), _bw_stack)
 
 
 def _bw_slice(g, saved, ctx):
@@ -653,12 +709,15 @@ def slice1d(a, start, stop):
 
 def _bw_row(g, saved, ctx):
     shape, i = ctx
-    full = np.zeros(shape, dtype=g.dtype)
+    full = np.full(shape, -0.0, dtype=g.dtype)
     full[i] = g
     return (full,)
 
 
 def row(m, i):
+    """Row ``i`` of the 2-D ``m``. The backward rule fills the other rows
+    with -0.0, the additive identity, so the gradients of a batch split into
+    its rows add up to each row's own gradient, the sign of a zero kept."""
     m = _as_tensor(m)
     if m.data.ndim != 2:
         raise ValueError("row: input must be 2-D")
@@ -687,8 +746,7 @@ def broadcast_rows(a, shape):
 def _bw_put_rows(g, saved, ctx):
     ga = g.copy()
     ga[ctx, :] = 0
-    gv = _tape_sum(g[ctx, :]) if ctx else np.zeros(g.shape[1:], dtype=g.dtype)
-    return ga, gv
+    return ga, _RowTerms(g[ctx, :], ctx)
 
 
 def put_rows(a, rows, v):
@@ -889,7 +947,9 @@ def backward(tape, loss, tap_ids=None):
 
     Returns a map from tensor id to its gradient array. Every requires_grad
     leaf that was touched by a recorded op appears, with zeros when no path
-    reaches the loss; leaf ``.grad`` buffers are set to the same arrays.
+    reaches the loss; leaf ``.grad`` buffers are set to the same arrays. A
+    leaf that batched nodes reach gets their per-row terms folded
+    item-major (``_fold_rows``); one leaf may not get both kinds.
     ``tap_ids`` names intermediate tensors whose gradients the map also
     carries, each one that a gradient reaches.
     """
@@ -918,14 +978,27 @@ def backward(tape, loss, tap_ids=None):
         g = grads.get(leaf_id)
         if g is None:
             g = np.zeros_like(leaf.data)
+        elif type(g) is list:
+            g = _fold_rows(g)
         g = np.asarray(g, dtype=leaf.data.dtype)
         leaf.grad = g
         result[leaf_id] = g
     return result
 
 
+def _mixed(iid, op):
+    return AutodiffError(f"backward of '{op}': leaf id={iid} receives both whole "
+                         "gradients and per-row terms of a batch")
+
+
 def _sweep(tape, nodes, grads, taps, tap_set):
+    """Push gradients through ``nodes`` in reverse. The ``_RowTerms`` of a
+    leaf that several recorded nodes read are kept in a list under its id in
+    ``grads``, for ``backward``'s fold; any other tensor's are summed at once
+    (for a leaf one node reads, that sum is the fold), so a batched tape with
+    one node per leaf frees each node's terms as it goes."""
     debug = _STATE.debug
+    uses = tape._uses
     for node in reversed(nodes):
         if isinstance(node, SegmentNode):
             _sweep_segment(tape, node, grads, taps, tap_set)
@@ -937,13 +1010,26 @@ def _sweep(tape, nodes, grads, taps, tap_set):
         for iid, ig in zip(node.input_ids, input_grads):
             if ig is None:
                 continue
-            if debug and not np.all(np.isfinite(ig)):
+            if debug and not np.all(np.isfinite(getattr(ig, "terms", ig))):
                 raise AutodiffError(f"non-finite gradient in backward of '{node.op}'")
+            if type(ig) is _RowTerms:
+                if uses.get(iid, 0) > 1:
+                    parts = grads.setdefault(iid, [])
+                    if type(parts) is not list:
+                        raise _mixed(iid, node.op)
+                    parts.append(ig)
+                    continue
+                ig = ig.total()
             if iid in tap_set:
                 prev = taps.get(iid)
                 taps[iid] = ig.copy() if prev is None else prev + ig
             acc = grads.get(iid)
-            grads[iid] = ig if acc is None else acc + ig
+            if acc is None:
+                grads[iid] = ig
+            elif type(acc) is list:
+                raise _mixed(iid, node.op)
+            else:
+                grads[iid] = acc + ig
 
 
 def _sweep_segment(tape, node, grads, taps, tap_set):

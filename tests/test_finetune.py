@@ -41,6 +41,7 @@ from rewardtune.models import (
     text_encode,
 )
 from rewardtune.rewards import RewardSpec, combined_loss
+from rewardtune.rewards import READOUT_SPEC, reward_values
 from rewardtune.schedule import (forward_diffuse, make_schedule, make_step_plan,
                                  predict_x0, sampler_step)
 from rewardtune.tensorad import Tensor
@@ -642,6 +643,67 @@ class TestChainStep:
             assert result.grads[name].tobytes() == want.tobytes(), name
         assert [x.tobytes() for x in result.x_hats] == [x.tobytes() for x in x_hats]
 
+
+    @pytest.mark.parametrize("spec", [RewardSpec.default(),
+                                      RewardSpec(entries=(("clip-constraint", 0.0),
+                                                          ("degenerate-collapse-probe", 1.0)))],
+                             ids=["default", "collapse"])
+    @pytest.mark.parametrize("cfg_in_chain", [False, True])
+    @pytest.mark.parametrize("regime", ["prompt-chain", "unet-chain"])
+    def test_step_norms_and_readouts_match_per_item_tape(self, baseline_world, baseline_text,
+                                                         baseline_image, baseline_denoiser,
+                                                         regime, cfg_in_chain, spec):
+        # the batched step's |dL/dz| per item and recorded step, and its
+        # readout means, against each item's chain on one plain tape, its
+        # latents tapped, and readouts computed afresh from its x_hat
+        w = 3.0
+        sched = make_schedule("linear-beta", 1000)
+        plan = make_step_plan(6)
+        k_last = 3
+        prompts = [(4, 1), (6,), (0, 2, 3), (5, 7)]
+        z0s = np.random.default_rng(53).standard_normal((4, 16)).astype(np.float32)
+        text, den = baseline_text, baseline_denoiser
+        trainable, step = ((text, prompt_finetune_step) if regime == "prompt-chain"
+                           else (den, unet_finetune_step))
+        trainable.set_requires_grad(True)
+        frozen = den if trainable is text else text
+        result = step(trainable, frozen, baseline_image, baseline_world, prompts, list(z0s),
+                      plan, k_last, sched, spec, sampler="ddim",
+                      cfg_in_chain=cfg_in_chain, cfg_scale=w)
+
+        chain_w = w if cfg_in_chain else 1.0
+        transitions = plan.transitions()
+        split = len(transitions) - k_last
+        tape = ta.Tape()
+        taps, x_hats = [], []
+        with tape:
+            total = None
+            for prompt, z0 in zip(prompts, z0s):
+                c = text_encode(text, prompt)
+                z = Tensor(walk_chain(den, transitions[:split], Tensor(z0), c, chain_w,
+                                      "ddim", sched))
+                taps.append([])
+                for t, t_prev in transitions[split:]:
+                    taps[-1].append(z.id)
+                    z = guided_step(den, t, t_prev, z, c, chain_w, "ddim", sched)
+                li = combined_loss(z, prompt, spec, world=baseline_world,
+                                   image_params=baseline_image, text_params=text)
+                total = li if total is None else ta.add(total, li)
+                x_hats.append(z)
+            loss = ta.mul(total, 1.0 / len(prompts))
+        g = ta.backward(tape, loss, tap_ids=[tid for item in taps for tid in item])
+        norms = [[float(np.linalg.norm(g[tid])) if tid in g else 0.0 for tid in item]
+                 for item in taps]
+        sums = {kind: 0.0 for kind, _ in READOUT_SPEC.entries}
+        for x, prompt in zip(x_hats, prompts):
+            vals = reward_values(Tensor(x.data), prompt, READOUT_SPEC, world=baseline_world,
+                                 image_params=baseline_image, text_params=text)
+            for kind, v in vals.items():
+                sums[kind] += v
+
+        assert result.step_grad_norms == norms
+        assert any(n > 0 for item in norms for n in item)
+        assert result.reward_means == {kind: v / len(prompts) for kind, v in sums.items()}
 
 # ---------------------------------------------------------------------------
 # directional-derivative oracle: <grad L, v> against (L(p+hv) - L(p-hv)) / 2h

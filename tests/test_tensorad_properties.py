@@ -443,3 +443,152 @@ def test_mul_column(batch, data):
     arrays = {"a": data.draw(_values((batch, n))), "c": data.draw(_values((batch, 1)))}
     _check_backward(lambda p: ta.mul(p["a"], p["c"]), arrays)
     _check_backward(lambda p: ta.mul(p["c"], p["a"]), arrays)
+
+
+# ---------------------------------------------------------------------------
+# a leaf that several batched nodes reach: a weight and bias used by J dense
+# layers, and a row v put into row subsets of constant batches (and, when
+# drawn, broadcast to every row). The per-row terms are folded item-major in
+# backward, so every leaf gradient equals B single-row tapes byte for byte.
+
+
+def _shared_leaves_loss(p, consts, put_sets, broadcast, layers):
+    h = consts["x"]
+    for j, rows in enumerate(put_sets):
+        h = ta.add(h, ta.put_rows(consts[f"base{j}"], rows, p["v"]))
+    if broadcast:
+        h = ta.add(h, ta.broadcast_rows(p["v"], h.data.shape))
+    for _ in range(layers):
+        h = ta.silu(ta.linear(h, p["w"], p["b"]))
+    return ta.batch_mean(ta.row_mean(ta.mul(h, h)))
+
+
+def _shared_leaves_row_loss(p, consts, i, put_sets, broadcast, layers):
+    h = Tensor(consts["x"][i])
+    for j, rows in enumerate(put_sets):
+        h = ta.add(h, p["v"] if i in rows else Tensor(consts[f"base{j}"][i]))
+    if broadcast:
+        h = ta.add(h, p["v"])
+    for _ in range(layers):
+        h = ta.silu(ta.linear(h, p["w"], p["b"]))
+    return ta.tensor_mean(ta.mul(h, h))
+
+
+@pytest.mark.parametrize("batch", _TAPE_BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_leaf_reached_by_several_batched_nodes(batch, data):
+    n = data.draw(st.integers(1, 7))
+    layers = data.draw(st.integers(1, 4))
+    put_sets = data.draw(st.lists(st.sets(st.integers(0, batch - 1)).map(sorted), max_size=3))
+    broadcast = data.draw(st.booleans())
+    consts = {"x": data.draw(_rows(batch, n))}
+    consts.update({f"base{j}": data.draw(_rows(batch, n)) for j in range(len(put_sets))})
+    leaves = {"v": data.draw(_values(n)), "b": data.draw(_values(n)),
+              "w": data.draw(_values((n, n), -0.8, 0.8))}
+    for dtype in (np.float32, np.float64):
+        with ta.default_dtype(dtype):
+            p = {k: Tensor(a, requires_grad=True) for k, a in leaves.items()}
+            c = {k: Tensor(a) for k, a in consts.items()}
+            with Tape() as tape:
+                loss = _shared_leaves_loss(p, c, put_sets, broadcast, layers)
+            got = backward(tape, loss)
+
+            q = {k: Tensor(a, requires_grad=True) for k, a in leaves.items()}
+            with Tape() as tape:
+                total = None
+                for i in range(batch):
+                    li = _shared_leaves_row_loss(q, consts, i, put_sets, broadcast, layers)
+                    total = li if total is None else ta.add(total, li)
+                want_loss = ta.mul(total, 1.0 / batch)
+            want = backward(tape, want_loss)
+
+        assert loss.data.tobytes() == want_loss.data.tobytes(), dtype
+        for k in leaves:
+            g = got.get(p[k].id, np.zeros_like(p[k].data))
+            w = want.get(q[k].id, np.zeros_like(q[k].data))
+            assert g.dtype == w.dtype == dtype, k
+            assert g.tobytes() == w.tobytes(), (dtype, k)
+
+
+@pytest.mark.parametrize("batched_first", [False, True])
+def test_leaf_with_whole_and_row_terms_rejected(batched_first):
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    b = Tensor(np.zeros(2))
+    one = lambda: ta.tensor_sum(ta.linear(Tensor(np.ones(3)), w, b))  # noqa: E731
+    rows = lambda: ta.tensor_sum(ta.linear(Tensor(np.ones((4, 3))), w, b))  # noqa: E731
+    with Tape() as tape:
+        first, second = (rows, one) if batched_first else (one, rows)
+        loss = ta.add(first(), second())
+    with pytest.raises(ta.AutodiffError, match="both whole gradients and per-row terms"):
+        backward(tape, loss)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@_SETTINGS
+@given(data=st.data())
+def test_stack_rows_bitwise(dtype, data):
+    batch, n = data.draw(st.integers(1, 6)), data.draw(_LENGTHS)
+    a = data.draw(_rows(batch, n))
+    up = data.draw(_rows(batch, n))
+    with ta.default_dtype(dtype):
+        rows = [Tensor(r, requires_grad=True) for r in a]
+        with Tape() as tape:
+            out = ta.stack(rows)
+            grads = backward(tape, ta.tensor_sum(ta.mul(out, Tensor(up))))
+        assert out.data.dtype == dtype and out.data.shape == (batch, n)
+        for i, r in enumerate(rows):
+            assert out.data[i].tobytes() == r.data.tobytes(), i
+            assert grads[r.id].tobytes() == Tensor(up).data[i].tobytes(), i
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_stack_rows_backward(data):
+    batch, n = data.draw(st.integers(1, 5)), data.draw(_LENGTHS)
+    arrays = {f"r{i}": data.draw(_values(n)) for i in range(batch)}
+    _check_backward(lambda p: ta.stack([p[k] for k in sorted(p)]), arrays)
+
+
+def test_stack_rejects_rows_of_different_lengths():
+    with pytest.raises(ValueError, match="1-D rows of one length"):
+        ta.stack([Tensor(np.ones(2)), Tensor(np.ones(3))])
+    with pytest.raises(ValueError, match="1-D rows of one length"):
+        ta.stack([Tensor(np.ones((2, 2)))])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_split_keeps_negative_zero_gradient(dtype):
+    # row 1's gradient is exactly -0.0; the split batch's gradient must hold
+    # that row's bits, not the +0.0 a sum with zero-filled rows would give
+    with ta.default_dtype(dtype):
+        m = Tensor(np.arange(12.0).reshape(4, 3) - 5.0, requires_grad=True)
+        scales = [1.5, -0.0, 2.0, -1.0]
+        with Tape() as tape:
+            parts = [ta.tensor_sum(ta.mul(ta.row(ta.mul(m, 1.0), i), s))
+                     for i, s in enumerate(scales)]
+            loss = ta.batch_mean(ta.stack(parts))
+        g = backward(tape, loss)[m.id]
+    assert np.all(g[1] == 0) and np.all(np.signbit(g[1]))
+    for i, s in enumerate(scales):
+        want = np.full(3, dtype(1.0 / 4) * dtype(s), dtype=dtype)
+        assert g[i].tobytes() == want.tobytes(), i
+
+
+# a constant numerator: div(s, x) and s / x
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_div_constant_numerator(data):
+    a = data.draw(_LENGTHS.flatmap(lambda n: hnp.arrays(np.float64, n,
+                                                        elements=_signed(0.5, 3.0))))
+    s = data.draw(_signed(0.5, 3.0))
+    _check_backward(lambda p: ta.div(s, p["a"]), {"a": a})
+    _check_backward(lambda p: s / p["a"], {"a": a})
+    for dtype in (np.float32, np.float64):
+        with ta.default_dtype(dtype):
+            x = Tensor(a)
+            want = (dtype(s) / x.data).tobytes()
+            assert ta.div(s, x).data.tobytes() == want
+            assert (s / x).data.tobytes() == want
