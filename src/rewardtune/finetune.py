@@ -62,8 +62,7 @@ class TrainConfig:
     regime: str = "prompt-chain"
     n_steps: int = 25
     k_last: int = 5
-    cfg_in_chain: bool = False
-    cfg_scale: float = 7.5
+    chain_cfg_scale: float = 1.0  # guidance scale w in the chain; 1 = no unconditional branch
     lr: float = 1e-3
     weight_decay: float = 0.0
     iterations: int = 100
@@ -86,8 +85,8 @@ class TrainConfig:
         check_update_fields(self)
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.cfg_scale < 0:
-            raise ValueError("cfg scale must be non-negative")
+        if self.chain_cfg_scale < 0:
+            raise ValueError("chain cfg scale must be non-negative")
         if self.sampler not in SAMPLER_STEPS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.schedule_kind not in SCHEDULE_KINDS:
@@ -215,8 +214,8 @@ def _segment_step(t, t_prev, sampler, w, sched):
 
 def collect_grads(param_set, leaf_grads):
     """Gradients keyed by name, read from the map of tensor id -> gradient that
-    this step's ``ta.backward`` returned; parameters the loss never touched
-    get zeros (a ``.grad`` buffer may still hold an earlier tape's)."""
+    this step's ``ta.backward`` returned; the one place a parameter no
+    gradient reached, or no op touched, gets zeros."""
     return {name: leaf_grads[t.id] if t.id in leaf_grads else np.zeros_like(t.data)
             for name, t in param_set.named().items()}
 
@@ -286,9 +285,9 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
 
 
 def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
-                z_inits, plan, k_last, sched, spec, sampler, cfg_in_chain,
-                cfg_scale):
-    """Forward the N-step chain of every item; record only the last K steps.
+                z_inits, plan, k_last, sched, spec, sampler, w):
+    """Forward the N-step chain of every item, guided at scale ``w``; record
+    only the last K steps.
 
     The B items walk as one (B, D) latent under the (B, C) stack of their
     taped prompt encodes. The first N-K steps are one detached
@@ -306,7 +305,6 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
     if not (1 <= k_last <= n):
         raise ValueError(f"need 1 <= K <= {n} recorded steps, got K={k_last}")
     split = n - k_last
-    w = cfg_scale if cfg_in_chain else 1.0
     z0 = Tensor(np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in z_inits]))
     den = denoiser.tensors()
 
@@ -323,21 +321,17 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
 
 
 def prompt_finetune_step(text_params, denoiser, image_params, world, prompts,
-                         z_inits, plan, k_last, sched, spec, sampler="ddim",
-                         cfg_in_chain=False, cfg_scale=7.5):
+                         z_inits, plan, k_last, sched, spec, sampler="ddim", w=1.0):
     """Full-chain regime: gradients through the last K steps land on T."""
     return _chain_step(text_params, text_params, denoiser, image_params, world,
-                       prompts, z_inits, plan, k_last, sched, spec, sampler,
-                       cfg_in_chain, cfg_scale)
+                       prompts, z_inits, plan, k_last, sched, spec, sampler, w)
 
 
 def unet_finetune_step(denoiser, text_params, image_params, world, prompts,
-                       z_inits, plan, k_last, sched, spec, sampler="ddim",
-                       cfg_in_chain=False, cfg_scale=7.5):
+                       z_inits, plan, k_last, sched, spec, sampler="ddim", w=1.0):
     """Denoiser stage: same chain, frozen text encoder, gradients on the denoiser."""
     return _chain_step(denoiser, text_params, denoiser, image_params, world,
-                       prompts, z_inits, plan, k_last, sched, spec, sampler,
-                       cfg_in_chain, cfg_scale)
+                       prompts, z_inits, plan, k_last, sched, spec, sampler, w)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +388,9 @@ def run_training(config, state_in, out_dir=None):
             idx = rng.integers(0, len(train_set), size=config.batch_size)
             prompts = [train_set.prompts[i] for i in idx]
             z_inits = rng.standard_normal((config.batch_size, world.d)).astype(np.float32)
-            result = step_fn(
-                trainable, frozen, image, world, prompts, z_inits, plan,
-                config.k_last, sched, config.rewards, sampler=config.sampler,
-                cfg_in_chain=config.cfg_in_chain, cfg_scale=config.cfg_scale,
-            )
+            result = step_fn(trainable, frozen, image, world, prompts, z_inits, plan,
+                             config.k_last, sched, config.rewards, sampler=config.sampler,
+                             w=config.chain_cfg_scale)
         optimizer_step(trainable, result.grads, result.loss, opt, config.lr,
                        config.grad_clip, it)
         rows.append((it, result.loss)

@@ -44,7 +44,6 @@ class PretrainConfig:
     iterations: int = 400
     batch_size: int = 16
     lr: float = 5e-3
-    lr_final: float | None = None               # denoiser stage: geometric decay target
     weight_decay: float = 0.0
     seed: int = 0
     grad_clip: float = 1.0
@@ -56,15 +55,6 @@ class PretrainConfig:
             raise ValueError("contrastive pretraining needs batch size >= 2")
         if not (0.0 <= self.null_drop < 1.0):
             raise ValueError("null_drop must be in [0, 1)")
-        if self.lr_final is not None and not (0.0 < self.lr_final <= self.lr):
-            raise ValueError("lr_final must be in (0, lr]")
-
-    def lr_at(self, iteration):
-        """Learning rate for one iteration: geometric decay lr -> lr_final."""
-        if self.lr_final is None or self.iterations <= 1:
-            return self.lr
-        frac = iteration / (self.iterations - 1)
-        return self.lr * (self.lr_final / self.lr) ** frac
 
     @classmethod
     def from_dict(cls, raw):
@@ -275,7 +265,7 @@ def diffusion_pretrain(denoiser, text_params, world, sched, config):
             grads = ta.backward(tape, loss)
         losses.append(loss.item())
         optimizer_step(denoiser, collect_grads(denoiser, grads), losses[-1], opt,
-                       config.lr_at(it), config.grad_clip, it)
+                       config.lr, config.grad_clip, it)
 
     denoiser.set_requires_grad(False)
     return denoiser, {"losses": losses}

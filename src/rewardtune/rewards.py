@@ -39,10 +39,10 @@ def collapse_target(d):
     return (np.ones(d, dtype=np.float64) / math.sqrt(d)).astype(np.float32)
 
 
-def reward_image(x_hat, scale=1.0):
-    """-scale * ||x_hat - s||^2 / D: 0 at the style vector, ~[-1, 0] nearby."""
+def reward_image(x_hat):
+    """-||x_hat - s||^2 / D: 0 at the style vector, ~[-1, 0] nearby."""
     s = Tensor(style_vector(x_hat.data.shape[0]))
-    return ta.mul(ta.neg(ta.squared_error(x_hat, s)), float(scale))
+    return ta.neg(ta.squared_error(x_hat, s))
 
 
 def reward_alignment(x_hat, prompt, world):

@@ -6,7 +6,9 @@ ops in this module. Ops execute eagerly on numpy arrays and, while a Tape is
 active, append nodes carrying exactly the values their backward rules need.
 Backward walks the tape in strict reverse creation order, so two runs over
 the same graph accumulate gradients in the same order and produce
-bit-identical results.
+bit-identical results. ``backward`` returns the gradients as a map from
+tensor id to array, the only place they live: a tensor carries no gradient
+and no per-tape mark, so one tape cannot leave state for a later one.
 
 Checkpoint segments keep memory flat on long denoising chains: at record
 time a segment's interior nodes are discarded and replaced by one node
@@ -147,13 +149,14 @@ def pause_recording():
 class Tensor:
     """Immutable dense array plus autodiff metadata.
 
-    The value buffer is frozen after construction; only ``grad`` is written
-    later (by ``backward``). Updates during training therefore replace
-    Tensors instead of mutating them, which also keeps ``data64``, the
-    float64 copy cached on first use, in step with ``data``.
+    Nothing is written to a Tensor after construction except ``data64``, the
+    float64 copy cached on first use; a gradient lives only in the map
+    ``backward`` returns, so no tape leaves state on a tensor for a later
+    tape to read. Updates during training replace Tensors instead of
+    mutating them.
     """
 
-    __slots__ = ("data", "grad", "id", "_needs", "_from_op", "_boundary", "_data64")
+    __slots__ = ("data", "id", "_needs", "_from_op", "_data64")
 
     def __init__(self, data, requires_grad=False):
         self._fill(np.array(data, dtype=_STATE.dtype), bool(requires_grad), False)
@@ -170,11 +173,9 @@ class Tensor:
             raise AutodiffError("non-finite tensor value")
         arr.flags.writeable = False
         self.data = arr
-        self.grad = None
         self.id = next(_ID_COUNTER)
         self._needs = needs
         self._from_op = from_op
-        self._boundary = False
         self._data64 = None
 
     @property
@@ -274,21 +275,23 @@ class SegmentNode:
 class TapeStats:
     """Counts op-produced tensors currently retained for backward.
 
-    Boundary tensors of checkpoint segments and leaf parameters are excluded,
-    so ``peak_live_interior`` measures exactly the quantity the checkpointing
-    memory bound is stated in: interior activations alive at once.
+    Boundary tensors of this tape's checkpoint segments (their ids in
+    ``boundary``) and leaf parameters are excluded, so ``peak_live_interior``
+    measures exactly the quantity the checkpointing memory bound is stated
+    in: interior activations alive at once.
     """
 
-    __slots__ = ("_refs", "live_interior", "peak_live_interior")
+    __slots__ = ("_refs", "boundary", "live_interior", "peak_live_interior")
 
     def __init__(self):
         self._refs = {}
+        self.boundary = set()
         self.live_interior = 0
         self.peak_live_interior = 0
 
     def note(self, tensors):
         for t in tensors:
-            if not t._from_op or t._boundary:
+            if not t._from_op or t.id in self.boundary:
                 continue
             n = self._refs.get(t.id, 0)
             self._refs[t.id] = n + 1
@@ -299,7 +302,7 @@ class TapeStats:
 
     def release(self, tensors):
         for t in tensors:
-            if not t._from_op or t._boundary:
+            if not t._from_op or t.id in self.boundary:
                 continue
             n = self._refs.get(t.id)
             if n is None:
@@ -321,7 +324,6 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-        self._leaves = {}
         self._uses = {}  # leaf id -> recorded nodes (replays included) that read it
         self._target = self.nodes
         self._guard = None  # (allowed boundary ids, id watermark) inside a segment
@@ -375,7 +377,6 @@ def _trace(op, inputs, out_arr, saved, ctx, bw, save_out=False):
             saved = saved + (out,)
         for t in inputs:
             if t._needs and not t._from_op:
-                tape._leaves[t.id] = t
                 tape._uses[t.id] = tape._uses.get(t.id, 0) + 1
         tape._target.append(TapeNode(op, tuple(t.id for t in inputs), out.id, saved, ctx, bw))
         tape.stats.note(saved)
@@ -945,13 +946,12 @@ def _time_angles(t, dim):
 def backward(tape, loss, tap_ids=None):
     """Reverse sweep over the tape seeded with dL/dL = 1.
 
-    Returns a map from tensor id to its gradient array. Every requires_grad
-    leaf that was touched by a recorded op appears, with zeros when no path
-    reaches the loss; leaf ``.grad`` buffers are set to the same arrays. A
-    leaf that batched nodes reach gets their per-row terms folded
+    Returns a map from tensor id to its gradient array, the only place a
+    gradient is kept: each requires_grad leaf that a gradient reaches, and
+    each tensor named in ``tap_ids`` that a gradient reaches. A leaf no
+    gradient reaches is absent (``finetune.collect_grads`` gives it zeros).
+    A leaf that batched nodes reach gets their per-row terms folded
     item-major (``_fold_rows``); one leaf may not get both kinds.
-    ``tap_ids`` names intermediate tensors whose gradients the map also
-    carries, each one that a gradient reaches.
     """
     if not isinstance(loss, Tensor):
         raise AutodiffError("backward: loss must be a Tensor")
@@ -974,15 +974,10 @@ def backward(tape, loss, tap_ids=None):
         assert popped is tape
 
     result = taps or {}
-    for leaf_id, leaf in tape._leaves.items():
+    for leaf_id in tape._uses:
         g = grads.get(leaf_id)
-        if g is None:
-            g = np.zeros_like(leaf.data)
-        elif type(g) is list:
-            g = _fold_rows(g)
-        g = np.asarray(g, dtype=leaf.data.dtype)
-        leaf.grad = g
-        result[leaf_id] = g
+        if g is not None:  # a 0-D sum can be a NumPy scalar
+            result[leaf_id] = np.asarray(_fold_rows(g) if type(g) is list else g)
     return result
 
 
@@ -1086,15 +1081,15 @@ def checkpoint_segment(fn, inputs):
     if tape is None:
         return fn(*inputs)
     tape._check_guard("segment", inputs)
-    for t in inputs:
-        t._boundary = True
+    boundary = tape.stats.boundary
+    boundary.update(t.id for t in inputs)
     outs, scratch = _run_segment(tape, fn, inputs)
     single = not isinstance(outs, tuple)
     outs_t = (outs,) if single else tuple(outs)
     for o in outs_t:
         if not isinstance(o, Tensor):
             raise AutodiffError("checkpoint_segment: outputs must be Tensors")
-        o._boundary = True
+        boundary.add(o.id)
     if scratch:
         tape._target.append(SegmentNode(fn, inputs, tuple(o.id for o in outs_t), len(scratch)))
         _release(tape, scratch)

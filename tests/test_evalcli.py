@@ -523,8 +523,11 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("command,key", [
         ("finetune-text", "constraint_uses_frozen_copy"),
+        ("finetune-text", "cfg_in_chain"),
+        ("finetune-text", "cfg_scale"),
         ("pretrain-diffusion", "temp_init"),
         ("pretrain-diffusion", "log_temp_max"),
+        ("pretrain-diffusion", "lr_final"),
     ])
     def test_removed_config_key_exits_2(self, baseline_ckpt, tmp_path, capsys,
                                         command, key):

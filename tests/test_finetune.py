@@ -22,6 +22,7 @@ from rewardtune.finetune import (
     TrainConfig,
     adamw_update,
     clip_global_norm,
+    collect_grads,
     direct_finetune_step,
     prompt_finetune_step,
     run_training,
@@ -186,7 +187,7 @@ class TestTrainConfig:
         (dict(lr=0.0), "learning rate"),
         (dict(iterations=-1), "iterations"),
         (dict(batch_size=0), "batch size"),
-        (dict(cfg_scale=-1.0), "cfg scale"),
+        (dict(chain_cfg_scale=-1.0), "cfg scale"),
         (dict(sampler="heun"), "unknown sampler"),
         (dict(schedule_kind="sigmoid"), "unknown schedule"),
         (dict(grad_clip=0.0), "grad_clip"),
@@ -201,9 +202,10 @@ class TestTrainConfig:
             TrainConfig.from_dict({"nsteps": 5, "momentum": 0.9})
 
     def test_from_dict_rejects_removed_keys(self):
-        with pytest.raises(ValueError,
-                           match="unknown config keys: constraint_uses_frozen_copy"):
-            TrainConfig.from_dict({"constraint_uses_frozen_copy": True})
+        for key, value in [("constraint_uses_frozen_copy", True), ("cfg_in_chain", True),
+                           ("cfg_scale", 7.5)]:
+            with pytest.raises(ValueError, match=f"unknown config keys: {key}"):
+                TrainConfig.from_dict({key: value})
 
     def test_from_dict_parses_rewards(self):
         cfg = TrainConfig.from_dict({
@@ -301,8 +303,6 @@ class TestDirectStep:
                                       baseline_image, baseline_world, batch,
                                       ts, noises, sched, spec)
 
-        for t in baseline_text.tensors():
-            t.grad = None
         tape = ta.Tape()
         with tape:
             total = None
@@ -316,11 +316,11 @@ class TestDirectStep:
                                    text_params=baseline_text)
                 total = li if total is None else ta.add(total, li)
             loss = ta.mul(total, 1.0 / 3)
-        ta.backward(tape, loss)
+        g = ta.backward(tape, loss)
 
         assert np.float32(result.loss) == loss.data.astype(np.float32)
         for name, t in baseline_text.named().items():
-            assert np.array_equal(result.grads[name], t.grad), name
+            assert np.array_equal(result.grads[name], g[t.id]), name
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +417,8 @@ class TestChainStep:
             fd = ta.finite_diff_grad(objective, text.named(), h=1e-4)
             result = prompt_finetune_step(text, den, image, world, [prompt],
                                           [z0], plan, k_last, sched, spec,
-                                          sampler=sampler, cfg_in_chain=cfg_in_chain,
-                                          cfg_scale=w)
+                                          sampler=sampler,
+                                          w=w if cfg_in_chain else 1.0)
             for name, g in result.grads.items():
                 mask = np.abs(fd[name]) > 1e-7
                 if mask.any():
@@ -441,8 +441,7 @@ class TestChainStep:
 
         result = prompt_finetune_step(text, den, image, world, [prompt], [z0],
                                       plan, k_last, sched, RewardSpec.default(),
-                                      sampler=sampler, cfg_in_chain=True,
-                                      cfg_scale=w)
+                                      sampler=sampler, w=w)
         with ta.pause_recording():
             cond = text_encode(text, prompt)
         expected = sample_from_cond(cond, den, plan, w, seed, sampler=sampler,
@@ -467,8 +466,6 @@ class TestChainStep:
                                       baseline_image, baseline_world, [prompt],
                                       [z0], plan, plan.n_steps, sched, spec)
 
-        for t in baseline_text.tensors():
-            t.grad = None
         tape = ta.Tape()
         with tape:
             c = text_encode(baseline_text, prompt)
@@ -479,11 +476,11 @@ class TestChainStep:
             loss = ta.mul(combined_loss(z, prompt, spec, world=baseline_world,
                                         image_params=baseline_image,
                                         text_params=baseline_text), 1.0)
-        ta.backward(tape, loss)
+        g = ta.backward(tape, loss)
 
         assert np.float32(result.loss) == loss.data.astype(np.float32)
         for name, t in baseline_text.named().items():
-            assert np.array_equal(result.grads[name], t.grad), name
+            assert np.array_equal(result.grads[name], g[t.id]), name
 
     def test_single_step_chain_equals_direct(self, baseline_world, baseline_text,
                                              baseline_image, baseline_denoiser):
@@ -503,8 +500,6 @@ class TestChainStep:
         chain = prompt_finetune_step(baseline_text, baseline_denoiser,
                                      baseline_image, baseline_world, [prompt],
                                      [z0], plan, 1, sched, spec)
-        for t in baseline_text.tensors():
-            t.grad = None
         direct = direct_finetune_step(baseline_text, baseline_denoiser,
                                       baseline_image, baseline_world,
                                       [(np.zeros(16, dtype=np.float32), prompt)],
@@ -567,17 +562,17 @@ class TestChainStep:
 
     def test_gradients_come_from_this_steps_tape(self, baseline_world, baseline_text,
                                                  baseline_image, baseline_state):
-        # a guided step leaves a gradient in null_cond's .grad; an unguided
-        # step on the same tensors never reaches null_cond, so it must report
-        # what a fresh denoiser reports (zeros), not the earlier tape's value
+        # a guided step reaches null_cond; an unguided step on the same
+        # tensors never does, so it must report what a fresh denoiser reports
+        # (zeros), not the earlier tape's value
         sched = make_schedule("linear-beta", 1000)
         plan = make_step_plan(3)
         z0 = np.random.default_rng(8).standard_normal(16).astype(np.float32)
 
-        def step(den, cfg_in_chain):
+        def step(den, guided):
             return unet_finetune_step(den, baseline_text, baseline_image, baseline_world,
                                       [(1, 2)], [z0], plan, 2, sched, RewardSpec.default(),
-                                      cfg_in_chain=cfg_in_chain, cfg_scale=3.0)
+                                      w=3.0 if guided else 1.0)
 
         reused, fresh = (DenoiserParams.from_state(baseline_state) for _ in range(2))
         reused.set_requires_grad(True)
@@ -611,15 +606,12 @@ class TestChainStep:
                            else (den, unet_finetune_step))
         trainable.set_requires_grad(True)
         frozen = den if trainable is text else text
-        result = step(trainable, frozen, baseline_image, baseline_world, prompts, list(z0s),
-                      plan, k_last, sched, spec, sampler=sampler,
-                      cfg_in_chain=cfg_in_chain, cfg_scale=w)
-
         chain_w = w if cfg_in_chain else 1.0
+        result = step(trainable, frozen, baseline_image, baseline_world, prompts, list(z0s),
+                      plan, k_last, sched, spec, sampler=sampler, w=chain_w)
+
         transitions = plan.transitions()
         split = len(transitions) - k_last
-        for t in trainable.tensors():
-            t.grad = None
         tape = ta.Tape()
         x_hats = []
         with tape:
@@ -635,12 +627,11 @@ class TestChainStep:
                 total = li if total is None else ta.add(total, li)
                 x_hats.append(z.data)
             loss = ta.mul(total, 1.0 / len(prompts))
-        ta.backward(tape, loss)
+        want = collect_grads(trainable, ta.backward(tape, loss))
 
         assert np.float64(result.loss).tobytes() == np.float64(loss.item()).tobytes()
-        for name, t in trainable.named().items():
-            want = t.grad if t.grad is not None else np.zeros_like(t.data)
-            assert result.grads[name].tobytes() == want.tobytes(), name
+        for name in trainable.named():
+            assert result.grads[name].tobytes() == want[name].tobytes(), name
         assert [x.tobytes() for x in result.x_hats] == [x.tobytes() for x in x_hats]
 
 
@@ -667,11 +658,10 @@ class TestChainStep:
                            else (den, unet_finetune_step))
         trainable.set_requires_grad(True)
         frozen = den if trainable is text else text
-        result = step(trainable, frozen, baseline_image, baseline_world, prompts, list(z0s),
-                      plan, k_last, sched, spec, sampler="ddim",
-                      cfg_in_chain=cfg_in_chain, cfg_scale=w)
-
         chain_w = w if cfg_in_chain else 1.0
+        result = step(trainable, frozen, baseline_image, baseline_world, prompts, list(z0s),
+                      plan, k_last, sched, spec, sampler="ddim", w=chain_w)
+
         transitions = plan.transitions()
         split = len(transitions) - k_last
         tape = ta.Tape()
@@ -781,7 +771,7 @@ class TestDirectionalOracle:
 
             result = unet_finetune_step(den, text, image, world, prompts, list(z0s),
                                         plan, k_last, sched, spec, sampler=sampler,
-                                        cfg_in_chain=cfg_in_chain, cfg_scale=w)
+                                        w=w if cfg_in_chain else 1.0)
             _check_directional(den, result.grads, objective)
 
     def test_direct(self):

@@ -125,23 +125,6 @@ class TestPretrainConfig:
     def test_clipping_can_be_disabled(self):
         assert PretrainConfig(grad_clip=None).grad_clip is None
 
-    def test_lr_final_must_not_exceed_lr(self):
-        with pytest.raises(ValueError, match="lr_final"):
-            PretrainConfig(lr=1e-3, lr_final=2e-3)
-        with pytest.raises(ValueError, match="lr_final"):
-            PretrainConfig(lr=1e-3, lr_final=0.0)
-
-    def test_constant_rate_without_lr_final(self):
-        cfg = PretrainConfig(iterations=10, lr=2e-3)
-        assert cfg.lr_at(0) == cfg.lr_at(9) == 2e-3
-
-    def test_geometric_decay_endpoints(self):
-        cfg = PretrainConfig(iterations=100, lr=1e-2, lr_final=1e-4)
-        assert abs(cfg.lr_at(0) - 1e-2) < 1e-15
-        assert abs(cfg.lr_at(99) - 1e-4) < 1e-12
-        rates = [cfg.lr_at(i) for i in range(100)]
-        assert all(a > b for a, b in zip(rates, rates[1:]))
-
 
 @pytest.fixture(scope="module")
 def clip_run():
@@ -278,7 +261,7 @@ def _per_item_pretrain(denoiser, text_params, world, sched, config):
         grads = ta.backward(tape, loss)
         losses.append(loss.item())
         optimizer_step(denoiser, collect_grads(denoiser, grads), losses[-1], opt,
-                       config.lr_at(it), config.grad_clip, it)
+                       config.lr, config.grad_clip, it)
     return losses
 
 

@@ -363,9 +363,9 @@ def _row_loss(p, i, null):
     return ta.tensor_mean(ta.mul(d, d))
 
 
-def _grad(leaf):
-    """A leaf's gradient; zeros for one the tape never touched."""
-    return leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+def _grad(grads, leaf):
+    """A leaf's gradient in ``backward``'s map; zeros for one no gradient reached."""
+    return grads[leaf.id] if leaf.id in grads else np.zeros_like(leaf.data)
 
 
 @pytest.mark.parametrize("batch", _TAPE_BATCHES)
@@ -384,7 +384,7 @@ def test_batched_tape_equals_row_tapes(batch, data):
             p = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
             with Tape() as tape:
                 loss = _batched_loss(p, nulls)
-            backward(tape, loss)
+            got = backward(tape, loss)
 
             q = {name: ([Tensor(r, requires_grad=True) for r in a] if name in row_leaves
                         else Tensor(a, requires_grad=True)) for name, a in arrays.items()}
@@ -394,17 +394,17 @@ def test_batched_tape_equals_row_tapes(batch, data):
                     li = _row_loss(q, i, i in nulls)
                     total = li if total is None else ta.add(total, li)
                 want = ta.mul(total, 1.0 / batch)
-            backward(tape, want)
+            ref = backward(tape, want)
 
         assert loss.data.dtype == want.data.dtype == dtype
         assert loss.data.tobytes() == want.data.tobytes(), dtype
         for name, t in p.items():
             if name in row_leaves:
-                expected = np.stack([_grad(r) for r in q[name]])
+                expected = np.stack([_grad(ref, r) for r in q[name]])
             else:
-                expected = _grad(q[name])
-            assert t.grad.dtype == expected.dtype == dtype, name
-            assert t.grad.tobytes() == expected.tobytes(), (dtype, name)
+                expected = _grad(ref, q[name])
+            assert got[t.id].dtype == expected.dtype == dtype, name
+            assert got[t.id].tobytes() == expected.tobytes(), (dtype, name)
 
 
 # backward rules of the row ops, against the central-difference oracle
