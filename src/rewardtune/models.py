@@ -253,11 +253,11 @@ def text_encode(params, prompt_tokens):
 
 
 def image_encode(params, x):
-    """I(x): data vector to the shared embedding space."""
-    if x.data.shape != (params.w1.data.shape[0],):
-        raise ValueError(
-            f"image_encode: expected width {params.w1.data.shape[0]}, got {x.data.shape}"
-        )
+    """I(x): data vector (D,), or a batch of them (B, D), to the shared
+    embedding space. Row i of a batch gets the bits ``x[i]`` alone gets."""
+    d = params.w1.data.shape[0]
+    if x.data.shape[-1:] != (d,) or x.data.ndim > 2:
+        raise ValueError(f"image_encode: expected width {d}, got {x.data.shape}")
     h = ta.tanh(ta.linear(x, params.w1, params.b1))
     return ta.linear(h, params.w2, params.b2)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorad as ta
-from .data import make_world, sample_pair
+from .data import make_world, sample_pair, world_from_state, world_state
 from .finetune import OptimizerState, check_update_fields, collect_grads, optimizer_step
 from .models import (
     ParamBag,
@@ -63,53 +63,55 @@ class PretrainConfig:
         return cls(**raw)
 
 
-def _logsumexp(row):
-    """Numerically stable log-sum-exp of a 1-d tensor."""
-    shift = float(row.data.max())
-    return ta.add(ta.log(ta.tensor_sum(ta.exp(ta.sub(row, shift)))), shift)
+def _row_logsumexp(m):
+    """Numerically stable log-sum-exp of each row of the 2-D ``m``: the (B,)
+    vector, each row shifted by its own max."""
+    shift = m.data.max(axis=1)
+    e = ta.exp(ta.sub(m, Tensor(np.repeat(shift[:, None], m.data.shape[1], axis=1))))
+    return ta.add(ta.log(ta.matmul(e, Tensor(np.ones(m.data.shape[1])))), Tensor(shift))
 
 
 def contrastive_loss_from_logits(logits):
-    """Symmetric cross-entropy over a square logit matrix of scalar tensors.
-
-    ``logits[i][j]`` scores text i against image j; the matched pairs sit on
-    the diagonal. At all-zero logits with batch B this equals ln(B).
+    """Symmetric cross-entropy over a (B, B) logit matrix: one row and one
+    column log-sum-exp. ``logits[i, j]`` scores text i against image j; the
+    matched pairs sit on the diagonal. A nested list of scalar tensors is
+    stacked into that matrix first. At all-zero logits this equals ln(B).
     """
-    b = len(logits)
+    if not isinstance(logits, Tensor):
+        logits = ta.stack([ta.stack(row) for row in logits])
+    b = logits.data.shape[0]
     if b < 2:
         raise ValueError("contrastive loss needs at least 2 pairs")
-    ce_rows = []
-    ce_cols = []
-    for i in range(b):
-        row = ta.stack([logits[i][j] for j in range(b)])
-        col = ta.stack([logits[j][i] for j in range(b)])
-        ce_rows.append(ta.sub(_logsumexp(row), logits[i][i]))
-        ce_cols.append(ta.sub(_logsumexp(col), logits[i][i]))
-    ce_t = ta.tensor_mean(ta.stack(ce_rows))
-    ce_i = ta.tensor_mean(ta.stack(ce_cols))
+    diag = ta.matmul(ta.mul(logits, Tensor(np.eye(b))), Tensor(np.ones(b)))
+    ce_t = ta.tensor_mean(ta.sub(_row_logsumexp(logits), diag))
+    ce_i = ta.tensor_mean(ta.sub(_row_logsumexp(ta.transpose(logits)), diag))
     return ta.mul(ta.add(ce_t, ce_i), 0.5)
 
 
-def _unit(v, kind, iteration):
-    """v / |v|. A diverging run overflows the norm while the loss stays
-    finite (the unit vectors are then all zeros and the loss sits at exactly
-    ln B), so the norm is where such a run is stopped."""
-    n = ta.norm(v)
-    if not np.isfinite(n.data):
+def _unit_rows(v, kind, iteration):
+    """Each row of the (B, C) ``v`` over its norm. A diverging run overflows a
+    norm while the loss stays finite (the unit rows are then all zeros and
+    the loss sits at exactly ln B), so the norms are where such a run is
+    stopped, naming the first row's non-finite norm."""
+    n = ta.sqrt(ta.matmul(ta.mul(v, v), Tensor(np.ones((v.data.shape[1], 1)))))
+    bad = ~np.isfinite(n.data[:, 0])
+    if bad.any():
         raise FloatingPointError(
-            f"iteration {iteration}: non-finite {kind} embedding norm {n.item()}; "
+            f"iteration {iteration}: non-finite {kind} embedding norm {float(n.data[bad, 0][0])}; "
             "stopped before the update")
     return ta.div(v, n)
 
 
 def contrastive_loss(text_params, image_params, log_temp, batch, iteration=0):
-    """The contrastive stage's loss on one batch of (x, prompt) pairs: unit
-    text and image embeddings, their dot products times exp(log_temp) as the
-    logits, then the symmetric cross-entropy."""
-    scale = ta.exp(log_temp)
-    t_emb = [_unit(text_encode(text_params, p), "text", iteration) for _, p in batch]
-    i_emb = [_unit(image_encode(image_params, Tensor(x)), "image", iteration) for x, _ in batch]
-    logits = [[ta.mul(ta.dot(t, i), scale) for i in i_emb] for t in t_emb]
+    """The contrastive stage's loss on one batch of (x, prompt) pairs: the
+    (B, C) unit text and image embeddings, their (B, B) products as one
+    matmul times exp(log_temp) as the logits, then the symmetric
+    cross-entropy. Text norms are checked before the image side runs."""
+    texts = _unit_rows(ta.stack([text_encode(text_params, p) for _, p in batch]),
+                       "text", iteration)
+    xs = Tensor(np.stack([x for x, _ in batch]))
+    images = _unit_rows(image_encode(image_params, xs), "image", iteration)
+    logits = ta.mul(ta.matmul(texts, ta.transpose(images)), ta.exp(log_temp))
     return contrastive_loss_from_logits(logits)
 
 
@@ -334,6 +336,9 @@ def pretrain_denoiser(text, world, seed, sched, config=None):
 def make_pretrained_baseline(seed=42, clip_config=None, diffusion_config=None):
     """World + both pretraining stages from one seed; returns the merged state."""
     text, image, world, _ = pretrain_encoders(seed, clip_config)
+    # the denoiser stage sees the world as a checkpoint carries it (its
+    # noise_scale rounded to f32), as the CLI's pretrain-diffusion does
+    world = world_from_state(world_state(world))
     sched = make_schedule("linear-beta", DEFAULT_T_TRAIN)
     denoiser, _ = pretrain_denoiser(text, world, seed, sched, diffusion_config)
     return merged_state(world, text, image, denoiser)

@@ -62,6 +62,7 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "transpose",
     "linear",
     "dot",
     "concat",
@@ -563,7 +564,8 @@ def div(a, b):
         out = _STATE.dtype.type(a) / b.data
         return _trace("rdiv_scalar", (b,), out, (b,), None, _bw_rdiv_scalar, save_out=True)
     a, b = _as_tensor(a), _as_tensor(b)
-    if b.data.ndim != 0:
+    # a scalar tensor divisor, or a (B, 1) column dividing (B, n) rows
+    if b.data.ndim != 0 and not _is_column(b.data, a.data):
         _check_same_shape("div", a, b)
     return _trace("div", (a, b), a.data / b.data, (b,), None, _bw_div, save_out=True)
 
@@ -622,6 +624,18 @@ def _bw_matmul(g, saved, ctx):
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     return _trace("matmul", (a, b), _product("matmul", a, b), (a, b), None, _bw_matmul)
+
+
+def _bw_transpose(g, saved, ctx):
+    return (g.T.copy(),)
+
+
+def transpose(a):
+    """The 2-D ``a`` with its axes swapped; the gradient is swapped back."""
+    a = _as_tensor(a)
+    if a.data.ndim != 2:
+        raise ValueError(f"transpose: input must be 2-D, got {a.data.shape}")
+    return _trace("transpose", (a,), a.data.T.copy(), (), None, _bw_transpose)
 
 
 def _bw_linear(g, saved, ctx):
@@ -1084,15 +1098,15 @@ def checkpoint_segment(fn, inputs):
     boundary = tape.stats.boundary
     boundary.update(t.id for t in inputs)
     outs, scratch = _run_segment(tape, fn, inputs)
-    single = not isinstance(outs, tuple)
-    outs_t = (outs,) if single else tuple(outs)
-    for o in outs_t:
-        if not isinstance(o, Tensor):
-            raise AutodiffError("checkpoint_segment: outputs must be Tensors")
-        boundary.add(o.id)
+    outs_t = outs if isinstance(outs, tuple) else (outs,)
+    if not all(isinstance(o, Tensor) for o in outs_t):
+        raise AutodiffError("checkpoint_segment: outputs must be Tensors")
+    # release before the outputs become boundaries: an output the segment's
+    # last op saved (tanh, exp, ...) was counted as interior while fn ran
+    _release(tape, scratch)
+    boundary.update(o.id for o in outs_t)
     if scratch:
         tape._target.append(SegmentNode(fn, inputs, tuple(o.id for o in outs_t), len(scratch)))
-        _release(tape, scratch)
     return outs
 
 

@@ -21,6 +21,7 @@ from rewardtune.evalcli import (
 )
 from rewardtune.finetune import TrainConfig, run_training
 from rewardtune.models import load_checkpoint, save_checkpoint, state_digest
+from rewardtune.pretrain import PretrainConfig, make_pretrained_baseline
 from rewardtune.schedule import make_step_plan
 from rewardtune.util import derive_seed
 
@@ -32,13 +33,13 @@ PLAN5 = make_step_plan(5)
 # exact
 BASELINE_REPORT_CSV = (
     "model,reward_image,reward_align,reward_clip,diversity,spread\n"
-    "model,-0.2158861766,0.9719343334,0.9402059126,1.709829657,0.5122636282\n"
+    "model,-0.215896282,0.9719414827,0.9402115949,1.709938216,0.5121828477\n"
 )
 COLLAPSE_TABLE_CSV = (
     "run,diversity,fraction_of_baseline\n"
-    "baseline,1.610750802,1\n"
-    "gamma_clip=0,1.199578398,0.744732454\n"
-    "gamma_clip=100,2.124442873,1.318914676\n"
+    "baseline,1.610811685,1\n"
+    "gamma_clip=0,1.199803069,0.7448437828\n"
+    "gamma_clip=100,2.12433702,1.318799112\n"
 )
 
 
@@ -403,6 +404,22 @@ class TestCliPipeline:
         assert rc == 0
         assert (tmp_path / "ft" / "model.rcpt").exists()
         assert (tmp_path / "ft" / "metrics.csv").exists()
+
+    def test_pretrain_commands_reproduce_baseline(self, tmp_path):
+        # the world's noise_scale crosses the f32 checkpoint between the two
+        # commands; make_pretrained_baseline rounds it the same way
+        raw = {"iterations": 5, "batch_size": 4}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli_main(["pretrain-clip", "--config", str(cfg), "--seed", "5",
+                         "--out-dir", str(tmp_path / "clip")]) == 0
+        assert cli_main(["pretrain-diffusion", "--config", str(cfg), "--seed", "5",
+                         "--checkpoint", str(tmp_path / "clip" / "clip.rcpt"),
+                         "--out-dir", str(tmp_path / "diff")]) == 0
+        clip = PretrainConfig(**raw, seed=derive_seed(5, "clip"))
+        diffusion = PretrainConfig(**raw, seed=derive_seed(5, "diffusion", 0))
+        want = state_digest(make_pretrained_baseline(5, clip, diffusion))
+        assert state_digest(load_checkpoint(str(tmp_path / "diff" / "model.rcpt"))) == want
 
     def test_finetune_text_repeat_is_byte_identical(self, baseline_ckpt, tmp_path):
         cfg = tmp_path / "ft.json"

@@ -95,6 +95,59 @@ class TestContrastiveLoss:
             contrastive_loss_from_logits(_logit_matrix([[0.0]]))
 
 
+def _contrastive_batch(b, seed=43):
+    """Fresh encoders, a world and ``b`` drawn (x, prompt) pairs."""
+    world = make_world(derive_seed(seed, "world"))
+    text = init_text_encoder(derive_seed(seed, "init-text"))
+    image = init_image_encoder(derive_seed(seed, "init-image"))
+    rng = np.random.default_rng(seed)
+    return text, image, [sample_pair(world, rng) for _ in range(b)]
+
+
+def _oracle_contrastive(text, image, log_temp, batch):
+    """The contrastive loss recomputed in float64 NumPy from the weights:
+    both encoders, unit embeddings, logits, symmetric cross-entropy."""
+    tw = {k: t.data.astype(np.float64) for k, t in text.named().items()}
+    iw = {k: t.data.astype(np.float64) for k, t in image.named().items()}
+    pooled = np.stack([tw["text/embed"][list(p)].mean(axis=0) for _, p in batch])
+    t_emb = np.tanh(pooled @ tw["text/w1"] + tw["text/b1"]) @ tw["text/w2"] + tw["text/b2"]
+    xs = np.stack([x for x, _ in batch]).astype(np.float64)
+    i_emb = np.tanh(xs @ iw["image/w1"] + iw["image/b1"]) @ iw["image/w2"] + iw["image/b2"]
+    t_emb /= np.linalg.norm(t_emb, axis=1, keepdims=True)
+    i_emb /= np.linalg.norm(i_emb, axis=1, keepdims=True)
+    return _oracle_symmetric_ce(np.exp(log_temp) * t_emb @ i_emb.T)
+
+
+class TestContrastiveBatch:
+    """The stage's loss over whole batches at pretrain's default batch size."""
+
+    def test_matches_numpy_recomputation_at_default_batch(self):
+        b = PretrainConfig().batch_size
+        assert b == 16
+        text, image, batch = _contrastive_batch(b)
+        log_temp = Tensor(np.asarray(TEMP_INIT))
+        got = contrastive_loss(text, image, log_temp, batch).item()
+        want = _oracle_contrastive(text, image, float(log_temp.data), batch)
+        assert abs(got - want) < 1e-5, (got, want)
+
+    @staticmethod
+    def _tape_nodes(b):
+        text, image, batch = _contrastive_batch(b)
+        text.set_requires_grad(True)
+        image.set_requires_grad(True)
+        with ta.Tape() as tape:
+            contrastive_loss(text, image, Tensor(np.asarray(TEMP_INIT), requires_grad=True),
+                             batch)
+        return len(tape.nodes)
+
+    def test_op_budget(self):
+        # one logit matmul, not B * B scalar dot/mul nodes: the text encodes
+        # grow with B, the rest of the loss does not
+        at16 = self._tape_nodes(16)
+        assert at16 < 200
+        assert self._tape_nodes(32) < 2 * at16
+
+
 class TestPretrainConfig:
     def test_batch_size_floor(self):
         with pytest.raises(ValueError, match="batch size"):
@@ -345,6 +398,29 @@ class TestPretrainingLossOracle:
                                   if k.startswith(cls.prefix + "/")})
                 return contrastive_loss(part(TextEncoderParams), part(ImageEncoderParams),
                                         named["clip/log_temp"], batch).item()
+
+            _check_directional(bag, collect_grads(bag, grads), objective)
+
+    def test_contrastive_loss_default_batch(self):
+        # the same oracle at pretrain's default batch size, B = 16
+        with ta.default_dtype(np.float64):
+            world, text, image, _ = _f64_setup()
+            text.set_requires_grad(True)
+            image.set_requires_grad(True)
+            log_temp = Tensor(np.asarray(TEMP_INIT), requires_grad=True)
+            bag = ParamBag({**text.named(), **image.named(), "clip/log_temp": log_temp})
+            rng = np.random.default_rng(47)
+            batch = [sample_pair(world, rng) for _ in range(PretrainConfig().batch_size)]
+            with ta.Tape() as tape:
+                loss = contrastive_loss(text, image, log_temp, batch)
+            grads = ta.backward(tape, loss)
+
+            def objective(named):
+                t = TextEncoderParams(**{k.split("/", 1)[1]: v for k, v in named.items()
+                                         if k.startswith("text/")})
+                i = ImageEncoderParams(**{k.split("/", 1)[1]: v for k, v in named.items()
+                                          if k.startswith("image/")})
+                return contrastive_loss(t, i, named["clip/log_temp"], batch).item()
 
             _check_directional(bag, collect_grads(bag, grads), objective)
 

@@ -520,6 +520,21 @@ def test_boundary_mark_stays_on_its_tape():
     assert peak_saving(marked) == 1
 
 
+@pytest.mark.parametrize("fn", [lambda a: ta.tanh(ta.mul(a, 2.0)),
+                                lambda a: ta.mul(ta.tanh(a), 2.0)],
+                         ids=["saves-own-output", "saves-interior"])
+def test_segment_output_leaves_no_interior_count(fn):
+    # a segment whose last op saves its own output (tanh) counts that output
+    # as interior while it runs; once it is a boundary nothing may stay
+    # counted, so five chained segments end as the other form does
+    with Tape() as tape:
+        z = Tensor(np.linspace(-1.0, 1.0, 4), requires_grad=True)
+        for _ in range(5):
+            z = checkpoint_segment(fn, (z,))
+    assert tape.stats.live_interior == 0
+    assert tape.stats.peak_live_interior == 1
+
+
 def test_segment_rejects_undeclared_tensor():
     with Tape() as tape:
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rewardtune import tensorad as ta
+from rewardtune.models import ImageEncoderParams, image_encode
 from rewardtune.tensorad import Tape, Tensor, backward, finite_diff_grad
 
 _SETTINGS = settings(derandomize=True, max_examples=20, deadline=None, database=None)
@@ -445,6 +446,25 @@ def test_mul_column(batch, data):
     _check_backward(lambda p: ta.mul(p["c"], p["a"]), arrays)
 
 
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_div_column(batch, data):
+    # a (B, 1) column divides each row by its own value: the contrastive
+    # stage's row normalisation
+    n = data.draw(_LENGTHS)
+    arrays = {"a": data.draw(_values((batch, n))),
+              "c": data.draw(hnp.arrays(np.float64, (batch, 1), elements=_signed(0.5, 3.0)))}
+    _check_backward(lambda p: ta.div(p["a"], p["c"]), arrays)
+    for dtype in (np.float32, np.float64):
+        with ta.default_dtype(dtype):
+            a, c = Tensor(arrays["a"]), Tensor(arrays["c"])
+            out = ta.div(a, c).data
+            for i in range(batch):
+                row = ta.div(Tensor(a.data[i]), Tensor(c.data[i, 0])).data
+                assert out[i].tobytes() == row.tobytes(), (dtype, i)
+
+
 # ---------------------------------------------------------------------------
 # a leaf that several batched nodes reach: a weight and bias used by J dense
 # layers, and a row v put into row subsets of constant batches (and, when
@@ -592,3 +612,105 @@ def test_div_constant_numerator(data):
             want = (dtype(s) / x.data).tobytes()
             assert ta.div(s, x).data.tobytes() == want
             assert (s / x).data.tobytes() == want
+
+
+# ---------------------------------------------------------------------------
+# transpose, and matmul against a 2-D right operand that an op produced: the
+# contrastive stage's logits are matmul(texts, transpose(images))
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_transpose(data):
+    m, n = data.draw(_DIMS), data.draw(_DIMS)
+    _check_backward(lambda p: ta.transpose(p["a"]), {"a": data.draw(_values((m, n)))})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@_SETTINGS
+@given(data=st.data())
+def test_transpose_bytes(dtype, data):
+    m, n = data.draw(_DIMS), data.draw(_DIMS)
+    a, up = data.draw(_values((m, n))), data.draw(_values((n, m)))
+    with ta.default_dtype(dtype):
+        x, u = Tensor(a, requires_grad=True), Tensor(up)
+        with Tape() as tape:
+            out = ta.transpose(x)
+            grads = backward(tape, ta.tensor_sum(ta.mul(out, u)))
+        assert out.data.dtype == grads[x.id].dtype == dtype
+        assert out.data.tobytes() == np.ascontiguousarray(x.data.T).tobytes()
+        assert grads[x.id].tobytes() == np.ascontiguousarray(u.data.T).tobytes()
+
+
+def test_transpose_rejects_other_ranks():
+    for shape in [(), (3,), (2, 2, 2)]:
+        with pytest.raises(ValueError, match="must be 2-D"):
+            ta.transpose(Tensor(np.ones(shape)))
+
+
+# a non-leaf right operand: through transpose, and through an elementwise op
+_NON_LEAF_RIGHT = {
+    "transpose": lambda b: ta.transpose(b),
+    "tanh": lambda b: ta.tanh(b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_LEAF_RIGHT))
+@pytest.mark.parametrize("form", ["vec-mat", "mat-mat"])
+@_SETTINGS
+@given(data=st.data())
+def test_matmul_non_leaf_right(name, form, data):
+    m, n, k = data.draw(_DIMS), data.draw(_DIMS), data.draw(_DIMS)
+    a_shape = (n,) if form == "vec-mat" else (m, n)
+    b_shape = (k, n) if name == "transpose" else (n, k)
+    arrays = {"a": data.draw(_values(a_shape)), "b": data.draw(_values(b_shape))}
+    inner = _NON_LEAF_RIGHT[name]
+    _check_backward(lambda p: ta.matmul(p["a"], inner(p["b"])), arrays)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_matmul_non_leaf_right_bytes(dtype, batch, data):
+    # the gradient matmul gives a non-leaf right operand is the one it gives a
+    # leaf holding the same values, byte for byte, and transpose hands it back
+    # swapped; the left operand's gradient does not depend on which it is
+    n, k = data.draw(_DIMS), data.draw(_DIMS)
+    a, b = data.draw(_rows(batch, n)), data.draw(_values((k, n)))
+    up = data.draw(_rows(batch, k))
+    with ta.default_dtype(dtype):
+        x, y, u = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True), Tensor(up)
+        with Tape() as tape:
+            out = ta.matmul(x, ta.transpose(y))
+            got = backward(tape, ta.tensor_sum(ta.mul(out, u)))
+        # a C-ordered leaf, as transpose's output is: a product's bits follow
+        # its operands' memory order
+        x2 = Tensor(a, requires_grad=True)
+        yt = Tensor(np.ascontiguousarray(b.T), requires_grad=True)
+        with Tape() as tape:
+            want_out = ta.matmul(x2, yt)
+            want = backward(tape, ta.tensor_sum(ta.mul(want_out, u)))
+    assert out.data.tobytes() == want_out.data.tobytes()
+    assert got[x.id].tobytes() == want[x2.id].tobytes()
+    assert got[y.id].dtype == dtype
+    assert got[y.id].tobytes() == np.ascontiguousarray(want[yt.id].T).tobytes()
+
+
+# image_encode over a (B, D) batch gives row i the bits x[i] alone gets
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_image_encode_rows_bitwise(batch, data):
+    d, h, c = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 70)), data.draw(_DIMS)
+    arrays = {"r_x": data.draw(_rows(batch, d)), "w1": data.draw(_values((d, h))),
+              "b1": data.draw(_values(h)), "w2": data.draw(_values((h, c))),
+              "b2": data.draw(_values(c))}
+
+    def encode(p):
+        params = ImageEncoderParams(w1=p["w1"], b1=p["b1"], w2=p["w2"], b2=p["b2"])
+        return image_encode(params, p["r_x"])
+
+    _assert_rowwise(encode, encode, arrays, batch)
