@@ -31,7 +31,7 @@ from .models import (
     merged_state,
     model_from_state,
     save_checkpoint,
-    text_encode,
+    text_encode_rows,
 )
 from .inference import guided_step, walk_chain
 from .rewards import READOUT_COLUMNS, RewardSpec, clip_entries, combined_loss, readout_means
@@ -45,7 +45,7 @@ from .schedule import (
     predict_x0,
 )
 from .tensorad import Tensor
-from .util import csv_text, derive_seed, reject_unknown_keys, write_text
+from .util import check_config, csv_text, derive_seed, write_text
 
 REGIMES = ("direct", "prompt-chain", "unet-chain")
 
@@ -69,7 +69,7 @@ class TrainConfig:
     batch_size: int = 4
     seed: int = 0
     rewards: RewardSpec = field(default_factory=RewardSpec.default)
-    grad_clip: float = 1.0  # None disables clipping
+    grad_clip: float | None = 1.0  # None disables clipping
     sampler: str = "ddim"
     schedule_kind: str = "linear-beta"
     t_train: int = DEFAULT_T_TRAIN
@@ -96,8 +96,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        """Build from a parsed JSON config; unknown keys are rejected."""
-        reject_unknown_keys(cls, raw)
+        """Build from a parsed JSON config, checked by ``check_config``."""
+        check_config(cls, raw)
         kwargs = dict(raw)
         if "rewards" in kwargs and not isinstance(kwargs["rewards"], RewardSpec):
             kwargs["rewards"] = RewardSpec.from_config(kwargs["rewards"])
@@ -200,7 +200,7 @@ def optimizer_step(params, grads, loss, opt, lr, grad_clip, iteration):
 class StepResult:
     loss: float
     grads: dict        # parameter name -> gradient array
-    x_hats: list       # final predictions, one per batch item
+    x_hats: np.ndarray  # (B, D) final predictions, one row per batch item
     reward_means: dict  # the three standard readouts, unweighted
     step_grad_norms: list  # per item: |dL/dz| entering each recorded step
 
@@ -223,36 +223,40 @@ def collect_grads(param_set, leaf_grads):
 # a diverging run overflows in here; optimizer_step then stops it with one error
 @np.errstate(over="ignore", invalid="ignore")
 def _reward_step(trainable, prompts, forward, text_params, image_params, world, spec):
-    """The step every regime shares, on one tape. Per prompt, in order: its
-    text encode, then one encode per weighted clip-constraint term, so the
-    text encoder's gradient terms come in the order per-item tapes give them
-    (clip, then chain, last item first). ``forward(encodes)`` -> (x_hat per
-    item, ids of (B, D) latents to tap) records the regime's forward pass.
-    Each item's reward loss follows, and the losses' ``ta.batch_mean``
-    (adds in item order) is differentiated into ``trainable``; |dL/dz| is
-    read per item at every tap. The readouts reuse the rewards the losses
-    computed."""
-    n_clip = clip_entries(spec)
+    """The step every regime shares: one tape over (B, ·) rows, with a fixed
+    number of recorded ops whatever B is.
+
+    One text encode covers every prompt row of the step, in the order
+    per-item tapes create them: item b's prompt, then one copy per weighted
+    clip-constraint term. Its weight gradients (summed last row first) and
+    its embedding gradient (added token by token, last row first) therefore
+    come in the order per-item tapes give them: clip, then chain, last item
+    first. The (B, C) conditioning and the clip texts are rows selected from
+    it. ``forward(c)`` -> ((B, D) x_hat rows, ids of (B, D) latents to tap)
+    records the regime's forward pass under c. ``combined_loss`` gives the
+    (B,) losses of the rows, and their ``ta.batch_mean`` (adds in item
+    order) is differentiated into ``trainable``; |dL/dz| is read per item
+    at every tap. The readouts reuse the rewards the losses computed."""
+    per_item = 1 + clip_entries(spec)
+    rows = per_item * len(prompts)
     tape = ta.Tape()
     with tape:
-        encodes, clip_texts = [], []
-        for prompt in prompts:
-            encodes.append(text_encode(text_params, prompt))
-            clip_texts.append([text_encode(text_params, prompt) for _ in range(n_clip)])
-        x_hats, taps = forward(encodes)
-        values = [{} for _ in prompts]
-        losses = [combined_loss(x, prompt, spec, world=world, image_params=image_params,
-                                text_params=text_params, clip_texts=texts, values=vals)
-                  for x, prompt, texts, vals in zip(x_hats, prompts, clip_texts, values)]
-        loss = ta.batch_mean(ta.stack(losses))
+        encodes = text_encode_rows(text_params, [p for p in prompts for _ in range(per_item)])
+        c, clip_texts = encodes, []
+        if per_item > 1:
+            c, *clip_texts = (ta.row(encodes, range(j, rows, per_item)) for j in range(per_item))
+        x_hats, taps = forward(c)
+        values = {}
+        loss = ta.batch_mean(combined_loss(x_hats, prompts, spec, world=world,
+                                           image_params=image_params, text_params=text_params,
+                                           clip_texts=clip_texts, values=values))
     g = ta.backward(tape, loss, tap_ids=taps)
-    x_hats = [x.data for x in x_hats]
     return StepResult(
         loss=loss.item(),
         grads=collect_grads(trainable, g),
-        x_hats=x_hats,
-        reward_means=readout_means(x_hats, prompts, world=world, image_params=image_params,
-                                   text_params=text_params, known=values, txt_embs=encodes),
+        x_hats=x_hats.data,
+        reward_means=readout_means(x_hats.data, prompts, world=world, image_params=image_params,
+                                   text_params=text_params, known=values, txt_embs=c),
         step_grad_norms=[[float(np.linalg.norm(g[tid][b])) if tid in g else 0.0 for tid in taps]
                          for b in range(len(prompts))],
     )
@@ -263,7 +267,8 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
     """One-shot regime: z_t from data, x_hat = predict_x0, reward gradient on T.
 
     ``batch`` is a list of (x, prompt) pairs; ``ts`` and ``noises`` give the
-    diffusion time and noise draw per item. The denoiser stays frozen.
+    diffusion time and noise draw per item. The items run as (B, ·) rows,
+    one timestep per row. The denoiser stays frozen.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -272,13 +277,12 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
     ts = [int(t) for t in ts]
     for t in ts:
         sched.alpha_at(t)  # range check before any work
+    xs = Tensor(np.stack([np.asarray(x) for x, _ in batch]))
+    eps = Tensor(np.stack([np.asarray(e) for e in noises]))
 
-    def one_shot(encodes):
-        x_hats = []
-        for (x, _), t, eps, c in zip(batch, ts, noises, encodes):
-            z_t = forward_diffuse(Tensor(np.asarray(x)), t, Tensor(np.asarray(eps)), sched)
-            x_hats.append(predict_x0(z_t, denoise(denoiser, t, z_t, c), t, sched))
-        return x_hats, []
+    def one_shot(c):
+        z_t = forward_diffuse(xs, ts, eps, sched)
+        return predict_x0(z_t, denoise(denoiser, ts, z_t, c), ts, sched), []
 
     return _reward_step(text_params, [prompt for _, prompt in batch], one_shot, text_params,
                         image_params, world, spec)
@@ -289,12 +293,11 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
     """Forward the N-step chain of every item, guided at scale ``w``; record
     only the last K steps.
 
-    The B items walk as one (B, D) latent under the (B, C) stack of their
-    taped prompt encodes. The first N-K steps are one detached
+    The B items walk as one (B, D) latent under the (B, C) conditioning of
+    their taped prompt encodes. The first N-K steps are one detached
     ``walk_chain``, so the gradient counts exactly the dependence through
     the recorded suffix; each of the last K steps is one recompute-on-backward
-    segment over the whole batch. The final latent is split into the items'
-    x_hats on the tape.
+    segment over the whole batch, and the final latent is the x_hat rows.
     """
     if not prompts:
         raise ValueError("empty prompt batch")
@@ -308,14 +311,13 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
     z0 = Tensor(np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in z_inits]))
     den = denoiser.tensors()
 
-    def chain(encodes):
-        c = ta.stack(encodes)
+    def chain(c):
         z = Tensor(walk_chain(denoiser, transitions[:split], z0, c, w, sampler, sched))
         taps = []
         for t, t_prev in transitions[split:]:
             taps.append(z.id)
             z = ta.checkpoint_segment(_segment_step(t, t_prev, sampler, w, sched), (z, c) + den)
-        return [ta.row(z, b) for b in range(len(prompts))], taps
+        return z, taps
 
     return _reward_step(trainable, prompts, chain, text_params, image_params, world, spec)
 

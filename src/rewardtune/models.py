@@ -233,21 +233,20 @@ def init_denoiser(seed, cfg=ModelConfig()):
 
 
 def text_encode(params, prompt_tokens):
-    """c = T(p): mean-pooled token embeddings through two dense layers."""
-    tokens = list(prompt_tokens)
-    if not tokens:
-        raise ValueError("text_encode: empty prompt")
-    vocab = params.embed.data.shape[0]
-    for tok in tokens:
-        if not (0 <= int(tok) < vocab):
-            raise ValueError(f"text_encode: token {tok} outside vocabulary [0, {vocab})")
-    # accumulate in sorted token order so pooling is exactly permutation
-    # invariant (f32 addition is order-sensitive)
-    ordered = sorted(int(t) for t in tokens)
-    acc = ta.row(params.embed, ordered[0])
-    for tok in ordered[1:]:
-        acc = ta.add(acc, ta.row(params.embed, tok))
-    pooled = ta.mul(acc, 1.0 / len(tokens))
+    """c = T(p): mean-pooled token embeddings through two dense layers. The
+    pooling adds the tokens in sorted order, so it is exactly permutation
+    invariant (f32 addition is order-sensitive)."""
+    return _text_head(params, ta.pool_tokens(params.embed, list(prompt_tokens)))
+
+
+def text_encode_rows(params, prompts):
+    """T(p) of each prompt in ``prompts`` as one (B, C) batch, recorded as one
+    pooling node and one node per layer; row i gets the bits
+    ``text_encode(params, prompts[i])`` gets."""
+    return _text_head(params, ta.pool_tokens(params.embed, [list(p) for p in prompts]))
+
+
+def _text_head(params, pooled):
     h = ta.tanh(ta.linear(pooled, params.w1, params.b1))
     return ta.linear(h, params.w2, params.b2)
 

@@ -27,11 +27,12 @@ from .models import (
     init_text_encoder,
     merged_state,
     text_encode,
+    text_encode_rows,
 )
 from .rewards import reward_clip_constraint
 from .schedule import DEFAULT_T_TRAIN, forward_diffuse, make_schedule
 from .tensorad import Tensor
-from .util import derive_seed, reject_unknown_keys
+from .util import check_config, derive_seed
 
 # contrastive stage: the learned log logit scale starts at log(1/0.07) and is
 # clamped at log(100) so exp() stays in float range
@@ -46,7 +47,7 @@ class PretrainConfig:
     lr: float = 5e-3
     weight_decay: float = 0.0
     seed: int = 0
-    grad_clip: float = 1.0
+    grad_clip: float | None = 1.0
     null_drop: float = 0.1                      # denoiser stage only
 
     def __post_init__(self):
@@ -58,8 +59,8 @@ class PretrainConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        """Build from a parsed JSON config; unknown keys are rejected."""
-        reject_unknown_keys(cls, raw)
+        """Build from a parsed JSON config, checked by ``check_config``."""
+        check_config(cls, raw)
         return cls(**raw)
 
 
@@ -107,8 +108,7 @@ def contrastive_loss(text_params, image_params, log_temp, batch, iteration=0):
     (B, C) unit text and image embeddings, their (B, B) products as one
     matmul times exp(log_temp) as the logits, then the symmetric
     cross-entropy. Text norms are checked before the image side runs."""
-    texts = _unit_rows(ta.stack([text_encode(text_params, p) for _, p in batch]),
-                       "text", iteration)
+    texts = _unit_rows(text_encode_rows(text_params, [p for _, p in batch]), "text", iteration)
     xs = Tensor(np.stack([x for x, _ in batch]))
     images = _unit_rows(image_encode(image_params, xs), "image", iteration)
     logits = ta.mul(ta.matmul(texts, ta.transpose(images)), ta.exp(log_temp))

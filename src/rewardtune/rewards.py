@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensorad as ta
-from .models import image_encode, text_encode
+from .models import image_encode, text_encode, text_encode_rows
 from .tensorad import Tensor
 
 REWARD_KINDS = ("image-style", "alignment", "clip-constraint", "degenerate-collapse-probe")
@@ -39,31 +39,39 @@ def collapse_target(d):
     return (np.ones(d, dtype=np.float64) / math.sqrt(d)).astype(np.float32)
 
 
+def _per_row(x_hat, target):
+    """A constant target beside ``x_hat``: ``target`` itself for one (D,)
+    sample, repeated on every row of (B, D) rows."""
+    return Tensor(np.broadcast_to(target, x_hat.data.shape))
+
+
 def reward_image(x_hat):
     """-||x_hat - s||^2 / D: 0 at the style vector, ~[-1, 0] nearby."""
-    s = Tensor(style_vector(x_hat.data.shape[0]))
-    return ta.neg(ta.squared_error(x_hat, s))
+    return ta.neg(ta.squared_error(x_hat, _per_row(x_hat, style_vector(x_hat.data.shape[-1]))))
 
 
 def reward_alignment(x_hat, prompt, world):
-    """cos(x_hat, ground-truth pattern sum of the prompt)."""
-    target = Tensor(world.pattern_sum(prompt))
-    return ta.cosine_similarity(x_hat, target)
+    """cos(x_hat, ground-truth pattern sum of the prompt); on rows, ``prompt``
+    lists one prompt per row."""
+    target = (world.pattern_sum(prompt) if x_hat.data.ndim == 1
+              else np.stack([world.pattern_sum(p) for p in prompt]))
+    return ta.cosine_similarity(x_hat, Tensor(target))
 
 
 def reward_clip_constraint(x_hat, prompt, image_params, text_params, txt_emb=None):
     """cos(I(x_hat), T(p)); gradient reaches both x_hat and the text encoder.
-    ``txt_emb`` is T(p) when the caller has encoded it already."""
+    ``txt_emb`` is T(p) when the caller has encoded it already; on rows,
+    ``prompt`` lists one prompt per row and ``txt_emb`` is (B, C)."""
     img_emb = image_encode(image_params, x_hat)
     if txt_emb is None:
-        txt_emb = text_encode(text_params, prompt)
+        encode = text_encode if x_hat.data.ndim == 1 else text_encode_rows
+        txt_emb = encode(text_params, prompt)
     return ta.cosine_similarity(img_emb, txt_emb)
 
 
 def reward_collapse_probe(x_hat):
     """-||x_hat - c0||^2 / D toward one fixed point, ignoring the prompt."""
-    c0 = Tensor(collapse_target(x_hat.data.shape[0]))
-    return ta.neg(ta.squared_error(x_hat, c0))
+    return ta.neg(ta.squared_error(x_hat, _per_row(x_hat, collapse_target(x_hat.data.shape[-1]))))
 
 
 @dataclass(frozen=True)
@@ -129,10 +137,13 @@ def combined_loss(x_hat, prompt, spec, *, world=None, image_params=None, text_pa
                   clip_texts=None, values=None):
     """L = -sum gamma_i R_i; zero-weight terms are skipped entirely.
 
-    ``clip_texts`` holds T(p) for each weighted clip-constraint term in order
+    ``x_hat`` is one (D,) sample with its ``prompt``, or (B, D) rows with a
+    list of B prompts; on rows the result is the (B,) losses, row i with the
+    bits item i alone gets, ready for ``ta.batch_mean``. ``clip_texts`` holds
+    T(p), (C,) or (B, C), for each weighted clip-constraint term in order
     (``clip_entries``), encoded by the caller; without it each term encodes
-    the prompt here. A ``values`` dict receives each computed reward,
-    unweighted, by kind.
+    the prompts here. A ``values`` dict receives each computed reward,
+    unweighted, by kind: a float, or on rows the (B,) array.
     """
     clip_texts = iter(clip_texts or ())
     loss = None
@@ -142,11 +153,11 @@ def combined_loss(x_hat, prompt, spec, *, world=None, image_params=None, text_pa
         txt_emb = next(clip_texts, None) if kind == "clip-constraint" else None
         r = _eval_reward(kind, x_hat, prompt, world, image_params, text_params, txt_emb)
         if values is not None:
-            values[kind] = r.item()
+            values[kind] = r.item() if r.data.ndim == 0 else r.data
         term = ta.mul(r, -float(weight))
         loss = term if loss is None else ta.add(loss, term)
     if loss is None:
-        return Tensor(np.zeros(()))
+        return Tensor(np.zeros(x_hat.data.shape[:-1]))
     return loss
 
 
@@ -171,26 +182,29 @@ READOUT_COLUMNS = (
     ("clip-constraint", "reward_clip"),
 )
 
-# the weights are irrelevant because reward_values returns unweighted values
+# the weights are irrelevant because readouts are unweighted
 READOUT_SPEC = RewardSpec(entries=tuple((kind, 1.0) for kind, _ in READOUT_COLUMNS))
 
 
 def readout_means(x_hats, prompts, *, world, image_params, text_params, known=None,
                   txt_embs=None):
-    """Mean of each standard readout over paired samples and prompts, summed
-    in the order given. ``known[i]`` maps kinds to readouts of item i that
-    are already computed (``combined_loss``'s ``values``); only the others
-    are computed, a clip readout with ``txt_embs[i]`` as T(p) when given."""
-    sums = {kind: 0.0 for kind, _ in READOUT_SPEC.entries}
-    for i, (x_hat, prompt) in enumerate(zip(x_hats, prompts)):
-        vals = dict(known[i]) if known else {}
-        missing = tuple(entry for entry in READOUT_SPEC.entries if entry[0] not in vals)
-        if missing:
-            x = x_hat if isinstance(x_hat, Tensor) else Tensor(np.asarray(x_hat))
-            vals.update(reward_values(x, prompt, RewardSpec(entries=missing), world=world,
-                                     image_params=image_params, text_params=text_params,
-                                     txt_emb=txt_embs[i] if txt_embs else None))
-        for kind in sums:
-            sums[kind] += vals[kind]
-    n = len(prompts)
-    return {kind: total / n for kind, total in sums.items()}
+    """Mean of each standard readout over the (n, D) samples ``x_hats``
+    paired with ``prompts``, summed as Python floats in row order. ``known``
+    maps kinds to the (n,) readouts already computed (``combined_loss``'s
+    ``values`` on rows); the others are computed here in one detached pass
+    over the rows, a clip readout with the (n, C) ``txt_embs`` as T(p) when
+    given."""
+    x = Tensor(x_hats)
+    vals = dict(known or {})
+    with ta.pause_recording():
+        for kind, _ in READOUT_SPEC.entries:
+            if kind not in vals:
+                vals[kind] = _eval_reward(kind, x, prompts, world, image_params, text_params,
+                                          txt_embs).data
+    means = {}
+    for kind, _ in READOUT_SPEC.entries:
+        total = 0.0
+        for v in vals[kind]:
+            total += float(v)
+        means[kind] = total / len(prompts)
+    return means

@@ -145,12 +145,20 @@ def forward_diffuse(x, t, eps, sched):
 
 
 def predict_x0(z_t, eps_hat, t, sched):
-    """x_hat = (z_t - sigma_t * eps_hat) / alpha_t."""
-    a = sched.alpha_at(t)
+    """x_hat = (z_t - sigma_t * eps_hat) / alpha_t, as a multiply by 1/alpha_t.
+    For (B, D) rows ``t`` may hold one timestep per row; row i then gets the
+    bits ``predict_x0(z_t[i], eps_hat[i], t[i], sched)`` gets."""
+    if isinstance(t, (int, np.integer)):
+        a, s = sched.alpha_at(t), sched.sigma_at(t)
+        t_low, inv = t, 1.0 / a
+    else:
+        _, s = sched.columns_at(t)
+        alphas = sched.alpha[np.asarray(t)]
+        t_low, a = t[int(np.argmin(alphas))], alphas.min()
+        inv = Tensor(1.0 / alphas[:, None])
     if a < ALPHA_FLOOR:
-        raise ValueError(f"alpha at t={t} is below {ALPHA_FLOOR}; x-hat undefined")
-    s = sched.sigma_at(t)
-    return ta.mul(ta.sub(z_t, ta.mul(eps_hat, s)), 1.0 / a)
+        raise ValueError(f"alpha at t={t_low} is below {ALPHA_FLOOR}; x-hat undefined")
+    return ta.mul(ta.sub(z_t, ta.mul(eps_hat, s)), inv)
 
 
 def ddim_step(z_t, eps_hat, t, t_prev, sched):

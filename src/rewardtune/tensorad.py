@@ -19,17 +19,21 @@ identical order, checkpointed gradients are bit-for-bit equal to
 un-checkpointed ones.
 
 Reductions (sum, mean, dot, matmul, linear) accumulate in float64 and round
-back to the working dtype. The elementwise ops, ``linear``, ``concat``,
-``broadcast_rows``, ``put_rows``, ``row_mean`` and ``batch_mean`` also take a
-batch of rows, shape (B, n), and a batched tape reproduces B single-row tapes
-bit for bit, forward and backward: each row gets the bits that row alone
-would get. A gradient summed over the rows (a weight, a row bias, a
-broadcast or put row) is not summed in the backward rules: they return the
-per-row terms with their row indices. The sweep sums them at once, last row
-first (``_tape_sum``), except for a leaf that several recorded nodes read (a
-weight used by K recorded steps): it keeps those, and ``backward`` folds them
-item-major, rows last to first, each row's terms in sweep order, one add at
-a time. So every leaf gets the sum B single-row tapes give it.
+back to the working dtype. The elementwise ops, ``linear``, ``dot`` (so
+``norm`` and ``cosine_similarity``), ``concat``, ``broadcast_rows``,
+``put_rows``, ``row_mean`` and ``batch_mean`` also take a batch of rows,
+shape (B, n), and ``pool_tokens`` pools a list of prompts into (B, E) rows; a
+batched tape reproduces B single-row tapes bit for bit, forward and
+backward: each row gets the bits that row alone would get. A gradient
+summed over the rows (a weight, a row bias, a broadcast or put row) is not
+summed in the backward rules: they return the per-row terms with their row
+indices. The sweep sums them at once, last row first (``_tape_sum``),
+except for a leaf that several recorded nodes read (a weight used by K
+recorded steps): it keeps those, and ``backward`` folds them item-major,
+rows last to first, each row's terms in sweep order, one add at a time. So
+every leaf gets the sum B single-row tapes give it; an embedding table
+pooled by ``pool_tokens`` gets its rows' gradients the same way, token by
+token.
 The working dtype is float32 by default; tests that compare against central
 finite differences run under ``default_dtype(np.float64)`` so the difference
 quotient is not drowned by rounding noise.
@@ -69,6 +73,7 @@ __all__ = [
     "stack",
     "slice1d",
     "row",
+    "pool_tokens",
     "broadcast_rows",
     "put_rows",
     "tensor_sum",
@@ -160,7 +165,8 @@ class Tensor:
     __slots__ = ("data", "id", "_needs", "_from_op", "_data64")
 
     def __init__(self, data, requires_grad=False):
-        self._fill(np.array(data, dtype=_STATE.dtype), bool(requires_grad), False)
+        # C order always: a dense product's bits follow its operands' memory order
+        self._fill(np.array(data, dtype=_STATE.dtype, order="C"), bool(requires_grad), False)
 
     @classmethod
     def _wrap(cls, arr, needs):
@@ -604,10 +610,7 @@ def _product_grads(g, x, w):
     cast down."""
     wd, dt = w.data64, x.data.dtype
     if x.data.ndim == 1:
-        xd, gd = _f64(x.data), _f64(g)
-        if wd.ndim == 1:  # vector . vector: g is 0-D
-            return (wd * gd).astype(dt), (xd * gd).astype(dt)
-        return (wd @ gd).astype(dt), np.outer(xd, gd).astype(dt)
+        return (wd @ _f64(g)).astype(dt), np.outer(_f64(x.data), _f64(g)).astype(dt)
     if wd.ndim == 1:
         dx = np.outer(_f64(g), wd)
         terms = x.data * g[:, None]
@@ -623,7 +626,8 @@ def _bw_matmul(g, saved, ctx):
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    return _trace("matmul", (a, b), _product("matmul", a, b), (a, b), None, _bw_matmul)
+    bw = _bw_dot if a.data.ndim == b.data.ndim == 1 else _bw_matmul
+    return _trace("matmul", (a, b), _product("matmul", a, b), (a, b), None, bw)
 
 
 def _bw_transpose(g, saved, ctx):
@@ -654,12 +658,23 @@ def linear(x, w, b):
     return _trace("linear", (x, w, b), out + b.data, (x, w), bias, _bw_linear)
 
 
+def _bw_dot(g, saved, ctx):
+    a, b = saved
+    gd = _f64(g)[..., None]
+    return (b.data64 * gd).astype(g.dtype), (_f64(a.data) * gd).astype(g.dtype)
+
+
 def dot(a, b):
-    """1-D a . b: the dense product's vector . vector case."""
+    """1-D a . b, or the (B,) dots of two (B, n) batches of rows: each row's
+    dot is one stacked (1, n) x (n, 1) product, so row i gets the bits the
+    1-D dot of ``a[i]`` and ``b[i]`` gets."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ValueError("dot: operands must be 1-D")
-    return _trace("dot", (a, b), _product("dot", a, b), (a, b), None, _bw_matmul)
+    if a.data.ndim not in (1, 2) or a.data.shape != b.data.shape:
+        raise ValueError(f"dot: operands must be 1-D or (B, n) rows of one shape, got "
+                         f"{a.data.shape} and {b.data.shape}")
+    a64, b64 = _f64(a.data), b.data64
+    out = a64 @ b64 if a64.ndim == 1 else np.matmul(a64[:, None, :], b64[:, :, None])[:, 0, 0]
+    return _trace("dot", (a, b), out.astype(_STATE.dtype), (a, b), None, _bw_dot)
 
 
 def _bw_concat(g, saved, ctx):
@@ -730,16 +745,64 @@ def _bw_row(g, saved, ctx):
 
 
 def row(m, i):
-    """Row ``i`` of the 2-D ``m``. The backward rule fills the other rows
+    """Row ``i`` of the 2-D ``m``, or the (k, n) rows listed in ``i`` (distinct
+    indices, in the order given). The backward rule fills the other rows
     with -0.0, the additive identity, so the gradients of a batch split into
     its rows add up to each row's own gradient, the sign of a zero kept."""
     m = _as_tensor(m)
     if m.data.ndim != 2:
         raise ValueError("row: input must be 2-D")
-    if not (0 <= i < m.data.shape[0]):
-        raise ValueError(f"row: index {i} out of range for {m.data.shape[0]} rows")
-    out = m.data[i].copy()
-    return _trace("row", (m,), out, (), (m.data.shape, int(i)), _bw_row)
+    many = isinstance(i, (list, tuple, range))
+    idx = [int(j) for j in i] if many else int(i)
+    listed, n = idx if many else [idx], m.data.shape[0]
+    if not all(0 <= j < n for j in listed) or len(set(listed)) != len(listed):
+        raise ValueError(f"row: index {i} out of range for {n} rows, or repeated")
+    return _trace("row", (m,), m.data[idx].copy(), (), (m.data.shape, idx), _bw_row)
+
+
+def _bw_pool_tokens(g, saved, ctx):
+    shape, inv, rows, order = ctx
+    gs = g * inv
+    full = np.full(shape, -0.0, dtype=g.dtype)
+    np.add.at(full, order, gs if g.ndim == 1 else gs[rows])
+    return (full,)
+
+
+def pool_tokens(embed, tokens):
+    """Mean of the rows of the (V, E) ``embed`` that a prompt's tokens name:
+    one token list to (E,), or a list of them to (B, E). Each prompt's rows
+    are added in sorted token order, position by position in the working
+    dtype (a prompt that has run out of tokens is masked, never padded with
+    a zero, which would turn a -0.0 into +0.0), then multiplied by 1/len.
+    The backward rule returns the whole (V, E) gradient, added onto -0.0
+    one token at a time: prompts last to first, each prompt's tokens last to
+    first, duplicates one by one, as the pooling written out with ``row``
+    and ``add`` on one tape adds them."""
+    embed = _as_tensor(embed)
+    single = len(tokens) > 0 and isinstance(tokens[0], (int, np.integer))
+    prompts = [sorted(int(t) for t in p) for p in ([tokens] if single else tokens)]
+    if embed.data.ndim != 2:
+        raise ValueError(f"pool_tokens: embedding table must be 2-D, got {embed.data.shape}")
+    if not prompts or not all(prompts):
+        raise ValueError(f"pool_tokens: empty prompt in {tokens!r}")
+    vocab = embed.data.shape[0]
+    bad = [t for p in prompts for t in p if not 0 <= t < vocab]
+    if bad:
+        raise ValueError(f"pool_tokens: token {bad[0]} outside vocabulary [0, {vocab})")
+    lengths = np.array([len(p) for p in prompts])
+    index = np.array([p + p[:1] * (lengths.max() - len(p)) for p in prompts])
+    acc = embed.data[index[:, 0]]
+    for pos in range(1, index.shape[1]):
+        np.add(acc, embed.data[index[:, pos]], out=acc, where=(lengths > pos)[:, None])
+    inv = (1.0 / lengths).astype(_STATE.dtype)[:, None]
+    out = acc * inv
+    if single:
+        out, inv = out[0], inv[0, 0]
+    # the backward scatter's order: prompts last to first, tokens last to first
+    rows = [b for b in reversed(range(len(prompts))) for _ in prompts[b]]
+    order = [t for p in reversed(prompts) for t in reversed(p)]
+    return _trace("pool_tokens", (embed,), out, (), (embed.data.shape, inv, rows, order),
+                  _bw_pool_tokens)
 
 
 def _bw_broadcast_rows(g, saved, ctx):
@@ -908,14 +971,15 @@ def sqrt(a):
 
 
 def norm(a):
-    """Euclidean norm as sqrt(dot(a, a))."""
+    """Euclidean norm as sqrt(dot(a, a)); for (B, n) rows, the (B,) norms."""
     return sqrt(dot(a, a))
 
 
 def cosine_similarity(a, b):
-    """cos(a, b); raises on a zero-norm operand."""
+    """cos(a, b); for (B, n) rows, the (B,) cosines of paired rows. Raises on
+    a zero-norm operand or row."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if float(np.linalg.norm(a.data)) == 0.0 or float(np.linalg.norm(b.data)) == 0.0:
+    if not (np.all(np.linalg.norm(a.data, axis=-1)) and np.all(np.linalg.norm(b.data, axis=-1))):
         raise ValueError("cosine_similarity: zero-norm operand")
     return div(dot(a, b), mul(norm(a), norm(b)))
 

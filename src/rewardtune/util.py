@@ -24,12 +24,30 @@ def derive_seed(base_seed, *parts):
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def reject_unknown_keys(cls, raw):
-    """Raise ValueError naming every key of ``raw`` that is not a field of
-    the dataclass ``cls``."""
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+# field annotation -> (accepted types, what the message says a value must be)
+_CONFIG_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                 "str": (str, "a string")}
+
+
+def check_config(cls, raw):
+    """Check a parsed JSON config against the fields of the dataclass
+    ``cls`` before anything uses it: a ValueError names every key of ``raw``
+    that is not a field, or the first value whose type its field's
+    annotation does not take. An ``int`` field takes an int, a ``float``
+    field an int or a float, a ``str`` field a string, and a bool is never a
+    number; ``... | None`` also takes None. A field of another type is left
+    to its own parser."""
+    annotations = {f.name: str(f.type) for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(annotations))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for name, value in raw.items():
+        kind, _, rest = annotations[name].partition(" | ")
+        if kind not in _CONFIG_TYPES or (value is None and rest == "None"):
+            continue
+        types, what = _CONFIG_TYPES[kind]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"config field '{name}' must be {what}, got {value!r}")
 
 
 def format_cell(value):

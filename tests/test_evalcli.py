@@ -555,6 +555,29 @@ class TestCliPipeline:
         assert rc == 2
         assert f"unknown config keys: {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,raw,want", [
+        ("finetune-text", {"iterations": True}, "'iterations' must be an integer, got True"),
+        ("finetune-text", {"batch_size": 2.0}, "'batch_size' must be an integer, got 2.0"),
+        ("finetune-text", {"iterations": 2.5, "batch_size": 1, "n_steps": 3, "k_last": 1},
+         "'iterations' must be an integer, got 2.5"),
+        ("finetune-text", {"lr": "0.001"}, "'lr' must be a number, got '0.001'"),
+        ("finetune-text", {"sampler": 1}, "'sampler' must be a string, got 1"),
+        ("pretrain-clip", {"iterations": 2, "batch_size": "4"},
+         "'batch_size' must be an integer, got '4'"),
+        ("pretrain-diffusion", {"null_drop": True}, "'null_drop' must be a number, got True"),
+    ])
+    def test_mistyped_config_field_exits_2(self, baseline_ckpt, tmp_path, capsys,
+                                           command, raw, want):
+        # rejected before any file is written, in one line naming the field
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        checkpoint = [] if command == "pretrain-clip" else ["--checkpoint", baseline_ckpt]
+        rc = cli_main([command, "--config", str(cfg), *checkpoint,
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"rewardtune: error: config field {want}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_config_exits_2(self, baseline_ckpt, tmp_path, capsys):
         cfg = tmp_path / "ft.json"
         cfg.write_text("[1, 2]")

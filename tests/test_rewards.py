@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rewardtune import tensorad as ta
 from rewardtune.data import make_world
@@ -310,3 +313,63 @@ class TestCombinedLoss:
         assert set(vals) == {"clip-constraint", "image-style", "alignment"}
         assert vals["image-style"] <= 0.0
         assert -1.0 - 1e-6 <= vals["alignment"] <= 1.0 + 1e-6
+
+
+# combined_loss on (B, D) rows against B per-item calls on one tape, their
+# losses added in order and times 1/B (what batch_mean reproduces): the
+# losses, the readouts in ``values`` and the gradients of x_hat and of the
+# text encoder, byte for byte in float32 and float64
+
+_ROW_SPECS = {
+    "default": RewardSpec.default(),
+    "collapse": RewardSpec(entries=(("clip-constraint", 0.0),
+                                    ("degenerate-collapse-probe", 1.0))),
+    "all-zero": RewardSpec(entries=(("image-style", 0.0), ("clip-constraint", 0.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_SPECS))
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_combined_loss_rows_match_per_item(name, data):
+    spec, world = _ROW_SPECS[name], make_world(0)
+    batch = data.draw(st.integers(1, 6))
+    tokens = st.lists(st.sampled_from(world.token_ids), min_size=1, max_size=3, unique=True)
+    prompts = [tuple(data.draw(tokens)) for _ in range(batch)]
+    xs = data.draw(hnp.arrays(np.float64, (batch, world.d), elements=st.floats(0.05, 2.0)))
+    for dtype in (np.float32, np.float64):
+        with ta.default_dtype(dtype):
+            text, image = init_text_encoder(2), init_image_encoder(1)
+            text.set_requires_grad(True)
+            x, values = Tensor(xs, requires_grad=True), {}
+            with ta.Tape() as tape:
+                losses = combined_loss(x, prompts, spec, world=world, image_params=image,
+                                       text_params=text, values=values)
+                loss = ta.batch_mean(losses)
+            got = ta.backward(tape, loss)
+
+            items = [Tensor(row, requires_grad=True) for row in xs]
+            item_values = [{} for _ in prompts]
+            with ta.Tape() as tape:
+                per_item = [combined_loss(xi, p, spec, world=world, image_params=image,
+                                          text_params=text, values=v)
+                            for xi, p, v in zip(items, prompts, item_values)]
+                total = per_item[0]
+                for li in per_item[1:]:
+                    total = ta.add(total, li)
+                want_loss = ta.mul(total, 1.0 / batch)
+            want = ta.backward(tape, want_loss)
+
+        assert losses.data.shape == (batch,)
+        assert [v.tobytes() for v in losses.data] == [li.data.tobytes() for li in per_item]
+        assert loss.data.tobytes() == want_loss.data.tobytes()
+        assert {k: [float(v) for v in vals] for k, vals in values.items()} == {
+            k: [v[k] for v in item_values] for k in item_values[0]}
+        for i, xi in enumerate(items):
+            if xi.id in want:
+                assert got[x.id][i].tobytes() == want[xi.id].tobytes(), (dtype, i)
+            else:
+                assert x.id not in got
+        for t in text.tensors():
+            assert (got[t.id].tobytes() if t.id in got else None) == (
+                want[t.id].tobytes() if t.id in want else None), dtype

@@ -714,3 +714,156 @@ def test_image_encode_rows_bitwise(batch, data):
         return image_encode(params, p["r_x"])
 
     _assert_rowwise(encode, encode, arrays, batch)
+
+
+# a leaf is C-ordered whatever array it is built from: a dense product's bits
+# follow its operands' memory order, so a leaf built from a transposed view
+# must multiply as its C-ordered copy does
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaf_from_transposed_view_multiplies_as_its_copy(dtype):
+    rng = np.random.default_rng(11)
+    with ta.default_dtype(dtype):
+        for _ in range(40):
+            batch, n, k = (int(v) for v in rng.integers(1, 40, size=3))
+            x = Tensor(rng.standard_normal((batch, n)))
+            b = rng.standard_normal((k, n))
+            view, copy = Tensor(b.T), Tensor(np.ascontiguousarray(b.T))
+            assert view.data.flags.c_contiguous
+            assert ta.matmul(x, view).data.tobytes() == ta.matmul(x, copy).data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the reward ops on (B, n) rows against B 1-D calls, forward and backward,
+# byte for byte in float32 and float64: each row is seeded with its own
+# upstream gradient (a fixed weight), so a row's gradient shows its own bits
+
+_ROW_OPS = {
+    "dot": lambda a, b: ta.dot(a, b),
+    "norm": lambda a, b: ta.norm(a),
+    "cosine_similarity": lambda a, b: ta.cosine_similarity(a, b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_OPS))
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_reward_ops_rows_bitwise(name, batch, data):
+    op = _ROW_OPS[name]
+    n = data.draw(st.integers(1, 70))
+    # entries kept off zero so no row has a zero norm
+    a = data.draw(hnp.arrays(np.float64, (batch, n), elements=_signed(0.01, 3.0)))
+    b = data.draw(hnp.arrays(np.float64, (batch, n), elements=_signed(0.01, 3.0)))
+    w = np.linspace(0.5, 1.5, batch)
+    for dtype in (np.float32, np.float64):
+        with ta.default_dtype(dtype):
+            x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+            with Tape() as tape:
+                out = op(x, y)
+                got = backward(tape, ta.tensor_sum(ta.mul(out, Tensor(w))))
+            assert out.data.shape == (batch,)
+            for i in range(batch):
+                xi, yi = Tensor(a[i], requires_grad=True), Tensor(b[i], requires_grad=True)
+                with Tape() as tape:
+                    want = op(xi, yi)
+                    ref = backward(tape, ta.mul(want, Tensor(w[i])))
+                assert out.data[i].tobytes() == want.data.tobytes(), (dtype, i)
+                for t, ti in ((x, xi), (y, yi)):
+                    if ti.id in ref:
+                        assert got[t.id][i].tobytes() == ref[ti.id].tobytes(), (dtype, i)
+                    else:
+                        assert t.id not in got
+
+
+# ---------------------------------------------------------------------------
+# pool_tokens against the pooling written out with row and add, one prompt
+# at a time on one tape (sorted tokens, f32 adds, times 1/len), followed by
+# a dense layer: forward bytes, and the embedding and weight gradients
+
+
+def _written_out_pool(embed, prompt):
+    ordered = sorted(prompt)
+    acc = ta.row(embed, ordered[0])
+    for tok in ordered[1:]:
+        acc = ta.add(acc, ta.row(embed, tok))
+    return ta.mul(acc, 1.0 / len(prompt))
+
+
+def _zero_padded_pool(embed, prompts):
+    """The rejected form: prompts padded to one length with +0.0 rows and
+    summed, which turns a pooled -0.0 into +0.0 (forward only)."""
+    width = max(len(p) for p in prompts)
+    table = np.concatenate([embed.data, np.zeros((1, embed.data.shape[1]), embed.data.dtype)])
+    index = np.array([sorted(p) + [len(table) - 1] * (width - len(p)) for p in prompts])
+    acc = table[index[:, 0]]
+    for pos in range(1, width):
+        acc = acc + table[index[:, pos]]
+    return Tensor(acc * (1.0 / np.array([len(p) for p in prompts]))[:, None].astype(acc.dtype))
+
+
+def _assert_pool_matches(pool, embed_values, w_values, prompts, single=False):
+    """``pool(embed, prompts)`` (or ``pool(embed, prompts[0])`` when
+    ``single``) through a dense layer and the batch mean of the row means,
+    against the written-out pooling of each prompt on one tape, its losses
+    added in order and times 1/B: forward and gradient bytes."""
+    bias = np.zeros(w_values.shape[1])
+    for dtype in (np.float32, np.float64):
+        with ta.default_dtype(dtype):
+            embed, w = Tensor(embed_values, requires_grad=True), Tensor(w_values, requires_grad=True)
+            with Tape() as tape:
+                pooled = pool(embed, prompts[0] if single else prompts)
+                out = ta.linear(pooled, w, Tensor(bias))
+                loss = ta.tensor_mean(out) if single else ta.batch_mean(ta.row_mean(out))
+            got = backward(tape, loss)
+
+            embed2, w2 = Tensor(embed_values, requires_grad=True), Tensor(w_values, requires_grad=True)
+            with Tape() as tape:
+                rows, total = [], None
+                for p in prompts:
+                    rows.append(_written_out_pool(embed2, p))
+                    term = ta.tensor_mean(ta.linear(rows[-1], w2, Tensor(bias)))
+                    total = term if total is None else ta.add(total, term)
+                want_loss = total if single else ta.mul(total, 1.0 / len(prompts))
+            want = backward(tape, want_loss)
+        got_rows = pooled.data[None] if single else pooled.data
+        assert [r.tobytes() for r in got_rows] == [r.data.tobytes() for r in rows], dtype
+        assert loss.data.tobytes() == want_loss.data.tobytes(), dtype
+        assert got[embed.id].tobytes() == want[embed2.id].tobytes(), dtype
+        assert got[w.id].tobytes() == want[w2.id].tobytes(), dtype
+
+
+_PROMPTS = st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4), min_size=1, max_size=9)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_pool_tokens_rows_match_written_out_pooling(data):
+    # a vocabulary of 6 so prompts share and repeat tokens
+    prompts = data.draw(_PROMPTS)
+    e, h = data.draw(_DIMS), data.draw(_DIMS)
+    embed, w = data.draw(_values((6, e))), data.draw(_values((e, h)))
+    _assert_pool_matches(ta.pool_tokens, embed, w, prompts)
+    _assert_pool_matches(ta.pool_tokens, embed, w, prompts[:1], single=True)
+
+
+def test_pool_tokens_duplicates_mixed_lengths_and_negative_zero():
+    rng = np.random.default_rng(5)
+    embed = rng.standard_normal((9, 4))
+    embed[3, 0] = -0.0  # a one-token prompt of 3 pools to -0.0 there
+    embed[5, 1] = -0.0
+    w = rng.standard_normal((4, 3))
+    prompts = [[3], [7, 7, 7], [5, 1, 7], [3, 5], [2, 8, 1, 3], [7]]
+    _assert_pool_matches(ta.pool_tokens, embed, w, prompts)
+    _assert_pool_matches(ta.pool_tokens, embed, w, [[7, 7, 7]], single=True)
+    _assert_pool_matches(ta.pool_tokens, embed, w, [[3]], single=True)
+    with pytest.raises(AssertionError):
+        _assert_pool_matches(_zero_padded_pool, embed, w, prompts)
+
+
+def test_pool_tokens_rejects_bad_prompts():
+    embed = Tensor(np.ones((4, 2)))
+    for bad in ([], [[1], []], [4], [[0], [-1]]):
+        with pytest.raises(ValueError, match="pool_tokens"):
+            ta.pool_tokens(embed, bad)
