@@ -2,8 +2,10 @@
 
 Text encoder T(p) -> conditioning c, frozen image encoder I(x) -> embedding,
 and the conditional denoiser eps(t, z_t, c) with a learned null-conditioning
-vector. All are small dense stacks over the autodiff ops, sized so the full
-denoising chain backprop runs in seconds.
+vector. Each is one small dense stack, a single ``tensorad.mlp`` node (the
+text encoder adds one token-pooling node), sized so the full denoising
+chain backprop runs in seconds. Every forward takes one input or a (B, ·)
+batch of rows, and row i of a batch gets the bits that row alone gets.
 """
 
 from __future__ import annotations
@@ -241,14 +243,13 @@ def text_encode(params, prompt_tokens):
 
 def text_encode_rows(params, prompts):
     """T(p) of each prompt in ``prompts`` as one (B, C) batch, recorded as one
-    pooling node and one node per layer; row i gets the bits
+    pooling node and one dense-stack node; row i gets the bits
     ``text_encode(params, prompts[i])`` gets."""
     return _text_head(params, ta.pool_tokens(params.embed, [list(p) for p in prompts]))
 
 
 def _text_head(params, pooled):
-    h = ta.tanh(ta.linear(pooled, params.w1, params.b1))
-    return ta.linear(h, params.w2, params.b2)
+    return ta.mlp([pooled], [(params.w1, params.b1), (params.w2, params.b2)], "tanh")
 
 
 def image_encode(params, x):
@@ -257,8 +258,7 @@ def image_encode(params, x):
     d = params.w1.data.shape[0]
     if x.data.shape[-1:] != (d,) or x.data.ndim > 2:
         raise ValueError(f"image_encode: expected width {d}, got {x.data.shape}")
-    h = ta.tanh(ta.linear(x, params.w1, params.b1))
-    return ta.linear(h, params.w2, params.b2)
+    return ta.mlp([x], [(params.w1, params.b1), (params.w2, params.b2)], "tanh")
 
 
 def denoise(params, t, z_t, c):
@@ -280,14 +280,10 @@ def denoise(params, t, z_t, c):
             raise ValueError(f"denoise: expected conditioning width {cw}, got {cs} (z_t {zs})")
         raise ValueError(f"denoise: z_t {zs} and conditioning {cs} disagree on the row count")
     temb = ta.time_embedding(t, te)
-    if temb.data.shape[:-1] != rows:
-        if temb.data.ndim != 1:
-            raise ValueError(f"denoise: {len(temb.data)} timesteps for z_t {zs}")
-        temb = ta.broadcast_rows(temb, rows + (te,))
-    inp = ta.concat([z_t, temb, ta.broadcast_rows(c, c_rows)])
-    h1 = ta.silu(ta.linear(inp, params.w1, params.b1))
-    h2 = ta.silu(ta.linear(h1, params.w2, params.b2))
-    return ta.linear(h2, params.w3, params.b3)
+    if temb.data.shape[:-1] != rows and temb.data.ndim != 1:
+        raise ValueError(f"denoise: {len(temb.data)} timesteps for z_t {zs}")
+    layers = [(params.w1, params.b1), (params.w2, params.b2), (params.w3, params.b3)]
+    return ta.mlp([z_t, temb, c], layers, "silu")
 
 
 # ---------------------------------------------------------------------------

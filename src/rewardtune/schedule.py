@@ -3,8 +3,9 @@
 The schedule stores cumulative signal/noise coefficients alpha_t, sigma_t
 with alpha_t^2 + sigma_t^2 = 1. Sampler steps (DDIM and a probability-flow
 Euler step) are written against autodiff tensors so gradients flow through
-the denoising chain; schedule coefficients enter as plain floats and are
-constants with respect to differentiation.
+the denoising chain, each as one or two fused ``axpby`` nodes; schedule
+coefficients enter as plain floats and are constants with respect to
+differentiation.
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ def ddim_step(z_t, eps_hat, t, t_prev, sched):
     s_t = sched.sigma_at(t)
     a_p = sched.alpha_at(t_prev)
     s_p = sched.sigma_at(t_prev)
-    x_scaled = ta.mul(ta.sub(z_t, ta.mul(eps_hat, s_t)), a_p / a_t)
-    return ta.add(x_scaled, ta.mul(eps_hat, s_p))
+    # (z_t - eps_hat * s_t) * (a_p / a_t) + eps_hat * s_p, to the bit
+    return ta.axpby(ta.axpby(z_t, 1.0, eps_hat, -s_t), a_p / a_t, eps_hat, s_p)
 
 
 def euler_step(z_t, eps_hat, t, t_prev, sched):
@@ -197,14 +198,14 @@ def euler_step(z_t, eps_hat, t, t_prev, sched):
     dlog_a = math.log(a_p) - math.log(a_t)
     dsig2 = s_p * s_p - s_t * s_t
     eps_coeff = (dsig2 - 2.0 * s_t * s_t * dlog_a) / (2.0 * s_t)
-    return ta.add(ta.mul(z_t, 1.0 + dlog_a), ta.mul(eps_hat, eps_coeff))
+    return ta.axpby(z_t, 1.0 + dlog_a, eps_hat, eps_coeff)
 
 
 def cfg_combine(eps_cond, eps_uncond, w):
     """Classifier-free guidance: w * eps_cond - (w - 1) * eps_uncond."""
     if w < 0:
         raise ValueError("guidance scale must be non-negative")
-    return ta.sub(ta.mul(eps_cond, float(w)), ta.mul(eps_uncond, float(w) - 1.0))
+    return ta.axpby(eps_cond, float(w), eps_uncond, -(float(w) - 1.0))
 
 
 SAMPLER_STEPS = {"ddim": ddim_step, "euler": euler_step}

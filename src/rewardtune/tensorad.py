@@ -18,22 +18,31 @@ exactly. Because the replay performs the identical arithmetic in the
 identical order, checkpointed gradients are bit-for-bit equal to
 un-checkpointed ones.
 
-Reductions (sum, mean, dot, matmul, linear) accumulate in float64 and round
-back to the working dtype. The elementwise ops, ``linear``, ``dot`` (so
-``norm`` and ``cosine_similarity``), ``concat``, ``broadcast_rows``,
-``put_rows``, ``row_mean`` and ``batch_mean`` also take a batch of rows,
-shape (B, n), and ``pool_tokens`` pools a list of prompts into (B, E) rows; a
-batched tape reproduces B single-row tapes bit for bit, forward and
-backward: each row gets the bits that row alone would get. A gradient
-summed over the rows (a weight, a row bias, a broadcast or put row) is not
-summed in the backward rules: they return the per-row terms with their row
-indices. The sweep sums them at once, last row first (``_tape_sum``),
-except for a leaf that several recorded nodes read (a weight used by K
-recorded steps): it keeps those, and ``backward`` folds them item-major,
-rows last to first, each row's terms in sweep order, one add at a time. So
-every leaf gets the sum B single-row tapes give it; an embedding table
-pooled by ``pool_tokens`` gets its rows' gradients the same way, token by
-token.
+Two fused ops record one node where a chain of the primitives would record
+several, and are bit for bit that chain, forward and backward: ``mlp``, a
+dense stack over the concatenation of its parts (``concat``, ``linear`` and
+``silu`` or ``tanh``), and ``axpby``, ``x * a + y * b`` for constants ``a``
+and ``b``. Each model's dense stack is one ``mlp`` and a sampler update
+one or two ``axpby``, so a guided denoising step records a handful of
+nodes, not dozens: per-node Python dispatch, not arithmetic, is most of
+what a step costs.
+
+Reductions (sum, mean, dot, matmul, linear, mlp) accumulate in float64 and
+round back to the working dtype. The elementwise ops, ``axpby``, ``linear``,
+``mlp``, ``dot`` (so ``norm`` and ``cosine_similarity``), ``concat``,
+``broadcast_rows``, ``put_rows``, ``row_mean`` and ``batch_mean`` also take
+a batch of rows, shape (B, n), and ``pool_tokens`` pools a list of prompts
+into (B, E) rows; a batched tape reproduces B single-row tapes bit for bit,
+forward and backward: each row gets the bits that row alone would get. A
+gradient summed over the rows (a weight, a row bias, a broadcast or put row)
+is not summed in the backward rules: they return the per-row terms with
+their row indices. The sweep sums them at once, last row first
+(``_tape_sum``), except for a leaf that several recorded nodes read (a
+weight used by K recorded steps): it keeps those, and ``backward`` folds
+them item-major, rows last to first, each row's terms in sweep order, one
+add at a time. So every leaf gets the sum B single-row tapes give it; an
+embedding table pooled by ``pool_tokens`` gets its rows' gradients the same
+way, token by token.
 The working dtype is float32 by default; tests that compare against central
 finite differences run under ``default_dtype(np.float64)`` so the difference
 quotient is not drowned by rounding noise.
@@ -89,6 +98,8 @@ __all__ = [
     "cosine_similarity",
     "squared_error",
     "time_embedding",
+    "axpby",
+    "mlp",
 ]
 
 _ID_COUNTER = itertools.count(1)
@@ -280,7 +291,8 @@ class SegmentNode:
 
 
 class TapeStats:
-    """Counts op-produced tensors currently retained for backward.
+    """Counts op-produced tensors, and the arrays fused ops keep, currently
+    retained for backward.
 
     Boundary tensors of this tape's checkpoint segments (their ids in
     ``boundary``) and leaf parameters are excluded, so ``peak_live_interior``
@@ -296,8 +308,13 @@ class TapeStats:
         self.live_interior = 0
         self.peak_live_interior = 0
 
-    def note(self, tensors):
-        for t in tensors:
+    def note(self, saved):
+        """Count a new node's saved values: a tensor once however many nodes
+        keep it, an array (a fused op's own intermediate) once per node."""
+        for t in saved:
+            if type(t) is np.ndarray:
+                self.live_interior += 1
+                continue
             if not t._from_op or t.id in self.boundary:
                 continue
             n = self._refs.get(t.id, 0)
@@ -307,8 +324,11 @@ class TapeStats:
         if self.live_interior > self.peak_live_interior:
             self.peak_live_interior = self.live_interior
 
-    def release(self, tensors):
-        for t in tensors:
+    def release(self, saved):
+        for t in saved:
+            if type(t) is np.ndarray:
+                self.live_interior -= 1
+                continue
             if not t._from_op or t.id in self.boundary:
                 continue
             n = self._refs.get(t.id)
@@ -586,48 +606,55 @@ def _f64(x):
 
 
 def _product(op, x, w):
-    """x @ w in float64, rounded to the working dtype: the one place a dense
-    product widens, multiplies and rounds. ``w`` is read through its kept
-    float64 copy. A 2-D ``x`` is a stack of row vectors, each multiplied on
-    its own (``np.matmul`` over (B, 1, K)), so row i equals the product of
-    ``x[i]`` alone bit for bit; a 2-D gemm would not."""
-    if x.data.ndim == 0 or w.data.ndim == 0:
+    """The array ``x`` @ the Tensor ``w`` in float64, rounded to the working
+    dtype: the one place a dense product widens, multiplies and rounds.
+    ``w`` is read through its kept float64 copy. A 2-D ``x`` is a stack of
+    row vectors, each multiplied on its own (``np.matmul`` over (B, 1, K)),
+    so row i equals the product of ``x[i]`` alone bit for bit; a 2-D gemm
+    would not."""
+    if x.ndim == 0 or w.data.ndim == 0:
         raise ValueError(f"{op}: operands must be 1-D or 2-D")
-    if x.data.shape[-1] != w.data.shape[0]:
-        raise ValueError(f"{op}: inner dims differ {x.data.shape} vs {w.data.shape}")
-    x64 = _f64(x.data)
+    if x.shape[-1] != w.data.shape[0]:
+        raise ValueError(f"{op}: inner dims differ {x.shape} vs {w.data.shape}")
+    x64 = _f64(x)
     if x64.ndim == 2:
         return np.matmul(x64[:, None, :], w.data64)[:, 0].astype(_STATE.dtype)
     return (x64 @ w.data64).astype(_STATE.dtype)
 
 
-def _product_grads(g, x, w):
-    """(dL/dx, dL/dw) of ``_product`` for upstream gradient ``g``. A 2-D ``x``
-    is a stack of rows, so each row's dx is that row's own product and dw
-    is the rows' unsummed terms (``_RowTerms``). A row's term is
-    ``x_i * g_i`` rounded once to the working dtype: in f64 the product of
-    two f32 values is exact, so this is the 1-D rule's f64 outer product
-    cast down."""
-    wd, dt = w.data64, x.data.dtype
-    if x.data.ndim == 1:
-        return (wd @ _f64(g)).astype(dt), np.outer(_f64(x.data), _f64(g)).astype(dt)
-    if wd.ndim == 1:
+def _product_dx(g, x, w):
+    """dL/dx of ``_product(x, w)`` for upstream gradient ``g``: for a 2-D
+    ``x``, each row's own product."""
+    wd = w.data64
+    if x.ndim == 1:
+        dx = wd @ _f64(g)
+    elif wd.ndim == 1:
         dx = np.outer(_f64(g), wd)
-        terms = x.data * g[:, None]
     else:
         dx = np.matmul(wd, _f64(g)[:, :, None])[:, :, 0]
-        terms = x.data[:, :, None] * g[:, None, :]
-    return dx.astype(dt), _RowTerms(terms.astype(dt, copy=False), range(len(terms)))
+    return dx.astype(x.dtype)
+
+
+def _product_dw(g, x, w):
+    """dL/dw of ``_product(x, w)``: for a 2-D ``x``, the rows' unsummed terms
+    (``_RowTerms``). A row's term is ``x_i * g_i`` rounded once to the
+    working dtype: in f64 the product of two f32 values is exact, so this is
+    the 1-D rule's f64 outer product cast down."""
+    if x.ndim == 1:
+        return np.outer(_f64(x), _f64(g)).astype(x.dtype)
+    terms = x * g[:, None] if w.data.ndim == 1 else x[:, :, None] * g[:, None, :]
+    return _RowTerms(terms.astype(x.dtype, copy=False), range(len(terms)))
 
 
 def _bw_matmul(g, saved, ctx):
-    return _product_grads(g, *saved)
+    x, w = saved
+    return _product_dx(g, x.data, w), _product_dw(g, x.data, w)
 
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     bw = _bw_dot if a.data.ndim == b.data.ndim == 1 else _bw_matmul
-    return _trace("matmul", (a, b), _product("matmul", a, b), (a, b), None, bw)
+    return _trace("matmul", (a, b), _product("matmul", a.data, b), (a, b), None, bw)
 
 
 def _bw_transpose(g, saved, ctx):
@@ -643,7 +670,16 @@ def transpose(a):
 
 
 def _bw_linear(g, saved, ctx):
-    return (*_product_grads(g, *saved), _unbroadcast(g, ctx))
+    return (*_bw_matmul(g, saved, None), _unbroadcast(g, ctx))
+
+
+def _dense(op, x, w, b):
+    """The array ``x`` @ ``w`` + ``b``, as ``linear`` computes it."""
+    out = _product(op, x, w)
+    bias = b.data.shape
+    if bias != out.shape and bias != out.shape[-1:]:
+        raise ValueError(f"{op}: bias shape {bias} does not match output {out.shape}")
+    return out + b.data
 
 
 def linear(x, w, b):
@@ -651,11 +687,8 @@ def linear(x, w, b):
     recorded as a single node. ``b`` has the output's shape or, for a batch
     of rows, one row's shape."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    out = _product("linear", x, w)
-    bias = b.data.shape
-    if bias != out.shape and bias != out.shape[-1:]:
-        raise ValueError(f"linear: bias shape {bias} does not match output {out.shape}")
-    return _trace("linear", (x, w, b), out + b.data, (x, w), bias, _bw_linear)
+    return _trace("linear", (x, w, b), _dense("linear", x.data, w, b), (x, w), b.data.shape,
+                  _bw_linear)
 
 
 def _bw_dot(g, saved, ctx):
@@ -964,6 +997,143 @@ def sqrt(a):
     if np.any(a.data < 0):
         raise ValueError("sqrt: input must be non-negative")
     return _trace("sqrt", (a,), np.sqrt(a.data), (), None, _bw_sqrt, save_out=True)
+
+
+# ---------------------------------------------------------------------------
+# fused ops: one node where a chain of the primitives above would record
+# several, bit for bit that chain, forward and backward
+
+
+def _interior(arr):
+    """An array a fused op computes on the way, as the op it stands for
+    would have made it: in the working dtype, trapped under debug_checks."""
+    arr = np.asarray(arr, dtype=_STATE.dtype)
+    if _STATE.debug and not np.all(np.isfinite(arr)):
+        raise AutodiffError("non-finite tensor value")
+    return arr
+
+
+def _bw_axpby(g, saved, ctx):
+    a, b = ctx
+    return g * b, g * a
+
+
+def axpby(x, a, y, b):
+    """``x * a + y * b`` for same-shape ``x`` and ``y`` and the constants
+    ``a`` and ``b``, in the working dtype: bit for bit
+    ``add(mul(x, a), mul(y, b))``, recorded as one node whose inputs are
+    ``(y, x)``, the order in which that chain's sweep gives them gradients."""
+    x, y = _as_tensor(x), _as_tensor(y)
+    if not (_scalar(a) and _scalar(b)):
+        raise ValueError("axpby: a and b must be scalar constants")
+    _check_same_shape("axpby", x, y)
+    dt = _STATE.dtype
+    a, b = dt.type(a), dt.type(b)
+    out = np.asarray(x.data * a, dt) + np.asarray(y.data * b, dt)
+    return _trace("axpby", (y, x), out, (), (a, b), _bw_axpby)
+
+
+def _mlp_input(parts):
+    """The first layer's input array: the one part's array, or the parts'
+    last-axis concatenation with each 1-D part repeated over the rows of
+    the 2-D ones, as ``broadcast_rows`` and ``concat`` make it."""
+    if len(parts) == 1 and parts[0].data.ndim in (1, 2):
+        return parts[0].data
+    arrays = [p.data for p in parts]
+    ranks = [a.ndim for a in arrays]
+    rows = {a.shape[0] for a in arrays if a.ndim == 2} if 2 in ranks else ()
+    if not arrays or len(rows) > 1 or not set(ranks) <= {1, 2}:
+        raise ValueError("mlp: parts must be 1-D, or 2-D with equal row counts; got ["
+                         + ", ".join(str(a.shape) for a in arrays) + "]")
+    if rows and 1 in ranks:
+        (b,) = rows
+        # copies, so the join is C-ordered: a product's bits follow memory order
+        arrays = [np.broadcast_to(a, (b, a.shape[0])).copy() if a.ndim == 1 else a
+                  for a in arrays]
+    return _interior(np.concatenate(arrays, -1))
+
+
+def _bw_mlp(g, saved, ctx):
+    """Yields the gradients one at a time in the node's input order, last
+    layer first, as the chain's sweep gives them: the sweep sums or keeps a
+    weight's row terms before the layer below makes its own."""
+    act, shapes, biases, needs, onward, gets = ctx
+    n = len(biases)
+    xs, pres, ws = saved[:n], saved[n:-n], saved[-n:]
+    for i in reversed(range(n)):
+        x = xs[i].data if type(xs[i]) is Tensor else xs[i]
+        yield _product_dw(g, x, ws[i]) if needs[i][0] else None
+        yield _unbroadcast(g, biases[i]) if needs[i][1] else None
+        if not onward[i]:
+            return
+        g = _product_dx(g, x, ws[i])
+        if i and act == "silu":
+            a = pres[i - 1]
+            s = _sigmoid(a)
+            g = g * (s + a * s * (1.0 - s))
+        elif i:
+            g = g * (1.0 - x * x)
+    offset = 0
+    for shape, get in zip(shapes, gets):
+        yield _unbroadcast(g[..., offset:offset + shape[-1]], shape) if get else None
+        offset += shape[-1]
+
+
+def mlp(parts, layers, act):
+    """A dense stack as one op: the layers ``(w, b)`` in order over the
+    last-axis concatenation of ``parts``, with ``act`` ("silu" or "tanh")
+    after every layer but the last.
+
+    Bit for bit the chain ``concat`` (of each 1-D part ``broadcast_rows``
+    over the rows of the 2-D parts), ``linear``, ``act``, ..., ``linear``,
+    forward and backward, recorded as one node whose inputs are the
+    weights and biases, last layer first, then the parts: the order in
+    which the chain's sweep gives them gradients. The gradient of a
+    weight, a row bias or a broadcast part comes as the rows' unsummed
+    terms. The backward rule computes nothing for a weight or bias that
+    needs no gradient, and gives a part a gradient, which a tap on it
+    sees, exactly where the chain's recorded nodes would: the one part
+    whenever the first layer is reached, several parts only when one of
+    them needs a gradient (else ``concat`` is not recorded), and a
+    broadcast part only when it needs one. The node keeps the arrays the
+    chain's nodes kept: each layer's input and, for silu, each
+    pre-activation; ``TapeStats`` counts them."""
+    if act not in ("silu", "tanh") or not layers:
+        raise ValueError(f"mlp: need at least one layer and act 'silu' or 'tanh', got {act!r}")
+    parts = [_as_tensor(p) for p in parts]
+    x = _mlp_input(parts)
+    xs, pres, ws, bs = [parts[0] if len(parts) == 1 else x], [], [], []
+    for i, (w, b) in enumerate(layers):
+        w, b = _as_tensor(w), _as_tensor(b)
+        ws.append(w)
+        bs.append(b)
+        out = _dense("mlp", x, w, b)
+        if i == len(layers) - 1:
+            break
+        pre = _interior(out)
+        if act == "silu":
+            pres.append(pre)
+            x = _interior(pre * _sigmoid(pre))
+        else:
+            x = _interior(np.tanh(pre))
+        xs.append(x)
+    if _active_tape() is None:
+        return Tensor._wrap(out, False)
+    # onward[i]: layer i passes a gradient down to its input; at the first
+    # layer, to the one part or a recorded concat, above it, to an
+    # activation that needs one
+    joined = any([p._needs for p in parts])
+    onward, below = [len(parts) == 1 or joined], joined
+    for w, b in zip(ws[:-1], bs[:-1]):
+        below = below or w._needs or b._needs
+        onward.append(below)
+    # a broadcast part that needs no gradient has no recorded broadcast_rows
+    gets = (True,) if len(parts) == 1 else tuple(
+        [joined and (p._needs or p.data.ndim == x.ndim) for p in parts])
+    ctx = (act, tuple([p.data.shape for p in parts]), tuple([b.data.shape for b in bs]),
+           tuple([(w._needs, b._needs) for w, b in zip(ws, bs)]), onward, gets)
+    inputs = (*(t for i in reversed(range(len(ws))) for t in (ws[i], bs[i])), *parts)
+    return _trace("mlp", inputs, out, (*xs, *pres, *ws), ctx, _bw_mlp)
 
 
 # ---------------------------------------------------------------------------

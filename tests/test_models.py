@@ -143,6 +143,20 @@ class TestImageEncode:
         params = init_image_encoder(0)
         assert image_encode(params, Tensor(np.ones(16))).data.shape == (8,)
 
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_debug_checks_trap_non_finite_hidden_activation(self, taped):
+        # an overflowing first-layer weight makes the hidden pre-activation
+        # inf; tanh saturates it to 1, so only a check inside the dense
+        # stack sees it, as the per-layer chain's op outputs were checked
+        params = init_image_encoder(0)
+        params.w1 = Tensor(np.full(params.w1.data.shape, 3e38), requires_grad=taped)
+        x = Tensor(np.ones(16))
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(image_encode(params, x).data))
+            with ta.debug_checks(), ta.Tape() if taped else ta.pause_recording():
+                with pytest.raises(ta.AutodiffError, match="non-finite"):
+                    image_encode(params, x)
+
 
 class TestDenoise:
     def test_zero_params_give_zero_output(self):
@@ -219,6 +233,25 @@ class TestDenoise:
             assert out[i].tobytes() == want.tobytes()
         with pytest.raises(ValueError, match=r"denoise: 4 timesteps for z_t \(5, 16\)"):
             denoise(params, ts[:4], z, c)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_one_node_counts_the_arrays_it_keeps(self, rows):
+        # one taped denoise is one node; the tape's live count is exactly the
+        # arrays that node keeps for backward: the joined input, and each
+        # hidden layer's pre-activation and activation (the five op outputs
+        # the concat/linear/silu chain kept)
+        params = init_denoiser(9)
+        params.set_requires_grad(True)
+        rng = np.random.default_rng(6)
+        z = Tensor(rng.standard_normal(16 if rows is None else (rows, 16)), requires_grad=True)
+        with ta.Tape() as probe:
+            denoise(params, 321, z, params.null_cond)
+        (node,) = probe.nodes
+        kept = [s for s in node.saved if isinstance(s, np.ndarray)
+                or (isinstance(s, Tensor) and s._from_op)]
+        assert node.op == "mlp"
+        assert probe.stats.peak_live_interior == len(kept) == 5
+        assert probe.stats.live_interior == 5
 
     def test_derived_size_properties(self):
         params = init_denoiser(0, SMALL)

@@ -867,3 +867,252 @@ def test_pool_tokens_rejects_bad_prompts():
     for bad in ([], [[1], []], [4], [[0], [-1]]):
         with pytest.raises(ValueError, match="pool_tokens"):
             ta.pool_tokens(embed, bad)
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the op chains they stand for: forward bytes, the bytes of
+# every gradient in backward's map (taps included), f32 and f64, 1-D parts
+# and (B, ·) rows, 1-D parts broadcast over the rows, frozen weights
+
+
+def _chain_mlp(parts, layers, act):
+    """``mlp`` written out: broadcast_rows, concat, linear, act, ..., linear."""
+    rows = [p.data.shape[0] for p in parts if p.data.ndim == 2]
+    if rows:
+        parts = [ta.broadcast_rows(p, (rows[0], p.data.shape[0])) if p.data.ndim == 1 else p
+                 for p in parts]
+    x = ta.concat(parts) if len(parts) > 1 else parts[0]
+    for i, (w, b) in enumerate(layers):
+        x = ta.linear(x, w, b)
+        if i < len(layers) - 1:
+            x = getattr(ta, act)(x)
+    return x
+
+
+def _draw_mlp(data, batch):
+    """(part arrays, layer arrays): each part 1-D or, with a batch, drawn 1-D
+    or (B, n); at least one part has rows when there is a batch."""
+    widths = data.draw(st.lists(_LENGTHS, min_size=1, max_size=3))
+    ranks = [1] * len(widths)
+    if batch:
+        ranks = data.draw(st.lists(st.sampled_from([1, 2]), min_size=len(widths),
+                                   max_size=len(widths)))
+        ranks[data.draw(st.integers(0, len(widths) - 1))] = 2
+    parts = [data.draw(_values((batch, n) if r == 2 else n)) for n, r in zip(widths, ranks)]
+    sizes = [sum(widths)] + data.draw(st.lists(_DIMS, min_size=1, max_size=3))
+    layers = [(data.draw(_values((m, k), -1.0, 1.0)), data.draw(_values(k)))
+              for m, k in zip(sizes, sizes[1:])]
+    return parts, layers
+
+
+def _fused_run(op, parts, layers, act, dtype, part_grad, layer_grad):
+    with ta.default_dtype(dtype):
+        ps = [Tensor(a, requires_grad=r) for a, r in zip(parts, part_grad)]
+        ls = [(Tensor(w, requires_grad=r), Tensor(b, requires_grad=r))
+              for (w, b), r in zip(layers, layer_grad)]
+        with Tape() as tape:
+            out = op(ps, ls, act)
+            loss = _readout(out)
+        if not out._needs:
+            return out.data.tobytes(), None
+        grads = backward(tape, loss, tap_ids=[p.id for p in ps])
+    leaves = ps + [t for wb in ls for t in wb]
+    return out.data.tobytes(), [grads[t.id].tobytes() if t.id in grads else None for t in leaves]
+
+
+@pytest.mark.parametrize("act", ["silu", "tanh"])
+@pytest.mark.parametrize("batch", [None] + _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_mlp_is_its_op_chain_bitwise(act, batch, data):
+    parts, layers = _draw_mlp(data, batch)
+    part_grad = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+    layer_grad = data.draw(st.lists(st.booleans(), min_size=len(layers), max_size=len(layers)))
+    for dtype in (np.float32, np.float64):
+        want = _fused_run(_chain_mlp, parts, layers, act, dtype, part_grad, layer_grad)
+        assert _fused_run(ta.mlp, parts, layers, act, dtype, part_grad, layer_grad) == want
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_mlp_denoiser_shape_bitwise(batch, data):
+    # the denoiser's call: (B, D) latents, a shared 1-D time embedding that
+    # needs no gradient, a 1-D conditioning (the null vector) broadcast over
+    # the rows, three silu layers; every weight trained
+    d, te, c, h = (data.draw(_DIMS) for _ in range(4))
+    parts = [data.draw(_values((batch, d))), data.draw(_values(te)), data.draw(_values(c))]
+    sizes = [d + te + c, h, h, d]
+    layers = [(data.draw(_values((m, k), -1.0, 1.0)), data.draw(_values(k)))
+              for m, k in zip(sizes, sizes[1:])]
+    for dtype in (np.float32, np.float64):
+        args = (parts, layers, "silu", dtype, [True, False, True], [True] * 3)
+        assert _fused_run(ta.mlp, *args) == _fused_run(_chain_mlp, *args)
+
+
+def _segment_chain(op, z0, c, leaves, k_segments, dtype):
+    """K checkpoint segments over (B, ·) rows, each one dense stack that reads
+    the same weights and the broadcast 1-D ``c``; the gradient bytes of every
+    leaf and tap."""
+    with ta.default_dtype(dtype):
+        z = Tensor(z0, requires_grad=True)
+        ct = Tensor(c, requires_grad=True)
+        ws = [Tensor(a, requires_grad=True) for a in leaves]
+
+        def step(z_in, c_in, w1, b1, w2, b2):
+            return op([z_in, c_in], [(w1, b1), (w2, b2)], "silu")
+
+        taps = []
+        with Tape() as tape:
+            for _ in range(k_segments):
+                taps.append(z.id)
+                z = ta.checkpoint_segment(step, (z, ct, *ws))
+            loss = _readout(z)
+        grads = backward(tape, loss, tap_ids=taps[1:])
+    return [grads[i].tobytes() for i in [ct.id, *(w.id for w in ws), *taps]]
+
+
+@pytest.mark.parametrize("batch", _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_mlp_weight_read_by_k_segments_bitwise(batch, data):
+    n, m, h = data.draw(_DIMS), data.draw(_DIMS), data.draw(_DIMS)
+    k_segments = data.draw(st.integers(1, 5))
+    z0, c = data.draw(_values((batch, n))), data.draw(_values(m))
+    leaves = [data.draw(_values((n + m, h), -0.8, 0.8)), data.draw(_values(h)),
+              data.draw(_values((h, n), -0.8, 0.8)), data.draw(_values(n))]
+    for dtype in (np.float32, np.float64):
+        want = _segment_chain(_chain_mlp, z0, c, leaves, k_segments, dtype)
+        assert _segment_chain(ta.mlp, z0, c, leaves, k_segments, dtype) == want
+
+
+# the samplers' updates: (fused, written out) for the step's constants
+_AXPBY_FORMS = {
+    "axpby": (lambda x, y, a, b: ta.axpby(x, a, y, b),
+              lambda x, y, a, b: ta.add(ta.mul(x, a), ta.mul(y, b))),
+    "cfg": (lambda x, y, a, b: ta.axpby(x, a, y, -(a - 1.0)),
+            lambda x, y, a, b: ta.sub(ta.mul(x, a), ta.mul(y, a - 1.0))),
+    "ddim": (lambda x, y, a, b: ta.axpby(ta.axpby(x, 1.0, y, -a), a / b, y, b),
+             lambda x, y, a, b: ta.add(ta.mul(ta.sub(x, ta.mul(y, a)), a / b), ta.mul(y, b))),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [None] + _BATCHES)
+@pytest.mark.parametrize("form", sorted(_AXPBY_FORMS))
+@_SETTINGS
+@given(data=st.data())
+def test_axpby_is_its_op_chain_bitwise(form, batch, dtype, data):
+    n = data.draw(_LENGTHS)
+    shape = (batch, n) if batch else n
+    x, y = data.draw(_values(shape)), data.draw(_values(shape))
+    a, b = data.draw(_signed(0.01, 3.0)), data.draw(_signed(0.01, 3.0))
+
+    def run(op):
+        with ta.default_dtype(dtype):
+            xt, yt = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+            with Tape() as tape:
+                out = op(xt, yt, a, b)
+                grads = backward(tape, _readout(out))
+        return out.data.tobytes(), grads[xt.id].tobytes(), grads[yt.id].tobytes()
+
+    fused, chain = _AXPBY_FORMS[form]
+    assert run(fused) == run(chain)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [None, 3])
+@_SETTINGS
+@given(data=st.data())
+def test_fused_ops_repeated_operand_bitwise(batch, dtype, data):
+    # one tensor in several input slots of a fused node (a layer pair sharing
+    # its weights, x and y of one axpby) and read again by a later node: its
+    # gradient terms add up in the order the op chain's sweep adds them
+    n = data.draw(_DIMS)
+    x = data.draw(_values((batch, n) if batch else n))
+    w, b = data.draw(_values((n, n), -1.0, 1.0)), data.draw(_values(n))
+    a, c = data.draw(_signed(0.1, 3.0)), data.draw(_signed(0.1, 3.0))
+
+    def run(fused):
+        with ta.default_dtype(dtype):
+            xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+            with Tape() as tape:
+                if fused:
+                    h = ta.mlp([xt], [(wt, bt), (wt, bt)], "silu")
+                    y = ta.axpby(h, a, h, c)
+                else:
+                    h = _chain_mlp([xt], [(wt, bt), (wt, bt)], "silu")
+                    y = ta.add(ta.mul(h, a), ta.mul(h, c))
+                loss = ta.add(_readout(ta.add(y, h)), _readout(ta.linear(xt, wt, bt)))
+                grads = backward(tape, loss)
+        return [grads[t.id].tobytes() for t in (xt, wt, bt)]
+
+    assert run(True) == run(False)
+
+
+@pytest.mark.parametrize("act", ["silu", "tanh"])
+@pytest.mark.parametrize("batch", [None, 1, 3])
+@_SETTINGS
+@given(data=st.data())
+def test_mlp(act, batch, data):
+    parts, layers = _draw_mlp(data, batch)
+    arrays = {f"p{i}": a for i, a in enumerate(parts)}
+    arrays.update({f"{k}{i}": a for i, wb in enumerate(layers) for k, a in zip("wb", wb)})
+
+    def build(p):
+        return ta.mlp([p[f"p{i}"] for i in range(len(parts))],
+                      [(p[f"w{i}"], p[f"b{i}"]) for i in range(len(layers))], act)
+
+    _check_backward(build, arrays)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 3])
+@_SETTINGS
+@given(data=st.data())
+def test_axpby(batch, data):
+    n = data.draw(_LENGTHS)
+    shape = (batch, n) if batch else n
+    arrays = {"x": data.draw(_values(shape)), "y": data.draw(_values(shape))}
+    a, b = data.draw(_signed(0.1, 3.0)), data.draw(_signed(0.1, 3.0))
+    _check_backward(lambda p: ta.axpby(p["x"], a, p["y"], b), arrays)
+
+
+def test_mlp_backward_skips_frozen_weights():
+    # a frozen layer's weight and bias get None from the backward rule and
+    # nothing is computed for them; the trained ones and the part still get
+    # theirs, and backward's map is what the op chain gives
+    rng = np.random.default_rng(8)
+    def leaf(*shape, trained=False):
+        return Tensor(rng.standard_normal(shape), requires_grad=trained)
+
+    x = leaf(3, 4, trained=True)
+    layers = [(leaf(4, 5), leaf(5)), (leaf(5, 5, trained=True), leaf(5, trained=True)),
+              (leaf(5, 2), leaf(2))]
+    with Tape() as tape:
+        out = ta.mlp([x], layers, "silu")
+    (node,) = tape.nodes
+    grads = list(node.bw(np.ones((3, 2), dtype=np.float32), node.saved, node.ctx))
+    # inputs: w3, b3, w2, b2, w1, b1, x
+    assert [g is None for g in grads] == [True, True, False, False, True, True, False]
+    want = [_fused_run(op, [x.data], [(w.data, b.data) for w, b in layers], "silu",
+                       np.float32, [True], [False, True, False]) for op in (ta.mlp, _chain_mlp)]
+    assert want[0] == want[1]
+    assert out.data.tobytes() == want[0][0]
+
+
+def test_fused_ops_reject_bad_operands():
+    v, rows = Tensor(np.ones(3)), Tensor(np.ones((2, 3)))
+    w, b = Tensor(np.ones((3, 2))), Tensor(np.ones(2))
+    for bad in ([], [Tensor(np.ones((2, 2, 3)))], [rows, Tensor(np.ones((3, 3)))]):
+        with pytest.raises(ValueError, match="mlp"):
+            ta.mlp(bad, [(w, b)], "silu")
+    with pytest.raises(ValueError, match="mlp"):
+        ta.mlp([v], [(w, b)], "relu")
+    with pytest.raises(ValueError, match="mlp"):
+        ta.mlp([v], [], "silu")
+    with pytest.raises(ValueError, match="inner dims"):
+        ta.mlp([v, v], [(w, b)], "tanh")
+    with pytest.raises(ValueError, match="axpby"):
+        ta.axpby(v, 1.0, rows, 1.0)
+    with pytest.raises(ValueError, match="axpby"):
+        ta.axpby(v, v, v, 1.0)
