@@ -29,7 +29,7 @@ from .rewards import (READOUT_COLUMNS, READOUT_SPEC, RewardSpec, readout_means,
                       reward_values)
 from .schedule import SAMPLER_STEPS, SCHEDULE_KINDS, make_schedule, make_step_plan
 from .tensorad import Tensor
-from .util import csv_text, derive_seed, format_cell, write_text
+from .util import csv_text, derive_seed, format_cell, is_number, write_text
 
 MIN_EVAL_PROMPTS = 32
 
@@ -192,8 +192,6 @@ def evaluate(checkpoints, prompt_set, plan, w, seeds, *, sampler="ddim",
     seeds = [int(s) for s in seeds]
     if len(set(seeds)) < 2:
         raise ValueError("evaluation needs at least 2 distinct seeds")
-    if sampler not in SAMPLER_STEPS:
-        raise ValueError(f"unknown sampler {sampler!r}")
 
     named = _named_states(checkpoints)
     if not named:
@@ -380,11 +378,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+def _finite_float(text):
+    """A float flag's value: ``float(text)`` when ``is_number`` takes it."""
+    try:
+        if is_number(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _parse_numbers(text, flag, kind=int):
     """Comma- or space-separated ints (or ``kind``) from one flag's text."""
     try:
         values = [kind(v) for v in text.replace(",", " ").split()]
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         noun = "integers" if kind is int else "numbers"
         raise ValueError(f"{flag} expects {noun}, got {text!r}") from None
     if not values:
@@ -523,7 +531,7 @@ def _cmd_interpolate(args):
     text_a, _, denoiser, world = model_from_state(load_checkpoint(args.checkpoint_a))
     text_b = TextEncoderParams.from_state(load_checkpoint(args.checkpoint_b))
     prompt = _parse_prompt(args.prompt, world)
-    lambdas = _parse_numbers(args.lambdas, "--lambdas", float)
+    lambdas = _parse_numbers(args.lambdas, "--lambdas", _finite_float)
     plan = make_step_plan(args.steps, args.t_train)
     sched = make_schedule(args.schedule, args.t_train)
 
@@ -544,7 +552,7 @@ def _cmd_interpolate(args):
 def _cmd_mix(args):
     _reject_config(args)
     paths = [p for p in args.checkpoints.split(",") if p]
-    weights = _parse_numbers(args.weights, "--weights", float)
+    weights = _parse_numbers(args.weights, "--weights", _finite_float)
     if len(paths) != len(weights):
         raise ValueError(
             f"got {len(paths)} checkpoints but {len(weights)} weights")
@@ -617,7 +625,7 @@ def _cmd_collapse(args):
 
 def _add_sampling_flags(p):
     p.add_argument("--steps", type=int, default=25, help="denoising steps")
-    p.add_argument("--w", type=float, default=1.0, help="guidance scale")
+    p.add_argument("--w", type=_finite_float, default=1.0, help="guidance scale")
     p.add_argument("--sampler", choices=sorted(SAMPLER_STEPS), default="ddim")
     p.add_argument("--schedule", choices=sorted(SCHEDULE_KINDS), default="linear-beta")
     p.add_argument("--t-train", type=int, default=1000, help="training timestep count")
@@ -690,20 +698,20 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--train-k", default="5,10,15")
     p.add_argument("--test-n", default="5,10,15,25")
-    p.add_argument("--w", type=float, default=1.0)
+    p.add_argument("--w", type=_finite_float, default=1.0)
 
     p = add("ablate-schedulers", _cmd_ablate_schedulers,
             "table over samplers and step counts")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--kinds", default="ddim,euler")
     p.add_argument("--steps", default="25,50")
-    p.add_argument("--w", type=float, default=1.0)
+    p.add_argument("--w", type=_finite_float, default=1.0)
 
     p = add("collapse", _cmd_collapse,
             "paired collapse-probe runs with and without the constraint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--gamma-clip", type=float, default=100.0)
-    p.add_argument("--w", type=float, default=1.0)
+    p.add_argument("--gamma-clip", type=_finite_float, default=100.0)
+    p.add_argument("--w", type=_finite_float, default=1.0)
 
     return parser
 

@@ -11,8 +11,8 @@ Three regimes over the frozen pieces of the pipeline:
   (already fine-tuned) text encoder stays frozen.
 
 Plus AdamW with decoupled weight decay, global-norm gradient clipping, the
-one update step every training loop takes (``optimizer_step``), and the
-seed-deterministic training loop with CSV metrics.
+one update step every training loop takes (``optimizer_step``, returning the
+updated tensors), and the seed-deterministic training loop with CSV metrics.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class TrainConfig:
         check_update_fields(self)
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.chain_cfg_scale < 0:
+        if not self.chain_cfg_scale >= 0:
             raise ValueError("chain cfg scale must be non-negative")
         if self.sampler not in SAMPLER_STEPS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
@@ -142,13 +142,12 @@ def clip_global_norm(grads, max_norm):
     return clipped, norm
 
 
-def adamw_update(params, grads, state, lr):
+def adamw_update(named, grads, state, lr):
     """Bias-corrected Adam step with weight decay applied to the parameters.
 
-    Moments are kept in float64; the decayed-and-stepped parameters are cast
-    back to the parameter dtype. Mutates ``params`` and ``state`` in place.
+    ``named`` maps names to tensors. Moments are kept in float64 in ``state``;
+    returns name -> Tensor of the stepped parameters, cast back to each dtype.
     """
-    named = params.named()
     for name in named:
         if name not in grads:
             raise KeyError(f"missing gradient for trainable parameter '{name}'")
@@ -165,31 +164,32 @@ def adamw_update(params, grads, state, lr):
         p = tensor.data.astype(np.float64)
         p = p - lr * wd * p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         updated[name] = Tensor(p.astype(tensor.data.dtype), requires_grad=tensor.requires_grad)
-    params.apply_update(updated)
-    return params, state
+    return updated
 
 
 def check_update_fields(config):
-    """Check ``lr``, ``iterations`` and ``grad_clip``, which every training config has."""
-    if config.lr <= 0:
+    """Check the fields every training config has; a NaN fails each comparison."""
+    if not config.lr > 0:
         raise ValueError("learning rate must be positive")
+    if not config.weight_decay >= 0:
+        raise ValueError("weight_decay must be non-negative")
     if config.iterations < 0:
         raise ValueError("iterations must be non-negative")
-    if config.grad_clip is not None and config.grad_clip <= 0:
+    if config.grad_clip is not None and not config.grad_clip > 0:
         raise ValueError("grad_clip must be positive or None")
 
 
-def optimizer_step(params, grads, loss, opt, lr, grad_clip, iteration):
+def optimizer_step(named, grads, loss, opt, lr, grad_clip, iteration):
     """The update policy of every training loop: clip ``grads`` to global
     norm ``grad_clip``, stop before the update when the loss or the pre-clip
-    norm is non-finite, then take one AdamW step.
+    norm is non-finite, then return ``adamw_update``'s tensors for ``named``.
     """
     grads, grad_norm = clip_global_norm(grads, grad_clip)
     if not (math.isfinite(loss) and math.isfinite(grad_norm)):
         raise FloatingPointError(
             f"iteration {iteration}: non-finite loss {loss} or gradient norm "
             f"{grad_norm}; stopped before the update")
-    adamw_update(params, grads, opt, lr)
+    return adamw_update(named, grads, opt, lr)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +212,12 @@ def _segment_step(t, t_prev, sampler, w, sched):
     return step
 
 
-def collect_grads(param_set, leaf_grads):
-    """Gradients keyed by name, read from the map of tensor id -> gradient that
-    this step's ``ta.backward`` returned; the one place a parameter no
-    gradient reached, or no op touched, gets zeros."""
+def collect_grads(named, leaf_grads):
+    """Gradients of the name -> tensor map ``named``, keyed by name, from the
+    tensor id -> gradient map this step's ``ta.backward`` returned; the one
+    place a parameter no gradient reached, or no op touched, gets zeros."""
     return {name: leaf_grads[t.id] if t.id in leaf_grads else np.zeros_like(t.data)
-            for name, t in param_set.named().items()}
+            for name, t in named.items()}
 
 
 # a diverging run overflows in here; optimizer_step then stops it with one error
@@ -253,7 +253,7 @@ def _reward_step(trainable, prompts, forward, text_params, image_params, world, 
     g = ta.backward(tape, loss, tap_ids=taps)
     return StepResult(
         loss=loss.item(),
-        grads=collect_grads(trainable, g),
+        grads=collect_grads(trainable.named(), g),
         x_hats=x_hats.data,
         reward_means=readout_means(x_hats.data, prompts, world=world, image_params=image_params,
                                    text_params=text_params, known=values, txt_embs=c),
@@ -393,8 +393,8 @@ def run_training(config, state_in, out_dir=None):
             result = step_fn(trainable, frozen, image, world, prompts, z_inits, plan,
                              config.k_last, sched, config.rewards, sampler=config.sampler,
                              w=config.chain_cfg_scale)
-        optimizer_step(trainable, result.grads, result.loss, opt, config.lr,
-                       config.grad_clip, it)
+        trainable.apply_update(optimizer_step(trainable.named(), result.grads, result.loss,
+                                              opt, config.lr, config.grad_clip, it))
         rows.append((it, result.loss)
                     + tuple(result.reward_means[kind] for kind, _ in READOUT_COLUMNS))
         if out_dir and config.checkpoint_interval and (it + 1) % config.checkpoint_interval == 0:

@@ -54,11 +54,9 @@ def start_noise(seed, d):
     return Tensor(rng.standard_normal(d).astype(np.float32))
 
 
-def _checked_sched(plan, w, sampler, sched):
-    """Reject a negative guidance scale or an unknown sampler; the schedule
-    to walk (linear-beta over the plan's horizon when ``sched`` is None)."""
-    if w < 0:
-        raise ValueError("guidance scale must be non-negative")
+def _checked_sched(plan, sampler, sched):
+    """Reject an unknown sampler; the schedule to walk (linear-beta over the
+    plan's horizon when ``sched`` is None). ``cfg_combine`` checks ``w``."""
     if sampler not in SAMPLER_STEPS:
         raise ValueError(f"unknown sampler {sampler!r}")
     return make_schedule("linear-beta", plan.t_train) if sched is None else sched
@@ -73,7 +71,7 @@ def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
     unconditional, 1 skips the unconditional branch entirely (bit-identical
     to conditional-only sampling), larger values extrapolate.
     """
-    sched = _checked_sched(plan, w, sampler, sched)
+    sched = _checked_sched(plan, sampler, sched)
     z = start_noise(seed, denoiser_params.d)
     return walk_chain(denoiser_params, plan.transitions(), z, cond, w, sampler, sched)
 
@@ -115,7 +113,7 @@ def mix_styles(entries):
     if len(entries) < 2:
         raise ValueError("style mixing needs at least 2 entries")
     total = sum(float(w) for _, w in entries)
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise ValueError(f"mixing weights must sum to 1, got {total!r}")
     width = entries[0][0].data.shape
     acc = np.zeros(width, dtype=np.float64)
@@ -138,7 +136,7 @@ def continuity_probe(text_original, text_finetuned, denoiser_params, prompt,
     """
     if not lambdas:
         raise ValueError("continuity_probe: empty interpolation sweep")
-    sched = _checked_sched(plan, w, sampler, sched)
+    sched = _checked_sched(plan, sampler, sched)
     d = denoiser_params.d
     with ta.pause_recording():
         c0 = text_encode(text_original, prompt)

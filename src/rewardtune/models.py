@@ -86,29 +86,10 @@ class _ParamSet:
             setattr(self, f.name, Tensor(t.data, requires_grad=flag))
 
     def apply_update(self, updated):
-        """Replace parameter tensors from a name -> Tensor mapping."""
-        for name, t in updated.items():
-            field = name.split("/", 1)[1]
-            setattr(self, field, t)
-
-
-class ParamBag:
-    """Ad-hoc named tensor collection with the optimizer-facing interface."""
-
-    def __init__(self, tensors):
-        self._tensors = dict(tensors)
-
-    def named(self):
-        return dict(self._tensors)
-
-    def apply_update(self, updated):
-        for name, t in updated.items():
-            if name not in self._tensors:
-                raise KeyError(f"unknown parameter '{name}'")
-            self._tensors[name] = t
-
-    def __getitem__(self, name):
-        return self._tensors[name]
+        """Replace each tensor of the set by its entry in ``updated`` (name ->
+        Tensor, as ``optimizer_step`` returns), which may hold other sets' too."""
+        for f in fields(self):
+            setattr(self, f.name, updated[f"{self.prefix}/{f.name}"])
 
 
 @dataclass

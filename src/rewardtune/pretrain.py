@@ -19,7 +19,6 @@ from . import tensorad as ta
 from .data import make_world, sample_pair, world_from_state, world_state
 from .finetune import OptimizerState, check_update_fields, collect_grads, optimizer_step
 from .models import (
-    ParamBag,
     denoise,
     image_encode,
     init_denoiser,
@@ -73,13 +72,10 @@ def _row_logsumexp(m):
 
 
 def contrastive_loss_from_logits(logits):
-    """Symmetric cross-entropy over a (B, B) logit matrix: one row and one
+    """Symmetric cross-entropy over the (B, B) logit Tensor: one row and one
     column log-sum-exp. ``logits[i, j]`` scores text i against image j; the
-    matched pairs sit on the diagonal. A nested list of scalar tensors is
-    stacked into that matrix first. At all-zero logits this equals ln(B).
+    matched pairs sit on the diagonal. At all-zero logits this equals ln(B).
     """
-    if not isinstance(logits, Tensor):
-        logits = ta.stack([ta.stack(row) for row in logits])
     b = logits.data.shape[0]
     if b < 2:
         raise ValueError("contrastive loss needs at least 2 pairs")
@@ -125,35 +121,34 @@ def clip_pretrain(text_params, image_params, world, config):
     text_params.set_requires_grad(True)
     image_params.set_requires_grad(True)
     log_temp = Tensor(np.asarray(TEMP_INIT), requires_grad=True)
-    bag = ParamBag({**text_params.named(), **image_params.named(), "clip/log_temp": log_temp})
-    opt = OptimizerState.for_params(bag.named(), weight_decay=config.weight_decay)
+    # one optimizer over both encoders and the temperature; the key order fixes the norm sum
+    params = {**text_params.named(), **image_params.named(), "clip/log_temp": log_temp}
+    opt = OptimizerState.for_params(params, weight_decay=config.weight_decay)
 
     losses = []
     temperatures = []
     for it in range(config.iterations):
         batch = [sample_pair(world, rng) for _ in range(config.batch_size)]
-        # a diverging run overflows in here; _unit or optimizer_step then
+        # a diverging run overflows in here; _unit_rows or optimizer_step then
         # stops it with one error
         with np.errstate(over="ignore", invalid="ignore"):
             tape = ta.Tape()
             with tape:
-                loss = contrastive_loss(text_params, image_params, bag["clip/log_temp"],
-                                        batch, it)
+                loss = contrastive_loss(text_params, image_params, log_temp, batch, it)
             grads = ta.backward(tape, loss)
         losses.append(loss.item())
-        optimizer_step(bag, collect_grads(bag, grads), losses[-1], opt, config.lr,
-                       config.grad_clip, it)
-        lt = bag["clip/log_temp"]
-        clamped = np.minimum(lt.data, np.float32(LOG_TEMP_MAX))
-        bag.apply_update({"clip/log_temp": Tensor(clamped, requires_grad=True)})
-        text_params.apply_update({k: v for k, v in bag.named().items() if k.startswith("text/")})
-        image_params.apply_update({k: v for k, v in bag.named().items() if k.startswith("image/")})
-        temperatures.append(float(np.exp(bag["clip/log_temp"].data)))
+        params = optimizer_step(params, collect_grads(params, grads), losses[-1], opt,
+                                config.lr, config.grad_clip, it)
+        text_params.apply_update(params)
+        image_params.apply_update(params)
+        params["clip/log_temp"] = log_temp = Tensor(
+            np.minimum(params["clip/log_temp"].data, np.float32(LOG_TEMP_MAX)), requires_grad=True)
+        temperatures.append(float(np.exp(log_temp.data)))
 
     text_params.set_requires_grad(False)
     image_params.set_requires_grad(False)
     info = {"losses": losses, "temperatures": temperatures,
-            "log_temp": float(bag["clip/log_temp"].data)}
+            "log_temp": float(log_temp.data)}
     return text_params, image_params, info
 
 
@@ -161,27 +156,19 @@ def clip_holdout_stats(text_params, image_params, world, prompts, seed):
     """Matched vs. mismatched cosine stats on held-out prompts.
 
     Returns (matched_mean, mismatched_mean, triple_accuracy) where a triple
-    compares prompt i's own image against the next prompt's image.
+    compares prompt i's own image against the next prompt's image. The cosines
+    are one detached pass over the (P, ·) rows; the means are taken in float64.
     """
     rng = np.random.default_rng(derive_seed(seed, "clip-holdout"))
-    xs = []
+    xs = np.stack([(world.pattern_sum(p).astype(np.float64)
+                    + world.noise_scale * rng.standard_normal(world.d)).astype(np.float32)
+                   for p in prompts])  # one draw per prompt, in prompt order
     with ta.pause_recording():
-        for p in prompts:
-            x = world.pattern_sum(p).astype(np.float64)
-            x = x + world.noise_scale * rng.standard_normal(world.d)
-            xs.append(x.astype(np.float32))
-        matched = []
-        mismatched = []
-        for i, p in enumerate(prompts):
-            j = (i + 1) % len(prompts)
-            matched.append(
-                reward_clip_constraint(Tensor(xs[i]), p, image_params, text_params).item()
-            )
-            mismatched.append(
-                reward_clip_constraint(Tensor(xs[j]), p, image_params, text_params).item()
-            )
-    matched = np.asarray(matched)
-    mismatched = np.asarray(mismatched)
+        txt = text_encode_rows(text_params, prompts)
+        matched, mismatched = [
+            reward_clip_constraint(Tensor(images), prompts, image_params, text_params,
+                                   txt).data.astype(np.float64)
+            for images in (xs, np.roll(xs, -1, axis=0))]
     accuracy = float(np.mean(matched > mismatched))
     return float(matched.mean()), float(mismatched.mean()), accuracy
 
@@ -266,8 +253,9 @@ def diffusion_pretrain(denoiser, text_params, world, sched, config):
                 loss = denoiser_loss(denoiser, batch, cond, sched)
             grads = ta.backward(tape, loss)
         losses.append(loss.item())
-        optimizer_step(denoiser, collect_grads(denoiser, grads), losses[-1], opt,
-                       config.lr, config.grad_clip, it)
+        denoiser.apply_update(optimizer_step(
+            denoiser.named(), collect_grads(denoiser.named(), grads), losses[-1], opt,
+            config.lr, config.grad_clip, it))
 
     denoiser.set_requires_grad(False)
     return denoiser, {"losses": losses}

@@ -19,6 +19,7 @@ import numpy as np
 from . import tensorad as ta
 from .models import image_encode, text_encode, text_encode_rows
 from .tensorad import Tensor
+from .util import is_number
 
 REWARD_KINDS = ("image-style", "alignment", "clip-constraint", "degenerate-collapse-probe")
 
@@ -99,11 +100,11 @@ class RewardSpec:
             if not isinstance(item, dict) or sorted(item) != ["kind", "weight"]:
                 raise ValueError(f"rewards[{i}] must be an object {form}, got {item!r}")
             weight = item["weight"]
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            if not is_number(weight):
                 raise ValueError(f"rewards[{i}]: weight must be a number, got {weight!r}")
             try:
                 entries += cls(entries=((str(item["kind"]), float(weight)),)).entries
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"rewards[{i}]: {exc}") from None
         return cls(entries=entries)
 

@@ -203,8 +203,8 @@ def euler_step(z_t, eps_hat, t, t_prev, sched):
 
 def cfg_combine(eps_cond, eps_uncond, w):
     """Classifier-free guidance: w * eps_cond - (w - 1) * eps_uncond."""
-    if w < 0:
-        raise ValueError("guidance scale must be non-negative")
+    if not 0 <= w < math.inf:
+        raise ValueError(f"guidance scale must be finite and non-negative, got {w!r}")
     return ta.axpby(eps_cond, float(w), eps_uncond, -(float(w) - 1.0))
 
 

@@ -823,7 +823,8 @@ def pool_tokens(embed, tokens):
     if bad:
         raise ValueError(f"pool_tokens: token {bad[0]} outside vocabulary [0, {vocab})")
     lengths = np.array([len(p) for p in prompts])
-    index = np.array([p + p[:1] * (lengths.max() - len(p)) for p in prompts])
+    longest = int(lengths.max())
+    index = np.array([p + p[:1] * (longest - len(p)) for p in prompts])
     acc = embed.data[index[:, 0]]
     for pos in range(1, index.shape[1]):
         np.add(acc, embed.data[index[:, pos]], out=acc, where=(lengths > pos)[:, None])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 import zlib
 
 import numpy as np
@@ -24,8 +25,16 @@ def derive_seed(base_seed, *parts):
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-# field annotation -> (accepted types, what the message says a value must be)
-_CONFIG_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+def is_number(value, kind=float):
+    """The one number rule of configs and flags: an int or a float, never a bool,
+    finite in float range (so never NaN), and an int when ``kind`` is ``int``."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        return False
+    return kind is int or abs(value) <= sys.float_info.max
+
+
+# field annotation -> (accepted type, what the message says a value must be)
+_CONFIG_TYPES = {"int": (int, "an integer"), "float": (float, "a number"),
                  "str": (str, "a string")}
 
 
@@ -33,10 +42,9 @@ def check_config(cls, raw):
     """Check a parsed JSON config against the fields of the dataclass
     ``cls`` before anything uses it: a ValueError names every key of ``raw``
     that is not a field, or the first value whose type its field's
-    annotation does not take. An ``int`` field takes an int, a ``float``
-    field an int or a float, a ``str`` field a string, and a bool is never a
-    number; ``... | None`` also takes None. A field of another type is left
-    to its own parser."""
+    annotation does not take. An ``int`` or ``float`` field takes what
+    ``is_number`` takes of that kind, a ``str`` field a string; ``... | None``
+    also takes None. A field of another type is left to its own parser."""
     annotations = {f.name: str(f.type) for f in dataclasses.fields(cls)}
     unknown = sorted(set(raw) - set(annotations))
     if unknown:
@@ -45,8 +53,8 @@ def check_config(cls, raw):
         kind, _, rest = annotations[name].partition(" | ")
         if kind not in _CONFIG_TYPES or (value is None and rest == "None"):
             continue
-        types, what = _CONFIG_TYPES[kind]
-        if isinstance(value, bool) or not isinstance(value, types):
+        want, what = _CONFIG_TYPES[kind]
+        if not (isinstance(value, str) if want is str else is_number(value, want)):
             raise ValueError(f"config field '{name}' must be {what}, got {value!r}")
 
 

@@ -578,6 +578,38 @@ class TestCliPipeline:
         assert capsys.readouterr().err == f"rewardtune: error: config field {want}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,raw,want", [
+        ("finetune-text", {"lr": float("nan")}, "config field 'lr' must be a number, got nan"),
+        ("finetune-text", {"grad_clip": float("inf")},
+         "config field 'grad_clip' must be a number, got inf"),
+        ("finetune-text", {"chain_cfg_scale": float("nan")},
+         "config field 'chain_cfg_scale' must be a number, got nan"),
+        ("finetune-text", {"weight_decay": -1}, "weight_decay must be non-negative"),
+        ("pretrain-clip", {"lr": float("nan")}, "config field 'lr' must be a number, got nan"),
+        ("pretrain-clip", {"grad_clip": float("inf")},
+         "config field 'grad_clip' must be a number, got inf"),
+        ("pretrain-clip", {"weight_decay": -1}, "weight_decay must be non-negative"),
+    ], ids=["ft-nan-lr", "ft-inf-clip", "ft-nan-cfg", "ft-neg-decay", "clip-nan-lr",
+            "clip-inf-clip", "clip-neg-decay"])
+    def test_non_finite_or_negative_decay_config_exits_2(self, baseline_ckpt, tmp_path, capsys,
+                                                         command, raw, want):
+        # JSON NaN and Infinity parse to floats; the run they would start
+        # checkpoints at every iteration, so any file in --out-dir means an
+        # update ran on the bad value
+        base = {"iterations": 3, "batch_size": 2}
+        if command == "finetune-text":
+            base.update(n_steps=3, k_last=1, checkpoint_interval=1)
+            checkpoint = ["--checkpoint", baseline_ckpt]
+        else:
+            checkpoint = []
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**base, **raw}))
+        rc = cli_main([command, "--config", str(cfg), *checkpoint,
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"rewardtune: error: {want}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_config_exits_2(self, baseline_ckpt, tmp_path, capsys):
         cfg = tmp_path / "ft.json"
         cfg.write_text("[1, 2]")
@@ -675,6 +707,36 @@ class TestCliInterpolateAndMix:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.f32"))
+
+
+class TestCliNumberFlags:
+    @pytest.mark.parametrize("argv,code,want", [
+        ("sample --checkpoint {ckpt} --prompt 1 --steps 5 --w nan", 1,
+         "argument --w: expected a finite number, got 'nan'"),
+        ("sample --checkpoint {ckpt} --prompt 1 --steps 5 --w inf", 1,
+         "argument --w: expected a finite number, got 'inf'"),
+        ("interpolate --checkpoint-a {ckpt} --checkpoint-b {ckpt} --prompt 1 --steps 5 --w nan",
+         1, "argument --w: expected a finite number, got 'nan'"),
+        ("interpolate --checkpoint-a {ckpt} --checkpoint-b {ckpt} --prompt 1 --steps 5 "
+         "--lambdas 0,nan", 2, "--lambdas expects numbers, got '0,nan'"),
+        ("mix --checkpoints {ckpt},{ckpt} --weights nan,0.5 --prompt 1 --steps 5", 2,
+         "--weights expects numbers, got 'nan,0.5'"),
+        ("ablate-schedulers --checkpoint {ckpt} --w nan", 1,
+         "argument --w: expected a finite number, got 'nan'"),
+        ("collapse --checkpoint {ckpt} --gamma-clip nan", 1,
+         "argument --gamma-clip: expected a finite number, got 'nan'"),
+        ("sample --checkpoint {ckpt} --prompt 1 --steps 5 --w 1e", 1,
+         "argument --w: expected a finite number, got '1e'"),
+    ], ids=["sample-nan", "sample-inf", "interpolate-nan", "lambdas-nan", "weights-nan",
+            "ablate-nan", "gamma-clip-nan", "malformed"])
+    def test_non_finite_value_exits_before_any_file(self, baseline_ckpt, tmp_path, capsys,
+                                                    argv, code, want):
+        # each would otherwise write an all-NaN sample or start a run
+        out = tmp_path / "out"
+        rc = cli_main(argv.format(ckpt=baseline_ckpt).split() + ["--out-dir", str(out)])
+        assert rc == code
+        assert want in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliAblations:

@@ -31,7 +31,6 @@ from rewardtune.finetune import (
 from rewardtune.inference import guided_step, sample_from_cond, walk_chain
 from rewardtune.models import (
     DenoiserParams,
-    ParamBag,
     TextEncoderParams,
     denoise,
     init_denoiser,
@@ -46,7 +45,8 @@ from rewardtune.rewards import READOUT_SPEC, reward_values
 from rewardtune.schedule import (forward_diffuse, make_schedule, make_step_plan,
                                  predict_x0, sampler_step)
 from rewardtune.tensorad import Tensor
-from rewardtune.util import derive_seed
+from rewardtune.pretrain import PretrainConfig
+from rewardtune.util import derive_seed, is_number
 
 _TEXT_FIELDS = ("embed", "w1", "b1", "w2", "b2")
 
@@ -99,24 +99,23 @@ class TestClipGlobalNorm:
 
 
 def _scalar_bag(value):
-    return ParamBag({"p/x": Tensor(np.asarray(value, dtype=np.float32),
-                                   requires_grad=True)})
+    return {"p/x": Tensor(np.asarray(value, dtype=np.float32), requires_grad=True)}
 
 
 class TestAdamW:
     def test_zero_gradients_leave_params_untouched(self):
         bag = _scalar_bag([1.5, -2.0])
         before = bag["p/x"].data.copy()
-        opt = OptimizerState.for_params(bag.named())
-        adamw_update(bag, {"p/x": np.zeros(2, dtype=np.float32)}, opt, lr=0.1)
+        opt = OptimizerState.for_params(bag)
+        bag = adamw_update(bag, {"p/x": np.zeros(2, dtype=np.float32)}, opt, lr=0.1)
         assert np.array_equal(bag["p/x"].data, before)
 
     def test_single_step_bounded_by_learning_rate(self):
         bag = _scalar_bag([1.0, 1.0, 1.0])
-        opt = OptimizerState.for_params(bag.named())
+        opt = OptimizerState.for_params(bag)
         g = np.array([10.0, -0.01, 3e-4], dtype=np.float32)
         before = bag["p/x"].data.copy()
-        adamw_update(bag, {"p/x": g}, opt, lr=0.01)
+        bag = adamw_update(bag, {"p/x": g}, opt, lr=0.01)
         delta = np.abs(bag["p/x"].data.astype(np.float64) - before)
         assert np.all(delta <= 0.01 * (1 + 1e-6))
 
@@ -125,7 +124,7 @@ class TestAdamW:
         grads_seq = [np.array([0.3], np.float32), np.array([-0.2], np.float32),
                      np.array([0.5], np.float32)]
         bag = _scalar_bag([1.0])
-        opt = OptimizerState.for_params(bag.named(), weight_decay=wd)
+        opt = OptimizerState.for_params(bag, weight_decay=wd)
 
         # independent reference of the same rule: float64 moments and math,
         # parameters cast back to float32 after each step
@@ -133,7 +132,7 @@ class TestAdamW:
         m = np.zeros(1)
         v = np.zeros(1)
         for step, g32 in enumerate(grads_seq, start=1):
-            adamw_update(bag, {"p/x": g32}, opt, lr)
+            bag = adamw_update(bag, {"p/x": g32}, opt, lr)
             g = g32.astype(np.float64)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
@@ -147,8 +146,8 @@ class TestAdamW:
     def test_weight_decay_is_decoupled(self):
         # zero gradient, positive decay: pure multiplicative shrink
         bag = _scalar_bag([2.0])
-        opt = OptimizerState.for_params(bag.named(), weight_decay=0.5)
-        adamw_update(bag, {"p/x": np.zeros(1, dtype=np.float32)}, opt, lr=0.1)
+        opt = OptimizerState.for_params(bag, weight_decay=0.5)
+        bag = adamw_update(bag, {"p/x": np.zeros(1, dtype=np.float32)}, opt, lr=0.1)
         want = np.float32(2.0 * (1.0 - 0.1 * 0.5))
         assert np.allclose(bag["p/x"].data, want, rtol=1e-7)
 
@@ -156,8 +155,8 @@ class TestAdamW:
         bag = _scalar_bag([1.0, -1.0])
         old = bag["p/x"]
         old_wide = old.data64
-        opt = OptimizerState.for_params(bag.named())
-        adamw_update(bag, {"p/x": np.ones(2, dtype=np.float32)}, opt, lr=0.1)
+        opt = OptimizerState.for_params(bag)
+        bag = adamw_update(bag, {"p/x": np.ones(2, dtype=np.float32)}, opt, lr=0.1)
         new = bag["p/x"]
         assert new is not old
         assert np.array_equal(new.data64, new.data.astype(np.float64))
@@ -165,7 +164,7 @@ class TestAdamW:
 
     def test_missing_gradient_rejected(self):
         bag = _scalar_bag([1.0])
-        opt = OptimizerState.for_params(bag.named())
+        opt = OptimizerState.for_params(bag)
         with pytest.raises(KeyError, match="missing gradient"):
             adamw_update(bag, {}, opt, lr=0.1)
 
@@ -217,6 +216,50 @@ class TestTrainConfig:
     def test_from_dict_round_trip(self):
         cfg = TrainConfig.from_dict({"n_steps": 10, "k_last": 3, "seed": 5})
         assert (cfg.n_steps, cfg.k_last, cfg.seed) == (10, 3, 5)
+
+    @pytest.mark.parametrize("cls", [TrainConfig, PretrainConfig])
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(lr=math.nan), "learning rate"),
+        (dict(grad_clip=math.nan), "grad_clip"),
+        (dict(weight_decay=math.nan), "weight_decay"),
+        (dict(weight_decay=-1e-3), "weight_decay"),
+    ])
+    def test_nan_and_negative_decay_rejected(self, cls, kwargs, match):
+        # configs built in Python never reach the JSON number rule
+        with pytest.raises(ValueError, match=match):
+            cls(**kwargs)
+
+    def test_nan_chain_cfg_scale_rejected(self):
+        with pytest.raises(ValueError, match="cfg scale"):
+            TrainConfig(chain_cfg_scale=math.nan)
+
+    @pytest.mark.parametrize("raw,match", [
+        ({"lr": math.nan}, "config field 'lr' must be a number, got nan"),
+        ({"lr": math.inf}, "config field 'lr' must be a number, got inf"),
+        ({"grad_clip": math.inf}, "config field 'grad_clip' must be a number, got inf"),
+        ({"weight_decay": -math.inf}, "config field 'weight_decay' must be a number, got -inf"),
+        ({"weight_decay": -1.0}, "weight_decay must be non-negative"),
+        ({"weight_decay": -5}, "weight_decay must be non-negative"),
+    ])
+    @pytest.mark.parametrize("cls", [TrainConfig, PretrainConfig])
+    def test_from_dict_rejects_non_finite_and_negative_decay(self, cls, raw, match):
+        with pytest.raises(ValueError, match=match):
+            cls.from_dict(raw)
+
+    def test_from_dict_rejects_non_finite_chain_cfg_scale(self):
+        with pytest.raises(ValueError, match="'chain_cfg_scale' must be a number, got nan"):
+            TrainConfig.from_dict({"chain_cfg_scale": math.nan})
+
+
+@pytest.mark.parametrize("value,kind,want", [
+    (1, float, True), (0.5, float, True), (-0.0, float, True), (10**400, float, False),
+    (1, int, True), (10**400, int, True), (1.0, int, False),
+    (True, float, False), (False, int, False),
+    (math.nan, float, False), (math.inf, float, False), (-math.inf, float, False),
+    ("1", float, False), (None, float, False), ([1], float, False),
+])
+def test_number_rule(value, kind, want):
+    assert is_number(value, kind) is want
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +564,8 @@ class TestChainStep:
                                       baseline_image, baseline_world, [(1,)],
                                       [z0], plan, 2, sched, RewardSpec.default())
         opt = OptimizerState.for_params(baseline_text.named())
-        adamw_update(baseline_text, result.grads, opt, lr=1e-3)
+        baseline_text.apply_update(adamw_update(baseline_text.named(), result.grads, opt,
+                                                lr=1e-3))
         assert state_digest(baseline_denoiser.state()) == den_before
         assert state_digest(baseline_image.state()) == img_before
         assert set(result.grads) == set(baseline_text.named())
@@ -557,7 +601,8 @@ class TestChainStep:
         assert set(result.grads) == set(baseline_denoiser.named())
         assert any(np.any(g != 0) for g in result.grads.values())
         opt = OptimizerState.for_params(baseline_denoiser.named())
-        adamw_update(baseline_denoiser, result.grads, opt, lr=1e-3)
+        baseline_denoiser.apply_update(adamw_update(baseline_denoiser.named(), result.grads,
+                                                    opt, lr=1e-3))
         assert state_digest(baseline_text.state()) == text_before
 
     def test_gradients_come_from_this_steps_tape(self, baseline_world, baseline_text,
@@ -627,7 +672,7 @@ class TestChainStep:
                 total = li if total is None else ta.add(total, li)
                 x_hats.append(z.data)
             loss = ta.mul(total, 1.0 / len(prompts))
-        want = collect_grads(trainable, ta.backward(tape, loss))
+        want = collect_grads(trainable.named(), ta.backward(tape, loss))
 
         assert np.float64(result.loss).tobytes() == np.float64(loss.item()).tobytes()
         for name in trainable.named():
@@ -701,8 +746,7 @@ class TestChainStep:
 # loss evaluations per direction instead of two per parameter
 
 
-def _check_directional(trainable, grads, objective, n_dirs=3, h=1e-5, seed=0):
-    named = trainable.named()
+def _check_directional(named, grads, objective, n_dirs=3, h=1e-5, seed=0):
     assert set(grads) == set(named)
     rng = np.random.default_rng(seed)
     for _ in range(n_dirs):
@@ -772,7 +816,7 @@ class TestDirectionalOracle:
             result = unet_finetune_step(den, text, image, world, prompts, list(z0s),
                                         plan, k_last, sched, spec, sampler=sampler,
                                         w=w if cfg_in_chain else 1.0)
-            _check_directional(den, result.grads, objective)
+            _check_directional(den.named(), result.grads, objective)
 
     def test_direct(self):
         with ta.default_dtype(np.float64):
@@ -798,7 +842,7 @@ class TestDirectionalOracle:
 
             result = direct_finetune_step(text, den, image, world, batch, ts, noises,
                                           sched, spec)
-            _check_directional(text, result.grads, objective)
+            _check_directional(text.named(), result.grads, objective)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,16 @@ class TestSample:
             sample(baseline_text, baseline_denoiser, (1,), plan, 1.0, seed=0,
                    sampler="heun")
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_non_finite_guidance_rejected(self, baseline_text, baseline_denoiser, w):
+        # rejected at the first guided step, before a NumPy warning or a NaN
+        plan = make_step_plan(5)
+        with pytest.raises(ValueError, match="non-negative"):
+            sample(baseline_text, baseline_denoiser, (1,), plan, w, seed=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            continuity_probe(baseline_text, baseline_text, baseline_denoiser, (1,), plan,
+                             w, seed=0)
+
     def test_unit_guidance_equals_conditional_only(self, baseline_text,
                                                    baseline_denoiser):
         # w=1 must skip the unconditional branch, matching a hand-rolled
@@ -156,6 +166,12 @@ class TestMixStyles:
         cs = self._embeddings(2)
         with pytest.raises(ValueError, match="sum to 1"):
             mix_styles([(cs[0], 0.6), (cs[1], 0.5)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_fails_the_sum(self, bad):
+        cs = self._embeddings(2)
+        with pytest.raises(ValueError, match="sum to 1"):
+            mix_styles([(cs[0], bad), (cs[1], 0.5)])
 
     def test_width_mismatch_rejected(self):
         a = Tensor(np.zeros(8, dtype=np.float32))

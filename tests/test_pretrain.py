@@ -16,7 +16,6 @@ from rewardtune.finetune import OptimizerState, collect_grads, optimizer_step
 from rewardtune.models import (
     DenoiserParams,
     ImageEncoderParams,
-    ParamBag,
     TextEncoderParams,
     init_denoiser,
     init_image_encoder,
@@ -39,6 +38,7 @@ from rewardtune.pretrain import (
     make_pretrained_baseline,
     moving_average,
 )
+from rewardtune.rewards import reward_clip_constraint
 from rewardtune.schedule import forward_diffuse, make_schedule, make_step_plan, sampler_step
 from rewardtune.tensorad import Tensor
 from rewardtune.util import derive_seed
@@ -46,8 +46,8 @@ from test_finetune import _check_directional, _f64_setup
 
 
 def _logit_matrix(values):
-    """Square matrix of scalar tensors from a nested list of floats."""
-    return [[Tensor(np.asarray(v, dtype=np.float32)) for v in row] for row in values]
+    """The (B, B) logit Tensor of a nested list of floats."""
+    return Tensor(np.asarray(values, dtype=np.float32))
 
 
 def _oracle_symmetric_ce(mat):
@@ -224,6 +224,43 @@ class TestClipPretrain:
         assert results[0] == results[1]
 
 
+def _per_prompt_holdout_stats(text, image, world, prompts, seed):
+    """clip_holdout_stats as a loop over prompts: one 1-D image draw per
+    prompt in order, then one 1-D cosine per (prompt, own image) and per
+    (prompt, next prompt's image), read back as Python floats."""
+    rng = np.random.default_rng(derive_seed(seed, "clip-holdout"))
+    xs = []
+    for p in prompts:
+        x = world.pattern_sum(p).astype(np.float64)
+        x = x + world.noise_scale * rng.standard_normal(world.d)
+        xs.append(x.astype(np.float32))
+    matched, mismatched = [], []
+    with ta.pause_recording():
+        for i, p in enumerate(prompts):
+            j = (i + 1) % len(prompts)
+            matched.append(reward_clip_constraint(Tensor(xs[i]), p, image, text).item())
+            mismatched.append(reward_clip_constraint(Tensor(xs[j]), p, image, text).item())
+    matched, mismatched = np.asarray(matched), np.asarray(mismatched)
+    return (float(matched.mean()), float(mismatched.mean()),
+            float(np.mean(matched > mismatched)))
+
+
+class TestClipHoldoutStats:
+    @pytest.mark.parametrize("seed", [11, 42])
+    @pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
+    def test_rows_equal_per_prompt_loop(self, clip_run, seed, trained):
+        world, text, image, _ = clip_run
+        if not trained:
+            text = init_text_encoder(derive_seed(seed, "init-text"))
+            image = init_image_encoder(derive_seed(seed, "init-image"))
+        _, holdout = make_prompt_sets(world, 56, 36)
+        with ta.Tape() as tape:  # detached: nothing is recorded on an open tape
+            got = clip_holdout_stats(text, image, world, list(holdout), seed)
+        assert not tape.nodes
+        want = _per_prompt_holdout_stats(text, image, world, list(holdout), seed)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 @pytest.fixture(scope="module")
 def diffusion_run():
     """Short denoiser training on the same fresh world as the clip fixture."""
@@ -313,8 +350,9 @@ def _per_item_pretrain(denoiser, text_params, world, sched, config):
             loss = ta.mul(total, 1.0 / config.batch_size)
         grads = ta.backward(tape, loss)
         losses.append(loss.item())
-        optimizer_step(denoiser, collect_grads(denoiser, grads), losses[-1], opt,
-                       config.lr, config.grad_clip, it)
+        named = denoiser.named()
+        denoiser.apply_update(optimizer_step(named, collect_grads(named, grads), losses[-1], opt,
+                                             config.lr, config.grad_clip, it))
     return losses
 
 
@@ -377,7 +415,7 @@ class TestPretrainingLossOracle:
                 dp = DenoiserParams(**{k.split("/", 1)[1]: t for k, t in named.items()})
                 return denoiser_loss(dp, batch, cond, sched).item()
 
-            _check_directional(den, collect_grads(den, grads), objective)
+            _check_directional(den.named(), collect_grads(den.named(), grads), objective)
 
     def test_contrastive_loss(self):
         with ta.default_dtype(np.float64):
@@ -385,7 +423,7 @@ class TestPretrainingLossOracle:
             text.set_requires_grad(True)
             image.set_requires_grad(True)
             log_temp = Tensor(np.asarray(TEMP_INIT), requires_grad=True)
-            bag = ParamBag({**text.named(), **image.named(), "clip/log_temp": log_temp})
+            bag = {**text.named(), **image.named(), "clip/log_temp": log_temp}
             rng = np.random.default_rng(43)
             batch = [sample_pair(world, rng) for _ in range(4)]
             with ta.Tape() as tape:
@@ -408,7 +446,7 @@ class TestPretrainingLossOracle:
             text.set_requires_grad(True)
             image.set_requires_grad(True)
             log_temp = Tensor(np.asarray(TEMP_INIT), requires_grad=True)
-            bag = ParamBag({**text.named(), **image.named(), "clip/log_temp": log_temp})
+            bag = {**text.named(), **image.named(), "clip/log_temp": log_temp}
             rng = np.random.default_rng(47)
             batch = [sample_pair(world, rng) for _ in range(PretrainConfig().batch_size)]
             with ta.Tape() as tape:

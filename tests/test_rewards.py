@@ -199,6 +199,12 @@ class TestRewardSpec:
         with pytest.raises(ValueError, match=r"^rewards\[1\]: "):
             RewardSpec.from_config([{"kind": "image-style", "weight": 1}, entry])
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_from_config_rejects_non_finite_weight_as_not_a_number(self, weight):
+        with pytest.raises(ValueError,
+                           match=rf"^rewards\[0\]: weight must be a number, got {weight!r}$"):
+            RewardSpec.from_config([{"kind": "alignment", "weight": weight}])
+
 
 class TestCombinedLoss:
     def _context(self, seed=0):

@@ -284,6 +284,12 @@ def test_cfg_rejects_negative_w():
         sc.cfg_combine(Tensor([1.0]), Tensor([0.0]), -1.0)
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_cfg_rejects_non_finite_w(w):
+    with pytest.raises(ValueError, match="non-negative"):
+        sc.cfg_combine(Tensor([1.0]), Tensor([0.0]), w)
+
+
 # ---------------------------------------------------------------------------
 # make_step_plan
 

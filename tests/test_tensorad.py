@@ -73,16 +73,6 @@ def test_backward_requires_scalar_loss():
             backward(tape, y)
 
 
-class _Params:
-    """A parameter set as ``collect_grads`` reads it: names to leaf tensors."""
-
-    def __init__(self, **named):
-        self._named = named
-
-    def named(self):
-        return self._named
-
-
 def test_backward_unreachable_leaf_gets_zeros():
     # backward's map holds only the leaves a gradient reaches; collect_grads
     # gives zeros to a leaf the tape touched off the loss path, as it does
@@ -95,7 +85,7 @@ def test_backward_unreachable_leaf_gets_zeros():
         y = ta.mul(x, x).sum()
         grads = backward(tape, y)
     assert z.id not in grads and u.id not in grads
-    named = collect_grads(_Params(x=x, z=z, u=u), grads)
+    named = collect_grads({"x": x, "z": z, "u": u}, grads)
     assert np.allclose(named["x"], [2.0, 4.0])
     for name, leaf in (("z", z), ("u", u)):
         assert named[name].dtype == leaf.data.dtype and np.all(named[name] == 0.0), name
@@ -107,7 +97,7 @@ def test_backward_constant_loss_gives_zeros():
         _ = ta.mul(x, x).sum()
         grads = backward(tape, Tensor(0.0))
     assert x.id not in grads
-    g = collect_grads(_Params(x=x), grads)["x"]
+    g = collect_grads({"x": x}, grads)["x"]
     assert g.shape == x.shape and np.all(g == 0.0)
 
 
