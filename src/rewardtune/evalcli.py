@@ -27,7 +27,8 @@ from .models import (ImageEncoderParams, TextEncoderParams, load_checkpoint,
 from .pretrain import PretrainConfig, pretrain_denoiser, pretrain_encoders
 from .rewards import (READOUT_COLUMNS, READOUT_SPEC, RewardSpec, readout_means,
                       reward_values)
-from .schedule import SAMPLER_STEPS, SCHEDULE_KINDS, make_schedule, make_step_plan
+from .schedule import (SAMPLER_STEPS, SCHEDULE_KINDS, cfg_coefficients, make_schedule,
+                       make_step_plan)
 from .tensorad import Tensor
 from .util import csv_text, derive_seed, format_cell, is_number, write_text
 
@@ -249,6 +250,7 @@ def ablate_steps(base_config, state_in, train_ks, test_ns, *, w=1.0, out_dir=Non
     Every K must satisfy 1 <= K <= base_config.n_steps (the chain length used
     during fine-tuning). When ``out_dir`` is given writes ablate_steps.csv/.txt.
     """
+    cfg_coefficients(w)  # guidance's own check, before any training
     ks = sorted({int(k) for k in train_ks})
     ns = sorted({int(n) for n in test_ns})
     if not ks or not ns:
@@ -274,6 +276,7 @@ def ablate_schedulers(base_config, state_in, kinds, steps, *, w=1.0, out_dir=Non
     Returns a Table sorted by (sampler, steps); when ``out_dir`` is given
     writes ablate_schedulers.csv/.txt.
     """
+    cfg_coefficients(w)  # guidance's own check, before any training
     seen = []
     for kind in kinds:
         if kind not in SAMPLER_STEPS:
@@ -334,6 +337,7 @@ def collapse_experiment(config, state_in, *, gamma_clip=100.0, w=1.0, out_dir=No
     """
     if gamma_clip <= 0:
         raise ValueError("gamma_clip must be positive for the constrained run")
+    cfg_coefficients(w)  # guidance's own check, before any training
     probe = RewardSpec(entries=(("degenerate-collapse-probe", 1.0),))
     anchored = RewardSpec(entries=(
         ("degenerate-collapse-probe", 1.0), ("clip-constraint", float(gamma_clip)),

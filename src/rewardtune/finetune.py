@@ -168,11 +168,16 @@ def adamw_update(named, grads, state, lr):
 
 
 def check_update_fields(config):
-    """Check the fields every training config has; a NaN fails each comparison."""
+    """Check the fields every training config has; a NaN fails each comparison,
+    and an infinite rate or decay would write non-finite weights."""
     if not config.lr > 0:
         raise ValueError("learning rate must be positive")
+    if config.lr == math.inf:
+        raise ValueError("learning rate must be finite")
     if not config.weight_decay >= 0:
         raise ValueError("weight_decay must be non-negative")
+    if config.weight_decay == math.inf:
+        raise ValueError("weight_decay must be finite")
     if config.iterations < 0:
         raise ValueError("iterations must be non-negative")
     if config.grad_clip is not None and not config.grad_clip > 0:

@@ -15,8 +15,9 @@ import json
 import numpy as np
 
 from . import tensorad as ta
-from .models import denoise, text_encode
-from .schedule import SAMPLER_STEPS, cfg_combine, make_schedule, sampler_step
+from .models import denoise, denoise_array, text_encode
+from .schedule import (SAMPLER_STEPS, cfg_coefficients, cfg_combine, make_schedule,
+                       sampler_coefficients, sampler_step)
 from .tensorad import Tensor
 from .util import derive_seed, write_text
 
@@ -28,7 +29,8 @@ def guided_step(denoiser, t, t_prev, z, c, w, sampler, sched):
 
     The unconditional branch runs only when w != 1, so w=1 is bit-identical
     to conditional-only denoising. Recorded like any other ops when a tape is
-    active; the sampler and the fine-tuning chain both step through here.
+    active: the fine-tuning chain's checkpoint segments step through here,
+    and ``walk_chain`` is the same step on arrays.
     """
     eps = denoise(denoiser, t, z, c)
     if w != 1.0:
@@ -39,13 +41,23 @@ def guided_step(denoiser, t, t_prev, z, c, w, sampler, sched):
 
 def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     """Detached walk of ``z`` down ``transitions`` under conditioning ``c``;
-    returns the final latent array. Nothing is recorded, so ``c`` may be a
-    taped tensor. A (B, D) ``z`` with a (B, C) ``c`` walks B chains at once,
-    each row bit for bit the walk of that row alone."""
-    with ta.pause_recording():
-        for t, t_prev in transitions:
-            z = guided_step(denoiser, t, t_prev, z, c, w, sampler, sched)
-    return z.data
+    returns the final latent array. A (B, D) ``z`` with a (B, C) ``c`` walks
+    B chains at once, each row bit for bit the walk of that row alone.
+
+    Each step is ``guided_step`` on plain arrays of the working dtype: the
+    same checks and kernels, and so the same bits, errors and warnings, with
+    no Tensor and no op dispatch. Nothing is recorded, so ``c`` may be a
+    taped tensor."""
+    z, c, null = z.data, c.data, denoiser.null_cond.data
+    for t, t_prev in transitions:
+        eps = denoise_array(denoiser, t, z, c)
+        if w != 1.0:
+            eps_u = denoise_array(denoiser, t, z, null)
+            a, b = cfg_coefficients(w)
+            eps = ta.axpby_kernel(eps, a, eps_u, b)
+        for a, b in sampler_coefficients(sampler, t, t_prev, sched):
+            z = ta.axpby_kernel(z, a, eps, b)
+    return z
 
 
 def start_noise(seed, d):

@@ -141,6 +141,10 @@ class DenoiserParams(_ParamSet):
     def t_embed(self):
         return self.w1.data.shape[0] - self.d - self.c_width
 
+    def layers(self):
+        """The dense stack's ``(w, b)`` pairs, first layer first."""
+        return [(self.w1, self.b1), (self.w2, self.b2), (self.w3, self.b3)]
+
 
 # widths that more than one set carries, each as the entries (axis 0) that
 # must agree: the conditioning width C and the data width D
@@ -250,8 +254,21 @@ def denoise(params, t, z_t, c):
     conditioning (C,), shared by every row, or one per row (B, C). Row i of
     a batch gets the bits ``denoise(params, t[i], z_t[i], c[i])`` gets.
     """
+    return ta.mlp(_denoise_parts(params, t, z_t, c), params.layers(), "silu")
+
+
+def denoise_array(params, t, z_t, c):
+    """``denoise`` on the arrays ``z_t`` and ``c``, recording nothing: its
+    checks and its bits, as an array of the working dtype."""
+    return ta.mlp_kernel(_denoise_parts(params, t, z_t, c), params.layers(), "silu")
+
+
+def _denoise_parts(params, t, z_t, c):
+    """``denoise``'s checks of ``z_t``, ``c`` and ``t``; the parts of its
+    dense stack's input: ``z_t``, the time embedding array and ``c``, where
+    ``z_t`` and ``c`` are both Tensors or both arrays."""
     d, cw, te = params.d, params.c_width, params.t_embed
-    zs, cs = z_t.data.shape, c.data.shape
+    zs, cs = z_t.shape, c.shape
     rows = zs[:-1]
     if zs != rows + (d,) or len(rows) > 1:
         raise ValueError(f"denoise: expected z_t width {d}, got {zs} (conditioning {cs})")
@@ -260,11 +277,10 @@ def denoise(params, t, z_t, c):
         if cs[-1:] != (cw,) or len(cs) > 2:
             raise ValueError(f"denoise: expected conditioning width {cw}, got {cs} (z_t {zs})")
         raise ValueError(f"denoise: z_t {zs} and conditioning {cs} disagree on the row count")
-    temb = ta.time_embedding(t, te)
-    if temb.data.shape[:-1] != rows and temb.data.ndim != 1:
-        raise ValueError(f"denoise: {len(temb.data)} timesteps for z_t {zs}")
-    layers = [(params.w1, params.b1), (params.w2, params.b2), (params.w3, params.b3)]
-    return ta.mlp([z_t, temb, c], layers, "silu")
+    temb = ta.time_embedding_array(t, te)
+    if temb.shape[:-1] != rows and temb.ndim != 1:
+        raise ValueError(f"denoise: {len(temb)} timesteps for z_t {zs}")
+    return [z_t, temb, c]
 
 
 # ---------------------------------------------------------------------------

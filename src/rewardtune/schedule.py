@@ -5,7 +5,9 @@ with alpha_t^2 + sigma_t^2 = 1. Sampler steps (DDIM and a probability-flow
 Euler step) are written against autodiff tensors so gradients flow through
 the denoising chain, each as one or two fused ``axpby`` nodes; schedule
 coefficients enter as plain floats and are constants with respect to
-differentiation.
+differentiation. Each update and the guidance combination is one function
+that checks its arguments and returns those floats as (a, b) pairs, which
+the taped steps and the detached walk both apply.
 """
 
 from __future__ import annotations
@@ -162,8 +164,9 @@ def predict_x0(z_t, eps_hat, t, sched):
     return ta.mul(ta.sub(z_t, ta.mul(eps_hat, s)), inv)
 
 
-def ddim_step(z_t, eps_hat, t, t_prev, sched):
-    """Deterministic DDIM update (eta = 0):
+def ddim_coefficients(t, t_prev, sched):
+    """The deterministic DDIM update (eta = 0) t -> t_prev as (a, b) pairs,
+    each applied in turn as z <- z * a + eps_hat * b:
 
     z_{t'} = alpha_{t'} * (z_t - sigma_t * eps_hat) / alpha_t + sigma_{t'} * eps_hat
     """
@@ -176,11 +179,12 @@ def ddim_step(z_t, eps_hat, t, t_prev, sched):
     a_p = sched.alpha_at(t_prev)
     s_p = sched.sigma_at(t_prev)
     # (z_t - eps_hat * s_t) * (a_p / a_t) + eps_hat * s_p, to the bit
-    return ta.axpby(ta.axpby(z_t, 1.0, eps_hat, -s_t), a_p / a_t, eps_hat, s_p)
+    return ((1.0, -s_t), (a_p / a_t, s_p))
 
 
-def euler_step(z_t, eps_hat, t, t_prev, sched):
-    """First-order Euler step of the VP probability-flow formulation.
+def euler_coefficients(t, t_prev, sched):
+    """First-order Euler step t -> t_prev of the VP probability-flow
+    formulation, as one (a, b) pair: z <- z * a + eps_hat * b.
 
     Discretizes dz = [f z + g^2/(2 sigma) eps_hat] dt on the schedule grid
     using exact finite differences of ln(alpha) and sigma^2 between t and
@@ -198,22 +202,52 @@ def euler_step(z_t, eps_hat, t, t_prev, sched):
     dlog_a = math.log(a_p) - math.log(a_t)
     dsig2 = s_p * s_p - s_t * s_t
     eps_coeff = (dsig2 - 2.0 * s_t * s_t * dlog_a) / (2.0 * s_t)
-    return ta.axpby(z_t, 1.0 + dlog_a, eps_hat, eps_coeff)
+    return ((1.0 + dlog_a, eps_coeff),)
+
+
+def _apply(pairs, z_t, eps_hat):
+    for a, b in pairs:
+        z_t = ta.axpby(z_t, a, eps_hat, b)
+    return z_t
+
+
+def ddim_step(z_t, eps_hat, t, t_prev, sched):
+    """The DDIM update of ``ddim_coefficients``, one fused ``axpby`` per pair."""
+    return _apply(ddim_coefficients(t, t_prev, sched), z_t, eps_hat)
+
+
+def euler_step(z_t, eps_hat, t, t_prev, sched):
+    """The Euler update of ``euler_coefficients``, one fused ``axpby``."""
+    return _apply(euler_coefficients(t, t_prev, sched), z_t, eps_hat)
+
+
+def cfg_coefficients(w):
+    """Classifier-free guidance at scale ``w`` as the (a, b) of
+    eps_cond * a + eps_uncond * b, that is w * eps_cond - (w - 1) * eps_uncond.
+    Raises ValueError unless ``w`` is finite and non-negative."""
+    if not 0 <= w < math.inf:
+        raise ValueError(f"guidance scale must be finite and non-negative, got {w!r}")
+    return float(w), -(float(w) - 1.0)
 
 
 def cfg_combine(eps_cond, eps_uncond, w):
     """Classifier-free guidance: w * eps_cond - (w - 1) * eps_uncond."""
-    if not 0 <= w < math.inf:
-        raise ValueError(f"guidance scale must be finite and non-negative, got {w!r}")
-    return ta.axpby(eps_cond, float(w), eps_uncond, -(float(w) - 1.0))
+    a, b = cfg_coefficients(w)
+    return ta.axpby(eps_cond, a, eps_uncond, b)
 
 
 SAMPLER_STEPS = {"ddim": ddim_step, "euler": euler_step}
+_SAMPLER_COEFFICIENTS = {"ddim": ddim_coefficients, "euler": euler_coefficients}
+
+
+def sampler_coefficients(kind, t, t_prev, sched):
+    """The (a, b) pairs of sampler ``kind``'s update t -> t_prev."""
+    try:
+        coefficients = _SAMPLER_COEFFICIENTS[kind]
+    except KeyError:
+        raise ValueError(f"unknown sampler '{kind}'") from None
+    return coefficients(t, t_prev, sched)
 
 
 def sampler_step(kind, z_t, eps_hat, t, t_prev, sched):
-    try:
-        step = SAMPLER_STEPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown sampler '{kind}'") from None
-    return step(z_t, eps_hat, t, t_prev, sched)
+    return _apply(sampler_coefficients(kind, t, t_prev, sched), z_t, eps_hat)

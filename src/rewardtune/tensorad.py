@@ -25,7 +25,8 @@ dense stack over the concatenation of its parts (``concat``, ``linear`` and
 and ``b``. Each model's dense stack is one ``mlp`` and a sampler update
 one or two ``axpby``, so a guided denoising step records a handful of
 nodes, not dozens: per-node Python dispatch, not arithmetic, is most of
-what a step costs.
+what a step costs. The forward arithmetic of each is one array function,
+``mlp_kernel`` and ``axpby_kernel``, which a detached walk calls directly.
 
 Reductions (sum, mean, dot, matmul, linear, mlp) accumulate in float64 and
 round back to the working dtype. The elementwise ops, ``axpby``, ``linear``,
@@ -98,8 +99,11 @@ __all__ = [
     "cosine_similarity",
     "squared_error",
     "time_embedding",
+    "time_embedding_array",
     "axpby",
+    "axpby_kernel",
     "mlp",
+    "mlp_kernel",
 ]
 
 _ID_COUNTER = itertools.count(1)
@@ -605,21 +609,30 @@ def _f64(x):
     return x.astype(np.float64, copy=False)
 
 
-def _product(op, x, w):
+def _product(op, x, w, b=None):
     """The array ``x`` @ the Tensor ``w`` in float64, rounded to the working
-    dtype: the one place a dense product widens, multiplies and rounds.
+    dtype, plus the Tensor ``b``'s array when given (as ``linear`` adds
+    it): the one place a dense product widens, multiplies and rounds.
     ``w`` is read through its kept float64 copy. A 2-D ``x`` is a stack of
     row vectors, each multiplied on its own (``np.matmul`` over (B, 1, K)),
     so row i equals the product of ``x[i]`` alone bit for bit; a 2-D gemm
-    would not."""
-    if x.ndim == 0 or w.data.ndim == 0:
+    would not. ``b`` has the output's shape or, for rows, one row's."""
+    ws = w.data.shape
+    if x.ndim == 0 or not ws:
         raise ValueError(f"{op}: operands must be 1-D or 2-D")
-    if x.shape[-1] != w.data.shape[0]:
-        raise ValueError(f"{op}: inner dims differ {x.shape} vs {w.data.shape}")
+    if x.shape[-1] != ws[0]:
+        raise ValueError(f"{op}: inner dims differ {x.shape} vs {ws}")
     x64 = _f64(x)
     if x64.ndim == 2:
-        return np.matmul(x64[:, None, :], w.data64)[:, 0].astype(_STATE.dtype)
-    return (x64 @ w.data64).astype(_STATE.dtype)
+        out = np.matmul(x64[:, None, :], w.data64)[:, 0].astype(_STATE.dtype)
+    else:
+        out = (x64 @ w.data64).astype(_STATE.dtype)
+    if b is None:
+        return out
+    bias = b.data
+    if bias.shape != out.shape and bias.shape != out.shape[-1:]:
+        raise ValueError(f"{op}: bias shape {bias.shape} does not match output {out.shape}")
+    return out + bias
 
 
 def _product_dx(g, x, w):
@@ -673,21 +686,12 @@ def _bw_linear(g, saved, ctx):
     return (*_bw_matmul(g, saved, None), _unbroadcast(g, ctx))
 
 
-def _dense(op, x, w, b):
-    """The array ``x`` @ ``w`` + ``b``, as ``linear`` computes it."""
-    out = _product(op, x, w)
-    bias = b.data.shape
-    if bias != out.shape and bias != out.shape[-1:]:
-        raise ValueError(f"{op}: bias shape {bias} does not match output {out.shape}")
-    return out + b.data
-
-
 def linear(x, w, b):
     """Dense layer x @ w + b as one op: bit for bit ``add(matmul(x, w), b)``,
     recorded as a single node. ``b`` has the output's shape or, for a batch
     of rows, one row's shape."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    return _trace("linear", (x, w, b), _dense("linear", x.data, w, b), (x, w), b.data.shape,
+    return _trace("linear", (x, w, b), _product("linear", x.data, w, b), (x, w), b.data.shape,
                   _bw_linear)
 
 
@@ -946,11 +950,22 @@ def tanh(a):
     return _trace("tanh", (a,), np.tanh(a.data), (), None, _bw_tanh, save_out=True)
 
 
+# exp may overflow to inf for very negative inputs; 1/(1+inf) saturates to
+# exactly 0.0, which is the correct limit, so the warning is noise. The
+# decorator form is thread-safe and sets the error state for exp alone.
+_exp_saturating = np.errstate(over="ignore")(np.exp)
+
+
+# 1 as a 0-D array of each float dtype: the same sums as the Python float,
+# on NumPy's quicker path for two arrays
+_ONES = {np.dtype(t): np.ones((), t) for t in (np.float32, np.float64)}
+
+
 def _sigmoid(x):
-    # exp may overflow to inf for very negative inputs; 1/(1+inf) saturates
-    # to exactly 0.0, which is the correct limit, so the warning is noise.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    """1 / (1 + exp(-x)), as ``reciprocal`` of ``exp(-x) + 1``: the same IEEE
+    operations on NumPy's quicker paths."""
+    e = _exp_saturating(-x)
+    return np.reciprocal(e + _ONES.get(e.dtype, 1.0))
 
 
 def _bw_silu(g, saved, ctx):
@@ -1019,6 +1034,16 @@ def _bw_axpby(g, saved, ctx):
     return g * b, g * a
 
 
+def axpby_kernel(x, a, y, b):
+    """The arithmetic of ``axpby`` on same-shape arrays ``x`` and ``y``:
+    ``x * a + y * b`` in the working dtype, trapped under debug_checks. The
+    constants enter as 0-D arrays of that dtype: the same products as its
+    scalars, on NumPy's quicker array path."""
+    dt = _STATE.dtype
+    a, b = np.asarray(a, dt), np.asarray(b, dt)
+    return _interior(np.asarray(x * a, dt) + np.asarray(y * b, dt))
+
+
 def axpby(x, a, y, b):
     """``x * a + y * b`` for same-shape ``x`` and ``y`` and the constants
     ``a`` and ``b``, in the working dtype: bit for bit
@@ -1030,28 +1055,50 @@ def axpby(x, a, y, b):
     _check_same_shape("axpby", x, y)
     dt = _STATE.dtype
     a, b = dt.type(a), dt.type(b)
-    out = np.asarray(x.data * a, dt) + np.asarray(y.data * b, dt)
-    return _trace("axpby", (y, x), out, (), (a, b), _bw_axpby)
+    return _trace("axpby", (y, x), axpby_kernel(x.data, a, y.data, b), (), (a, b), _bw_axpby)
 
 
-def _mlp_input(parts):
+def _mlp_input(arrays):
     """The first layer's input array: the one part's array, or the parts'
     last-axis concatenation with each 1-D part repeated over the rows of
     the 2-D ones, as ``broadcast_rows`` and ``concat`` make it."""
-    if len(parts) == 1 and parts[0].data.ndim in (1, 2):
-        return parts[0].data
-    arrays = [p.data for p in parts]
-    ranks = [a.ndim for a in arrays]
-    rows = {a.shape[0] for a in arrays if a.ndim == 2} if 2 in ranks else ()
-    if not arrays or len(rows) > 1 or not set(ranks) <= {1, 2}:
+    if len(arrays) == 1 and arrays[0].ndim in (1, 2):
+        return arrays[0]
+    ranks = {a.ndim for a in arrays}
+    if ranks == {1}:
+        return _interior(np.concatenate(arrays))
+    rows = {a.shape[0] for a in arrays if a.ndim == 2}
+    if len(rows) != 1 or not ranks <= {1, 2}:
         raise ValueError("mlp: parts must be 1-D, or 2-D with equal row counts; got ["
                          + ", ".join(str(a.shape) for a in arrays) + "]")
-    if rows and 1 in ranks:
+    if 1 in ranks:
         (b,) = rows
         # copies, so the join is C-ordered: a product's bits follow memory order
         arrays = [np.broadcast_to(a, (b, a.shape[0])).copy() if a.ndim == 1 else a
                   for a in arrays]
     return _interior(np.concatenate(arrays, -1))
+
+
+def mlp_kernel(arrays, layers, act, xs=None, pres=None):
+    """The arithmetic of ``mlp`` on the parts' arrays, with ``layers`` the
+    ``(w, b)`` Tensors and ``act`` checked by the caller; returns the output
+    array. Every array it makes is in the working dtype and trapped under
+    debug_checks. With ``xs`` and ``pres`` lists, appends what the taped
+    node keeps: each layer's input and each silu pre-activation."""
+    x = _mlp_input(arrays)
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        if xs is not None:
+            xs.append(x)
+        out = _interior(_product("mlp", x, w, b))
+        if i == last:
+            return out
+        if act == "silu":
+            if pres is not None:
+                pres.append(out)
+            x = _interior(out * _sigmoid(out))
+        else:
+            x = _interior(np.tanh(out))
 
 
 def _bw_mlp(g, saved, ctx):
@@ -1102,24 +1149,14 @@ def mlp(parts, layers, act):
     if act not in ("silu", "tanh") or not layers:
         raise ValueError(f"mlp: need at least one layer and act 'silu' or 'tanh', got {act!r}")
     parts = [_as_tensor(p) for p in parts]
-    x = _mlp_input(parts)
-    xs, pres, ws, bs = [parts[0] if len(parts) == 1 else x], [], [], []
-    for i, (w, b) in enumerate(layers):
-        w, b = _as_tensor(w), _as_tensor(b)
-        ws.append(w)
-        bs.append(b)
-        out = _dense("mlp", x, w, b)
-        if i == len(layers) - 1:
-            break
-        pre = _interior(out)
-        if act == "silu":
-            pres.append(pre)
-            x = _interior(pre * _sigmoid(pre))
-        else:
-            x = _interior(np.tanh(pre))
-        xs.append(x)
+    layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
+    xs, pres = [], []
+    out = mlp_kernel([p.data for p in parts], layers, act, xs, pres)
     if _active_tape() is None:
         return Tensor._wrap(out, False)
+    if len(parts) == 1:
+        xs[0] = parts[0]
+    ws, bs = [w for w, _ in layers], [b for _, b in layers]
     # onward[i]: layer i passes a gradient down to its input; at the first
     # layer, to the one part or a recorded concat, above it, to an
     # activation that needs one
@@ -1130,7 +1167,7 @@ def mlp(parts, layers, act):
         onward.append(below)
     # a broadcast part that needs no gradient has no recorded broadcast_rows
     gets = (True,) if len(parts) == 1 else tuple(
-        [joined and (p._needs or p.data.ndim == x.ndim) for p in parts])
+        [joined and (p._needs or p.data.ndim == out.ndim) for p in parts])
     ctx = (act, tuple([p.data.shape for p in parts]), tuple([b.data.shape for b in bs]),
            tuple([(w._needs, b._needs) for w, b in zip(ws, bs)]), onward, gets)
     inputs = (*(t for i in reversed(range(len(ws))) for t in (ws[i], bs[i])), *parts)
@@ -1171,9 +1208,15 @@ def time_embedding(t, dim):
     float64 values are computed once per (t, dim); every call still returns
     a fresh Tensor, so a checkpoint-segment replay sees a tensor of its own.
     """
+    return Tensor(time_embedding_array(t, dim))
+
+
+def time_embedding_array(t, dim):
+    """The values of ``time_embedding(t, dim)`` as an array of the working
+    dtype."""
     if isinstance(t, (int, np.integer)):
-        return Tensor(_time_angles(t, dim))
-    return Tensor(np.array([_time_angles(int(s), dim) for s in t]))
+        return _time_angles(t, dim).astype(_STATE.dtype)
+    return np.array([_time_angles(int(s), dim) for s in t], dtype=_STATE.dtype)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rewardtune import evalcli
 from rewardtune.data import make_prompt_sets
 from rewardtune.evalcli import (
     EvalReport,
@@ -737,6 +738,51 @@ class TestCliNumberFlags:
         assert rc == code
         assert want in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestGuidanceCheckedBeforeTraining:
+    """The experiment commands reject a bad guidance scale before any training."""
+
+    @pytest.fixture()
+    def trainings(self, monkeypatch):
+        calls = []
+
+        def fake_run_training(config, state_in, *args, **kwargs):
+            calls.append(config)
+            return state_in, None
+
+        monkeypatch.setattr(evalcli, "run_training", fake_run_training)
+        return calls
+
+    @pytest.mark.parametrize("command,extra", [
+        ("ablate-steps", ["--train-k", "2", "--test-n", "5"]),
+        ("ablate-schedulers", ["--kinds", "ddim", "--steps", "5"]),
+        ("collapse", []),
+    ])
+    def test_cli_exits_2_before_training(self, baseline_ckpt, tmp_path, capsys, trainings,
+                                         command, extra):
+        cfg = tmp_path / "base.json"
+        cfg.write_text(json.dumps({"iterations": 600, "batch_size": 2,
+                                   "n_steps": 5, "k_last": 2}))
+        out = tmp_path / "out"
+        rc = cli_main([command, "--config", str(cfg), "--checkpoint", baseline_ckpt,
+                       "--w", "-1", *extra, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "guidance scale must be finite and non-negative, got -1.0" in err
+        assert trainings == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("w", [-0.5, float("nan"), float("inf")])
+    def test_functions_raise_before_training(self, baseline_state, trainings, w):
+        match = "guidance scale must be finite and non-negative"
+        with pytest.raises(ValueError, match=match):
+            ablate_steps(TINY, baseline_state, [2], [5], w=w)
+        with pytest.raises(ValueError, match=match):
+            ablate_schedulers(TINY, baseline_state, ["ddim"], [5], w=w)
+        with pytest.raises(ValueError, match=match):
+            collapse_experiment(TINY, baseline_state, w=w)
+        assert trainings == []
 
 
 class TestCliAblations:

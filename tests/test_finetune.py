@@ -229,6 +229,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=match):
             cls(**kwargs)
 
+    @pytest.mark.parametrize("cls", [TrainConfig, PretrainConfig])
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(lr=math.inf), "learning rate must be finite"),
+        (dict(weight_decay=math.inf), "weight_decay must be finite"),
+    ])
+    def test_infinite_lr_and_decay_rejected(self, cls, kwargs, match):
+        # an infinite lr or decay would write non-finite weights at the first update
+        with pytest.raises(ValueError, match=match):
+            cls(**kwargs)
+
+    def test_infinite_lr_writes_no_checkpoint(self, baseline_state, tmp_path):
+        with pytest.raises(ValueError, match="learning rate"):
+            run_training(TrainConfig(lr=math.inf, iterations=3, batch_size=1, n_steps=3,
+                                     k_last=1, checkpoint_interval=1),
+                         baseline_state, str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
     def test_nan_chain_cfg_scale_rejected(self):
         with pytest.raises(ValueError, match="cfg scale"):
             TrainConfig(chain_cfg_scale=math.nan)

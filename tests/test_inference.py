@@ -1,7 +1,9 @@
 """Inference tests: seeded sampling, guidance, embedding blending, sample IO."""
 
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from rewardtune import tensorad as ta
 from rewardtune.inference import (
     DEFAULT_LAMBDA_SWEEP,
     continuity_probe,
+    guided_step,
     interpolate_embeddings,
     mix_styles,
     read_sample,
@@ -19,8 +22,15 @@ from rewardtune.inference import (
     walk_chain,
     write_sample,
 )
-from rewardtune.models import denoise, init_text_encoder, text_encode
-from rewardtune.schedule import make_schedule, make_step_plan, sampler_step
+from rewardtune.models import (
+    DenoiserParams,
+    TextEncoderParams,
+    denoise,
+    init_text_encoder,
+    text_encode,
+    text_encode_rows,
+)
+from rewardtune.schedule import NoiseSchedule, make_schedule, make_step_plan, sampler_step
 from rewardtune.tensorad import Tensor
 from rewardtune.util import derive_seed
 
@@ -293,3 +303,138 @@ class TestBatchedWalk:
         rng = np.random.default_rng(derive_seed(12, "sample"))
         want = rng.standard_normal(16).astype(np.float32)
         assert start_noise(12, 16).data.tobytes() == want.tobytes()
+
+
+def _stepped_walk(denoiser, transitions, z, c, w, sampler, sched):
+    """``walk_chain`` written out as a detached loop of ``guided_step``."""
+    with ta.pause_recording():
+        for t, t_prev in transitions:
+            z = guided_step(denoiser, t, t_prev, z, c, w, sampler, sched)
+    return z.data
+
+
+class TestWalkEqualsGuidedSteps:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [None, 4])
+    @pytest.mark.parametrize("w", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    def test_bytes_equal_stepped_loop(self, baseline_state, sampler, w, rows, dtype):
+        plan = make_step_plan(9)
+        rng = np.random.default_rng(17)
+        prompts = [(1, 2), (5,), (3, 3, 7), (0, 6)]
+        with ta.default_dtype(dtype):
+            text = TextEncoderParams.from_state(baseline_state)
+            den = DenoiserParams.from_state(baseline_state)
+            sched = make_schedule("linear-beta", 1000)
+            with ta.pause_recording():
+                if rows is None:
+                    z = Tensor(rng.standard_normal(16))
+                    c = text_encode(text, prompts[0])
+                else:
+                    z = Tensor(rng.standard_normal((rows, 16)))
+                    c = text_encode_rows(text, prompts[:rows])
+            got = walk_chain(den, plan.transitions(), z, c, w, sampler, sched)
+            want = _stepped_walk(den, plan.transitions(), z, c, w, sampler, sched)
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert got.shape == want.shape == z.data.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    def test_walk_makes_no_tensor(self, baseline_text, baseline_denoiser, monkeypatch, w):
+        # the walk runs on arrays: no op is dispatched and no Tensor is built
+        plan = make_step_plan(5)
+        sched = make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode(baseline_text, (1, 2))
+        z = start_noise(4, 16)
+
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("walk_chain built a Tensor")
+
+        monkeypatch.setattr(Tensor, "_fill", no_tensor)
+        got = walk_chain(baseline_denoiser, plan.transitions(), z, c, w, "euler", sched)
+        monkeypatch.undo()
+        want = _stepped_walk(baseline_denoiser, plan.transitions(), z, c, w, "euler", sched)
+        assert got.tobytes() == want.tobytes()
+
+    def test_taped_conditioning_records_nothing(self, baseline_text, baseline_denoiser):
+        plan = make_step_plan(4)
+        sched = make_schedule("linear-beta", 1000)
+        tape = ta.Tape()
+        with tape:
+            c = text_encode(baseline_text, (1, 2))
+            n = len(tape.nodes)
+            got = walk_chain(baseline_denoiser, plan.transitions(), start_noise(3, 16), c,
+                             3.0, "ddim", sched)
+            assert len(tape.nodes) == n
+        want = _stepped_walk(baseline_denoiser, plan.transitions(), start_noise(3, 16),
+                             Tensor(c.data), 3.0, "ddim", sched)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestWalkFailures:
+    """How a walk fails: the same errors and warnings a stepped walk gives."""
+
+    def _walk(self, den, transitions=((999, 500), (500, 0)), z=None, w=3.0,
+              sampler="ddim"):
+        sched = make_schedule("linear-beta", 1000)
+        z = Tensor(np.ones(16)) if z is None else z
+        return walk_chain(den, list(transitions), z, Tensor(np.ones(8)), w, sampler, sched)
+
+    def test_non_finite_hidden_activation_trapped_under_debug(self, baseline_denoiser):
+        den = dataclasses.replace(baseline_denoiser,
+                                  b1=Tensor(np.full(baseline_denoiser.b1.shape, np.nan)))
+        with ta.debug_checks(), pytest.raises(ta.AutodiffError, match="non-finite"):
+            self._walk(den)
+        assert np.isnan(self._walk(den)).all()
+
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    def test_overflowing_product_warns(self, baseline_denoiser, sampler):
+        den = dataclasses.replace(baseline_denoiser,
+                                  w1=Tensor(np.full(baseline_denoiser.w1.shape, 3e38)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow encountered in cast"):
+                self._walk(den, z=Tensor(np.full(16, 10.0)), sampler=sampler)
+
+    @pytest.mark.parametrize("w", [-1.0, math.nan, math.inf])
+    def test_bad_guidance_scale(self, baseline_denoiser, w):
+        with pytest.raises(ValueError,
+                           match="guidance scale must be finite and non-negative"):
+            self._walk(baseline_denoiser, w=w)
+
+    def test_empty_walk_checks_nothing(self, baseline_denoiser):
+        assert self._walk(baseline_denoiser, transitions=(), w=-1.0).tobytes() == \
+            np.ones(16, dtype=np.float32).tobytes()
+
+    def test_unknown_sampler(self, baseline_denoiser):
+        with pytest.raises(ValueError, match="unknown sampler 'heun'"):
+            self._walk(baseline_denoiser, sampler="heun")
+
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    @pytest.mark.parametrize("step", [(500, 500), (400, 500)])
+    def test_t_prev_not_below_t(self, baseline_denoiser, sampler, step):
+        t, t_prev = step
+        with pytest.raises(ValueError,
+                           match=rf"{sampler}_step: t_prev \({t_prev}\) must be < t \({t}\)"):
+            self._walk(baseline_denoiser, transitions=((999, 500), step), sampler=sampler)
+
+    def test_timestep_outside_schedule(self, baseline_denoiser):
+        with pytest.raises(ValueError, match=r"timestep 1000 outside \[0, 1000\)"):
+            self._walk(baseline_denoiser, transitions=((1000, 0),))
+
+    def test_alpha_floor(self, baseline_denoiser):
+        alpha = np.array([1.0, 0.5, 1e-3, 1e-7])
+        sched = NoiseSchedule(kind="custom", t_train=4, alpha=alpha,
+                              sigma=np.sqrt(1.0 - alpha**2))
+        with pytest.raises(ValueError, match="alpha at t=3 is below 1e-06"):
+            walk_chain(baseline_denoiser, [(3, 0)], Tensor(np.ones(16)),
+                       Tensor(np.ones(8)), 1.0, "ddim", sched)
+
+    def test_latent_width_checked_by_denoise(self, baseline_denoiser):
+        with pytest.raises(ValueError, match=r"denoise: expected z_t width 16, got \(15,\)"):
+            self._walk(baseline_denoiser, z=Tensor(np.ones(15)))
+        sched = make_schedule("linear-beta", 1000)
+        with pytest.raises(ValueError, match="disagree on the row count"):
+            walk_chain(baseline_denoiser, [(999, 0)], Tensor(np.ones((3, 16))),
+                       Tensor(np.ones((2, 8))), 1.0, "ddim", sched)
