@@ -10,12 +10,13 @@ sidecar describing how they were made.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
 from . import tensorad as ta
-from .models import denoise, denoise_array, text_encode
+from .models import _denoise_parts, denoise, text_encode
 from .schedule import (SAMPLER_STEPS, cfg_coefficients, cfg_combine, make_schedule,
                        sampler_coefficients, sampler_step)
 from .tensorad import Tensor
@@ -30,7 +31,7 @@ def guided_step(denoiser, t, t_prev, z, c, w, sampler, sched):
     The unconditional branch runs only when w != 1, so w=1 is bit-identical
     to conditional-only denoising. Recorded like any other ops when a tape is
     active: the fine-tuning chain's checkpoint segments step through here,
-    and ``walk_chain`` is the same step on arrays.
+    as two ``denoise`` calls, and ``walk_chain`` is the same step on arrays.
     """
     eps = denoise(denoiser, t, z, c)
     if w != 1.0:
@@ -44,26 +45,59 @@ def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     returns the final latent array. A (B, D) ``z`` with a (B, C) ``c`` walks
     B chains at once, each row bit for bit the walk of that row alone.
 
-    Each step is ``guided_step`` on plain arrays of the working dtype: the
-    same checks and kernels, and so the same bits, errors and warnings, with
-    no Tensor and no op dispatch. Nothing is recorded, so ``c`` may be a
-    taped tensor."""
-    z, c, null = z.data, c.data, denoiser.null_cond.data
-    for t, t_prev in transitions:
-        eps = denoise_array(denoiser, t, z, c)
-        if w != 1.0:
-            eps_u = denoise_array(denoiser, t, z, null)
-            a, b = cfg_coefficients(w)
-            eps = ta.axpby_kernel(eps, a, eps_u, b)
-        for a, b in sampler_coefficients(sampler, t, t_prev, sched):
+    Each step is ``guided_step`` on plain arrays of the working dtype, with
+    its bits, errors and warnings but no Tensor and no op dispatch: one
+    dense-stack pass over the rows [cond; uncond] of a buffer whose
+    conditioning columns are written once per walk. ``guided_step``'s
+    checks, the time embeddings and the sampler and guidance constants are
+    made once, before the first step; an empty walk checks nothing.
+    Nothing is recorded, so ``c`` may be a taped tensor."""
+    if not transitions:
+        return z.data
+    shape, z, c, null = z.shape, z.data, c.data, denoiser.null_cond.data
+    guided, t0 = w != 1.0, transitions[0][0]
+    # the parts are [z, time embedding, c]; the embedding has the working
+    # dtype. The null branch passes the same checks: C is null_cond's width
+    dt = _denoise_parts(denoiser, t0, z, c)[1].dtype
+    if guided:
+        cfg = [np.asarray(k, dt) for k in cfg_coefficients(w)]
+    d, te = denoiser.d, denoiser.t_embed
+    steps = [(ta.time_embedding_array(t, te),
+              [(np.asarray(a, dt), np.asarray(b, dt))
+               for a, b in sampler_coefficients(sampler, t, t_prev, sched)])
+             for t, t_prev in transitions]
+    n, width = len(z) if z.ndim == 2 else 1, d + te + denoiser.c_width
+    # (branch, row, column) when guided; the stack reads it as (2n, width)
+    rows = np.empty((2, n, width) if guided else z.shape[:-1] + (width,), dt)
+    rows[..., d + te:] = c
+    if guided:
+        rows[1, :, d + te:] = null
+    stacked = rows.reshape(-1, width) if guided else rows
+    layers = denoiser.layers()
+    for temb, pairs in steps:
+        rows[..., :d] = z
+        rows[..., d:d + te] = temb
+        eps = ta.mlp_kernel([stacked], layers, "silu")
+        if guided:
+            eps = ta.axpby_kernel(eps[:n], cfg[0], eps[n:], cfg[1])
+        for a, b in pairs:
             z = ta.axpby_kernel(z, a, eps, b)
-    return z
+    return z.reshape(shape)
 
 
 def start_noise(seed, d):
-    """The (D,) latent every sampling chain of ``seed`` starts from."""
+    """The (D,) latent every sampling chain of ``seed`` starts from, as a
+    fresh Tensor of the working dtype."""
+    return Tensor(_noise_draw(seed, d))
+
+
+@functools.lru_cache(maxsize=256)
+def _noise_draw(seed, d):
+    """``start_noise``'s float32 draw, read-only: a grid reuses a few seeds."""
     rng = np.random.default_rng(derive_seed(seed, "sample"))
-    return Tensor(rng.standard_normal(d).astype(np.float32))
+    draw = rng.standard_normal(d).astype(np.float32)
+    draw.flags.writeable = False
+    return draw
 
 
 def _checked_sched(plan, sampler, sched):

@@ -257,12 +257,6 @@ def denoise(params, t, z_t, c):
     return ta.mlp(_denoise_parts(params, t, z_t, c), params.layers(), "silu")
 
 
-def denoise_array(params, t, z_t, c):
-    """``denoise`` on the arrays ``z_t`` and ``c``, recording nothing: its
-    checks and its bits, as an array of the working dtype."""
-    return ta.mlp_kernel(_denoise_parts(params, t, z_t, c), params.layers(), "silu")
-
-
 def _denoise_parts(params, t, z_t, c):
     """``denoise``'s checks of ``z_t``, ``c`` and ``t``; the parts of its
     dense stack's input: ``z_t``, the time embedding array and ``c``, where

@@ -1038,10 +1038,12 @@ def axpby_kernel(x, a, y, b):
     """The arithmetic of ``axpby`` on same-shape arrays ``x`` and ``y``:
     ``x * a + y * b`` in the working dtype, trapped under debug_checks. The
     constants enter as 0-D arrays of that dtype: the same products as its
-    scalars, on NumPy's quicker array path."""
+    scalars, on NumPy's quicker array path. With debug off, nothing is
+    checked."""
     dt = _STATE.dtype
     a, b = np.asarray(a, dt), np.asarray(b, dt)
-    return _interior(np.asarray(x * a, dt) + np.asarray(y * b, dt))
+    out = np.asarray(x * a, dt) + np.asarray(y * b, dt)
+    return _interior(out) if _STATE.debug else out
 
 
 def axpby(x, a, y, b):
@@ -1082,23 +1084,31 @@ def _mlp_input(arrays):
 def mlp_kernel(arrays, layers, act, xs=None, pres=None):
     """The arithmetic of ``mlp`` on the parts' arrays, with ``layers`` the
     ``(w, b)`` Tensors and ``act`` checked by the caller; returns the output
-    array. Every array it makes is in the working dtype and trapped under
-    debug_checks. With ``xs`` and ``pres`` lists, appends what the taped
-    node keeps: each layer's input and each silu pre-activation."""
+    array. Every array it makes is in the working dtype; under debug_checks
+    each layer's product is trapped (an activation of a finite array is
+    finite). With debug off, only a product whose bias has another dtype is
+    cast. One 2-D part is the first layer's input as it is: each row's bits
+    follow from that row alone, so a caller may stack rows of different
+    conditionings into one pass. With ``xs`` and ``pres`` lists, appends
+    what the taped node keeps: each layer's input and each silu
+    pre-activation."""
     x = _mlp_input(arrays)
+    dt, debug = _STATE.dtype, _STATE.debug
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         if xs is not None:
             xs.append(x)
-        out = _interior(_product("mlp", x, w, b))
+        out = _product("mlp", x, w, b)
+        if debug or out.dtype != dt:
+            out = _interior(out)
         if i == last:
             return out
         if act == "silu":
             if pres is not None:
                 pres.append(out)
-            x = _interior(out * _sigmoid(out))
+            x = out * _sigmoid(out)
         else:
-            x = _interior(np.tanh(out))
+            x = np.tanh(out)
 
 
 def _bw_mlp(g, saved, ctx):

@@ -11,6 +11,7 @@ import pytest
 from rewardtune import tensorad as ta
 from rewardtune.inference import (
     DEFAULT_LAMBDA_SWEEP,
+    _noise_draw,
     continuity_probe,
     guided_step,
     interpolate_embeddings,
@@ -438,3 +439,100 @@ class TestWalkFailures:
         with pytest.raises(ValueError, match="disagree on the row count"):
             walk_chain(baseline_denoiser, [(999, 0)], Tensor(np.ones((3, 16))),
                        Tensor(np.ones((2, 8))), 1.0, "ddim", sched)
+
+
+class TestStackedWalk:
+    """One dense-stack pass per step over the rows [cond; uncond]."""
+
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_one_dense_stack_pass_per_step(self, baseline_text, baseline_denoiser,
+                                           monkeypatch, batch, w):
+        plan = make_step_plan(6)
+        sched = make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode_rows(baseline_text, [(1, 2), (5,), (3, 3, 7), (0, 6)][:batch])
+        z = Tensor(np.random.default_rng(3).standard_normal((batch, 16)))
+        heights = []
+        kernel = ta.mlp_kernel
+
+        def counted(arrays, *args, **kwargs):
+            heights.append([a.shape[0] for a in arrays])
+            return kernel(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(ta, "mlp_kernel", counted)
+        got = walk_chain(baseline_denoiser, plan.transitions(), z, c, w, "ddim", sched)
+        monkeypatch.undo()
+        assert heights == [[batch * (1 if w == 1.0 else 2)]] * len(plan.transitions())
+        want = _stepped_walk(baseline_denoiser, plan.transitions(), z, c, w, "ddim", sched)
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_null_rows(self, baseline_text, baseline_denoiser):
+        # the null rows are trapped when guidance reads them and never read at w=1
+        den = dataclasses.replace(baseline_denoiser,
+                                  null_cond=Tensor(np.full(baseline_denoiser.c_width, np.nan)))
+        plan = make_step_plan(5)
+        sched = make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode(baseline_text, (1, 2))
+        z = start_noise(6, 16)
+        with ta.debug_checks(), pytest.raises(ta.AutodiffError, match="non-finite"):
+            walk_chain(den, plan.transitions(), z, c, 3.0, "ddim", sched)
+        with ta.debug_checks():
+            got = walk_chain(den, plan.transitions(), z, c, 1.0, "ddim", sched)
+        assert np.isfinite(got).all()
+        want = _stepped_walk(den, plan.transitions(), z, c, 1.0, "ddim", sched)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    def test_one_row_latent(self, baseline_text, baseline_denoiser, sampler, w):
+        plan = make_step_plan(7)
+        sched = make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode_rows(baseline_text, [(4, 1)])
+        z = Tensor(np.random.default_rng(8).standard_normal((1, 16)))
+        got = walk_chain(baseline_denoiser, plan.transitions(), z, c, w, sampler, sched)
+        want = _stepped_walk(baseline_denoiser, plan.transitions(), z, c, w, sampler, sched)
+        assert got.shape == want.shape == (1, 16)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    def test_three_rows_fractional_guidance(self, baseline_text, baseline_denoiser, sampler):
+        plan = make_step_plan(7)
+        sched = make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode_rows(baseline_text, [(4, 1), (2,), (6, 6, 0)])
+        z = Tensor(np.random.default_rng(9).standard_normal((3, 16)))
+        got = walk_chain(baseline_denoiser, plan.transitions(), z, c, 0.5, sampler, sched)
+        want = _stepped_walk(baseline_denoiser, plan.transitions(), z, c, 0.5, sampler, sched)
+        assert got.shape == (3, 16)
+        assert got.tobytes() == want.tobytes()
+
+    def test_guided_probe_rows_equal_sampling_each_blend(self, baseline_text,
+                                                         baseline_denoiser):
+        other = init_text_encoder(98)
+        plan = make_step_plan(6)
+        samples, _ = continuity_probe(baseline_text, other, baseline_denoiser, (2, 5), plan,
+                                      3.0, seed=4, lambdas=DEFAULT_LAMBDA_SWEEP)
+        assert len(samples) == len(DEFAULT_LAMBDA_SWEEP) == 5
+        with ta.pause_recording():
+            c0 = text_encode(baseline_text, (2, 5))
+            c1 = text_encode(other, (2, 5))
+        for lam, x in zip(DEFAULT_LAMBDA_SWEEP, samples):
+            alone = sample_from_cond(interpolate_embeddings(c0, c1, lam), baseline_denoiser,
+                                     plan, 3.0, seed=4)
+            assert x.tobytes() == alone.tobytes(), lam
+
+    def test_start_noise_draw_is_cached_read_only(self):
+        first, second = start_noise(21, 16), start_noise(21, 16)
+        assert first is not second and first.data is not second.data
+        assert first.data.tobytes() == second.data.tobytes()
+        cached = _noise_draw(21, 16)
+        assert cached.dtype == np.float32 and not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+        with ta.default_dtype(np.float64):
+            wide = start_noise(21, 16)
+        assert wide.data.dtype == np.float64
+        assert wide.data.tobytes() == cached.astype(np.float64).tobytes()
