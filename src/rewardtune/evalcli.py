@@ -23,7 +23,7 @@ from .inference import (DEFAULT_LAMBDA_SWEEP, continuity_probe, mix_styles, samp
                         sample_from_cond, write_sample)
 from .models import (ImageEncoderParams, TextEncoderParams, load_checkpoint,
                      merged_state, model_from_state, save_checkpoint, state_digest,
-                     text_encode)
+                     text_encode, text_encode_rows)
 from .pretrain import PretrainConfig, pretrain_denoiser, pretrain_encoders
 from .rewards import (READOUT_COLUMNS, READOUT_SPEC, RewardSpec, readout_means,
                       reward_values)
@@ -156,17 +156,20 @@ def _named_states(checkpoints):
 
 def _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched):
     text, image, denoiser, world = model_from_state(state)
+    for p in prompts:
+        world.pattern_sum(p)  # the world's token rule, before any encode
 
     with ta.pause_recording():
-        conds = [text_encode(text, p) for p in prompts]
+        conds = text_encode_rows(text, prompts).data
 
     # samples[j, i]: prompt i under seed j; one shared noise draw per seed so
     # diversity across prompts reflects conditioning, not the initial latent
-    samples = np.array([[sample_from_cond(cond, denoiser, plan, w, s, sampler=sampler,
+    samples = np.array([[sample_from_cond(Tensor(cond), denoiser, plan, w, s, sampler=sampler,
                                           sched=sched) for cond in conds] for s in seeds])
 
     means = readout_means(samples.reshape(-1, samples.shape[-1]), prompts * len(seeds),
-                          world=world, image_params=image, text_params=text)
+                          world=world, image_params=image, text_params=text,
+                          txt_embs=Tensor(np.tile(conds, (len(seeds), 1))))
     diversity = _mean_pairwise_distance(samples[0])
     spread = float(np.mean([_mean_pairwise_distance(samples[:, i])
                             for i in range(len(prompts))]))
@@ -222,8 +225,9 @@ def _cell_seeds(base_seed, *labels):
     return (derive_seed(base_seed, *labels), derive_seed(base_seed, *labels, 1))
 
 
-def _score_grid(base_config, state_in, header, cells, w, out_dir, stem):
-    """Score each (label, state, sampler, n) cell on the holdout under
+def _score_grid(base_config, state_in, header, cells, plans, w, out_dir, stem):
+    """Score each (label, state, sampler, n) cell on the holdout with
+    ``plans[n]`` (built, so checked, before any training) under
     ``_cell_seeds(base_config.seed, label, n)``; one row per cell, in order.
 
     Returns the Table; when ``out_dir`` is given writes <stem>.csv/.txt.
@@ -232,8 +236,7 @@ def _score_grid(base_config, state_in, header, cells, w, out_dir, stem):
     sched = make_schedule(base_config.schedule_kind, base_config.t_train)
     rows = []
     for label, state, sampler, n in cells:
-        plan = make_step_plan(n, base_config.t_train)
-        e = _holdout_score(label, state, holdout, plan, w,
+        e = _holdout_score(label, state, holdout, plans[n], w,
                            _cell_seeds(base_config.seed, label, n), sampler, sched)
         rows.append((label, n) + e.reward_row())
     table = Table(header=header + tuple(col for _, col in READOUT_COLUMNS),
@@ -260,12 +263,13 @@ def ablate_steps(base_config, state_in, train_ks, test_ns, *, w=1.0, out_dir=Non
             raise ValueError(
                 f"train K={k} outside [1, {base_config.n_steps}] for N={base_config.n_steps}"
             )
+    plans = {n: make_step_plan(n, base_config.t_train) for n in ns}
 
     cells = []
     for k in ks:
         state, _ = run_training(dataclasses.replace(base_config, k_last=k), state_in)
         cells.extend((k, state, base_config.sampler, n) for n in ns)
-    return _score_grid(base_config, state_in, ("train_k", "test_n"), cells, w,
+    return _score_grid(base_config, state_in, ("train_k", "test_n"), cells, plans, w,
                        out_dir, "ablate_steps")
 
 
@@ -286,10 +290,11 @@ def ablate_schedulers(base_config, state_in, kinds, steps, *, w=1.0, out_dir=Non
     ns = sorted({int(n) for n in steps})
     if not seen or not ns:
         raise ValueError("kinds and steps must be non-empty")
+    plans = {n: make_step_plan(n, base_config.t_train) for n in ns}
 
     state_ft, _ = run_training(base_config, state_in)
     cells = [(kind, state_ft, kind, n) for kind in sorted(seen) for n in ns]
-    return _score_grid(base_config, state_in, ("sampler", "steps"), cells, w,
+    return _score_grid(base_config, state_in, ("sampler", "steps"), cells, plans, w,
                        out_dir, "ablate_schedulers")
 
 
@@ -424,9 +429,13 @@ def _load_json_config(path):
     return raw
 
 
-def _reject_config(args):
+def _sampling_inputs(args):
+    """Check a sampling command's flags before any checkpoint is read: no
+    --config, the guidance scale; returns the (step plan, schedule)."""
     if args.config is not None:
         raise ValueError(f"the {args.command} command takes no --config")
+    cfg_coefficients(args.w)
+    return make_step_plan(args.steps, args.t_train), make_schedule(args.schedule, args.t_train)
 
 
 def _cli_seed(args):
@@ -513,11 +522,9 @@ def _cmd_finetune(args):
 
 
 def _cmd_sample(args):
-    _reject_config(args)
+    plan, sched = _sampling_inputs(args)
     text, image, denoiser, world = model_from_state(load_checkpoint(args.checkpoint))
     prompt = _parse_prompt(args.prompt, world)
-    plan = make_step_plan(args.steps, args.t_train)
-    sched = make_schedule(args.schedule, args.t_train)
     x = sample(text, denoiser, prompt, plan, args.w, _cli_seed(args),
                sampler=args.sampler, sched=sched)
     scores = reward_values(Tensor(x), prompt, READOUT_SPEC, world=world,
@@ -530,14 +537,12 @@ def _cmd_sample(args):
 
 
 def _cmd_interpolate(args):
-    _reject_config(args)
+    plan, sched = _sampling_inputs(args)
     # the denoiser and world come from the first (base) checkpoint
     text_a, _, denoiser, world = model_from_state(load_checkpoint(args.checkpoint_a))
     text_b = TextEncoderParams.from_state(load_checkpoint(args.checkpoint_b))
     prompt = _parse_prompt(args.prompt, world)
     lambdas = _parse_numbers(args.lambdas, "--lambdas", _finite_float)
-    plan = make_step_plan(args.steps, args.t_train)
-    sched = make_schedule(args.schedule, args.t_train)
 
     samples, distances = continuity_probe(
         text_a, text_b, denoiser, prompt, plan, args.w, _cli_seed(args),
@@ -554,7 +559,7 @@ def _cmd_interpolate(args):
 
 
 def _cmd_mix(args):
-    _reject_config(args)
+    plan, sched = _sampling_inputs(args)
     paths = [p for p in args.checkpoints.split(",") if p]
     weights = _parse_numbers(args.weights, "--weights", _finite_float)
     if len(paths) != len(weights):
@@ -564,8 +569,6 @@ def _cmd_mix(args):
     text, _, denoiser, world = model_from_state(load_checkpoint(paths[0]))
     texts = [text] + [TextEncoderParams.from_state(load_checkpoint(p)) for p in paths[1:]]
     prompt = _parse_prompt(args.prompt, world)
-    plan = make_step_plan(args.steps, args.t_train)
-    sched = make_schedule(args.schedule, args.t_train)
 
     with ta.pause_recording():
         conds = [text_encode(t, prompt) for t in texts]
@@ -579,7 +582,7 @@ def _cmd_mix(args):
 
 
 def _cmd_evaluate(args):
-    _reject_config(args)
+    plan, sched = _sampling_inputs(args)
     named = []
     for path in args.checkpoint:
         name = os.path.splitext(os.path.basename(path))[0]
@@ -589,8 +592,6 @@ def _cmd_evaluate(args):
         prompt_set = load_prompts(args.prompts)
     else:
         _, prompt_set = prompt_split(TrainConfig(), world)
-    plan = make_step_plan(args.steps, args.t_train)
-    sched = make_schedule(args.schedule, args.t_train)
     seeds = (_parse_numbers(args.seeds, "--seeds") if args.seeds
              else list(_cell_seeds(_cli_seed(args), "eval")))
 

@@ -39,6 +39,7 @@ from .schedule import (
     DEFAULT_T_TRAIN,
     SAMPLER_STEPS,
     SCHEDULE_KINDS,
+    cfg_coefficients,
     forward_diffuse,
     make_schedule,
     make_step_plan,
@@ -85,8 +86,10 @@ class TrainConfig:
         check_update_fields(self)
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if not self.chain_cfg_scale >= 0:
-            raise ValueError("chain cfg scale must be non-negative")
+        try:
+            cfg_coefficients(self.chain_cfg_scale)
+        except ValueError as exc:
+            raise ValueError(f"chain cfg scale: {exc}") from None
         if self.sampler not in SAMPLER_STEPS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.schedule_kind not in SCHEDULE_KINDS:
@@ -280,8 +283,6 @@ def direct_finetune_step(text_params, denoiser, image_params, world, batch,
     if not (len(batch) == len(ts) == len(noises)):
         raise ValueError("batch, ts, and noises must have equal length")
     ts = [int(t) for t in ts]
-    for t in ts:
-        sched.alpha_at(t)  # range check before any work
     xs = Tensor(np.stack([np.asarray(x) for x, _ in batch]))
     eps = Tensor(np.stack([np.asarray(e) for e in noises]))
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensorad as ta
 from .models import _denoise_parts, denoise, text_encode
-from .schedule import (SAMPLER_STEPS, cfg_coefficients, cfg_combine, make_schedule,
-                       sampler_coefficients, sampler_step)
+from .schedule import (cfg_coefficients, cfg_combine, make_schedule, sampler_coefficients,
+                       sampler_step)
 from .tensorad import Tensor
 from .util import derive_seed, write_text
 
@@ -49,9 +49,10 @@ def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     its bits, errors and warnings but no Tensor and no op dispatch: one
     dense-stack pass over the rows [cond; uncond] of a buffer whose
     conditioning columns are written once per walk. ``guided_step``'s
-    checks, the time embeddings and the sampler and guidance constants are
-    made once, before the first step; an empty walk checks nothing.
-    Nothing is recorded, so ``c`` may be a taped tensor."""
+    checks run once, before the first step: the shapes of ``z`` and ``c``,
+    each step's sampler constants (sampler name, then transition), then
+    ``w``'s guidance constants; an empty walk checks nothing. Nothing is
+    recorded, so ``c`` may be a taped tensor."""
     if not transitions:
         return z.data
     shape, z, c, null = z.shape, z.data, c.data, denoiser.null_cond.data
@@ -59,13 +60,13 @@ def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     # the parts are [z, time embedding, c]; the embedding has the working
     # dtype. The null branch passes the same checks: C is null_cond's width
     dt = _denoise_parts(denoiser, t0, z, c)[1].dtype
-    if guided:
-        cfg = [np.asarray(k, dt) for k in cfg_coefficients(w)]
     d, te = denoiser.d, denoiser.t_embed
     steps = [(ta.time_embedding_array(t, te),
               [(np.asarray(a, dt), np.asarray(b, dt))
                for a, b in sampler_coefficients(sampler, t, t_prev, sched)])
              for t, t_prev in transitions]
+    if guided:
+        cfg = [np.asarray(k, dt) for k in cfg_coefficients(w)]
     n, width = len(z) if z.ndim == 2 else 1, d + te + denoiser.c_width
     # (branch, row, column) when guided; the stack reads it as (2n, width)
     rows = np.empty((2, n, width) if guided else z.shape[:-1] + (width,), dt)
@@ -100,11 +101,9 @@ def _noise_draw(seed, d):
     return draw
 
 
-def _checked_sched(plan, sampler, sched):
-    """Reject an unknown sampler; the schedule to walk (linear-beta over the
-    plan's horizon when ``sched`` is None). ``cfg_combine`` checks ``w``."""
-    if sampler not in SAMPLER_STEPS:
-        raise ValueError(f"unknown sampler {sampler!r}")
+def _walk_sched(plan, sched):
+    """The schedule to walk: ``sched``, or linear-beta over the plan's
+    horizon when it is None. ``walk_chain`` checks the sampler and ``w``."""
     return make_schedule("linear-beta", plan.t_train) if sched is None else sched
 
 
@@ -117,7 +116,7 @@ def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
     unconditional, 1 skips the unconditional branch entirely (bit-identical
     to conditional-only sampling), larger values extrapolate.
     """
-    sched = _checked_sched(plan, sampler, sched)
+    sched = _walk_sched(plan, sched)
     z = start_noise(seed, denoiser_params.d)
     return walk_chain(denoiser_params, plan.transitions(), z, cond, w, sampler, sched)
 
@@ -149,11 +148,11 @@ def interpolate_embeddings(c_original, c_finetuned, lam):
 
 
 def mix_styles(entries):
-    """Convex combination of conditioning vectors.
+    """Weighted sum of conditioning vectors, with weights summing to 1.
 
-    ``entries`` is a sequence of (embedding, weight) pairs; weights must sum
-    to 1 within 1e-6. Accumulation runs in float64, which keeps one-hot
-    weight vectors and equal-weight blends of identical embeddings exact.
+    ``entries`` holds (embedding, weight) pairs; weights may be negative and
+    must sum to 1 within 1e-6. Accumulation in float64 keeps one-hot weight
+    vectors and equal-weight blends of identical embeddings exact.
     """
     entries = list(entries)
     if len(entries) < 2:
@@ -182,7 +181,7 @@ def continuity_probe(text_original, text_finetuned, denoiser_params, prompt,
     """
     if not lambdas:
         raise ValueError("continuity_probe: empty interpolation sweep")
-    sched = _checked_sched(plan, sampler, sched)
+    sched = _walk_sched(plan, sched)
     d = denoiser_params.d
     with ta.pause_recording():
         c0 = text_encode(text_original, prompt)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rewardtune import evalcli
+from rewardtune import evalcli, inference, rewards
 from rewardtune.data import make_prompt_sets
 from rewardtune.evalcli import (
     EvalReport,
@@ -161,6 +161,37 @@ class TestEvaluate:
     def test_no_checkpoints_rejected(self, holdout):
         with pytest.raises(ValueError, match="no checkpoints"):
             evaluate({}, holdout, PLAN5, 1.0, [0, 1])
+
+    def test_one_rows_encode_per_model(self, baseline_state, holdout, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (evalcli, rewards, inference):
+            for name in ("text_encode", "text_encode_rows"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        report = evaluate({"a": baseline_state, "b": baseline_state}, holdout, PLAN5, 1.0,
+                          [0, 1])
+        assert calls == ["text_encode_rows", "text_encode_rows"]
+        assert report.entries[0].reward_means == report.entries[1].reward_means
+
+    @pytest.mark.parametrize("token", [40, 20])
+    def test_prompt_token_checked_by_the_world_before_any_chain(
+            self, baseline_state, holdout, monkeypatch, token):
+        chains = []
+        monkeypatch.setattr(evalcli, "sample_from_cond",
+                            lambda *args, **kwargs: chains.append(args))
+        prompts = list(holdout)
+        prompts[3] = (1, token)
+        with pytest.raises(ValueError,
+                           match=f"^token {token} is not an attribute of this world$"):
+            evaluate(baseline_state, prompts, PLAN5, 1.0, [0, 1])
+        assert chains == []
 
 
 TINY = TrainConfig(iterations=2, batch_size=2, n_steps=10, k_last=3, seed=3)
@@ -374,6 +405,20 @@ class TestCliSample:
                        "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "takes no --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--checkpoint", "missing.rcpt", "--prompt", "1"],
+    ["interpolate", "--checkpoint-a", "missing.rcpt", "--checkpoint-b", "missing.rcpt",
+     "--prompt", "1"],
+    ["mix", "--checkpoints", "missing.rcpt", "--weights", "1", "--prompt", "1"],
+    ["evaluate", "--checkpoint", "missing.rcpt"],
+])
+def test_sampling_flags_checked_before_any_checkpoint_read(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli_main(argv + ["--steps", "0", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "rewardtune: error: n_steps must be in [1, 1000]\n"
+    assert not out.exists()
 
 
 class TestCliPipeline:
@@ -640,6 +685,22 @@ class TestCliEvaluate:
         assert len(lines) == 3
         assert lines[1].split(",")[1:] == lines[2].split(",")[1:]
 
+    def test_prompt_token_outside_the_world_exits_2_before_any_chain(
+            self, baseline_ckpt, tmp_path, capsys, monkeypatch):
+        chains = []
+        monkeypatch.setattr(evalcli, "sample_from_cond",
+                            lambda *args, **kwargs: chains.append(args))
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("".join(f"{i % 8}\n" for i in range(31)) + "1 20\n")
+        out = tmp_path / "out"
+        rc = cli_main(["evaluate", "--checkpoint", baseline_ckpt, "--prompts", str(prompts),
+                       "--steps", "5", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "rewardtune: error: token 20 is not an attribute of this world\n"
+        assert chains == []
+        assert not out.exists()
+
 
 class TestCliInterpolateAndMix:
     def test_interpolate_identical_encoders_has_zero_distances(
@@ -741,7 +802,8 @@ class TestCliNumberFlags:
 
 
 class TestGuidanceCheckedBeforeTraining:
-    """The experiment commands reject a bad guidance scale before any training."""
+    """The experiment commands reject a bad guidance scale or step count
+    before any training."""
 
     @pytest.fixture()
     def trainings(self, monkeypatch):
@@ -783,6 +845,31 @@ class TestGuidanceCheckedBeforeTraining:
         with pytest.raises(ValueError, match=match):
             collapse_experiment(TINY, baseline_state, w=w)
         assert trainings == []
+
+    def test_step_counts_raise_before_training(self, baseline_state, trainings):
+        with pytest.raises(ValueError, match=r"n_steps must be in \[1, 1000\]"):
+            ablate_steps(TINY, baseline_state, [2], [5, 5000])
+        with pytest.raises(ValueError, match=r"n_steps must be in \[1, 1000\]"):
+            ablate_schedulers(TINY, baseline_state, ["ddim"], [0, 5])
+        assert trainings == []
+
+    @pytest.mark.parametrize("command,extra", [
+        ("ablate-steps", ["--train-k", "1,2", "--test-n", "5000"]),
+        ("ablate-schedulers", ["--kinds", "ddim", "--steps", "0"]),
+    ])
+    def test_cli_step_counts_exit_2_before_training(self, baseline_ckpt, tmp_path, capsys,
+                                                    trainings, command, extra):
+        cfg = tmp_path / "base.json"
+        cfg.write_text(json.dumps({"iterations": 600, "batch_size": 2,
+                                   "n_steps": 5, "k_last": 2}))
+        out = tmp_path / "out"
+        rc = cli_main([command, "--config", str(cfg), "--checkpoint", baseline_ckpt,
+                       *extra, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "rewardtune: error: n_steps must be in [1, 1000]\n"
+        assert trainings == []
+        assert not out.exists()
 
 
 class TestCliAblations:

@@ -191,6 +191,7 @@ class TestTrainConfig:
         (dict(schedule_kind="sigmoid"), "unknown schedule"),
         (dict(grad_clip=0.0), "grad_clip"),
         (dict(checkpoint_interval=-2), "checkpoint_interval"),
+        (dict(chain_cfg_scale=math.inf), "cfg scale"),
     ])
     def test_invalid_values_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -309,6 +310,15 @@ class TestDirectStep:
         with pytest.raises(ValueError, match="equal length"):
             direct_finetune_step(baseline_text, baseline_denoiser, baseline_image,
                                  baseline_world, batch, ts[:1], noises, sched,
+                                 RewardSpec.default())
+
+    def test_timestep_at_the_horizon_rejected(self, baseline_world, baseline_text,
+                                               baseline_image, baseline_denoiser):
+        sched = make_schedule("linear-beta", 1000)
+        batch, ts, noises = self._inputs(baseline_world)
+        with pytest.raises(ValueError, match=r"^timestep 1000 outside \[0, 1000\)$"):
+            direct_finetune_step(baseline_text, baseline_denoiser, baseline_image,
+                                 baseline_world, batch, [ts[0], 1000], noises, sched,
                                  RewardSpec.default())
 
     def test_zero_weights_give_zero_loss_and_grads(self, baseline_world,
