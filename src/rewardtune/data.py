@@ -45,6 +45,8 @@ class ToyWorld:
             rows.append(self.patterns[tok_to_row[int(tok)]])
         if not rows:
             raise ValueError("empty prompt")
+        if len(set(map(int, prompt_tokens))) < len(rows):
+            raise ValueError(f"prompt {' '.join(map(str, prompt_tokens))} repeats a token")
         total = np.zeros(self.d, dtype=np.float64)
         for r in rows:
             total += r

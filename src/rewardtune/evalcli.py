@@ -27,7 +27,7 @@ from .models import (ImageEncoderParams, TextEncoderParams, load_checkpoint,
 from .pretrain import PretrainConfig, pretrain_denoiser, pretrain_encoders
 from .rewards import (READOUT_COLUMNS, READOUT_SPEC, RewardSpec, readout_means,
                       reward_values)
-from .schedule import (SAMPLER_STEPS, SCHEDULE_KINDS, cfg_coefficients, make_schedule,
+from .schedule import (SAMPLER_COEFFICIENTS, SCHEDULE_KINDS, cfg_coefficients, make_schedule,
                        make_step_plan)
 from .tensorad import Tensor
 from .util import csv_text, derive_seed, format_cell, is_number, write_text
@@ -283,7 +283,7 @@ def ablate_schedulers(base_config, state_in, kinds, steps, *, w=1.0, out_dir=Non
     cfg_coefficients(w)  # guidance's own check, before any training
     seen = []
     for kind in kinds:
-        if kind not in SAMPLER_STEPS:
+        if kind not in SAMPLER_COEFFICIENTS:
             raise ValueError(f"unknown scheduler kind {kind!r}")
         if kind not in seen:
             seen.append(kind)
@@ -416,6 +416,7 @@ def _parse_prompt(text, world):
             valid = " ".join(str(t) for t in world.token_ids)
             raise ValueError(
                 f"prompt token {tok} is not a world attribute (valid: {valid})")
+    world.pattern_sum(tokens)  # the world's rule: each token once
     return tokens
 
 
@@ -436,6 +437,13 @@ def _sampling_inputs(args):
         raise ValueError(f"the {args.command} command takes no --config")
     cfg_coefficients(args.w)
     return make_step_plan(args.steps, args.t_train), make_schedule(args.schedule, args.t_train)
+
+
+def _finite(samples, args):
+    """``samples``, checked before a sampling command writes anything."""
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"the sample is not finite at w={args.w!r} over {args.steps} steps")
+    return samples
 
 
 def _cli_seed(args):
@@ -525,8 +533,8 @@ def _cmd_sample(args):
     plan, sched = _sampling_inputs(args)
     text, image, denoiser, world = model_from_state(load_checkpoint(args.checkpoint))
     prompt = _parse_prompt(args.prompt, world)
-    x = sample(text, denoiser, prompt, plan, args.w, _cli_seed(args),
-               sampler=args.sampler, sched=sched)
+    x = _finite(sample(text, denoiser, prompt, plan, args.w, _cli_seed(args),
+                       sampler=args.sampler, sched=sched), args)
     scores = reward_values(Tensor(x), prompt, READOUT_SPEC, world=world,
                            image_params=image, text_params=text)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -548,6 +556,7 @@ def _cmd_interpolate(args):
         text_a, text_b, denoiser, prompt, plan, args.w, _cli_seed(args),
         lambdas=lambdas, sampler=args.sampler, sched=sched,
     )
+    _finite(samples, args)
     os.makedirs(args.out_dir, exist_ok=True)
     for i, (lam, x) in enumerate(zip(lambdas, samples)):
         path = os.path.join(args.out_dir, f"sample_{i:02d}.f32")
@@ -573,8 +582,8 @@ def _cmd_mix(args):
     with ta.pause_recording():
         conds = [text_encode(t, prompt) for t in texts]
         mixed = mix_styles(list(zip(conds, weights)))
-    x = sample_from_cond(mixed, denoiser, plan, args.w, _cli_seed(args),
-                         sampler=args.sampler, sched=sched)
+    x = _finite(sample_from_cond(mixed, denoiser, plan, args.w, _cli_seed(args),
+                                 sampler=args.sampler, sched=sched), args)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "mix.f32")
     write_sample(path, x, _sample_meta(prompt, args, {"weights": weights}))
@@ -631,7 +640,7 @@ def _cmd_collapse(args):
 def _add_sampling_flags(p):
     p.add_argument("--steps", type=int, default=25, help="denoising steps")
     p.add_argument("--w", type=_finite_float, default=1.0, help="guidance scale")
-    p.add_argument("--sampler", choices=sorted(SAMPLER_STEPS), default="ddim")
+    p.add_argument("--sampler", choices=sorted(SAMPLER_COEFFICIENTS), default="ddim")
     p.add_argument("--schedule", choices=sorted(SCHEDULE_KINDS), default="linear-beta")
     p.add_argument("--t-train", type=int, default=1000, help="training timestep count")
 

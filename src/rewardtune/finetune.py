@@ -6,7 +6,7 @@ Three regimes over the frozen pieces of the pipeline:
   and push the reward gradient into the text encoder.
 - prompt-chain: run the full N-step sampler from pure noise on a prompt,
   backpropagate the reward through the last K denoising steps (earlier steps
-  detached), each recorded step wrapped as a recompute-on-backward segment.
+  detached), each recorded step one node in a recompute-on-backward segment.
 - unet-chain: the same chain, but gradients land on the denoiser while the
   (already fine-tuned) text encoder stays frozen.
 
@@ -33,11 +33,11 @@ from .models import (
     save_checkpoint,
     text_encode_rows,
 )
-from .inference import guided_step, walk_chain
+from .inference import step_table, walk_steps
 from .rewards import READOUT_COLUMNS, RewardSpec, clip_entries, combined_loss, readout_means
 from .schedule import (
     DEFAULT_T_TRAIN,
-    SAMPLER_STEPS,
+    SAMPLER_COEFFICIENTS,
     SCHEDULE_KINDS,
     cfg_coefficients,
     forward_diffuse,
@@ -90,7 +90,7 @@ class TrainConfig:
             cfg_coefficients(self.chain_cfg_scale)
         except ValueError as exc:
             raise ValueError(f"chain cfg scale: {exc}") from None
-        if self.sampler not in SAMPLER_STEPS:
+        if self.sampler not in SAMPLER_COEFFICIENTS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.schedule_kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
@@ -213,9 +213,10 @@ class StepResult:
     step_grad_norms: list  # per item: |dL/dz| entering each recorded step
 
 
-def _segment_step(t, t_prev, sampler, w, sched):
+def _segment_step(temb, pairs, cfg):
     def step(z_in, c_in, *den):
-        return guided_step(DenoiserParams(*den), t, t_prev, z_in, c_in, w, sampler, sched)
+        den = DenoiserParams(*den)
+        return ta.mlp_step(z_in, c_in, den.null_cond, temb, den.layers(), cfg, pairs)
 
     return step
 
@@ -300,10 +301,11 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
     only the last K steps.
 
     The B items walk as one (B, D) latent under the (B, C) conditioning of
-    their taped prompt encodes. The first N-K steps are one detached
-    ``walk_chain``, so the gradient counts exactly the dependence through
-    the recorded suffix; each of the last K steps is one recompute-on-backward
-    segment over the whole batch, and the final latent is the x_hat rows.
+    their taped prompt encodes, with one ``step_table`` for all N steps. The
+    first N-K steps are one detached walk, so the gradient counts exactly
+    the dependence through the recorded suffix; each of the last K steps is
+    one segment over the batch recording one ``ta.mlp_step``, and the final
+    latent is the x_hat rows.
     """
     if not prompts:
         raise ValueError("empty prompt batch")
@@ -318,11 +320,12 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
     den = denoiser.tensors()
 
     def chain(c):
-        z = Tensor(walk_chain(denoiser, transitions[:split], z0, c, w, sampler, sched))
+        steps, cfg = step_table(denoiser, transitions, z0, c, w, sampler, sched)
+        z = Tensor(walk_steps(denoiser, steps[:split], z0.data, c.data, cfg))
         taps = []
-        for t, t_prev in transitions[split:]:
+        for temb, pairs in steps[split:]:
             taps.append(z.id)
-            z = ta.checkpoint_segment(_segment_step(t, t_prev, sampler, w, sched), (z, c) + den)
+            z = ta.checkpoint_segment(_segment_step(temb, pairs, cfg), (z, c) + den)
         return z, taps
 
     return _reward_step(trainable, prompts, chain, text_params, image_params, world, spec)

@@ -16,9 +16,8 @@ import json
 import numpy as np
 
 from . import tensorad as ta
-from .models import _denoise_parts, denoise, text_encode
-from .schedule import (cfg_coefficients, cfg_combine, make_schedule, sampler_coefficients,
-                       sampler_step)
+from .models import _denoise_parts, text_encode
+from .schedule import cfg_coefficients, make_schedule, sampler_coefficients
 from .tensorad import Tensor
 from .util import derive_seed, write_text
 
@@ -26,18 +25,34 @@ DEFAULT_LAMBDA_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def guided_step(denoiser, t, t_prev, z, c, w, sampler, sched):
-    """One sampler transition t -> t_prev under guidance scale ``w``.
+    """One sampler transition t -> t_prev under guidance scale ``w``, with
+    ``step_table``'s checks.
 
     The unconditional branch runs only when w != 1, so w=1 is bit-identical
-    to conditional-only denoising. Recorded like any other ops when a tape is
-    active: the fine-tuning chain's checkpoint segments step through here,
-    as two ``denoise`` calls, and ``walk_chain`` is the same step on arrays.
-    """
-    eps = denoise(denoiser, t, z, c)
-    if w != 1.0:
-        eps_u = denoise(denoiser, t, z, denoiser.null_cond)
-        eps = cfg_combine(eps, eps_u, w)
-    return sampler_step(sampler, z, eps, t, t_prev, sched)
+    to conditional-only denoising. ``z`` is one latent or (B, D) rows, in
+    either working dtype. Bit for bit ``denoise``, ``denoise`` of the null
+    conditioning when w != 1, ``cfg_combine`` and ``sampler_step``,
+    forward and backward, but one ``ta.mlp_step`` node when recorded."""
+    ((temb, pairs),), cfg = step_table(denoiser, [(t, t_prev)], z, c, w, sampler, sched)
+    return ta.mlp_step(z, c, denoiser.null_cond, temb, denoiser.layers(), cfg, pairs)
+
+
+def step_table(denoiser, transitions, z, c, w, sampler, sched):
+    """The constants of a walk of ``z`` down the non-empty ``transitions``
+    under ``c``, in the working dtype: each transition's (time embedding,
+    sampler (a, b) pairs), and the guidance pair, None at w=1. Checks, in
+    order: the shapes of ``z`` and ``c``, each transition's sampler
+    constants (sampler name, then transition), then ``w``."""
+    # the parts are [z, time embedding, c]; the embedding has the working
+    # dtype. The null branch passes the same checks: C is null_cond's width
+    dt = _denoise_parts(denoiser, transitions[0][0], z, c)[1].dtype
+    te = denoiser.t_embed
+    steps = [(ta.time_embedding_array(t, te),
+              [(np.asarray(a, dt), np.asarray(b, dt))
+               for a, b in sampler_coefficients(sampler, t, t_prev, sched)])
+             for t, t_prev in transitions]
+    cfg = None if w == 1.0 else tuple([np.asarray(k, dt) for k in cfg_coefficients(w)])
+    return steps, cfg
 
 
 def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
@@ -45,44 +60,26 @@ def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     returns the final latent array. A (B, D) ``z`` with a (B, C) ``c`` walks
     B chains at once, each row bit for bit the walk of that row alone.
 
-    Each step is ``guided_step`` on plain arrays of the working dtype, with
-    its bits, errors and warnings but no Tensor and no op dispatch: one
-    dense-stack pass over the rows [cond; uncond] of a buffer whose
-    conditioning columns are written once per walk. ``guided_step``'s
-    checks run once, before the first step: the shapes of ``z`` and ``c``,
-    each step's sampler constants (sampler name, then transition), then
-    ``w``'s guidance constants; an empty walk checks nothing. Nothing is
-    recorded, so ``c`` may be a taped tensor."""
+    Each step is ``guided_step``'s arithmetic, ``ta.mlp_step_kernel``, on
+    plain arrays, with its bits, errors and warnings but no Tensor and no
+    op dispatch: one dense-stack pass over the rows [cond; uncond] of a
+    buffer whose conditioning columns are written once per walk. The checks
+    are ``step_table``'s, run once, before the first step; an empty walk
+    checks nothing. Nothing is recorded, so ``c`` may be a taped tensor."""
     if not transitions:
         return z.data
-    shape, z, c, null = z.shape, z.data, c.data, denoiser.null_cond.data
-    guided, t0 = w != 1.0, transitions[0][0]
-    # the parts are [z, time embedding, c]; the embedding has the working
-    # dtype. The null branch passes the same checks: C is null_cond's width
-    dt = _denoise_parts(denoiser, t0, z, c)[1].dtype
-    d, te = denoiser.d, denoiser.t_embed
-    steps = [(ta.time_embedding_array(t, te),
-              [(np.asarray(a, dt), np.asarray(b, dt))
-               for a, b in sampler_coefficients(sampler, t, t_prev, sched)])
-             for t, t_prev in transitions]
-    if guided:
-        cfg = [np.asarray(k, dt) for k in cfg_coefficients(w)]
-    n, width = len(z) if z.ndim == 2 else 1, d + te + denoiser.c_width
-    # (branch, row, column) when guided; the stack reads it as (2n, width)
-    rows = np.empty((2, n, width) if guided else z.shape[:-1] + (width,), dt)
-    rows[..., d + te:] = c
-    if guided:
-        rows[1, :, d + te:] = null
-    stacked = rows.reshape(-1, width) if guided else rows
-    layers = denoiser.layers()
+    steps, cfg = step_table(denoiser, transitions, z, c, w, sampler, sched)
+    return walk_steps(denoiser, steps, z.data, c.data, cfg)
+
+
+def walk_steps(denoiser, steps, z, c, cfg):
+    """``walk_chain`` of the arrays ``z`` and ``c`` down ``step_table``
+    entries; checks nothing."""
+    shape, layers = z.shape, denoiser.layers()
+    buffer = ta.step_rows(z, c, None if cfg is None else denoiser.null_cond.data,
+                          denoiser.w1.data.shape[0])
     for temb, pairs in steps:
-        rows[..., :d] = z
-        rows[..., d:d + te] = temb
-        eps = ta.mlp_kernel([stacked], layers, "silu")
-        if guided:
-            eps = ta.axpby_kernel(eps[:n], cfg[0], eps[n:], cfg[1])
-        for a, b in pairs:
-            z = ta.axpby_kernel(z, a, eps, b)
+        z = ta.mlp_step_kernel(buffer, z, temb, layers, cfg, pairs)
     return z.reshape(shape)
 
 

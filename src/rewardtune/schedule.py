@@ -12,6 +12,7 @@ the taped steps and the detached walk both apply.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -205,22 +206,6 @@ def euler_coefficients(t, t_prev, sched):
     return ((1.0 + dlog_a, eps_coeff),)
 
 
-def _apply(pairs, z_t, eps_hat):
-    for a, b in pairs:
-        z_t = ta.axpby(z_t, a, eps_hat, b)
-    return z_t
-
-
-def ddim_step(z_t, eps_hat, t, t_prev, sched):
-    """The DDIM update of ``ddim_coefficients``, one fused ``axpby`` per pair."""
-    return _apply(ddim_coefficients(t, t_prev, sched), z_t, eps_hat)
-
-
-def euler_step(z_t, eps_hat, t, t_prev, sched):
-    """The Euler update of ``euler_coefficients``, one fused ``axpby``."""
-    return _apply(euler_coefficients(t, t_prev, sched), z_t, eps_hat)
-
-
 def cfg_coefficients(w):
     """Classifier-free guidance at scale ``w`` as the (a, b) of
     eps_cond * a + eps_uncond * b, that is w * eps_cond - (w - 1) * eps_uncond.
@@ -236,18 +221,26 @@ def cfg_combine(eps_cond, eps_uncond, w):
     return ta.axpby(eps_cond, a, eps_uncond, b)
 
 
-SAMPLER_STEPS = {"ddim": ddim_step, "euler": euler_step}
-_SAMPLER_COEFFICIENTS = {"ddim": ddim_coefficients, "euler": euler_coefficients}
+# the one table of samplers: a config, the CLI and the walk accept its keys
+SAMPLER_COEFFICIENTS = {"ddim": ddim_coefficients, "euler": euler_coefficients}
 
 
 def sampler_coefficients(kind, t, t_prev, sched):
     """The (a, b) pairs of sampler ``kind``'s update t -> t_prev."""
     try:
-        coefficients = _SAMPLER_COEFFICIENTS[kind]
+        coefficients = SAMPLER_COEFFICIENTS[kind]
     except KeyError:
         raise ValueError(f"unknown sampler '{kind}'") from None
     return coefficients(t, t_prev, sched)
 
 
 def sampler_step(kind, z_t, eps_hat, t, t_prev, sched):
-    return _apply(sampler_coefficients(kind, t, t_prev, sched), z_t, eps_hat)
+    """Sampler ``kind``'s update t -> t_prev, one fused ``axpby`` per pair."""
+    for a, b in sampler_coefficients(kind, t, t_prev, sched):
+        z_t = ta.axpby(z_t, a, eps_hat, b)
+    return z_t
+
+
+# each sampler's taped step (z_t, eps_hat, t, t_prev, sched), by name
+SAMPLER_STEPS = {kind: functools.partial(sampler_step, kind) for kind in SAMPLER_COEFFICIENTS}
+ddim_step, euler_step = SAMPLER_STEPS["ddim"], SAMPLER_STEPS["euler"]

@@ -18,15 +18,17 @@ exactly. Because the replay performs the identical arithmetic in the
 identical order, checkpointed gradients are bit-for-bit equal to
 un-checkpointed ones.
 
-Two fused ops record one node where a chain of the primitives would record
-several, and are bit for bit that chain, forward and backward: ``mlp``, a
-dense stack over the concatenation of its parts (``concat``, ``linear`` and
-``silu`` or ``tanh``), and ``axpby``, ``x * a + y * b`` for constants ``a``
-and ``b``. Each model's dense stack is one ``mlp`` and a sampler update
-one or two ``axpby``, so a guided denoising step records a handful of
-nodes, not dozens: per-node Python dispatch, not arithmetic, is most of
-what a step costs. The forward arithmetic of each is one array function,
-``mlp_kernel`` and ``axpby_kernel``, which a detached walk calls directly.
+Three fused ops record one node where a chain of the primitives would
+record several, and are bit for bit that chain, forward and backward:
+``mlp``, a dense stack over the concatenation of its parts (``concat``,
+``linear`` and ``silu`` or ``tanh``); ``axpby``, ``x * a + y * b`` for
+constants ``a`` and ``b``; and ``mlp_step``, a guided sampler step (one
+``mlp`` per guidance branch, an ``axpby`` combining them, one ``axpby``
+per sampler update), so a recorded denoising step is one node, not
+dozens: per-node Python dispatch, not arithmetic, is most of what a step
+costs. The forward arithmetic of each is one array function,
+``mlp_kernel``, ``axpby_kernel`` and ``mlp_step_kernel``, which a detached
+walk calls directly.
 
 Reductions (sum, mean, dot, matmul, linear, mlp) accumulate in float64 and
 round back to the working dtype. The elementwise ops, ``axpby``, ``linear``,
@@ -104,6 +106,9 @@ __all__ = [
     "axpby_kernel",
     "mlp",
     "mlp_kernel",
+    "mlp_step",
+    "mlp_step_kernel",
+    "step_rows",
 ]
 
 _ID_COUNTER = itertools.count(1)
@@ -1122,7 +1127,8 @@ def _bw_mlp(g, saved, ctx):
         x = xs[i].data if type(xs[i]) is Tensor else xs[i]
         yield _product_dw(g, x, ws[i]) if needs[i][0] else None
         yield _unbroadcast(g, biases[i]) if needs[i][1] else None
-        if not onward[i]:
+        if not onward[i]:  # Nones keep a fused node's later ids aligned
+            yield from itertools.repeat(None, 2 * i + len(shapes))
             return
         g = _product_dx(g, x, ws[i])
         if i and act == "silu":
@@ -1166,22 +1172,101 @@ def mlp(parts, layers, act):
         return Tensor._wrap(out, False)
     if len(parts) == 1:
         xs[0] = parts[0]
-    ws, bs = [w for w, _ in layers], [b for _, b in layers]
+    inputs, ctx = _mlp_node(act, parts, layers, out.ndim)
+    return _trace("mlp", inputs, out, (*xs, *pres, *(w for w, _ in layers)), ctx, _bw_mlp)
+
+
+def _mlp_node(act, parts, layers, ndim):
+    """``mlp``'s node inputs and backward context, for an output of rank ``ndim``."""
     # onward[i]: layer i passes a gradient down to its input; at the first
     # layer, to the one part or a recorded concat, above it, to an
     # activation that needs one
     joined = any([p._needs for p in parts])
     onward, below = [len(parts) == 1 or joined], joined
-    for w, b in zip(ws[:-1], bs[:-1]):
+    for w, b in layers[:-1]:
         below = below or w._needs or b._needs
         onward.append(below)
     # a broadcast part that needs no gradient has no recorded broadcast_rows
     gets = (True,) if len(parts) == 1 else tuple(
-        [joined and (p._needs or p.data.ndim == out.ndim) for p in parts])
-    ctx = (act, tuple([p.data.shape for p in parts]), tuple([b.data.shape for b in bs]),
-           tuple([(w._needs, b._needs) for w, b in zip(ws, bs)]), onward, gets)
-    inputs = (*(t for i in reversed(range(len(ws))) for t in (ws[i], bs[i])), *parts)
-    return _trace("mlp", inputs, out, (*xs, *pres, *ws), ctx, _bw_mlp)
+        [joined and (p._needs or p.data.ndim == ndim) for p in parts])
+    ctx = (act, tuple([p.data.shape for p in parts]), tuple([b.data.shape for _, b in layers]),
+           tuple([(w._needs, b._needs) for w, b in layers]), onward, gets)
+    return (*(t for w, b in reversed(layers) for t in (w, b)), *parts), ctx
+
+
+def step_rows(z, c, null, width):
+    """A fresh ``mlp_step_kernel`` buffer with the conditioning columns
+    written, as (rows, stack): (2, B, width) rows, c's over ``null``'s, and
+    their (2B, width) stack, or without ``null``, ``z``'s rows twice."""
+    if null is None:
+        rows = np.empty(z.shape[:-1] + (width,), _STATE.dtype)
+        rows[..., width - c.shape[-1]:] = c
+        return rows, rows
+    n = len(z) if z.ndim == 2 else 1
+    stack = np.empty((2 * n, width), _STATE.dtype)
+    rows = stack.reshape(2, n, width)
+    rows[..., width - c.shape[-1]:] = c
+    rows[1, :, width - null.shape[-1]:] = null
+    return rows, stack
+
+
+def mlp_step_kernel(buffer, z, temb, layers, cfg, pairs, xs=None, pres=None):
+    """``mlp_step``'s arithmetic over a ``step_rows`` buffer: writes ``z``
+    and ``temb`` into each row, makes one ``mlp_kernel`` pass over the
+    stack (``xs`` and ``pres`` are its lists) and guides its halves;
+    returns the new latent, one (1, D) row for a guided 1-D ``z``. Each
+    row's bits follow from that row alone."""
+    rows, stack = buffer
+    d = z.shape[-1]
+    rows[..., :d] = z
+    rows[..., d:d + len(temb)] = temb
+    eps = mlp_kernel([stack], layers, "silu", xs, pres)
+    if cfg is not None:
+        n = rows.shape[1]
+        eps = axpby_kernel(eps[:n], cfg[0], eps[n:], cfg[1])
+    for a, b in pairs:
+        z = axpby_kernel(z, a, eps, b)
+    return z
+
+
+def _bw_mlp_step(g, saved, ctx):
+    """Yields the gradients as the chain's sweep gives them: the sampler
+    pairs last first (eps adds ``g * b`` terms, z takes ``g * a`` products),
+    the guidance split, ``_bw_mlp`` over the uncond rows, then the cond rows."""
+    pairs, cfg, blocks, ws, branches = ctx
+    ge = None
+    for a, b in reversed(pairs):
+        ge = g * b if ge is None else ge + g * b
+        g = g * a
+    yield g
+    split = [(None, ge)] if cfg is None else [(1, ge * cfg[1]), (0, ge * cfg[0])]
+    for (k, gk), branch in zip(split, branches):
+        yield from _bw_mlp(gk, [x if k is None else x.reshape(blocks)[k] for x in saved] + ws,
+                           branch)
+
+
+def mlp_step(z, c, null, temb, layers, cfg, pairs):
+    """A guided sampler step around a silu dense stack as one node, bit for
+    bit the chain of 2 to 5: ``mlp`` over [z, temb, c] and, for a guidance
+    pair ``cfg``, over [z, temb, null], combined by ``axpby``, then an
+    ``axpby`` (z, a, eps, b) per sampler pair; ``temb`` and the constants
+    are arrays of the working dtype. Its inputs are z, then the
+    unconditional ``mlp``'s, then the conditional one's, the order the
+    chain's sweep gives them gradients in: each leaf is counted and folded
+    as there, and a branch that needs nothing gets nothing."""
+    z, c = _as_tensor(z), _as_tensor(c)
+    buffer = step_rows(z.data, c.data, None if cfg is None else null.data,
+                       layers[0][0].data.shape[0])
+    xs, pres = [], []
+    out = mlp_step_kernel(buffer, z.data, temb, layers, cfg, pairs, xs, pres).reshape(z.shape)
+    if _active_tape() is None:
+        return Tensor._wrap(out, False)
+    t = Tensor._wrap(temb, False)
+    nodes = [_mlp_node("silu", [z, t, cond], layers, out.ndim)
+             for cond in ((c,) if cfg is None else (null, c))]
+    ctx = (pairs, cfg, (2,) + z.shape[:-1] + (-1,), [w for w, _ in layers], [n[1] for n in nodes])
+    return _trace("mlp_step", (z, *(i for n in nodes for i in n[0])), out, (*xs, *pres), ctx,
+                  _bw_mlp_step)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,13 @@ class TestWorld:
         with pytest.raises(ValueError, match="empty"):
             w.pattern_sum(())
 
+    def test_pattern_sum_rejects_a_repeated_token(self):
+        w = make_world(1)
+        with pytest.raises(ValueError, match="^prompt 2 5 2 repeats a token$"):
+            w.pattern_sum((2, 5, 2))
+        with pytest.raises(ValueError, match="token 99 is not an attribute"):
+            w.pattern_sum((99, 99))
+
 
 class TestSamplePair:
     def test_noise_free_single_attribute_equals_pattern(self):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rewardtune import evalcli, inference, rewards
+from rewardtune import evalcli, inference, rewards, schedule
 from rewardtune.data import make_prompt_sets
 from rewardtune.evalcli import (
     EvalReport,
@@ -21,9 +21,10 @@ from rewardtune.evalcli import (
     evaluate,
 )
 from rewardtune.finetune import TrainConfig, run_training
-from rewardtune.models import load_checkpoint, save_checkpoint, state_digest
+from rewardtune.models import init_denoiser, load_checkpoint, save_checkpoint, state_digest
 from rewardtune.pretrain import PretrainConfig, make_pretrained_baseline
 from rewardtune.schedule import make_step_plan
+from rewardtune.tensorad import Tensor
 from rewardtune.util import derive_seed
 
 PLAN25 = make_step_plan(25)
@@ -799,6 +800,83 @@ class TestCliNumberFlags:
         assert rc == code
         assert want in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "sample --checkpoint {ckpt}",
+        "interpolate --checkpoint-a {ckpt} --checkpoint-b {ckpt}",
+        "mix --checkpoints {ckpt},{ckpt} --weights 0.5,0.5",
+    ], ids=["sample", "interpolate", "mix"])
+    def test_non_finite_sample_exits_2_before_any_file(self, baseline_ckpt, tmp_path, capsys,
+                                                       argv):
+        # w = 1e30 is finite but overflows the walk; NumPy's RuntimeWarnings
+        # are printed and the command goes on, as it does outside the tests
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = cli_main(argv.format(ckpt=baseline_ckpt).split()
+                          + ["--prompt", "1 2", "--w", "1e30", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("rewardtune: error: the sample is not finite at "
+                                           "w=1e+30 over 25 steps\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "evaluate"])
+    def test_repeated_prompt_token_exits_2_before_any_file(self, baseline_ckpt, tmp_path,
+                                                           capsys, monkeypatch, command):
+        # a repeated token encodes as the token alone but would be scored
+        # against its pattern twice
+        chains = []
+        monkeypatch.setattr(evalcli, "sample_from_cond",
+                            lambda *args, **kwargs: chains.append(args))
+        monkeypatch.setattr(evalcli, "sample", lambda *args, **kwargs: chains.append(args))
+        if command == "sample":
+            argv = ["sample", "--checkpoint", baseline_ckpt, "--prompt", "1 1"]
+        else:
+            prompts = tmp_path / "prompts.txt"
+            prompts.write_text("".join(f"{i % 8}\n" for i in range(31)) + "3 5 3\n")
+            argv = ["evaluate", "--checkpoint", baseline_ckpt, "--prompts", str(prompts)]
+        out = tmp_path / "out"
+        rc = cli_main(argv + ["--steps", "5", "--out-dir", str(out)])
+        assert rc == 2
+        repeated = "1 1" if command == "sample" else "3 5 3"
+        assert capsys.readouterr().err == (f"rewardtune: error: prompt {repeated} "
+                                           "repeats a token\n")
+        assert chains == []
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("added", [False, True], ids=["table", "table-plus-one"])
+def test_config_cli_and_walk_accept_the_same_samplers(tmp_path, monkeypatch, added):
+    # the one sampler table decides for all three: a name added to it is
+    # accepted by each, and a name outside it by none
+    if added:
+        monkeypatch.setitem(schedule.SAMPLER_COEFFICIENTS, "ddim2", schedule.ddim_coefficients)
+    den = init_denoiser(0)
+    sched = schedule.make_schedule("linear-beta", 1000)
+
+    def accepted(name):
+        try:
+            TrainConfig(sampler=name)
+            config = True
+        except ValueError:
+            config = False
+        # a known sampler gets past the flags to the missing checkpoint (2)
+        cli = cli_main(["sample", "--checkpoint", str(tmp_path / "none.rcpt"), "--prompt", "1",
+                        "--sampler", name, "--out-dir", str(tmp_path)]) == 2
+        try:
+            inference.walk_chain(den, [(999, 500), (500, 0)], inference.start_noise(0, 16),
+                                 Tensor(np.ones(8)), 1.0, name, sched)
+            walk = True
+        except ValueError:
+            walk = False
+        return config, cli, walk
+
+    names = sorted(schedule.SAMPLER_COEFFICIENTS)
+    assert names == (["ddim", "ddim2", "euler"] if added else ["ddim", "euler"])
+    for name in names:
+        assert accepted(name) == (True, True, True), name
+    for name in ["heun"] + ([] if added else ["ddim2"]):
+        assert accepted(name) == (False, False, False), name
 
 
 class TestGuidanceCheckedBeforeTraining:

@@ -519,6 +519,31 @@ class TestChainStep:
         assert result.x_hats[0].dtype == expected.dtype
         assert result.x_hats[0].tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    @pytest.mark.parametrize("regime", ["prompt-chain", "unet-chain"])
+    def test_each_segment_records_one_node(self, baseline_world, baseline_text,
+                                           baseline_image, baseline_denoiser, monkeypatch,
+                                           regime, w):
+        # the first pass and the replay of every recorded step capture one node
+        captured = []
+        run_segment = ta._run_segment
+
+        def counted(tape, fn, inputs):
+            outs, scratch = run_segment(tape, fn, inputs)
+            captured.append([node.op for node in scratch])
+            return outs, scratch
+
+        monkeypatch.setattr(ta, "_run_segment", counted)
+        trainable, step = ((baseline_text, prompt_finetune_step) if regime == "prompt-chain"
+                           else (baseline_denoiser, unet_finetune_step))
+        trainable.set_requires_grad(True)
+        frozen = baseline_denoiser if trainable is baseline_text else baseline_text
+        z0s = np.random.default_rng(6).standard_normal((2, 16)).astype(np.float32)
+        step(trainable, frozen, baseline_image, baseline_world, [(1, 2), (4,)], list(z0s),
+             make_step_plan(6), 3, make_schedule("linear-beta", 1000), RewardSpec.default(),
+             w=w)
+        assert captured == [["mlp_step"]] * 6
+
     def test_checkpointed_chain_matches_plain_tape(self, baseline_world,
                                                    baseline_text, baseline_image,
                                                    baseline_denoiser):

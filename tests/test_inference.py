@@ -31,7 +31,8 @@ from rewardtune.models import (
     text_encode,
     text_encode_rows,
 )
-from rewardtune.schedule import NoiseSchedule, make_schedule, make_step_plan, sampler_step
+from rewardtune.schedule import (NoiseSchedule, cfg_combine, make_schedule, make_step_plan,
+                                 sampler_step)
 from rewardtune.tensorad import Tensor
 from rewardtune.util import derive_seed
 
@@ -536,3 +537,67 @@ class TestStackedWalk:
             wide = start_noise(21, 16)
         assert wide.data.dtype == np.float64
         assert wide.data.tobytes() == cached.astype(np.float64).tobytes()
+
+
+def _primitive_step(denoiser, t, t_prev, z, c, w, sampler, sched):
+    """A guided step as the primitive chain: 2 to 5 recorded nodes."""
+    eps = denoise(denoiser, t, z, c)
+    if w != 1.0:
+        eps = cfg_combine(eps, denoise(denoiser, t, z, denoiser.null_cond), w)
+    return sampler_step(sampler, z, eps, t, t_prev, sched)
+
+
+class TestOneNodeStep:
+    """``guided_step`` records one node, bit for bit the primitive chain."""
+
+    @staticmethod
+    def _run(step, state, dtype, shape, trainable, w, sampler):
+        # three steps on one plain tape: every leaf is read by three steps,
+        # so row terms are folded; dL/dz is tapped at each step's input
+        prompts = [(1, 2), (5,), (3, 7, 0)]
+        plan = make_step_plan(9)
+        with ta.default_dtype(dtype):
+            text = TextEncoderParams.from_state(state)
+            den = DenoiserParams.from_state(state)
+            (text if trainable == "text" else den).set_requires_grad(True)
+            sched = make_schedule("linear-beta", 1000)
+            rng = np.random.default_rng(29)
+            z = Tensor(rng.standard_normal(16 if shape is None else (shape, 16)))
+            tape = ta.Tape()
+            with tape:
+                c = (text_encode(text, prompts[0]) if shape is None
+                     else text_encode_rows(text, prompts[:shape]))
+                taps, before = [c.id], len(tape.nodes)
+                for t, t_prev in plan.transitions()[-3:]:
+                    taps.append(z.id)
+                    z = step(den, t, t_prev, z, c, w, sampler, sched)
+                nodes = len(tape.nodes) - before
+                loss = ta.tensor_sum(ta.mul(z, z))
+            grads = ta.backward(tape, loss, tap_ids=taps)
+            named = {**text.named(), **den.named()}
+            return (z.data, nodes, [grads.get(i) for i in taps],
+                    {k: grads.get(p.id) for k, p in named.items()})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trainable", ["text", "denoiser"])
+    @pytest.mark.parametrize("shape", [None, 1, 3], ids=["1-D", "B1", "B3"])
+    @pytest.mark.parametrize("w", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    def test_bytes_equal_primitive_chain(self, baseline_state, sampler, w, shape, trainable,
+                                         dtype):
+        got = self._run(guided_step, baseline_state, dtype, shape, trainable, w, sampler)
+        want = self._run(_primitive_step, baseline_state, dtype, shape, trainable, w, sampler)
+        assert got[0].dtype == np.dtype(dtype)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == 3 and want[1] > 3
+        for g, h in zip(got[2], want[2]):
+            assert g is not None and g.tobytes() == h.tobytes()
+        assert got[3].keys() == want[3].keys()
+        reached = 0
+        for name, g in want[3].items():
+            if g is None:
+                assert got[3][name] is None, name
+            else:
+                reached += 1
+                assert got[3][name].tobytes() == g.tobytes(), name
+        assert reached == (5 if trainable == "text" else 6 + (w != 1.0))
