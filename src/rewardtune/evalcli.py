@@ -27,8 +27,8 @@ from .models import (ImageEncoderParams, TextEncoderParams, load_checkpoint,
 from .pretrain import PretrainConfig, pretrain_denoiser, pretrain_encoders
 from .rewards import (READOUT_COLUMNS, READOUT_SPEC, RewardSpec, readout_means,
                       reward_values)
-from .schedule import (SAMPLER_COEFFICIENTS, SCHEDULE_KINDS, cfg_coefficients, make_schedule,
-                       make_step_plan)
+from .schedule import (DEFAULT_SCHEDULE, DEFAULT_T_TRAIN, SAMPLER_COEFFICIENTS, SCHEDULE_KINDS,
+                       cfg_coefficients, make_schedule, make_step_plan)
 from .tensorad import Tensor
 from .util import csv_text, derive_seed, format_cell, is_number, write_text
 
@@ -164,8 +164,11 @@ def _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched):
 
     # samples[j, i]: prompt i under seed j; one shared noise draw per seed so
     # diversity across prompts reflects conditioning, not the initial latent
-    samples = np.array([[sample_from_cond(Tensor(cond), denoiser, plan, w, s, sampler=sampler,
-                                          sched=sched) for cond in conds] for s in seeds])
+    try:
+        samples = np.array([[sample_from_cond(Tensor(cond), denoiser, plan, w, s, sampler=sampler,
+                                              sched=sched) for cond in conds] for s in seeds])
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"model {name!r}: {exc}") from None
 
     means = readout_means(samples.reshape(-1, samples.shape[-1]), prompts * len(seeds),
                           world=world, image_params=image, text_params=text,
@@ -411,12 +414,7 @@ def _parse_numbers(text, flag, kind=int):
 
 def _parse_prompt(text, world):
     tokens = tuple(_parse_numbers(text, "--prompt"))
-    for tok in tokens:
-        if tok not in world.token_ids:
-            valid = " ".join(str(t) for t in world.token_ids)
-            raise ValueError(
-                f"prompt token {tok} is not a world attribute (valid: {valid})")
-    world.pattern_sum(tokens)  # the world's rule: each token once
+    world.pattern_sum(tokens)  # the world's token rule
     return tokens
 
 
@@ -437,13 +435,6 @@ def _sampling_inputs(args):
         raise ValueError(f"the {args.command} command takes no --config")
     cfg_coefficients(args.w)
     return make_step_plan(args.steps, args.t_train), make_schedule(args.schedule, args.t_train)
-
-
-def _finite(samples, args):
-    """``samples``, checked before a sampling command writes anything."""
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"the sample is not finite at w={args.w!r} over {args.steps} steps")
-    return samples
 
 
 def _cli_seed(args):
@@ -533,8 +524,8 @@ def _cmd_sample(args):
     plan, sched = _sampling_inputs(args)
     text, image, denoiser, world = model_from_state(load_checkpoint(args.checkpoint))
     prompt = _parse_prompt(args.prompt, world)
-    x = _finite(sample(text, denoiser, prompt, plan, args.w, _cli_seed(args),
-                       sampler=args.sampler, sched=sched), args)
+    x = sample(text, denoiser, prompt, plan, args.w, _cli_seed(args),
+               sampler=args.sampler, sched=sched)
     scores = reward_values(Tensor(x), prompt, READOUT_SPEC, world=world,
                            image_params=image, text_params=text)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -556,7 +547,6 @@ def _cmd_interpolate(args):
         text_a, text_b, denoiser, prompt, plan, args.w, _cli_seed(args),
         lambdas=lambdas, sampler=args.sampler, sched=sched,
     )
-    _finite(samples, args)
     os.makedirs(args.out_dir, exist_ok=True)
     for i, (lam, x) in enumerate(zip(lambdas, samples)):
         path = os.path.join(args.out_dir, f"sample_{i:02d}.f32")
@@ -582,8 +572,8 @@ def _cmd_mix(args):
     with ta.pause_recording():
         conds = [text_encode(t, prompt) for t in texts]
         mixed = mix_styles(list(zip(conds, weights)))
-    x = _finite(sample_from_cond(mixed, denoiser, plan, args.w, _cli_seed(args),
-                                 sampler=args.sampler, sched=sched), args)
+    x = sample_from_cond(mixed, denoiser, plan, args.w, _cli_seed(args),
+                         sampler=args.sampler, sched=sched)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "mix.f32")
     write_sample(path, x, _sample_meta(prompt, args, {"weights": weights}))
@@ -641,8 +631,8 @@ def _add_sampling_flags(p):
     p.add_argument("--steps", type=int, default=25, help="denoising steps")
     p.add_argument("--w", type=_finite_float, default=1.0, help="guidance scale")
     p.add_argument("--sampler", choices=sorted(SAMPLER_COEFFICIENTS), default="ddim")
-    p.add_argument("--schedule", choices=sorted(SCHEDULE_KINDS), default="linear-beta")
-    p.add_argument("--t-train", type=int, default=1000, help="training timestep count")
+    p.add_argument("--schedule", choices=sorted(SCHEDULE_KINDS), default=DEFAULT_SCHEDULE)
+    p.add_argument("--t-train", type=int, default=DEFAULT_T_TRAIN, help="training timestep count")
 
 
 def build_parser():
@@ -667,8 +657,8 @@ def build_parser():
     p = add("pretrain-diffusion", _cmd_pretrain_diffusion,
             "noise-prediction pretraining of the denoiser")
     p.add_argument("--checkpoint", required=True, help="encoder checkpoint")
-    p.add_argument("--schedule", choices=sorted(SCHEDULE_KINDS), default="linear-beta")
-    p.add_argument("--t-train", type=int, default=1000)
+    p.add_argument("--schedule", choices=sorted(SCHEDULE_KINDS), default=DEFAULT_SCHEDULE)
+    p.add_argument("--t-train", type=int, default=DEFAULT_T_TRAIN)
 
     p = add("finetune-text", _cmd_finetune,
             "reward fine-tuning of the text encoder")

@@ -36,6 +36,7 @@ from .models import (
 from .inference import step_table, walk_steps
 from .rewards import READOUT_COLUMNS, RewardSpec, clip_entries, combined_loss, readout_means
 from .schedule import (
+    DEFAULT_SCHEDULE,
     DEFAULT_T_TRAIN,
     SAMPLER_COEFFICIENTS,
     SCHEDULE_KINDS,
@@ -72,7 +73,7 @@ class TrainConfig:
     rewards: RewardSpec = field(default_factory=RewardSpec.default)
     grad_clip: float | None = 1.0  # None disables clipping
     sampler: str = "ddim"
-    schedule_kind: str = "linear-beta"
+    schedule_kind: str = DEFAULT_SCHEDULE
     t_train: int = DEFAULT_T_TRAIN
     checkpoint_interval: int = 0  # 0 = final checkpoint only
     n_train_prompts: int = 48

@@ -1,9 +1,10 @@
 """Sampling pipelines and embedding-space control.
 
 ``sample`` walks a seeded noise draw down a step plan with classifier-free
-guidance. ``interpolate_embeddings`` and ``mix_styles`` blend conditioning
-vectors from differently fine-tuned text encoders at inference time, which is
-how one model's style is dialed in or several are combined without touching
+guidance; a sample that is not finite is an error, as a non-finite loss is.
+``interpolate_embeddings`` and ``mix_styles`` blend conditioning vectors
+from differently fine-tuned text encoders at inference time, which is how
+one model's style is dialed in or several are combined without touching
 any weights. Samples persist as little-endian float32 vectors with a JSON
 sidecar describing how they were made.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import tensorad as ta
 from .models import _denoise_parts, text_encode
-from .schedule import cfg_coefficients, make_schedule, sampler_coefficients
+from .schedule import DEFAULT_SCHEDULE, cfg_coefficients, make_schedule, sampler_coefficients
 from .tensorad import Tensor
 from .util import derive_seed, write_text
 
@@ -98,29 +99,36 @@ def _noise_draw(seed, d):
     return draw
 
 
-def _walk_sched(plan, sched):
-    """The schedule to walk: ``sched``, or linear-beta over the plan's
-    horizon when it is None. ``walk_chain`` checks the sampler and ``w``."""
-    return make_schedule("linear-beta", plan.t_train) if sched is None else sched
-
-
 def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
                      sched=None):
-    """Deterministic sample from a fixed conditioning vector.
+    """Deterministic sample from a fixed conditioning vector, or one (L, D)
+    row per row of (L, C) conditioning, all from one noise draw.
 
     The starting noise is drawn from the seed alone, so the same seed always
     walks the same trajectory. ``w`` is the guidance scale: 0 is purely
     unconditional, 1 skips the unconditional branch entirely (bit-identical
-    to conditional-only sampling), larger values extrapolate.
+    to conditional-only sampling), larger values extrapolate. ``sched``
+    defaults to the default kind over the plan's horizon. A sample that is
+    not finite (a large ``w`` overflows the walk) raises FloatingPointError,
+    with no NumPy warning before it.
     """
-    sched = _walk_sched(plan, sched)
-    z = start_noise(seed, denoiser_params.d)
-    return walk_chain(denoiser_params, plan.transitions(), z, cond, w, sampler, sched)
+    d = denoiser_params.d
+    z = start_noise(seed, d)
+    if cond.data.ndim == 2:
+        z = ta.broadcast_rows(z, (len(cond.data), d))
+    sched = make_schedule(DEFAULT_SCHEDULE, plan.t_train) if sched is None else sched
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = walk_chain(denoiser_params, plan.transitions(), z, cond, w, sampler, sched)
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError(
+            f"the sample is not finite at w={float(w)!r} over {plan.n_steps} steps")
+    return x
 
 
 def sample(text_params, denoiser_params, prompt, plan, w, seed, *,
            sampler="ddim", sched=None):
-    """Encode the prompt and sample; see ``sample_from_cond``."""
+    """Encode the prompt and sample; see ``sample_from_cond``, which raises
+    on a non-finite sample."""
     with ta.pause_recording():
         cond = text_encode(text_params, prompt)
     return sample_from_cond(cond, denoiser_params, plan, w, seed,
@@ -173,19 +181,18 @@ def continuity_probe(text_original, text_finetuned, denoiser_params, prompt,
 
     Returns (samples, distances): one sample per interpolation weight and the
     Euclidean gap between consecutive samples. The sweep walks as one (L, D)
-    chain; each sample is bit-identical to ``sample_from_cond`` on its blend,
+    ``sample_from_cond`` chain, which raises when any sample is not finite;
+    each sample is bit-identical to ``sample_from_cond`` on its blend alone,
     so the first equals sampling with the original encoder.
     """
     if not lambdas:
         raise ValueError("continuity_probe: empty interpolation sweep")
-    sched = _walk_sched(plan, sched)
-    d = denoiser_params.d
     with ta.pause_recording():
         c0 = text_encode(text_original, prompt)
         c1 = text_encode(text_finetuned, prompt)
         conds = Tensor(np.stack([interpolate_embeddings(c0, c1, lam).data for lam in lambdas]))
-        z = ta.broadcast_rows(start_noise(seed, d), (len(lambdas), d))
-    samples = list(walk_chain(denoiser_params, plan.transitions(), z, conds, w, sampler, sched))
+    samples = list(sample_from_cond(conds, denoiser_params, plan, w, seed, sampler=sampler,
+                                    sched=sched))
     distances = [
         float(np.linalg.norm(b.astype(np.float64) - a.astype(np.float64)))
         for a, b in zip(samples, samples[1:])

@@ -29,7 +29,7 @@ from .models import (
     text_encode_rows,
 )
 from .rewards import reward_clip_constraint
-from .schedule import DEFAULT_T_TRAIN, forward_diffuse, make_schedule
+from .schedule import DEFAULT_SCHEDULE, DEFAULT_T_TRAIN, forward_diffuse, make_schedule
 from .tensorad import Tensor
 from .util import check_config, derive_seed
 
@@ -327,6 +327,6 @@ def make_pretrained_baseline(seed=42, clip_config=None, diffusion_config=None):
     # the denoiser stage sees the world as a checkpoint carries it (its
     # noise_scale rounded to f32), as the CLI's pretrain-diffusion does
     world = world_from_state(world_state(world))
-    sched = make_schedule("linear-beta", DEFAULT_T_TRAIN)
+    sched = make_schedule(DEFAULT_SCHEDULE, DEFAULT_T_TRAIN)
     denoiser, _ = pretrain_denoiser(text, world, seed, sched, diffusion_config)
     return merged_state(world, text, image, denoiser)

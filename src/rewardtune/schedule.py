@@ -1,13 +1,13 @@
 """Variance-preserving noise schedules, step plans, and sampler steps.
 
 The schedule stores cumulative signal/noise coefficients alpha_t, sigma_t
-with alpha_t^2 + sigma_t^2 = 1. Sampler steps (DDIM and a probability-flow
-Euler step) are written against autodiff tensors so gradients flow through
-the denoising chain, each as one or two fused ``axpby`` nodes; schedule
-coefficients enter as plain floats and are constants with respect to
-differentiation. Each update and the guidance combination is one function
-that checks its arguments and returns those floats as (a, b) pairs, which
-the taped steps and the detached walk both apply.
+with alpha_t^2 + sigma_t^2 = 1. Each sampler update (DDIM and a
+probability-flow Euler step) and the guidance combination is one function
+that checks its arguments and returns plain floats, constants with respect
+to differentiation, as the (a, b) pairs of updates x * a + y * b. The taped
+step (``tensorad.mlp_step``) and the detached walk apply them; so do
+``cfg_combine`` and ``sampler_step``, as ``axpby`` nodes over autodiff
+tensors: the reference chain that step is checked against.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import tensorad as ta
 from .tensorad import Tensor
 
 DEFAULT_T_TRAIN = 1000
+DEFAULT_SCHEDULE = "linear-beta"
 SCHEDULE_KINDS = ("cosine", "linear-beta")
 ALPHA_FLOOR = 1e-6  # below this the x-hat division is meaningless
 
@@ -69,7 +70,7 @@ class NoiseSchedule:
             raise ValueError(f"timestep {t} outside [0, {self.t_train})")
 
 
-def make_schedule(kind="cosine", t_train=DEFAULT_T_TRAIN):
+def make_schedule(kind=DEFAULT_SCHEDULE, t_train=DEFAULT_T_TRAIN):
     """Build a schedule of the given kind.
 
     cosine: squared-cosine cumulative signal curve (alpha_0 = 1 exactly).

@@ -1,0 +1,81 @@
+"""The sampling commands' contract, as a property over edge-case flag values.
+
+Every run of ``sample``, ``interpolate``, ``mix`` or ``evaluate`` either
+exits 0 with every written sample finite, or exits 1 (a value argparse
+rejects) or 2 with a single ``error:`` line. No run prints a traceback,
+records a warning, or leaves an ``--out-dir`` behind after a non-zero exit.
+The draws are derandomized, so every run checks the same examples.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rewardtune.evalcli import cli_main
+from rewardtune.inference import read_sample
+
+# the command's own flags, with {ckpt}, {prompt} and {values} to fill in
+_COMMANDS = {
+    "sample": ["--checkpoint", "{ckpt}", "--prompt", "{prompt}"],
+    "interpolate": ["--checkpoint-a", "{ckpt}", "--checkpoint-b", "{ckpt}",
+                    "--prompt", "{prompt}", "--lambdas", "{values}"],
+    "mix": ["--checkpoints", "{ckpt},{ckpt}", "--weights", "{values}", "--prompt", "{prompt}"],
+    "evaluate": ["--checkpoint", "{ckpt}"],
+}
+
+
+def _run(argv):
+    """(exit code, stdout, stderr, warnings recorded) of one ``cli_main`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # the suite makes a RuntimeWarning an exception, which cli_main
+        # would report as an exit-2 line; here every warning is recorded
+        warnings.simplefilter("always")
+        rc = cli_main(argv)
+    return rc, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(_COMMANDS)),
+       w=st.sampled_from(["0", "3", "1e30", "1e300", "-1", "nan", "inf"]),
+       steps=st.sampled_from(["0", "5", "2000"]),
+       prompt=st.sampled_from(["1 2", "", "1 1", "30"]),
+       seed=st.sampled_from(["-1", "3"]),
+       values=st.sampled_from(["", "nan", "0.5,0.5", "2,-1"]))
+@example(command="sample", w="3", steps="5", prompt="1 2", seed="3", values="")
+@example(command="interpolate", w="0", steps="5", prompt="1 2", seed="3", values="0.5,0.5")
+@example(command="mix", w="3", steps="5", prompt="1 2", seed="3", values="2,-1")
+@example(command="evaluate", w="3", steps="5", prompt="", seed="3", values="")
+@example(command="mix", w="1e300", steps="5", prompt="1 2", seed="3", values="0.5,0.5")
+def test_sampling_commands_exit_cleanly(baseline_ckpt, command, w, steps, prompt, seed,
+                                        values):
+    flags = [f.format(ckpt=baseline_ckpt, prompt=prompt, values=values)
+             for f in _COMMANDS[command]]
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "out")
+        rc, stdout, stderr, caught = _run([command, *flags, "--w", w, "--steps", steps,
+                                           "--seed", seed, "--out-dir", out_dir])
+        assert caught == []
+        assert "Traceback" not in stdout + stderr
+        if rc == 0:
+            assert stderr == ""
+            written = sorted(os.listdir(out_dir))
+            assert written
+            for name in written:
+                if name.endswith(".f32"):
+                    x, _ = read_sample(os.path.join(out_dir, name))
+                    assert np.all(np.isfinite(x)), name
+            return
+        assert rc in (1, 2)
+        assert [line for line in stderr.splitlines() if "error:" in line] \
+            == [stderr.splitlines()[-1]]
+        if rc == 2:
+            assert stderr.count("\n") == 1 and stderr.startswith("rewardtune: error: ")
+        assert not os.path.exists(out_dir)

@@ -374,7 +374,7 @@ class TestCliSample:
         rc = cli_main(["sample", "--checkpoint", baseline_ckpt, "--prompt", "30",
                        "--out-dir", str(tmp_path)])
         assert rc == 2
-        assert "not a world attribute" in capsys.readouterr().err
+        assert "token 30 is not an attribute of this world" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = cli_main(["sample", "--checkpoint", str(tmp_path / "nope.rcpt"),
@@ -808,16 +808,36 @@ class TestCliNumberFlags:
     ], ids=["sample", "interpolate", "mix"])
     def test_non_finite_sample_exits_2_before_any_file(self, baseline_ckpt, tmp_path, capsys,
                                                        argv):
-        # w = 1e30 is finite but overflows the walk; NumPy's RuntimeWarnings
-        # are printed and the command goes on, as it does outside the tests
+        # w = 1e30 is finite but overflows the walk; no NumPy RuntimeWarning
+        # comes before the error (the suite makes one an exception)
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = cli_main(argv.format(ckpt=baseline_ckpt).split()
-                          + ["--prompt", "1 2", "--w", "1e30", "--out-dir", str(out)])
+        rc = cli_main(argv.format(ckpt=baseline_ckpt).split()
+                      + ["--prompt", "1 2", "--w", "1e30", "--out-dir", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == ("rewardtune: error: the sample is not finite at "
                                            "w=1e+30 over 25 steps\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("w", ["1e30", "1e300"])
+    @pytest.mark.parametrize("argv,label", [
+        ("evaluate --checkpoint {ckpt} --steps 5", "baseline"),
+        ("ablate-schedulers --config {cfg} --checkpoint {ckpt} --kinds ddim --steps 5", "ddim"),
+        ("collapse --config {cfg} --checkpoint {ckpt}", "baseline"),
+    ], ids=["evaluate", "ablate-schedulers", "collapse"])
+    def test_scoring_commands_stop_at_a_non_finite_sample(self, baseline_ckpt, tmp_path,
+                                                          capsys, argv, label, w):
+        # the model's chain raises the sampling commands' error, named by the
+        # model (a grid cell's label), before any report, grid or collapse file
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"iterations": 2, "batch_size": 1,
+                                   "n_steps": 5, "k_last": 2}))
+        out = tmp_path / "out"
+        rc = cli_main(argv.format(ckpt=baseline_ckpt, cfg=cfg).split()
+                      + ["--w", w, "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"rewardtune: error: model '{label}': the sample is not finite at "
+            f"w={float(w)!r} over 5 steps\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sample", "evaluate"])

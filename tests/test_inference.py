@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -69,6 +70,18 @@ class TestSample:
             sample(baseline_text, baseline_denoiser, (1,), plan, w, seed=0)
         with pytest.raises(ValueError, match="non-negative"):
             continuity_probe(baseline_text, baseline_text, baseline_denoiser, (1,), plan,
+                             w, seed=0)
+
+    @pytest.mark.parametrize("w", [1e30, 1e300])
+    def test_non_finite_sample_raises(self, baseline_text, baseline_denoiser, w):
+        # a finite w that overflows the walk: one error naming w and the step
+        # count, and no NumPy warning (the suite makes one an exception)
+        plan = make_step_plan(5)
+        match = "^" + re.escape(f"the sample is not finite at w={w!r} over 5 steps") + "$"
+        with pytest.raises(FloatingPointError, match=match):
+            sample(baseline_text, baseline_denoiser, (1, 2), plan, w, seed=0)
+        with pytest.raises(FloatingPointError, match=match):
+            continuity_probe(baseline_text, baseline_text, baseline_denoiser, (1, 2), plan,
                              w, seed=0)
 
     def test_unit_guidance_equals_conditional_only(self, baseline_text,
