@@ -28,7 +28,7 @@ from .pretrain import PretrainConfig, pretrain_denoiser, pretrain_encoders
 from .rewards import (READOUT_COLUMNS, READOUT_SPEC, RewardSpec, readout_means,
                       reward_values)
 from .schedule import (DEFAULT_SCHEDULE, DEFAULT_T_TRAIN, SAMPLER_COEFFICIENTS, SCHEDULE_KINDS,
-                       cfg_coefficients, make_schedule, make_step_plan)
+                       cfg_coefficients, check_sampler, make_schedule, make_step_plan)
 from .tensorad import Tensor
 from .util import csv_text, derive_seed, format_cell, is_number, write_text
 
@@ -105,10 +105,7 @@ class EvalReport:
     n_seeds: int
 
     def __post_init__(self):
-        if self.n_prompts < MIN_EVAL_PROMPTS:
-            raise ValueError(
-                f"report needs at least {MIN_EVAL_PROMPTS} prompts, got {self.n_prompts}"
-            )
+        _check_prompt_count(self.n_prompts)
         if self.n_seeds < 2:
             raise ValueError("report needs at least 2 seeds")
 
@@ -179,23 +176,28 @@ def _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched):
     return ModelEval(name=name, reward_means=means, diversity=diversity, spread=spread)
 
 
+def _check_prompt_count(n):
+    """The prompt rule of every evaluation: at least MIN_EVAL_PROMPTS prompts."""
+    if n == 0:
+        raise ValueError("empty prompt set")
+    if n < MIN_EVAL_PROMPTS:
+        raise ValueError(f"evaluation needs at least {MIN_EVAL_PROMPTS} prompts, got {n}")
+
+
 def evaluate(checkpoints, prompt_set, plan, w, seeds, *, sampler="ddim",
              sched=None, out_dir=None):
     """Score one or more checkpoints on a prompt set; returns an EvalReport.
 
     ``checkpoints`` is a merged state dict, a mapping name -> state, or a
     sequence of (name, state) pairs. Each model is scored against the world
-    stored in its own checkpoint. ``seeds`` needs at least two distinct
-    entries so per-prompt spread is measurable. When ``out_dir`` is given the
-    report is written as report.csv and report.txt.
+    stored in its own checkpoint. The prompt set must pass
+    ``_check_prompt_count``, the experiments' holdout check too. ``seeds``
+    needs at least two distinct entries so per-prompt spread is measurable.
+    When ``out_dir`` is given the report is written as report.csv and
+    report.txt.
     """
     prompts = list(prompt_set)
-    if not prompts:
-        raise ValueError("empty prompt set")
-    if len(prompts) < MIN_EVAL_PROMPTS:
-        raise ValueError(
-            f"evaluation needs at least {MIN_EVAL_PROMPTS} prompts, got {len(prompts)}"
-        )
+    _check_prompt_count(len(prompts))
     seeds = [int(s) for s in seeds]
     if len(set(seeds)) < 2:
         raise ValueError("evaluation needs at least 2 distinct seeds")
@@ -213,12 +215,6 @@ def evaluate(checkpoints, prompt_set, plan, w, seeds, *, sampler="ddim",
     return report
 
 
-def _holdout_score(name, state, holdout, plan, w, seeds, sampler, sched):
-    """One model's ModelEval on the holdout prompts."""
-    return evaluate([(name, state)], holdout, plan, w, seeds,
-                    sampler=sampler, sched=sched).entries[0]
-
-
 # ---------------------------------------------------------------------------
 # ablation grids
 
@@ -228,20 +224,31 @@ def _cell_seeds(base_seed, *labels):
     return (derive_seed(base_seed, *labels), derive_seed(base_seed, *labels, 1))
 
 
-def _score_grid(base_config, state_in, header, cells, plans, w, out_dir, stem):
-    """Score each (label, state, sampler, n) cell on the holdout with
-    ``plans[n]`` (built, so checked, before any training) under
-    ``_cell_seeds(base_config.seed, label, n)``; one row per cell, in order.
+def _experiment_setup(config, state_in, w, step_counts):
+    """Every evaluation input of an experiment, checked before any training,
+    in order: guidance scale ``w``, holdout split under ``evaluate``'s prompt
+    rule, schedule, one step plan per distinct count in ``step_counts``.
+    Returns (holdout, schedule, {n: plan}), the plans in ascending n."""
+    cfg_coefficients(w)
+    _, holdout = prompt_split(config, world_from_state(state_in))
+    _check_prompt_count(len(holdout))
+    sched = make_schedule(config.schedule_kind, config.t_train)
+    plans = {n: make_step_plan(n, config.t_train) for n in sorted({int(n) for n in step_counts})}
+    return holdout, sched, plans
+
+
+def _score_grid(base_config, header, cells, holdout, sched, plans, w, out_dir, stem):
+    """Score each (label, state, sampler, n) cell with ``evaluate`` on the
+    holdout under ``sched``, ``plans[n]`` and ``_cell_seeds(base_config.seed,
+    label, n)``; one row per cell, in order.
 
     Returns the Table; when ``out_dir`` is given writes <stem>.csv/.txt.
     """
-    _, holdout = prompt_split(base_config, world_from_state(state_in))
-    sched = make_schedule(base_config.schedule_kind, base_config.t_train)
     rows = []
     for label, state, sampler, n in cells:
-        e = _holdout_score(label, state, holdout, plans[n], w,
-                           _cell_seeds(base_config.seed, label, n), sampler, sched)
-        rows.append((label, n) + e.reward_row())
+        report = evaluate([(label, state)], holdout, plans[n], w,
+                          _cell_seeds(base_config.seed, label, n), sampler=sampler, sched=sched)
+        rows.append((label, n) + report.entries[0].reward_row())
     table = Table(header=header + tuple(col for _, col in READOUT_COLUMNS),
                   rows=tuple(rows))
     if out_dir:
@@ -253,51 +260,45 @@ def ablate_steps(base_config, state_in, train_ks, test_ns, *, w=1.0, out_dir=Non
     """Train once per K (gradient steps), evaluate each at every test step
     count N; returns the grid as a Table sorted by (train_k, test_n).
 
-    Every K must satisfy 1 <= K <= base_config.n_steps (the chain length used
-    during fine-tuning). When ``out_dir`` is given writes ablate_steps.csv/.txt.
+    After ``_experiment_setup``, every K must satisfy 1 <= K <=
+    base_config.n_steps (the fine-tuning chain length). When ``out_dir`` is
+    given writes ablate_steps.csv/.txt.
     """
-    cfg_coefficients(w)  # guidance's own check, before any training
+    holdout, sched, plans = _experiment_setup(base_config, state_in, w, test_ns)
     ks = sorted({int(k) for k in train_ks})
-    ns = sorted({int(n) for n in test_ns})
-    if not ks or not ns:
+    if not ks or not plans:
         raise ValueError("train_ks and test_ns must be non-empty")
     for k in ks:
         if not (1 <= k <= base_config.n_steps):
             raise ValueError(
                 f"train K={k} outside [1, {base_config.n_steps}] for N={base_config.n_steps}"
             )
-    plans = {n: make_step_plan(n, base_config.t_train) for n in ns}
 
     cells = []
     for k in ks:
         state, _ = run_training(dataclasses.replace(base_config, k_last=k), state_in)
-        cells.extend((k, state, base_config.sampler, n) for n in ns)
-    return _score_grid(base_config, state_in, ("train_k", "test_n"), cells, plans, w,
+        cells.extend((k, state, base_config.sampler, n) for n in plans)
+    return _score_grid(base_config, ("train_k", "test_n"), cells, holdout, sched, plans, w,
                        out_dir, "ablate_steps")
 
 
 def ablate_schedulers(base_config, state_in, kinds, steps, *, w=1.0, out_dir=None):
     """Fine-tune once, then evaluate under each (sampler, steps) pair.
 
-    ``kinds`` must be a subset of the known samplers; duplicates are dropped.
-    Returns a Table sorted by (sampler, steps); when ``out_dir`` is given
-    writes ablate_schedulers.csv/.txt.
+    After ``_experiment_setup``, ``kinds`` must name known samplers;
+    duplicates are dropped. Returns a Table sorted by (sampler, steps); when
+    ``out_dir`` is given writes ablate_schedulers.csv/.txt.
     """
-    cfg_coefficients(w)  # guidance's own check, before any training
-    seen = []
+    holdout, sched, plans = _experiment_setup(base_config, state_in, w, steps)
+    kinds = list(kinds)
     for kind in kinds:
-        if kind not in SAMPLER_COEFFICIENTS:
-            raise ValueError(f"unknown scheduler kind {kind!r}")
-        if kind not in seen:
-            seen.append(kind)
-    ns = sorted({int(n) for n in steps})
-    if not seen or not ns:
+        check_sampler(kind)
+    if not kinds or not plans:
         raise ValueError("kinds and steps must be non-empty")
-    plans = {n: make_step_plan(n, base_config.t_train) for n in ns}
 
     state_ft, _ = run_training(base_config, state_in)
-    cells = [(kind, state_ft, kind, n) for kind in sorted(seen) for n in ns]
-    return _score_grid(base_config, state_in, ("sampler", "steps"), cells, plans, w,
+    cells = [(kind, state_ft, kind, n) for kind in sorted(set(kinds)) for n in plans]
+    return _score_grid(base_config, ("sampler", "steps"), cells, holdout, sched, plans, w,
                        out_dir, "ablate_schedulers")
 
 
@@ -339,34 +340,33 @@ def collapse_experiment(config, state_in, *, gamma_clip=100.0, w=1.0, out_dir=No
 
     Both runs share ``config`` except for the reward weights: the probe alone
     (gamma_clip = 0) versus the probe plus the image-text similarity term at
-    ``gamma_clip``. Reports holdout diversity for the untouched baseline and
-    both trained models; when ``out_dir`` is given writes collapse.csv/.txt
+    ``gamma_clip``, which like ``w`` must be positive. Reports holdout
+    diversity for the untouched baseline and both trained models, scored by
+    one ``evaluate`` call; when ``out_dir`` is given writes collapse.csv/.txt
     plus the two trained checkpoints.
     """
+    holdout, sched, plans = _experiment_setup(config, state_in, w, [config.n_steps])
     if gamma_clip <= 0:
         raise ValueError("gamma_clip must be positive for the constrained run")
-    cfg_coefficients(w)  # guidance's own check, before any training
+    if w == 0:  # the baseline's diversity, each fraction's divisor, would be 0
+        raise ValueError("collapse needs w > 0: at w = 0 no sample depends on its prompt")
     probe = RewardSpec(entries=(("degenerate-collapse-probe", 1.0),))
     anchored = RewardSpec(entries=(
         ("degenerate-collapse-probe", 1.0), ("clip-constraint", float(gamma_clip)),
     ))
 
-    _, holdout = prompt_split(config, world_from_state(state_in))
-    plan = make_step_plan(config.n_steps, config.t_train)
-    sched = make_schedule(config.schedule_kind, config.t_train)
-    seeds = _cell_seeds(config.seed, "collapse-eval")
-
     collapsed_state, _ = run_training(dataclasses.replace(config, rewards=probe), state_in)
     constrained_state, _ = run_training(dataclasses.replace(config, rewards=anchored), state_in)
 
-    def score(name, state):
-        return _holdout_score(name, state, holdout, plan, w, seeds, config.sampler, sched)
-
+    report = evaluate([("baseline", state_in), ("collapsed", collapsed_state),
+                       ("constrained", constrained_state)], holdout, plans[config.n_steps], w,
+                      _cell_seeds(config.seed, "collapse-eval"), sampler=config.sampler,
+                      sched=sched)
     result = CollapseResult(
         gamma_clip=float(gamma_clip),
-        baseline=score("baseline", state_in),
-        collapsed=score("collapsed", collapsed_state),
-        constrained=score("constrained", constrained_state),
+        baseline=report["baseline"],
+        collapsed=report["collapsed"],
+        constrained=report["constrained"],
         collapsed_state=collapsed_state,
         constrained_state=constrained_state,
     )
@@ -441,11 +441,18 @@ def _cli_seed(args):
     return 0 if args.seed is None else args.seed
 
 
-def _train_config(args, **overrides):
-    cfg = TrainConfig.from_dict(_load_json_config(args.config))
+def _train_config(args, **fixed):
+    """The --config file's TrainConfig, set to the command's ``fixed`` fields
+    (which the file may only repeat) and to an explicit --seed."""
+    raw = _load_json_config(args.config)
+    cfg = TrainConfig.from_dict(raw)
+    for key, value in fixed.items():
+        if raw.get(key, value) != value:
+            raise ValueError(f"the config's {key} {raw[key]!r} differs from the "
+                             f"{args.command} command's {value!r}")
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+        fixed["seed"] = args.seed
+    return dataclasses.replace(cfg, **fixed)
 
 
 def _pretrain_config(args, *labels):

@@ -38,9 +38,8 @@ from .rewards import READOUT_COLUMNS, RewardSpec, clip_entries, combined_loss, r
 from .schedule import (
     DEFAULT_SCHEDULE,
     DEFAULT_T_TRAIN,
-    SAMPLER_COEFFICIENTS,
-    SCHEDULE_KINDS,
     cfg_coefficients,
+    check_sampler,
     forward_diffuse,
     make_schedule,
     make_step_plan,
@@ -91,10 +90,8 @@ class TrainConfig:
             cfg_coefficients(self.chain_cfg_scale)
         except ValueError as exc:
             raise ValueError(f"chain cfg scale: {exc}") from None
-        if self.sampler not in SAMPLER_COEFFICIENTS:
-            raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.schedule_kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
+        check_sampler(self.sampler)
+        make_schedule(self.schedule_kind, self.t_train)  # the schedule's own checks
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be non-negative")
 

@@ -37,12 +37,33 @@ class ModelConfig:
 class _ParamSet:
     """Shared plumbing: named tensors, state packing, trainability.
 
-    ``dims`` gives each field's shape as one letter per axis; a letter names
-    one width, which every field using it must share.
+    ``dims`` is the one description of the set's layout: each field's shape
+    as one letter per axis, where a letter names one width, which every field
+    using it must share. ``init`` draws from it and ``from_state`` checks
+    against it.
     """
 
     prefix = ""
     dims = {}
+
+    @classmethod
+    def init(cls, seed, cfg=ModelConfig()):
+        """A fresh set at ``cfg``'s widths, its fields drawn in field order
+        from ``default_rng(seed)``: a ``b*`` field is zeros, every other field
+        uniform in +-1/sqrt(fan-in), where fan-in is its first axis
+        (``embed``'s is its width)."""
+        widths = {"V": cfg.vocab, "E": cfg.e_width, "H": cfg.hidden, "C": cfg.c_width,
+                  "D": cfg.d, "I": cfg.d + cfg.t_embed + cfg.c_width}  # I: denoiser input
+        rng = np.random.default_rng(seed)
+        vals = {}
+        for f in fields(cls):
+            shape = tuple(widths[letter] for letter in cls.dims[f.name])
+            if f.name.startswith("b"):
+                vals[f.name] = Tensor(np.zeros(shape))
+            else:
+                bound = 1.0 / np.sqrt(shape[-1] if f.name == "embed" else shape[0])
+                vals[f.name] = Tensor(rng.uniform(-bound, bound, size=shape))
+        return cls(**vals)
 
     def named(self):
         return {f"{self.prefix}/{f.name}": getattr(self, f.name) for f in fields(self)}
@@ -94,11 +115,11 @@ class _ParamSet:
 
 @dataclass
 class TextEncoderParams(_ParamSet):
-    embed: Tensor  # (V, E)
-    w1: Tensor     # (E, H)
-    b1: Tensor     # (H,)
-    w2: Tensor     # (H, C)
-    b2: Tensor     # (C,)
+    embed: Tensor
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
 
     prefix = "text"
     dims = {"embed": "VE", "w1": "EH", "b1": "H", "w2": "HC", "b2": "C"}
@@ -106,9 +127,9 @@ class TextEncoderParams(_ParamSet):
 
 @dataclass
 class ImageEncoderParams(_ParamSet):
-    w1: Tensor  # (D, H)
+    w1: Tensor
     b1: Tensor
-    w2: Tensor  # (H, C)
+    w2: Tensor
     b2: Tensor
 
     prefix = "image"
@@ -117,13 +138,13 @@ class ImageEncoderParams(_ParamSet):
 
 @dataclass
 class DenoiserParams(_ParamSet):
-    w1: Tensor  # (D + t_embed + C, H)
+    w1: Tensor
     b1: Tensor
-    w2: Tensor  # (H, H)
+    w2: Tensor
     b2: Tensor
-    w3: Tensor  # (H, D)
+    w3: Tensor
     b3: Tensor
-    null_cond: Tensor  # (C,), the learned null conditioning
+    null_cond: Tensor  # the learned null conditioning
 
     prefix = "denoiser"
     dims = {"w1": "IH", "b1": "H", "w2": "HH", "b2": "H", "w3": "HD", "b3": "D",
@@ -175,44 +196,9 @@ def model_from_state(state):
     return model
 
 
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_text_encoder(seed, cfg=ModelConfig()):
-    rng = np.random.default_rng(seed)
-    return TextEncoderParams(
-        embed=Tensor(_uniform(rng, (cfg.vocab, cfg.e_width), cfg.e_width)),
-        w1=Tensor(_uniform(rng, (cfg.e_width, cfg.hidden), cfg.e_width)),
-        b1=Tensor(np.zeros(cfg.hidden)),
-        w2=Tensor(_uniform(rng, (cfg.hidden, cfg.c_width), cfg.hidden)),
-        b2=Tensor(np.zeros(cfg.c_width)),
-    )
-
-
-def init_image_encoder(seed, cfg=ModelConfig()):
-    rng = np.random.default_rng(seed)
-    return ImageEncoderParams(
-        w1=Tensor(_uniform(rng, (cfg.d, cfg.hidden), cfg.d)),
-        b1=Tensor(np.zeros(cfg.hidden)),
-        w2=Tensor(_uniform(rng, (cfg.hidden, cfg.c_width), cfg.hidden)),
-        b2=Tensor(np.zeros(cfg.c_width)),
-    )
-
-
-def init_denoiser(seed, cfg=ModelConfig()):
-    rng = np.random.default_rng(seed)
-    in_width = cfg.d + cfg.t_embed + cfg.c_width
-    return DenoiserParams(
-        w1=Tensor(_uniform(rng, (in_width, cfg.hidden), in_width)),
-        b1=Tensor(np.zeros(cfg.hidden)),
-        w2=Tensor(_uniform(rng, (cfg.hidden, cfg.hidden), cfg.hidden)),
-        b2=Tensor(np.zeros(cfg.hidden)),
-        w3=Tensor(_uniform(rng, (cfg.hidden, cfg.d), cfg.hidden)),
-        b3=Tensor(np.zeros(cfg.d)),
-        null_cond=Tensor(_uniform(rng, (cfg.c_width,), cfg.c_width)),
-    )
+init_text_encoder = TextEncoderParams.init
+init_image_encoder = ImageEncoderParams.init
+init_denoiser = DenoiserParams.init
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def make_schedule(kind=DEFAULT_SCHEDULE, t_train=DEFAULT_T_TRAIN):
         betas = np.minimum(1.0 - abar[1:] / abar[:-1], 0.999)
         alpha_sq = np.concatenate([[1.0], np.cumprod(1.0 - betas)])[:t_train]
     else:
-        raise ValueError(f"unknown schedule kind '{kind}'")
+        raise ValueError(f"unknown schedule kind {kind!r}")
     alpha = np.sqrt(alpha_sq)
     sigma = np.sqrt(1.0 - alpha_sq)
     return NoiseSchedule(kind=kind, t_train=t_train, alpha=alpha, sigma=sigma)
@@ -226,13 +226,16 @@ def cfg_combine(eps_cond, eps_uncond, w):
 SAMPLER_COEFFICIENTS = {"ddim": ddim_coefficients, "euler": euler_coefficients}
 
 
+def check_sampler(kind):
+    """The one sampler-name check: ValueError unless SAMPLER_COEFFICIENTS has ``kind``."""
+    if kind not in SAMPLER_COEFFICIENTS:
+        raise ValueError(f"unknown sampler {kind!r}")
+
+
 def sampler_coefficients(kind, t, t_prev, sched):
     """The (a, b) pairs of sampler ``kind``'s update t -> t_prev."""
-    try:
-        coefficients = SAMPLER_COEFFICIENTS[kind]
-    except KeyError:
-        raise ValueError(f"unknown sampler '{kind}'") from None
-    return coefficients(t, t_prev, sched)
+    check_sampler(kind)
+    return SAMPLER_COEFFICIENTS[kind](t, t_prev, sched)
 
 
 def sampler_step(kind, z_t, eps_hat, t, t_prev, sched):

@@ -13,9 +13,12 @@ def derive_seed(base_seed, *parts):
     """Deterministic child seed from a base seed plus context labels.
 
     Stable across runs and platforms: labels are crc32-folded so strings and
-    ints both work, then mixed through SeedSequence.
+    ints both work, then mixed through SeedSequence. The one seed rule: every
+    seed a flag or config gives must be a non-negative integer.
     """
     folded = [int(base_seed)]
+    if folded[0] < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {folded[0]}")
     for part in parts:
         if isinstance(part, (int, np.integer)):
             folded.append(int(part))

@@ -281,7 +281,7 @@ class TestAblateSchedulers:
         assert [(r[0], r[1]) for r in table.rows] == [("ddim", 5)]
 
     def test_unknown_kind_rejected(self, baseline_state):
-        with pytest.raises(ValueError, match="unknown scheduler kind"):
+        with pytest.raises(ValueError, match="unknown sampler 'heun'"):
             ablate_schedulers(TINY, baseline_state, ["ddim", "heun"], [5], w=1.0)
 
 
@@ -944,6 +944,12 @@ class TestGuidanceCheckedBeforeTraining:
             collapse_experiment(TINY, baseline_state, w=w)
         assert trainings == []
 
+    def test_collapse_rejects_unguided_sampling_before_training(self, baseline_state,
+                                                                trainings):
+        with pytest.raises(ValueError, match="collapse needs w > 0"):
+            collapse_experiment(TINY, baseline_state, w=0.0)
+        assert trainings == []
+
     def test_step_counts_raise_before_training(self, baseline_state, trainings):
         with pytest.raises(ValueError, match=r"n_steps must be in \[1, 1000\]"):
             ablate_steps(TINY, baseline_state, [2], [5, 5000])
@@ -968,6 +974,93 @@ class TestGuidanceCheckedBeforeTraining:
         assert err == "rewardtune: error: n_steps must be in [1, 1000]\n"
         assert trainings == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra", [
+        ("ablate-steps", ["--train-k", "2", "--test-n", "5"]),
+        ("ablate-schedulers", ["--kinds", "ddim", "--steps", "5"]),
+        ("collapse", []),
+    ])
+    def test_cli_small_holdout_exits_2_before_training(self, baseline_ckpt, tmp_path, capsys,
+                                                       trainings, command, extra):
+        cfg = tmp_path / "base.json"
+        cfg.write_text(json.dumps({"iterations": 600, "batch_size": 2, "n_steps": 5,
+                                   "k_last": 2, "n_holdout_prompts": 10}))
+        out = tmp_path / "out"
+        rc = cli_main([command, "--config", str(cfg), "--checkpoint", baseline_ckpt,
+                       *extra, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "rewardtune: error: evaluation needs at least 32 prompts, got 10\n"
+        assert trainings == []
+        assert not out.exists()
+
+
+class TestCliCommandOwnsRegime:
+    """A fine-tune command fixes its regime; a config naming another one
+    exits 2 before any training, and one naming the same one runs."""
+
+    @pytest.fixture()
+    def trainings(self, monkeypatch):
+        calls = []
+
+        def fake_run_training(config, state_in, *args, **kwargs):
+            calls.append(config)
+            return state_in, None
+
+        monkeypatch.setattr(evalcli, "run_training", fake_run_training)
+        return calls
+
+    @pytest.mark.parametrize("command,flags,config_regime,command_regime", [
+        ("finetune-text", [], "direct", "prompt-chain"),
+        ("finetune-text", ["--regime", "direct"], "prompt-chain", "direct"),
+        ("finetune-unet", [], "direct", "unet-chain"),
+        ("finetune-unet", [], "prompt-chain", "unet-chain"),
+    ])
+    def test_conflicting_config_regime_exits_2(self, baseline_ckpt, tmp_path, capsys,
+                                                trainings, command, flags, config_regime,
+                                                command_regime):
+        cfg = tmp_path / "base.json"
+        cfg.write_text(json.dumps({"regime": config_regime, "iterations": 1}))
+        out = tmp_path / "out"
+        rc = cli_main([command, "--config", str(cfg), "--checkpoint", baseline_ckpt,
+                       *flags, "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"rewardtune: error: the config's regime {config_regime!r} differs from the "
+            f"{command} command's {command_regime!r}\n")
+        assert trainings == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,regime", [
+        ("finetune-text", [], "prompt-chain"),
+        ("finetune-text", ["--regime", "direct"], "direct"),
+        ("finetune-unet", [], "unet-chain"),
+    ])
+    def test_agreeing_config_regime_runs(self, baseline_ckpt, tmp_path, capsys, trainings,
+                                         command, flags, regime):
+        cfg = tmp_path / "base.json"
+        cfg.write_text(json.dumps({"regime": regime, "iterations": 1}))
+        rc = cli_main([command, "--config", str(cfg), "--checkpoint", baseline_ckpt,
+                       *flags, "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert [c.regime for c in trainings] == [regime]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("sample", ["--checkpoint", "{ckpt}", "--prompt", "1 2"]),
+    ("evaluate", ["--checkpoint", "{ckpt}"]),
+    ("finetune-text", ["--checkpoint", "{ckpt}"]),
+    ("pretrain-clip", []),
+])
+def test_negative_seed_exits_2_with_the_seed_rule(baseline_ckpt, tmp_path, capsys, command,
+                                                  flags):
+    out = tmp_path / "out"
+    rc = cli_main([command, *[f.format(ckpt=baseline_ckpt) for f in flags], "--seed", "-1",
+                   "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "rewardtune: error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 class TestCliAblations:
