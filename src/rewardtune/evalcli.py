@@ -159,6 +159,8 @@ def _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched):
     with ta.pause_recording():
         conds = text_encode_rows(text, prompts).data
 
+    # one schedule object for every chain, so they share one step table
+    sched = make_schedule(DEFAULT_SCHEDULE, plan.t_train) if sched is None else sched
     # samples[j, i]: prompt i under seed j; one shared noise draw per seed so
     # diversity across prompts reflects conditioning, not the initial latent
     try:
@@ -455,13 +457,17 @@ def _train_config(args, **fixed):
     return dataclasses.replace(cfg, **fixed)
 
 
-def _pretrain_config(args, *labels):
+def _pretrain_config(args, *labels, unread=()):
     """The --config file's PretrainConfig, or None without one; an explicit
-    --seed replaces its seed with one derived under ``labels``."""
+    --seed replaces its seed with one derived under ``labels``. A field in
+    ``unread``, which the command's stage does not read, is rejected."""
     raw = _load_json_config(args.config)
     if not raw:
         return None
     cfg = PretrainConfig.from_dict(raw)
+    for name in unread:
+        if name in raw:
+            raise ValueError(f"config field '{name}' is not read by {args.command}")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=derive_seed(args.seed, *labels))
     return cfg
@@ -487,7 +493,8 @@ def _announce(path):
 
 def _cmd_pretrain_clip(args):
     text, image, world, info = pretrain_encoders(_cli_seed(args),
-                                                 _pretrain_config(args, "clip"))
+                                                 _pretrain_config(args, "clip",
+                                                                  unread=("null_drop",)))
 
     rows = tuple((it, loss, temp) for it, (loss, temp)
                  in enumerate(zip(info["losses"], info["temperatures"])))

@@ -299,7 +299,8 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
     only the last K steps.
 
     The B items walk as one (B, D) latent under the (B, C) conditioning of
-    their taped prompt encodes, with one ``step_table`` for all N steps. The
+    their taped prompt encodes, with one ``step_table`` for all N steps,
+    built by a run's first iteration and shared by the rest. The
     first N-K steps are one detached walk, so the gradient counts exactly
     the dependence through the recorded suffix; each of the last K steps is
     one segment over the batch recording one ``ta.mlp_step``, and the final

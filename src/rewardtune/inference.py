@@ -43,30 +43,47 @@ def step_table(denoiser, transitions, z, c, w, sampler, sched):
     under ``c``, in the working dtype: each transition's (time embedding,
     sampler (a, b) pairs), and the guidance pair, None at w=1. Checks, in
     order: the shapes of ``z`` and ``c``, each transition's sampler
-    constants (sampler name, then transition), then ``w``."""
+    constants (sampler name, then transition), then ``w``. The shape and
+    ``w`` checks and the guidance pair run per call; the transitions' part
+    is built once per (transitions, sampler, schedule object, working
+    dtype, t_embed) and shared, read-only (``_transition_table``)."""
     # the parts are [z, time embedding, c]; the embedding has the working
     # dtype. The null branch passes the same checks: C is null_cond's width
     dt = _denoise_parts(denoiser, transitions[0][0], z, c)[1].dtype
-    te = denoiser.t_embed
-    steps = [(ta.time_embedding_array(t, te),
-              [(np.asarray(a, dt), np.asarray(b, dt))
-               for a, b in sampler_coefficients(sampler, t, t_prev, sched)])
-             for t, t_prev in transitions]
+    steps = _transition_table(tuple(transitions), sampler, sched, dt, denoiser.t_embed)
     cfg = None if w == 1.0 else tuple([np.asarray(k, dt) for k in cfg_coefficients(w)])
     return steps, cfg
 
 
+@functools.lru_cache(maxsize=64)
+def _transition_table(transitions, sampler, sched, dt, te):
+    """``step_table``'s per-transition constants as nested tuples of
+    read-only arrays of ``dt``. The key holds ``sched`` itself, which is
+    equal only to itself, so no other schedule object can share its entry;
+    a build that raises is not cached."""
+    def frozen(arr):
+        arr.flags.writeable = False
+        return arr
+
+    return tuple((frozen(ta.time_embedding_array(t, te)),
+                  tuple((frozen(np.asarray(a, dt)), frozen(np.asarray(b, dt)))
+                        for a, b in sampler_coefficients(sampler, t, t_prev, sched)))
+                 for t, t_prev in transitions)
+
+
 def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     """Detached walk of ``z`` down ``transitions`` under conditioning ``c``;
-    returns the final latent array. A (B, D) ``z`` with a (B, C) ``c`` walks
-    B chains at once, each row bit for bit the walk of that row alone.
+    returns the final latent array, never a view of the walk's buffer. A
+    (B, D) ``z`` with a (B, C) ``c`` walks B chains at once, each row bit
+    for bit the walk of that row alone.
 
     Each step is ``guided_step``'s arithmetic, ``ta.mlp_step_kernel``, on
     plain arrays, with its bits, errors and warnings but no Tensor and no
     op dispatch: one dense-stack pass over the rows [cond; uncond] of a
-    buffer whose conditioning columns are written once per walk. The checks
-    are ``step_table``'s, run once, before the first step; an empty walk
-    checks nothing. Nothing is recorded, so ``c`` may be a taped tensor."""
+    buffer. The checks are ``step_table``'s, run once, before the first
+    step, whose transitions' constants are shared with every walk of the
+    same key; an empty walk checks nothing. Nothing is recorded, so ``c``
+    may be a taped tensor."""
     if not transitions:
         return z.data
     steps, cfg = step_table(denoiser, transitions, z, c, w, sampler, sched)
@@ -75,10 +92,12 @@ def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
 
 def walk_steps(denoiser, steps, z, c, cfg):
     """``walk_chain`` of the arrays ``z`` and ``c`` down ``step_table``
-    entries; checks nothing."""
+    entries; checks nothing. The ``ta.step_rows`` buffer, with its
+    conditioning columns and the dense stack's workspace, is made once per
+    walk and reused by every step; each step's new latent is a fresh
+    array."""
     shape, layers = z.shape, denoiser.layers()
-    buffer = ta.step_rows(z, c, None if cfg is None else denoiser.null_cond.data,
-                          denoiser.w1.data.shape[0])
+    buffer = ta.step_rows(z, c, None if cfg is None else denoiser.null_cond.data, layers)
     for temb, pairs in steps:
         z = ta.mlp_step_kernel(buffer, z, temb, layers, cfg, pairs)
     return z.reshape(shape)

@@ -27,9 +27,11 @@ SCHEDULE_KINDS = ("cosine", "linear-beta")
 ALPHA_FLOOR = 1e-6  # below this the x-hat division is meaningless
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
-    """Cumulative coefficients for z_t = alpha_t * x + sigma_t * eps."""
+    """Cumulative coefficients for z_t = alpha_t * x + sigma_t * eps. A
+    schedule is equal only to itself and hashes by identity (its arrays
+    have no hash), so it can key a cache of what is built from it."""
 
     kind: str
     t_train: int

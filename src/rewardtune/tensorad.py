@@ -28,7 +28,10 @@ per sampler update), so a recorded denoising step is one node, not
 dozens: per-node Python dispatch, not arithmetic, is most of what a step
 costs. The forward arithmetic of each is one array function,
 ``mlp_kernel``, ``axpby_kernel`` and ``mlp_step_kernel``, which a detached
-walk calls directly.
+walk calls directly. ``mlp_kernel`` computes every layer into the arrays of
+a workspace: a detached walk makes one, with its ``step_rows`` buffer, per
+walk and reuses it for every step; a taped op makes one per call, so the
+arrays a node keeps are its own.
 
 Reductions (sum, mean, dot, matmul, linear, mlp) accumulate in float64 and
 round back to the working dtype. The elementwise ops, ``axpby``, ``linear``,
@@ -614,30 +617,36 @@ def _f64(x):
     return x.astype(np.float64, copy=False)
 
 
+def _product_shape(op, xshape, w, b=None):
+    """The shape of ``_product(op, x, w, b)`` for an ``x`` of ``xshape``;
+    raises its errors: an operand that is not 1-D or 2-D, inner dims that
+    differ, and a bias whose shape is neither the output's nor one row's."""
+    ws = w.data.shape
+    if not xshape or not ws:
+        raise ValueError(f"{op}: operands must be 1-D or 2-D")
+    if xshape[-1] != ws[0]:
+        raise ValueError(f"{op}: inner dims differ {xshape} vs {ws}")
+    shape = xshape[:-1] + ws[1:]
+    if b is not None and b.data.shape != shape and b.data.shape != shape[-1:]:
+        raise ValueError(f"{op}: bias shape {b.data.shape} does not match output {shape}")
+    return shape
+
+
 def _product(op, x, w, b=None):
     """The array ``x`` @ the Tensor ``w`` in float64, rounded to the working
     dtype, plus the Tensor ``b``'s array when given (as ``linear`` adds
-    it): the one place a dense product widens, multiplies and rounds.
-    ``w`` is read through its kept float64 copy. A 2-D ``x`` is a stack of
-    row vectors, each multiplied on its own (``np.matmul`` over (B, 1, K)),
-    so row i equals the product of ``x[i]`` alone bit for bit; a 2-D gemm
-    would not. ``b`` has the output's shape or, for rows, one row's."""
-    ws = w.data.shape
-    if x.ndim == 0 or not ws:
-        raise ValueError(f"{op}: operands must be 1-D or 2-D")
-    if x.shape[-1] != ws[0]:
-        raise ValueError(f"{op}: inner dims differ {x.shape} vs {ws}")
+    it), with ``_product_shape``'s checks. ``w`` is read through its kept
+    float64 copy. A 2-D ``x`` is a stack of row vectors, each multiplied on
+    its own (``np.matmul`` over (B, 1, K)), so row i equals the product of
+    ``x[i]`` alone bit for bit; a 2-D gemm would not. ``mlp_kernel`` does
+    the same arithmetic into arrays made once (``_mlp_work``)."""
+    _product_shape(op, x.shape, w, b)
     x64 = _f64(x)
     if x64.ndim == 2:
         out = np.matmul(x64[:, None, :], w.data64)[:, 0].astype(_STATE.dtype)
     else:
         out = (x64 @ w.data64).astype(_STATE.dtype)
-    if b is None:
-        return out
-    bias = b.data
-    if bias.shape != out.shape and bias.shape != out.shape[-1:]:
-        raise ValueError(f"{op}: bias shape {bias.shape} does not match output {out.shape}")
-    return out + bias
+    return out if b is None else out + b.data
 
 
 def _product_dx(g, x, w):
@@ -1086,34 +1095,68 @@ def _mlp_input(arrays):
     return _interior(np.concatenate(arrays, -1))
 
 
-def mlp_kernel(arrays, layers, act, xs=None, pres=None):
-    """The arithmetic of ``mlp`` on the parts' arrays, with ``layers`` the
-    ``(w, b)`` Tensors and ``act`` checked by the caller; returns the output
-    array. Every array it makes is in the working dtype; under debug_checks
-    each layer's product is trapped (an activation of a finite array is
-    finite). With debug off, only a product whose bias has another dtype is
-    cast. One 2-D part is the first layer's input as it is: each row's bits
-    follow from that row alone, so a caller may stack rows of different
-    conditionings into one pass. With ``xs`` and ``pres`` lists, appends
-    what the taped node keeps: each layer's input and each silu
-    pre-activation."""
-    x = _mlp_input(arrays)
-    dt, debug = _STATE.dtype, _STATE.debug
-    last = len(layers) - 1
+def _mlp_work(shape, layers):
+    """A fresh ``mlp_kernel`` workspace for an input of ``shape``, with
+    ``_product_shape``'s checks of every layer: per layer, the float64 input,
+    it as (B, 1, K) rows for a 2-D input, the float64 product and its (B, H)
+    view, the output in the working dtype and, below the last layer, the
+    activation (a silu's sigmoid is made in it first)."""
+    dt, work, last = _STATE.dtype, [], len(layers) - 1
     for i, (w, b) in enumerate(layers):
+        out = _product_shape("mlp", shape, w, b)
+        x64 = np.empty(shape)
+        if x64.ndim == 2:
+            prod = np.empty(shape[:-1] + (1,) + out[1:])
+            rows = (x64[:, None, :], prod, prod[:, 0])
+        else:
+            prod = np.empty(out)
+            rows = (x64, prod, prod)
+        work.append((x64, *rows, np.empty(out, dt), None if i == last else np.empty(out, dt)))
+        shape = out
+    return work
+
+
+def mlp_kernel(arrays, layers, act, xs=None, pres=None, work=None):
+    """The arithmetic of ``mlp`` on the parts' arrays, with ``layers`` the
+    ``(w, b)`` Tensors and ``act`` checked by the caller, written into the
+    arrays of ``work``, a ``_mlp_work`` workspace for the input's shape
+    (a fresh one when None; the detached walk passes one per walk, so the
+    next call overwrites what this one returns). Returns the output array.
+    Each layer rounds its product to the working dtype, then adds its bias
+    (one of another dtype in the wider one, rounded once). Under
+    debug_checks each layer's product is trapped (an activation of a finite
+    array is finite). One 2-D part is the first layer's input as it is:
+    each row's bits follow from that row alone, so a caller may stack rows
+    of different conditionings into one pass. With ``xs`` and ``pres``
+    lists, appends what the taped node keeps: each layer's input and each
+    silu pre-activation."""
+    x = _mlp_input(arrays)
+    if work is None:
+        work = _mlp_work(x.shape, layers)
+    debug, one = _STATE.debug, _ONES.get(_STATE.dtype, 1.0)
+    for (w, b), (x64, rows, prod, prod_rows, out, y) in zip(layers, work):
         if xs is not None:
             xs.append(x)
-        out = _product("mlp", x, w, b)
-        if debug or out.dtype != dt:
-            out = _interior(out)
-        if i == last:
+        x64[...] = x
+        np.matmul(rows, w.data64, out=prod)
+        out[...] = prod_rows
+        np.add(out, b.data, out=out)
+        if debug and not np.all(np.isfinite(out)):
+            raise AutodiffError("non-finite tensor value")
+        if y is None:
             return out
         if act == "silu":
             if pres is not None:
                 pres.append(out)
-            x = out * _sigmoid(out)
+            # out * _sigmoid(out) in y: the same IEEE operations
+            np.negative(out, out=y)
+            _exp_saturating(y, out=y)
+            np.add(y, one, out=y)
+            np.reciprocal(y, out=y)
+            np.multiply(out, y, out=y)
         else:
-            x = np.tanh(out)
+            np.tanh(out, out=y)
+        x = y
 
 
 def _bw_mlp(g, saved, ctx):
@@ -1194,33 +1237,38 @@ def _mlp_node(act, parts, layers, ndim):
     return (*(t for w, b in reversed(layers) for t in (w, b)), *parts), ctx
 
 
-def step_rows(z, c, null, width):
-    """A fresh ``mlp_step_kernel`` buffer with the conditioning columns
-    written, as (rows, stack): (2, B, width) rows, c's over ``null``'s, and
-    their (2B, width) stack, or without ``null``, ``z``'s rows twice."""
+def step_rows(z, c, null, layers):
+    """A fresh ``mlp_step_kernel`` buffer for the silu stack ``layers``, as
+    (rows, stack, work): (2, B, width) rows with the conditioning columns
+    written, c's over ``null``'s, their (2B, width) stack, or without
+    ``null``, ``z``'s rows twice, and the stack's ``_mlp_work`` workspace.
+    A detached walk makes one per walk; a taped step one per call."""
+    width = layers[0][0].data.shape[0]
     if null is None:
         rows = np.empty(z.shape[:-1] + (width,), _STATE.dtype)
         rows[..., width - c.shape[-1]:] = c
-        return rows, rows
-    n = len(z) if z.ndim == 2 else 1
-    stack = np.empty((2 * n, width), _STATE.dtype)
-    rows = stack.reshape(2, n, width)
-    rows[..., width - c.shape[-1]:] = c
-    rows[1, :, width - null.shape[-1]:] = null
-    return rows, stack
+        stack = rows
+    else:
+        n = len(z) if z.ndim == 2 else 1
+        stack = np.empty((2 * n, width), _STATE.dtype)
+        rows = stack.reshape(2, n, width)
+        rows[..., width - c.shape[-1]:] = c
+        rows[1, :, width - null.shape[-1]:] = null
+    return rows, stack, _mlp_work(stack.shape, layers)
 
 
 def mlp_step_kernel(buffer, z, temb, layers, cfg, pairs, xs=None, pres=None):
     """``mlp_step``'s arithmetic over a ``step_rows`` buffer: writes ``z``
     and ``temb`` into each row, makes one ``mlp_kernel`` pass over the
-    stack (``xs`` and ``pres`` are its lists) and guides its halves;
-    returns the new latent, one (1, D) row for a guided 1-D ``z``. Each
-    row's bits follow from that row alone."""
-    rows, stack = buffer
+    stack in the buffer's workspace (``xs`` and ``pres`` are its lists) and
+    guides its halves; returns the new latent, a fresh array, one (1, D)
+    row for a guided 1-D ``z``. Each row's bits follow from that row
+    alone."""
+    rows, stack, work = buffer
     d = z.shape[-1]
     rows[..., :d] = z
     rows[..., d:d + len(temb)] = temb
-    eps = mlp_kernel([stack], layers, "silu", xs, pres)
+    eps = mlp_kernel([stack], layers, "silu", xs, pres, work)
     if cfg is not None:
         n = rows.shape[1]
         eps = axpby_kernel(eps[:n], cfg[0], eps[n:], cfg[1])
@@ -1255,8 +1303,7 @@ def mlp_step(z, c, null, temb, layers, cfg, pairs):
     chain's sweep gives them gradients in: each leaf is counted and folded
     as there, and a branch that needs nothing gets nothing."""
     z, c = _as_tensor(z), _as_tensor(c)
-    buffer = step_rows(z.data, c.data, None if cfg is None else null.data,
-                       layers[0][0].data.shape[0])
+    buffer = step_rows(z.data, c.data, None if cfg is None else null.data, layers)
     xs, pres = [], []
     out = mlp_step_kernel(buffer, z.data, temb, layers, cfg, pairs, xs, pres).reshape(z.shape)
     if _active_tape() is None:

@@ -657,6 +657,21 @@ class TestCliPipeline:
         assert capsys.readouterr().err == f"rewardtune: error: {want}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_pretrain_clip_rejects_denoiser_stage_field(self, baseline_ckpt, tmp_path,
+                                                        capsys):
+        # null_drop is read by the denoiser stage only: pretrain-clip rejects
+        # it before any training, and pretrain-diffusion still takes it
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"iterations": 2, "batch_size": 4, "null_drop": 0.9}))
+        rc = cli_main(["pretrain-clip", "--config", str(cfg), "--out-dir", str(tmp_path / "clip")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "rewardtune: error: config field 'null_drop' is not read by pretrain-clip\n"
+        assert not (tmp_path / "clip").exists()
+        assert cli_main(["pretrain-diffusion", "--config", str(cfg), "--checkpoint",
+                         baseline_ckpt, "--out-dir", str(tmp_path / "diff")]) == 0
+        assert (tmp_path / "diff" / "model.rcpt").exists()
+
     def test_non_object_config_exits_2(self, baseline_ckpt, tmp_path, capsys):
         cfg = tmp_path / "ft.json"
         cfg.write_text("[1, 2]")

@@ -4,12 +4,16 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from rewardtune import evalcli, inference
 from rewardtune import tensorad as ta
+from rewardtune.data import make_prompt_sets
+from rewardtune.finetune import TrainConfig, run_training
 from rewardtune.inference import (
     DEFAULT_LAMBDA_SWEEP,
     _noise_draw,
@@ -21,12 +25,15 @@ from rewardtune.inference import (
     sample,
     sample_from_cond,
     start_noise,
+    step_table,
     walk_chain,
     write_sample,
 )
 from rewardtune.models import (
     DenoiserParams,
+    ModelConfig,
     TextEncoderParams,
+    _denoise_parts,
     denoise,
     init_text_encoder,
     text_encode,
@@ -614,3 +621,358 @@ class TestOneNodeStep:
                 reached += 1
                 assert got[3][name].tobytes() == g.tobytes(), name
         assert reached == (5 if trainable == "text" else 6 + (w != 1.0))
+
+
+def _primitive_walk(denoiser, transitions, z, c, w, sampler, sched):
+    """A detached walk as a loop of ``_primitive_step``: no step table."""
+    with ta.pause_recording():
+        for t, t_prev in transitions:
+            z = _primitive_step(denoiser, t, t_prev, z, c, w, sampler, sched)
+    return z.data
+
+
+@pytest.fixture()
+def sampler_calls(monkeypatch):
+    """The (sampler, t, t_prev) of every step-table build's sampler constants."""
+    calls = []
+    coefficients = inference.sampler_coefficients
+
+    def counted(sampler, t, t_prev, sched):
+        calls.append((sampler, t, t_prev))
+        return coefficients(sampler, t, t_prev, sched)
+
+    monkeypatch.setattr(inference, "sampler_coefficients", counted)
+    return calls
+
+
+class TestStepTableReuse:
+    """One step table per (transitions, sampler, schedule object, dtype,
+    t_embed), reused by every chain and iteration that walks it."""
+
+    def test_evaluate_builds_one_table_per_model(self, baseline_state, baseline_world,
+                                                 sampler_calls, monkeypatch):
+        holdout = make_prompt_sets(baseline_world, 48, 36)[1]
+        plan = make_step_plan(4)
+        chains = []
+        sample = evalcli.sample_from_cond
+
+        def counted(*args, **kwargs):
+            chains.append(1)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(evalcli, "sample_from_cond", counted)
+        evalcli.evaluate(baseline_state, holdout, plan, 3.0, [0, 1], sampler="euler")
+        # one sampling call per chain, P * S of them, and one table for all
+        assert len(chains) == 36 * 2
+        assert sampler_calls == [("euler", t, t_prev) for t, t_prev in plan.transitions()]
+
+    def test_run_training_builds_one_table(self, baseline_state, sampler_calls):
+        cfg = TrainConfig(iterations=3, batch_size=2, n_steps=5, k_last=2,
+                          chain_cfg_scale=3.0)
+        run_training(cfg, baseline_state)
+        plan = make_step_plan(5, cfg.t_train)
+        assert sampler_calls == [("ddim", t, t_prev) for t, t_prev in plan.transitions()]
+
+    def test_schedule_objects_never_share_a_table(self, baseline_text, baseline_denoiser,
+                                                  sampler_calls):
+        # same kind and t_train, other arrays: a table of its own, and its own samples
+        plan = make_step_plan(6)
+        first = make_schedule("linear-beta", 1000)
+        cosine = make_schedule("cosine", 1000)
+        second = NoiseSchedule(kind="linear-beta", t_train=1000, alpha=cosine.alpha,
+                               sigma=cosine.sigma)
+        with ta.pause_recording():
+            c = text_encode(baseline_text, (1, 2))
+        z = start_noise(8, 16)
+        got = [walk_chain(baseline_denoiser, plan.transitions(), z, c, 3.0, "ddim", sched)
+               for sched in (first, second, first, second)]
+        assert len(sampler_calls) == 2 * len(plan.transitions())
+        for sched, x in zip((first, second), got):
+            want = _primitive_walk(baseline_denoiser, plan.transitions(), z, c, 3.0, "ddim",
+                                   sched)
+            assert x.tobytes() == want.tobytes()
+        assert got[0].tobytes() != got[1].tobytes()
+        assert got[2].tobytes() == got[0].tobytes() and got[3].tobytes() == got[1].tobytes()
+
+    def test_keys_never_share_an_entry(self, baseline_state, baseline_text):
+        # each change of w, sampler, dtype or t_embed walks its own constants:
+        # every walk, in one order, equals the primitive chain's
+        plan = make_step_plan(5)
+        sched = make_schedule("linear-beta", 1000)
+        states = [baseline_state, DenoiserParams.init(4, ModelConfig(t_embed=12)).state()]
+        cases = [(w, sampler, dtype, state) for state in states
+                 for dtype in (np.float32, np.float64) for sampler in ("ddim", "euler")
+                 for w in (1.0, 3.0, 0.0)]
+        for w, sampler, dtype, state in cases * 2:
+            with ta.default_dtype(dtype):
+                den = DenoiserParams.from_state(state)
+                with ta.pause_recording():
+                    c = text_encode(TextEncoderParams.from_state(baseline_state), (3, 7))
+                z = Tensor(np.linspace(-1.0, 1.0, 16))
+                got = walk_chain(den, plan.transitions(), z, c, w, sampler, sched)
+                want = _primitive_walk(den, plan.transitions(), z, c, w, sampler, sched)
+            assert got.dtype == np.dtype(dtype)
+            assert got.tobytes() == want.tobytes(), (w, sampler, dtype, den.t_embed)
+
+    def test_cached_arrays_are_read_only(self, baseline_text, baseline_denoiser):
+        plan = make_step_plan(4)
+        sched = make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode(baseline_text, (1, 2))
+        steps, cfg = step_table(baseline_denoiser, plan.transitions(), start_noise(1, 16), c,
+                                3.0, "euler", sched)
+        again, _ = step_table(baseline_denoiser, plan.transitions(), start_noise(1, 16), c,
+                              3.0, "euler", sched)
+        assert again is steps and isinstance(steps, tuple)
+        arrays = [a for temb, pairs in steps for a in (temb, *(x for p in pairs for x in p))]
+        assert len(arrays) == 3 * len(plan.transitions())
+        for a in arrays:
+            assert a.dtype == np.float32 and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    def test_shape_checks_run_on_a_cache_hit(self, baseline_text, baseline_denoiser,
+                                             sampler_calls):
+        plan = make_step_plan(4)
+        sched = make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode(baseline_text, (1, 2))
+        walk_chain(baseline_denoiser, plan.transitions(), start_noise(1, 16), c, 3.0, "ddim",
+                   sched)
+        built = len(sampler_calls)
+        bad = [(Tensor(np.ones(15)), c), (start_noise(1, 16), Tensor(np.ones(7))),
+               (Tensor(np.ones((2, 16))), Tensor(np.ones((3, 8))))]
+        for z, cond in bad:
+            with pytest.raises(ValueError) as caught:
+                walk_chain(baseline_denoiser, plan.transitions(), z, cond, 3.0, "ddim", sched)
+            with pytest.raises(ValueError) as direct:
+                _denoise_parts(baseline_denoiser, plan.transitions()[0][0], z, cond)
+            assert str(caught.value) == str(direct.value)
+        with pytest.raises(ValueError, match="guidance scale must be finite"):
+            walk_chain(baseline_denoiser, plan.transitions(), start_noise(1, 16), c, -1.0,
+                       "ddim", sched)
+        assert len(sampler_calls) == built
+
+    def test_failed_build_caches_nothing(self, baseline_denoiser, sampler_calls):
+        sched = make_schedule("linear-beta", 1000)
+        transitions = [(999, 500), (400, 500)]
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"t_prev \(500\) must be < t \(400\)"):
+                walk_chain(baseline_denoiser, transitions, Tensor(np.ones(16)),
+                           Tensor(np.ones(8)), 3.0, "ddim", sched)
+        assert len(sampler_calls) == 4
+
+
+def _written_out_mlp(parts, layers):
+    """The silu dense stack as the primitive ops ``concat``, ``linear`` and
+    ``silu``, whose ``_product`` rounds a bias sum with ``np.asarray(out +
+    bias, dtype)``."""
+    rows = [p.data.shape[0] for p in parts if p.data.ndim == 2]
+    if rows:
+        parts = [ta.broadcast_rows(p, (rows[0], p.data.shape[0])) if p.data.ndim == 1 else p
+                 for p in parts]
+    x = ta.concat(parts)
+    for i, (w, b) in enumerate(layers):
+        x = ta.linear(x, w, b)
+        if i < len(layers) - 1:
+            x = ta.silu(x)
+    return x
+
+
+def _written_out_step(denoiser, t, t_prev, z, c, w, sampler, sched):
+    """``_primitive_step`` with the dense stacks written out."""
+    def eps_of(cond):
+        temb = Tensor(ta.time_embedding_array(t, denoiser.t_embed))
+        return _written_out_mlp([z, temb, cond], denoiser.layers())
+
+    eps = eps_of(c)
+    if w != 1.0:
+        eps = cfg_combine(eps, eps_of(denoiser.null_cond), w)
+    return sampler_step(sampler, z, eps, t, t_prev, sched)
+
+
+class TestWorkspaceRounding:
+    """The workspace keeps ``_product``'s rounding: a bias of another dtype
+    is added in the wider one and rounded once."""
+
+    @staticmethod
+    def _denoiser(state, bias_dtype, dtype, requires_grad=False):
+        with ta.default_dtype(bias_dtype):
+            biased = DenoiserParams.from_state(state, requires_grad)
+        with ta.default_dtype(dtype):
+            den = DenoiserParams.from_state(state, requires_grad)
+        return dataclasses.replace(den, b1=biased.b1, b2=biased.b2, b3=biased.b3)
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float64), (np.float64, np.float64),
+                                        (np.float64, np.float32)],
+                             ids=["f64-bias-f32", "f64", "f32-bias-f64"])
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    def test_walk_equals_written_out_chain(self, baseline_state, w, dtypes):
+        dtype, bias_dtype = dtypes
+        plan = make_step_plan(6)
+        den = self._denoiser(baseline_state, bias_dtype, dtype)
+        assert den.b2.data.dtype == np.dtype(bias_dtype)
+        with ta.default_dtype(dtype):
+            sched = make_schedule("linear-beta", 1000)
+            c = Tensor(np.linspace(-0.5, 0.5, 16).reshape(2, 8))
+            z = Tensor(np.random.default_rng(5).standard_normal((2, 16)))
+            got = walk_chain(den, plan.transitions(), z, c, w, "ddim", sched)
+            with ta.pause_recording():
+                want = z
+                for t, t_prev in plan.transitions():
+                    want = _written_out_step(den, t, t_prev, want, c, w, "ddim", sched)
+        assert got.dtype == np.dtype(dtype)
+        assert got.tobytes() == want.data.tobytes()
+
+    @staticmethod
+    def _taped(op, den, dtype, z0, c0):
+        with ta.default_dtype(dtype):
+            z, c = Tensor(z0, requires_grad=True), Tensor(c0, requires_grad=True)
+            tape = ta.Tape()
+            with tape:
+                out = op(den, z, c)
+                loss = ta.tensor_sum(ta.mul(out, out))
+            grads = ta.backward(tape, loss)
+        leaves = (z, c, *den.tensors())
+        return [out.data.tobytes()] + [None if t.id not in grads else grads[t.id].tobytes()
+                                       for t in leaves]
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float64), (np.float64, np.float64)],
+                             ids=["f64-bias-f32", "f64"])
+    @pytest.mark.parametrize("node", ["mlp", "mlp_step"])
+    def test_taped_nodes_equal_written_out_chain(self, baseline_state, node, dtypes):
+        dtype, bias_dtype = dtypes
+        rng = np.random.default_rng(6)
+        z0, c0 = rng.standard_normal((3, 16)), rng.standard_normal((3, 8))
+        sched = make_schedule("linear-beta", 1000)
+
+        def temb(den):
+            return Tensor(ta.time_embedding_array(700, den.t_embed))
+
+        if node == "mlp":
+            fused = lambda den, z, c: ta.mlp([z, temb(den), c], den.layers(), "silu")
+            chain = lambda den, z, c: _written_out_mlp([z, temb(den), c], den.layers())
+        else:
+            fused = lambda den, z, c: guided_step(den, 700, 600, z, c, 3.0, "euler", sched)
+            chain = lambda den, z, c: _written_out_step(den, 700, 600, z, c, 3.0, "euler",
+                                                        sched)
+        got, want = (self._taped(op, self._denoiser(baseline_state, bias_dtype, dtype, True),
+                                 dtype, z0, c0) for op in (fused, chain))
+        assert got[3] is not None and got == want
+
+    def test_nan_bias_trapped_by_walk_and_node(self, baseline_denoiser):
+        den = dataclasses.replace(baseline_denoiser,
+                                  b2=Tensor(np.full(baseline_denoiser.b2.shape, np.nan)))
+        sched = make_schedule("linear-beta", 1000)
+        z, c = Tensor(np.ones((2, 16))), Tensor(np.ones((2, 8)))
+        assert np.isnan(walk_chain(den, [(999, 500)], z, c, 3.0, "ddim", sched)).all()
+        with ta.debug_checks():
+            with pytest.raises(ta.AutodiffError, match="non-finite"):
+                walk_chain(den, [(999, 500), (500, 0)], z, c, 3.0, "ddim", sched)
+        den.set_requires_grad(True)
+        with ta.debug_checks():
+            with ta.Tape(), pytest.raises(ta.AutodiffError, match="non-finite"):
+                guided_step(den, 999, 500, z, c, 3.0, "ddim", sched)
+
+
+def _array_saved(node):
+    return [a for a in node.saved if type(a) is np.ndarray]
+
+
+class TestWorkspaceAliasing:
+    """Taped calls get a workspace each; a walk's result is its own."""
+
+    def test_recorded_steps_keep_their_own_arrays(self, baseline_text, baseline_denoiser):
+        sched = make_schedule("linear-beta", 1000)
+        baseline_denoiser.set_requires_grad(True)
+        z = Tensor(np.random.default_rng(7).standard_normal((2, 16)))
+        with ta.Tape() as tape:
+            c = text_encode_rows(baseline_text, [(1, 2), (5,)])
+            for t, t_prev in [(999, 700), (700, 400)]:
+                z = guided_step(baseline_denoiser, t, t_prev, z, c, 3.0, "ddim", sched)
+        first, second = [n for n in tape.nodes if n.op == "mlp_step"]
+        kept = [a.copy() for a in _array_saved(first)]
+        assert len(kept) == 5  # three layer inputs, two pre-activations
+        for a in _array_saved(first):
+            assert not any(np.shares_memory(a, b) for b in _array_saved(second))
+        assert [a.tobytes() for a in _array_saved(first)] == [a.tobytes() for a in kept]
+
+    def test_taped_mlp_calls_keep_their_own_arrays(self, baseline_denoiser):
+        baseline_denoiser.set_requires_grad(True)
+        rng = np.random.default_rng(8)
+        with ta.Tape() as tape:
+            outs = [denoise(baseline_denoiser, 500, Tensor(rng.standard_normal((3, 16))),
+                            Tensor(rng.standard_normal((3, 8)))) for _ in range(2)]
+        first, second = tape.nodes
+        assert not np.shares_memory(outs[0].data, outs[1].data)
+        for a in _array_saved(first) + [outs[0].data]:
+            assert not any(np.shares_memory(a, b) for b in _array_saved(second))
+
+    def test_walk_result_survives_a_later_walk(self, baseline_text, baseline_denoiser,
+                                               monkeypatch):
+        plan = make_step_plan(5)
+        sched = make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode_rows(baseline_text, [(1, 2), (5,), (3, 7)])
+        z = Tensor(np.random.default_rng(9).standard_normal((3, 16)))
+        make, buffers = ta.step_rows, []
+
+        def kept_buffer(*args):
+            buffers.append(make(*args))
+            return buffers[-1]
+
+        monkeypatch.setattr(ta, "step_rows", kept_buffer)
+        for w in (1.0, 3.0):
+            first = walk_chain(baseline_denoiser, plan.transitions(), z, c, w, "ddim", sched)
+            kept = first.copy()
+            later = walk_chain(baseline_denoiser, plan.transitions(), Tensor(z.data[::-1].copy()),
+                               c, w, "ddim", sched)
+            assert not np.shares_memory(first, later)
+            assert first.tobytes() == kept.tobytes()
+            rows, stack, work = buffers[-2]
+            owned = [rows, stack, *(a for layer in work for a in layer if a is not None)]
+            assert not any(np.shares_memory(first, a) for a in owned)
+
+
+class TestWalkAllocation:
+    """A regression guard on allocation, not on time: tracemalloc keeps no
+    trace of a freed block, so what a step allocates is read as its peak of
+    traced bytes above what it started with (``reset_peak`` per step)."""
+
+    def test_dense_stack_is_allocated_once_per_walk(self, baseline_text, baseline_denoiser,
+                                                    monkeypatch):
+        batch, w = 4, 3.0
+        sched = make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode_rows(baseline_text, [(1, 2), (5,), (3, 7), (0, 6)])
+        z = Tensor(np.random.default_rng(3).standard_normal((batch, 16)))
+        kernel, peaks = ta.mlp_step_kernel, []
+
+        def traced(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = kernel(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        totals = {}
+        for n in (10, 20):
+            plan = make_step_plan(n)
+            walk_chain(baseline_denoiser, plan.transitions(), z, c, w, "ddim", sched)
+            monkeypatch.setattr(ta, "mlp_step_kernel", traced)
+            peaks.clear()
+            tracemalloc.start()
+            try:
+                walk_chain(baseline_denoiser, plan.transitions(), z, c, w, "ddim", sched)
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            assert len(peaks) == n
+            totals[n] = sum(peaks)
+        # a step holds the guidance's and the sampler update's fresh (B, D)
+        # arrays and NumPy's own call buffers (about 3.4 KB here), never the
+        # float64 input and product of a (2B, H) hidden layer (8 KB): a
+        # dense stack allocating per step held 16 KB at its peak
+        layer_f64 = 2 * (2 * batch * baseline_denoiser.w2.data.shape[0] * 8)
+        assert max(peaks) < layer_f64
+        assert totals[20] - totals[10] < 10 * layer_f64
