@@ -118,6 +118,13 @@ def _noise_draw(seed, d):
     return draw
 
 
+@functools.lru_cache(maxsize=8)
+def _default_schedule(t_train):
+    """The default kind's schedule over ``t_train``, one object per horizon,
+    so that sampling with ``sched=None`` shares one step table per key."""
+    return make_schedule(DEFAULT_SCHEDULE, t_train)
+
+
 def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
                      sched=None):
     """Deterministic sample from a fixed conditioning vector, or one (L, D)
@@ -135,7 +142,7 @@ def sample_from_cond(cond, denoiser_params, plan, w, seed, *, sampler="ddim",
     z = start_noise(seed, d)
     if cond.data.ndim == 2:
         z = ta.broadcast_rows(z, (len(cond.data), d))
-    sched = make_schedule(DEFAULT_SCHEDULE, plan.t_train) if sched is None else sched
+    sched = _default_schedule(plan.t_train) if sched is None else sched
     with np.errstate(over="ignore", invalid="ignore"):
         x = walk_chain(denoiser_params, plan.transitions(), z, cond, w, sampler, sched)
     if not np.all(np.isfinite(x)):

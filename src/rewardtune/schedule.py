@@ -31,7 +31,9 @@ ALPHA_FLOOR = 1e-6  # below this the x-hat division is meaningless
 class NoiseSchedule:
     """Cumulative coefficients for z_t = alpha_t * x + sigma_t * eps. A
     schedule is equal only to itself and hashes by identity (its arrays
-    have no hash), so it can key a cache of what is built from it."""
+    have no hash), so it can key a cache of what is built from it: it holds
+    read-only copies of the arrays it is given, which no one can change
+    under the cache."""
 
     kind: str
     t_train: int
@@ -39,6 +41,10 @@ class NoiseSchedule:
     sigma: np.ndarray  # float64, derived as sqrt(1 - alpha^2)
 
     def __post_init__(self):
+        for name in ("alpha", "sigma"):
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.alpha.shape != (self.t_train,) or self.sigma.shape != (self.t_train,):
             raise ValueError("schedule arrays must have length t_train")
         vp = self.alpha**2 + self.sigma**2

@@ -429,14 +429,32 @@ def _as_tensor(x):
 
 
 def _scalar(x):
-    """True for a constant operand of add, sub, mul and div: a Python or
-    NumPy number, or a 0-D array (a 0-D Tensor is an operand like any other)."""
+    """True for a constant: a Python or NumPy number, or a 0-D array.
+    ``axpby`` takes its ``a`` and ``b`` only as constants; add, sub, mul and
+    div take one as a 0-D tensor (``_operands``), so a tap on it reads
+    nothing."""
     return isinstance(x, (int, float, np.number)) or (isinstance(x, np.ndarray) and x.ndim == 0)
 
 
-def _check_same_shape(op, a, b):
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
+def _is_column(c, a):
+    """True when ``c`` is a (B, 1) column scaling the rows of the (B, n) ``a``."""
+    return a.ndim == 2 and c.shape == (a.shape[0], 1)
+
+
+def _operands(op, a, b, columns=""):
+    """The operand rule of add, sub, mul and div: ``a`` and ``b`` as Tensors,
+    a constant as a 0-D tensor of the working dtype that needs no gradient
+    (the same arithmetic as the scalar it holds). They have one shape, or
+    one is 0-D, or one is a (B, 1) column against (B, n) rows on a side
+    ``columns`` names ("a", "b"). Returns them and the node's backward
+    context: each operand's shape, None for one that needs no gradient,
+    which the node gives nothing and keeps nothing for."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    x, y = a.data, b.data
+    if (x.shape != y.shape and x.ndim and y.ndim
+            and not ("b" in columns and _is_column(y, x) or "a" in columns and _is_column(x, y))):
+        raise ValueError(f"{op}: shape mismatch {x.shape} vs {y.shape}")
+    return a, b, (x.shape if a._needs else None, y.shape if b._needs else None)
 
 
 # ---------------------------------------------------------------------------
@@ -444,27 +462,20 @@ def _check_same_shape(op, a, b):
 
 
 def _bw_add(g, saved, ctx):
-    return g, g
-
-
-def _bw_add_scalar(g, saved, ctx):
-    return (g,)
+    sa, sb = ctx
+    return (None if sa is None else _unbroadcast(g, sa),
+            None if sb is None else _unbroadcast(g, sb))
 
 
 def add(a, b):
-    if _scalar(b):
-        a = _as_tensor(a)
-        out = a.data + _STATE.dtype.type(b)
-        return _trace("add_scalar", (a,), out, (), None, _bw_add_scalar)
-    if _scalar(a):
-        return add(b, a)
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("add", a, b)
-    return _trace("add", (a, b), a.data + b.data, (), None, _bw_add)
+    a, b, ctx = _operands("add", a, b)
+    return _trace("add", (a, b), a.data + b.data, (), ctx, _bw_add)
 
 
 def _bw_sub(g, saved, ctx):
-    return g, -g
+    sa, sb = ctx
+    return (None if sa is None else _unbroadcast(g, sa),
+            None if sb is None else _unbroadcast(-g, sb))
 
 
 def _bw_neg(g, saved, ctx):
@@ -472,15 +483,8 @@ def _bw_neg(g, saved, ctx):
 
 
 def sub(a, b):
-    if _scalar(b):
-        a = _as_tensor(a)
-        return _trace("sub_scalar", (a,), a.data - _STATE.dtype.type(b), (), None, _bw_add_scalar)
-    if _scalar(a):
-        b = _as_tensor(b)
-        return _trace("rsub_scalar", (b,), _STATE.dtype.type(a) - b.data, (), None, _bw_neg)
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("sub", a, b)
-    return _trace("sub", (a, b), a.data - b.data, (), None, _bw_sub)
+    a, b, ctx = _operands("sub", a, b)
+    return _trace("sub", (a, b), a.data - b.data, (), ctx, _bw_sub)
 
 
 def _add_in_order(terms):
@@ -544,68 +548,39 @@ def _unbroadcast(g, shape):
                             keepdims=column)).astype(g.dtype)
 
 
-def _is_column(c, a):
-    """True when ``c`` is a (B, 1) column scaling the rows of the (B, n) ``a``."""
-    return a.ndim == 2 and c.shape == (a.shape[0], 1)
-
-
 def _bw_mul(g, saved, ctx):
-    a, b = saved
-    return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
-
-
-def _bw_mul_scalar(g, saved, ctx):
-    return (g * ctx,)
+    """``saved`` holds b when a needs a gradient, then a when b needs one."""
+    sa, sb = ctx
+    return (None if sa is None else _unbroadcast(g * saved[0].data, sa),
+            None if sb is None else _unbroadcast(g * saved[-1].data, sb))
 
 
 def mul(a, b):
-    if _scalar(b):
-        a = _as_tensor(a)
-        s = _STATE.dtype.type(b)
-        return _trace("mul_scalar", (a,), a.data * s, (), s, _bw_mul_scalar)
-    if _scalar(a):
-        return mul(b, a)
-    a, b = _as_tensor(a), _as_tensor(b)
-    x, y = a.data, b.data
-    # a scalar tensor against anything, or a (B, 1) column against (B, n) rows
-    if (x.shape != y.shape and x.ndim and y.ndim
-            and not (_is_column(y, x) or _is_column(x, y))):
-        _check_same_shape("mul", a, b)
-    return _trace("mul", (a, b), x * y, (a, b), None, _bw_mul)
+    """a * b, where a constant or a 0-D tensor scales the other operand and a
+    (B, 1) column scales (B, n) rows, on either side. The node keeps an
+    operand only when the other operand needs a gradient, which reads it."""
+    a, b, ctx = _operands("mul", a, b, "ab")
+    kept = ((b,) if a._needs else ()) + ((a,) if b._needs else ())
+    return _trace("mul", (a, b), a.data * b.data, kept, ctx, _bw_mul)
 
 
 def _bw_div(g, saved, ctx):
-    b, out = saved
-    ga = g / b.data
-    gb = _unbroadcast(-g * out.data / b.data, b.data.shape)
-    return ga, gb
-
-
-def _bw_div_scalar(g, saved, ctx):
-    return (g / ctx,)
-
-
-def _bw_rdiv_scalar(g, saved, ctx):
-    b, out = saved
-    return (-g * out.data / b.data,)
+    """``saved`` holds b, then the output when b needs a gradient."""
+    sa, sb = ctx
+    b = saved[0].data
+    return (None if sa is None else _unbroadcast(g / b, sa),
+            None if sb is None else _unbroadcast(-g * saved[1].data / b, sb))
 
 
 def div(a, b):
-    if _scalar(b):
-        if b == 0:
-            raise ZeroDivisionError("div: scalar divisor is zero")
-        a = _as_tensor(a)
-        s = _STATE.dtype.type(b)
-        return _trace("div_scalar", (a,), a.data / s, (), s, _bw_div_scalar)
-    if _scalar(a):
-        b = _as_tensor(b)
-        out = _STATE.dtype.type(a) / b.data
-        return _trace("rdiv_scalar", (b,), out, (b,), None, _bw_rdiv_scalar, save_out=True)
-    a, b = _as_tensor(a), _as_tensor(b)
-    # a scalar tensor divisor, or a (B, 1) column dividing (B, n) rows
-    if b.data.ndim != 0 and not _is_column(b.data, a.data):
-        _check_same_shape("div", a, b)
-    return _trace("div", (a, b), a.data / b.data, (b,), None, _bw_div, save_out=True)
+    """a / b, where a constant or a 0-D tensor is either operand and a
+    (B, 1) column divisor divides (B, n) rows; a constant zero divisor
+    raises ZeroDivisionError. The node keeps b, which every gradient reads,
+    and the output only when b needs a gradient, which reads it."""
+    if _scalar(b) and b == 0:
+        raise ZeroDivisionError("div: constant divisor is zero")
+    a, b, ctx = _operands("div", a, b, "b")
+    return _trace("div", (a, b), a.data / b.data, (b,), ctx, _bw_div, save_out=b._needs)
 
 
 def neg(a):
@@ -1068,7 +1043,8 @@ def axpby(x, a, y, b):
     x, y = _as_tensor(x), _as_tensor(y)
     if not (_scalar(a) and _scalar(b)):
         raise ValueError("axpby: a and b must be scalar constants")
-    _check_same_shape("axpby", x, y)
+    if x.data.shape != y.data.shape:
+        raise ValueError(f"axpby: shape mismatch {x.data.shape} vs {y.data.shape}")
     dt = _STATE.dtype
     a, b = dt.type(a), dt.type(b)
     return _trace("axpby", (y, x), axpby_kernel(x.data, a, y.data, b), (), (a, b), _bw_axpby)
@@ -1385,7 +1361,9 @@ def backward(tape, loss, tap_ids=None):
     each tensor named in ``tap_ids`` that a gradient reaches. A leaf no
     gradient reaches is absent (``finetune.collect_grads`` gives it zeros).
     A leaf that batched nodes reach gets their per-row terms folded
-    item-major (``_fold_rows``); one leaf may not get both kinds.
+    item-major (``_fold_rows``); one leaf may not get both kinds. A binary
+    op gives an operand that needs no gradient nothing, so a tap on it
+    reads nothing from that node.
     """
     if not isinstance(loss, Tensor):
         raise AutodiffError("backward: loss must be a Tensor")

@@ -955,6 +955,28 @@ class TestRunTraining:
             run_training(cfg, baseline_state, out_dir=str(out_dir))
         assert sorted(p.name for p in out_dir.iterdir()) == ["checkpoint_000001.rcpt"]
 
+    @pytest.mark.parametrize("kwargs, nodes", [
+        ({"regime": "prompt-chain"}, 32),
+        ({"regime": "unet-chain", "chain_cfg_scale": 3.0, "sampler": "euler"}, 26),
+        ({"regime": "direct"}, 31),
+    ], ids=["prompt-chain", "unet-chain", "direct"])
+    def test_one_step_records_one_node_per_op(self, baseline_state, monkeypatch, kwargs,
+                                              nodes):
+        # a constant operand is a 0-D tensor: no op records a scalar node kind
+        tapes = []
+
+        class Counted(ta.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(ta, "Tape", Counted)
+        run_training(TrainConfig(iterations=1, **kwargs), baseline_state)
+        (tape,) = tapes
+        ops = [node.op for node in tape.nodes]
+        assert len(ops) == nodes
+        assert not [op for op in ops if op.endswith("_scalar")]
+
     def test_unet_chain_improves_reward(self, baseline_state):
         cfg = TrainConfig(regime="unet-chain", n_steps=5, k_last=3,
                           iterations=40, batch_size=2, seed=5, lr=1e-3)

@@ -666,6 +666,15 @@ class TestStepTableReuse:
         assert len(chains) == 36 * 2
         assert sampler_calls == [("euler", t, t_prev) for t, t_prev in plan.transitions()]
 
+    def test_default_schedule_shares_one_table(self, baseline_text, baseline_denoiser):
+        # sched=None resolves to one schedule object per horizon, so repeated
+        # sampling builds at most one table (none when an earlier test built it)
+        plan = make_step_plan(5)
+        before = inference._transition_table.cache_info().misses
+        for seed in range(3):
+            sample(baseline_text, baseline_denoiser, (1, 2), plan, 3.0, seed)
+        assert inference._transition_table.cache_info().misses - before <= 1
+
     def test_run_training_builds_one_table(self, baseline_state, sampler_calls):
         cfg = TrainConfig(iterations=3, batch_size=2, n_steps=5, k_last=2,
                           chain_cfg_scale=3.0)

@@ -44,6 +44,21 @@ def test_schedule_rejects_bad_args():
         sc.make_schedule("cosine", t_train=1)
 
 
+def test_schedule_arrays_are_read_only():
+    # a schedule keys the step-table cache, so its arrays cannot change under
+    # it; the arrays a caller passes in are copied, and stay writable
+    s = sc.make_schedule("linear-beta", t_train=1000)
+    for arr in (s.alpha, s.sigma):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[799] = 0.5
+    alpha = np.array([1.0, 0.5])
+    sigma = np.sqrt(1.0 - alpha**2)
+    own = sc.NoiseSchedule(kind="custom", t_train=2, alpha=alpha, sigma=sigma)
+    assert alpha.flags.writeable and sigma.flags.writeable
+    alpha[1] = 0.25
+    assert own.alpha_at(1) == 0.5
+
+
 def test_linear_beta_spot_values_scalar_oracle():
     # independent scalar recomputation: beta_s linear in [1e-4, 2e-2],
     # alpha_t = prod over applied transitions s < t of sqrt(1 - beta_s)

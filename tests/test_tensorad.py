@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -523,6 +526,39 @@ def test_segment_output_leaves_no_interior_count(fn):
             z = checkpoint_segment(fn, (z,))
     assert tape.stats.live_interior == 0
     assert tape.stats.peak_live_interior == 1
+
+
+def test_binary_node_keeps_only_what_a_needed_gradient_reads():
+    # y needs a gradient and no other node keeps it; f, an op's output that
+    # needs none, and a constant, given as a number or a frozen 0-D tensor,
+    # get no gradient, so the node keeps only what y's gradient reads
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    with Tape() as tape:
+        y = ta.add(x, x)
+        f = ta.tanh(Tensor([0.5, 0.25, 2.0]))
+        kept = []
+        for op, a, b in ((ta.mul, y, 2.0), (ta.mul, Tensor(2.0), y), (ta.mul, y, f),
+                         (ta.div, y, f)):
+            out = op(a, b)
+            kept.append((tape.nodes[-1].saved, tape.stats.live_interior))
+        loss = ta.tensor_sum(out)
+    assert [len(saved) for saved, _ in kept] == [1, 1, 1, 1]
+    assert kept[2][0][0] is f and kept[3][0][0] is f
+    # the constants are leaves; f, interior, is counted once however many keep it
+    assert [live for _, live in kept] == [0, 0, 1, 1]
+    grads = backward(tape, loss, tap_ids=[y.id, f.id])
+    assert f.id not in grads
+    np.testing.assert_array_equal(grads[x.id], 2 * grads[y.id])
+
+
+def test_every_backward_rule_is_used():
+    # a rule no op names any more is dead code
+    tree = ast.parse(inspect.getsource(ta))
+    rules = {node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_bw_")}
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert rules and not rules - used, sorted(rules - used)
 
 
 def test_segment_rejects_undeclared_tensor():

@@ -103,20 +103,22 @@ def test_python_scalar_operand(label, data):
     _check_backward(lambda p: op(p["a"], s), {"a": a})
 
 
-# a NumPy number or a 0-D array is the same constant as the Python float it holds
+# a NumPy number or a 0-D array is the same constant as the Python float it
+# holds, and so is a 0-D Tensor that needs no gradient, made in the working dtype
 _SCALAR_FORMS = {
     "np.float32": np.float32,
     "np.float64": np.float64,
     "0-D f32 array": lambda s: np.array(s, dtype=np.float32),
     "0-D f64 array": lambda s: np.array(s, dtype=np.float64),
+    "0-D Tensor": Tensor,
 }
 
 
-def _scalar_op_bytes(op, a, s, dtype):
+def _scalar_op_bytes(op, a, s, dtype, form=float):
     with ta.default_dtype(dtype):
         x = Tensor(a, requires_grad=True)
         with Tape() as tape:
-            out = op(x, s)
+            out = op(x, form(s))
             grads = backward(tape, _readout(out))
     return out.data.tobytes(), grads[x.id].tobytes()
 
@@ -128,9 +130,11 @@ def _scalar_op_bytes(op, a, s, dtype):
 @given(data=st.data())
 def test_numpy_scalar_operand_bytes(label, form, dtype, data):
     a = data.draw(_LENGTHS.flatmap(_values))
-    s = _SCALAR_FORMS[form](data.draw(_signed(0.5, 3.0)))
-    op = _SCALAR_SIDES[label]
-    assert _scalar_op_bytes(op, a, s, dtype) == _scalar_op_bytes(op, a, float(s), dtype)
+    s = data.draw(_signed(0.5, 3.0))
+    op, form = _SCALAR_SIDES[label], _SCALAR_FORMS[form]
+    with ta.default_dtype(dtype):
+        value = form(s).item()
+    assert _scalar_op_bytes(op, a, s, dtype, form) == _scalar_op_bytes(op, a, value, dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -151,11 +155,16 @@ def test_dot_is_vector_matmul_bitwise(dtype, data):
     assert run(ta.dot) == run(ta.matmul)
 
 
-# a 0-D tensor broadcasts against a vector in mul (either side) and div (right)
+# a 0-D tensor broadcasts against a vector on either side of add, sub, mul and div
 _TENSOR_SCALAR_SIDES = {
+    "add-right": lambda a, s: ta.add(a, s),
+    "add-left": lambda a, s: ta.add(s, a),
+    "sub-right": lambda a, s: ta.sub(a, s),
+    "sub-left": lambda a, s: ta.sub(s, a),
     "mul-right": lambda a, s: ta.mul(a, s),
     "mul-left": lambda a, s: ta.mul(s, a),
     "div-right": lambda a, s: ta.div(a, s),
+    "div-left": lambda a, s: ta.div(s, a),
 }
 
 
@@ -163,7 +172,9 @@ _TENSOR_SCALAR_SIDES = {
 @_SETTINGS
 @given(data=st.data())
 def test_tensor_scalar_operand(label, data):
-    a = data.draw(_LENGTHS.flatmap(_values))
+    # a vector divisor is kept off zero
+    elements = _signed(0.5, 3.0) if label == "div-left" else st.floats(-2.0, 2.0)
+    a = data.draw(_LENGTHS.flatmap(lambda n: hnp.arrays(np.float64, n, elements=elements)))
     s = np.asarray(data.draw(_signed(0.5, 3.0)))
     op = _TENSOR_SCALAR_SIDES[label]
     _check_backward(lambda p: op(p["a"], p["s"]), {"a": a, "s": s})
