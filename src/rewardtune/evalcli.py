@@ -159,8 +159,6 @@ def _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched):
     with ta.pause_recording():
         conds = text_encode_rows(text, prompts).data
 
-    # one schedule object for every chain, so they share one step table
-    sched = make_schedule(DEFAULT_SCHEDULE, plan.t_train) if sched is None else sched
     # samples[j, i]: prompt i under seed j; one shared noise draw per seed so
     # diversity across prompts reflects conditioning, not the initial latent
     try:

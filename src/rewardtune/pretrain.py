@@ -65,9 +65,9 @@ class PretrainConfig:
 
 def _row_logsumexp(m):
     """Numerically stable log-sum-exp of each row of the 2-D ``m``: the (B,)
-    vector, each row shifted by its own max."""
+    vector, each row shifted by its own max, a (B, 1) column."""
     shift = m.data.max(axis=1)
-    e = ta.exp(ta.sub(m, Tensor(np.repeat(shift[:, None], m.data.shape[1], axis=1))))
+    e = ta.exp(ta.sub(m, Tensor(shift[:, None])))
     return ta.add(ta.log(ta.matmul(e, Tensor(np.ones(m.data.shape[1])))), Tensor(shift))
 
 
@@ -273,14 +273,6 @@ def diffusion_holdout_mse(denoiser, text_params, world, sched, seed):
     for e in errors.data.tolist():
         total += e
     return total / n
-
-
-def moving_average(values, window):
-    vals = np.asarray(values, dtype=np.float64)
-    if len(vals) < window:
-        return vals.copy()
-    kernel = np.ones(window) / window
-    return np.convolve(vals, kernel, mode="valid")
 
 
 # Denoiser training runs as lr-staged warm restarts: each stage restarts the

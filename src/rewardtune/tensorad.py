@@ -34,21 +34,23 @@ walk and reuses it for every step; a taped op makes one per call, so the
 arrays a node keeps are its own.
 
 Reductions (sum, mean, dot, matmul, linear, mlp) accumulate in float64 and
-round back to the working dtype. The elementwise ops, ``axpby``, ``linear``,
-``mlp``, ``dot`` (so ``norm`` and ``cosine_similarity``), ``concat``,
-``broadcast_rows``, ``put_rows``, ``row_mean`` and ``batch_mean`` also take
-a batch of rows, shape (B, n), and ``pool_tokens`` pools a list of prompts
-into (B, E) rows; a batched tape reproduces B single-row tapes bit for bit,
-forward and backward: each row gets the bits that row alone would get. A
-gradient summed over the rows (a weight, a row bias, a broadcast or put row)
-is not summed in the backward rules: they return the per-row terms with
-their row indices. The sweep sums them at once, last row first
-(``_tape_sum``), except for a leaf that several recorded nodes read (a
-weight used by K recorded steps): it keeps those, and ``backward`` folds
-them item-major, rows last to first, each row's terms in sweep order, one
-add at a time. So every leaf gets the sum B single-row tapes give it; an
-embedding table pooled by ``pool_tokens`` gets its rows' gradients the same
-way, token by token.
+round back to the working dtype. The ops that take rows follow one shape
+rule: a (B, n) batch is B rows, each computed on its own, and a 1-D operand
+is the one-row batch; the products, ``dot``, ``mlp`` and ``pool_tokens`` (a
+list of prompts to (B, E) rows) run it as that row and give the result its
+1-D shape. The binary elementwise ops take operands of one shape, a 0-D
+constant, or a (B, 1) column against (B, n) rows, on either side. So a
+batched tape reproduces B single-row tapes bit for bit, forward and
+backward: each row gets the bits that row alone would get. A gradient
+summed over the rows (a weight, a row bias, a broadcast or put row) is not
+summed in the backward rules: they return the per-row terms with their row
+indices. The sweep sums them at once, last row first (``_tape_sum``),
+except for a leaf that several recorded nodes read (a weight used by K
+recorded steps): it keeps those, and ``backward`` folds them item-major,
+rows last to first, each row's terms in sweep order, one add at a time. So
+every leaf gets the sum B single-row tapes give it; an embedding table
+pooled by ``pool_tokens`` gets its rows' gradients the same way, token by
+token.
 The working dtype is float32 by default; tests that compare against central
 finite differences run under ``default_dtype(np.float64)`` so the difference
 quotient is not drowned by rounding noise.
@@ -437,22 +439,21 @@ def _scalar(x):
 
 
 def _is_column(c, a):
-    """True when ``c`` is a (B, 1) column scaling the rows of the (B, n) ``a``."""
+    """True when ``c`` is a (B, 1) column against the rows of the (B, n) ``a``."""
     return a.ndim == 2 and c.shape == (a.shape[0], 1)
 
 
-def _operands(op, a, b, columns=""):
+def _operands(op, a, b):
     """The operand rule of add, sub, mul and div: ``a`` and ``b`` as Tensors,
     a constant as a 0-D tensor of the working dtype that needs no gradient
     (the same arithmetic as the scalar it holds). They have one shape, or
-    one is 0-D, or one is a (B, 1) column against (B, n) rows on a side
-    ``columns`` names ("a", "b"). Returns them and the node's backward
-    context: each operand's shape, None for one that needs no gradient,
-    which the node gives nothing and keeps nothing for."""
+    one is 0-D, or one is a (B, 1) column against (B, n) rows, on either
+    side. Returns them and the node's backward context: each operand's
+    shape, None for one that needs no gradient, which the node gives
+    nothing and keeps nothing for."""
     a, b = _as_tensor(a), _as_tensor(b)
     x, y = a.data, b.data
-    if (x.shape != y.shape and x.ndim and y.ndim
-            and not ("b" in columns and _is_column(y, x) or "a" in columns and _is_column(x, y))):
+    if x.shape != y.shape and x.ndim and y.ndim and not (_is_column(y, x) or _is_column(x, y)):
         raise ValueError(f"{op}: shape mismatch {x.shape} vs {y.shape}")
     return a, b, (x.shape if a._needs else None, y.shape if b._needs else None)
 
@@ -559,7 +560,7 @@ def mul(a, b):
     """a * b, where a constant or a 0-D tensor scales the other operand and a
     (B, 1) column scales (B, n) rows, on either side. The node keeps an
     operand only when the other operand needs a gradient, which reads it."""
-    a, b, ctx = _operands("mul", a, b, "ab")
+    a, b, ctx = _operands("mul", a, b)
     kept = ((b,) if a._needs else ()) + ((a,) if b._needs else ())
     return _trace("mul", (a, b), a.data * b.data, kept, ctx, _bw_mul)
 
@@ -573,13 +574,13 @@ def _bw_div(g, saved, ctx):
 
 
 def div(a, b):
-    """a / b, where a constant or a 0-D tensor is either operand and a
-    (B, 1) column divisor divides (B, n) rows; a constant zero divisor
-    raises ZeroDivisionError. The node keeps b, which every gradient reads,
+    """a / b, where a constant, a 0-D tensor or a (B, 1) column against
+    (B, n) rows is either operand; a constant zero divisor raises
+    ZeroDivisionError. The node keeps b, which every gradient reads,
     and the output only when b needs a gradient, which reads it."""
     if _scalar(b) and b == 0:
         raise ZeroDivisionError("div: constant divisor is zero")
-    a, b, ctx = _operands("div", a, b, "b")
+    a, b, ctx = _operands("div", a, b)
     return _trace("div", (a, b), a.data / b.data, (b,), ctx, _bw_div, save_out=b._needs)
 
 
@@ -597,7 +598,7 @@ def _product_shape(op, xshape, w, b=None):
     raises its errors: an operand that is not 1-D or 2-D, inner dims that
     differ, and a bias whose shape is neither the output's nor one row's."""
     ws = w.data.shape
-    if not xshape or not ws:
+    if not (0 < len(xshape) < 3 and 0 < len(ws) < 3):
         raise ValueError(f"{op}: operands must be 1-D or 2-D")
     if xshape[-1] != ws[0]:
         raise ValueError(f"{op}: inner dims differ {xshape} vs {ws}")
@@ -611,41 +612,34 @@ def _product(op, x, w, b=None):
     """The array ``x`` @ the Tensor ``w`` in float64, rounded to the working
     dtype, plus the Tensor ``b``'s array when given (as ``linear`` adds
     it), with ``_product_shape``'s checks. ``w`` is read through its kept
-    float64 copy. A 2-D ``x`` is a stack of row vectors, each multiplied on
-    its own (``np.matmul`` over (B, 1, K)), so row i equals the product of
-    ``x[i]`` alone bit for bit; a 2-D gemm would not. ``mlp_kernel`` does
-    the same arithmetic into arrays made once (``_mlp_work``)."""
-    _product_shape(op, x.shape, w, b)
-    x64 = _f64(x)
-    if x64.ndim == 2:
-        out = np.matmul(x64[:, None, :], w.data64)[:, 0].astype(_STATE.dtype)
-    else:
-        out = (x64 @ w.data64).astype(_STATE.dtype)
+    float64 copy. ``x`` is a stack of row vectors, a 1-D ``x`` the one-row
+    stack, each multiplied on its own (``np.matmul`` over (B, 1, K)), so
+    row i equals the product of ``x[i]`` alone bit for bit; a 2-D gemm
+    would not. ``mlp_kernel`` does the same arithmetic into arrays made
+    once (``_mlp_work``)."""
+    shape = _product_shape(op, x.shape, w, b)
+    out = np.matmul(_f64(x).reshape(-1, 1, x.shape[-1]), w.data64)
+    out = out.reshape(shape).astype(_STATE.dtype)
     return out if b is None else out + b.data
 
 
 def _product_dx(g, x, w):
-    """dL/dx of ``_product(x, w)`` for upstream gradient ``g``: for a 2-D
-    ``x``, each row's own product."""
-    wd = w.data64
-    if x.ndim == 1:
-        dx = wd @ _f64(g)
-    elif wd.ndim == 1:
-        dx = np.outer(_f64(g), wd)
-    else:
-        dx = np.matmul(wd, _f64(g)[:, :, None])[:, :, 0]
+    """dL/dx of ``_product(x, w)`` for upstream gradient ``g``: each row's
+    own product, an outer product for a 1-D ``w``."""
+    wd, g64 = w.data64, _f64(g)
+    dx = np.multiply.outer(g64, wd) if wd.ndim == 1 else np.matmul(wd, g64[..., None])[..., 0]
     return dx.astype(x.dtype)
 
 
 def _product_dw(g, x, w):
-    """dL/dw of ``_product(x, w)``: for a 2-D ``x``, the rows' unsummed terms
-    (``_RowTerms``). A row's term is ``x_i * g_i`` rounded once to the
-    working dtype: in f64 the product of two f32 values is exact, so this is
-    the 1-D rule's f64 outer product cast down."""
-    if x.ndim == 1:
-        return np.outer(_f64(x), _f64(g)).astype(x.dtype)
-    terms = x * g[:, None] if w.data.ndim == 1 else x[:, :, None] * g[:, None, :]
-    return _RowTerms(terms.astype(x.dtype, copy=False), range(len(terms)))
+    """dL/dw of ``_product(x, w)``: row i's term is ``x_i * g_i``, the outer
+    product in the working dtype (in f64 the product of two f32 values is
+    exact, so that is the f64 product rounded once). For a 1-D ``x`` the
+    one row's term is the whole gradient; for a 2-D ``x`` the rows' terms
+    come unsummed (``_RowTerms``)."""
+    terms = x * g[..., None] if w.data.ndim == 1 else x[..., None] * g[..., None, :]
+    terms = terms.astype(x.dtype, copy=False)
+    return terms if x.ndim == 1 else _RowTerms(terms, range(len(terms)))
 
 
 def _bw_matmul(g, saved, ctx):
@@ -655,8 +649,7 @@ def _bw_matmul(g, saved, ctx):
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    bw = _bw_dot if a.data.ndim == b.data.ndim == 1 else _bw_matmul
-    return _trace("matmul", (a, b), _product("matmul", a.data, b), (a, b), None, bw)
+    return _trace("matmul", (a, b), _product("matmul", a.data, b), (a, b), None, _bw_matmul)
 
 
 def _bw_transpose(g, saved, ctx):
@@ -692,14 +685,14 @@ def _bw_dot(g, saved, ctx):
 
 def dot(a, b):
     """1-D a . b, or the (B,) dots of two (B, n) batches of rows: each row's
-    dot is one stacked (1, n) x (n, 1) product, so row i gets the bits the
-    1-D dot of ``a[i]`` and ``b[i]`` gets."""
+    dot is one stacked (1, n) x (n, 1) product, a 1-D pair the one-row
+    batch, so row i gets the bits the 1-D dot of ``a[i]`` and ``b[i]``
+    gets."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim not in (1, 2) or a.data.shape != b.data.shape:
         raise ValueError(f"dot: operands must be 1-D or (B, n) rows of one shape, got "
                          f"{a.data.shape} and {b.data.shape}")
-    a64, b64 = _f64(a.data), b.data64
-    out = a64 @ b64 if a64.ndim == 1 else np.matmul(a64[:, None, :], b64[:, :, None])[:, 0, 0]
+    out = np.matmul(_f64(a.data)[..., None, :], b.data64[..., None])[..., 0, 0]
     return _trace("dot", (a, b), out.astype(_STATE.dtype), (a, b), None, _bw_dot)
 
 
@@ -788,15 +781,16 @@ def row(m, i):
 
 def _bw_pool_tokens(g, saved, ctx):
     shape, inv, rows, order = ctx
-    gs = g * inv
+    gs = g.reshape(len(inv), -1) * inv
     full = np.full(shape, -0.0, dtype=g.dtype)
-    np.add.at(full, order, gs if g.ndim == 1 else gs[rows])
+    np.add.at(full, order, gs[rows])
     return (full,)
 
 
 def pool_tokens(embed, tokens):
     """Mean of the rows of the (V, E) ``embed`` that a prompt's tokens name:
-    one token list to (E,), or a list of them to (B, E). Each prompt's rows
+    a list of token lists to (B, E), or one token list, the one-prompt
+    batch, to (E,). Each prompt's rows
     are added in sorted token order, position by position in the working
     dtype (a prompt that has run out of tokens is masked, never padded with
     a zero, which would turn a -0.0 into +0.0), then multiplied by 1/len.
@@ -824,7 +818,7 @@ def pool_tokens(embed, tokens):
     inv = (1.0 / lengths).astype(_STATE.dtype)[:, None]
     out = acc * inv
     if single:
-        out, inv = out[0], inv[0, 0]
+        out = out[0]
     # the backward scatter's order: prompts last to first, tokens last to first
     rows = [b for b in reversed(range(len(prompts))) for _ in prompts[b]]
     order = [t for p in reversed(prompts) for t in reversed(p)]
@@ -1025,13 +1019,12 @@ def _bw_axpby(g, saved, ctx):
 
 def axpby_kernel(x, a, y, b):
     """The arithmetic of ``axpby`` on same-shape arrays ``x`` and ``y``:
-    ``x * a + y * b`` in the working dtype, trapped under debug_checks. The
-    constants enter as 0-D arrays of that dtype: the same products as its
-    scalars, on NumPy's quicker array path. With debug off, nothing is
-    checked."""
-    dt = _STATE.dtype
-    a, b = np.asarray(a, dt), np.asarray(b, dt)
-    out = np.asarray(x * a, dt) + np.asarray(y * b, dt)
+    ``x * a + y * b``, trapped under debug_checks. Every operand comes in
+    the working dtype, so the result has it: the walk's step table and
+    guidance pair hold 0-D arrays of it (the same products as its scalars,
+    on NumPy's quicker array path), and ``axpby`` passes its scalars. With
+    debug off, nothing is checked."""
+    out = x * a + y * b
     return _interior(out) if _STATE.debug else out
 
 
@@ -1053,41 +1046,36 @@ def axpby(x, a, y, b):
 def _mlp_input(arrays):
     """The first layer's input array: the one part's array, or the parts'
     last-axis concatenation with each 1-D part repeated over the rows of
-    the 2-D ones, as ``broadcast_rows`` and ``concat`` make it."""
-    if len(arrays) == 1 and arrays[0].ndim in (1, 2):
+    the 2-D ones, as ``broadcast_rows`` and ``concat`` make it; 1-D parts
+    alone join as the one-row batch, and the join is that row."""
+    if len(arrays) == 1 and 0 < arrays[0].ndim < 3:
         return arrays[0]
-    ranks = {a.ndim for a in arrays}
-    if ranks == {1}:
-        return _interior(np.concatenate(arrays))
     rows = {a.shape[0] for a in arrays if a.ndim == 2}
-    if len(rows) != 1 or not ranks <= {1, 2}:
+    if len(arrays) < 2 or len(rows) > 1 or not {a.ndim for a in arrays} <= {1, 2}:
         raise ValueError("mlp: parts must be 1-D, or 2-D with equal row counts; got ["
                          + ", ".join(str(a.shape) for a in arrays) + "]")
-    if 1 in ranks:
-        (b,) = rows
-        # copies, so the join is C-ordered: a product's bits follow memory order
-        arrays = [np.broadcast_to(a, (b, a.shape[0])).copy() if a.ndim == 1 else a
-                  for a in arrays]
-    return _interior(np.concatenate(arrays, -1))
+    # a fresh C-ordered join, each 1-D part repeated over the rows: a
+    # product's bits follow memory order
+    n = max(rows, default=1)
+    x = np.concatenate([a if a.ndim == 2 else a[None].repeat(n, 0) for a in arrays], -1)
+    return _interior(x if rows else x[0])
 
 
 def _mlp_work(shape, layers):
     """A fresh ``mlp_kernel`` workspace for an input of ``shape``, with
     ``_product_shape``'s checks of every layer: per layer, the float64 input,
-    it as (B, 1, K) rows for a 2-D input, the float64 product and its (B, H)
-    view, the output in the working dtype and, below the last layer, the
-    activation (a silu's sigmoid is made in it first)."""
+    it as (B, 1, K) rows (a 1-D input the one row), the float64 (B, 1, H)
+    product and its view in the output's shape, the output in the working
+    dtype and, below the last layer, the activation (a silu's sigmoid is
+    made in it first)."""
     dt, work, last = _STATE.dtype, [], len(layers) - 1
     for i, (w, b) in enumerate(layers):
         out = _product_shape("mlp", shape, w, b)
         x64 = np.empty(shape)
-        if x64.ndim == 2:
-            prod = np.empty(shape[:-1] + (1,) + out[1:])
-            rows = (x64[:, None, :], prod, prod[:, 0])
-        else:
-            prod = np.empty(out)
-            rows = (x64, prod, prod)
-        work.append((x64, *rows, np.empty(out, dt), None if i == last else np.empty(out, dt)))
+        rows = x64.reshape(-1, 1, shape[-1])
+        prod = np.empty(rows.shape[:-1] + w.data.shape[1:])
+        work.append((x64, rows, prod, prod.reshape(out), np.empty(out, dt),
+                     None if i == last else np.empty(out, dt)))
         shape = out
     return work
 

@@ -30,13 +30,14 @@ import pytest
 from rewardtune.evalcli import cli_main
 from rewardtune.finetune import TrainConfig, run_training
 from rewardtune.models import save_checkpoint, state_digest
+from test_acceptance import GOLDEN_TUNE
 
 MANIFEST = Path(__file__).resolve().parent / "byte_manifest.json"
 
 # few-iteration runs, one per regime: prompt-chain ddim at w=1, unet-chain
 # euler under guidance, and the direct regime; and criterion 4's golden tune
 RUNS = {
-    "golden-tune": TrainConfig(iterations=500, lr=5e-4, seed=0),
+    "golden-tune": GOLDEN_TUNE,
     "prompt-chain": TrainConfig(iterations=3, batch_size=2, n_steps=6, k_last=2, seed=3),
     "unet-chain": TrainConfig(regime="unet-chain", iterations=3, batch_size=2, n_steps=6,
                               k_last=2, chain_cfg_scale=3.0, sampler="euler", seed=3),
@@ -51,11 +52,10 @@ def _blas_core():
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*")):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename64_", "openblas_get_corename"):
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
             fn = getattr(lib, name, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
                 return f"{blas['name']} {blas['version']} {fn().decode()}"
     return f"{blas['name']} {blas['version']} {blas.get('openblas configuration', '')}".strip()
 

@@ -675,6 +675,16 @@ class TestStepTableReuse:
             sample(baseline_text, baseline_denoiser, (1, 2), plan, 3.0, seed)
         assert inference._transition_table.cache_info().misses - before <= 1
 
+    def test_default_schedule_shared_by_evaluate(self, baseline_state, baseline_world):
+        # library evaluate() calls with sched=None share sampling's default
+        # schedule, so together they build at most one table
+        holdout = make_prompt_sets(baseline_world, 48, 36)[1]
+        plan = make_step_plan(3)
+        before = inference._transition_table.cache_info().misses
+        for _ in range(3):
+            evalcli.evaluate(baseline_state, holdout, plan, 3.0, [0, 1])
+        assert inference._transition_table.cache_info().misses - before <= 1
+
     def test_run_training_builds_one_table(self, baseline_state, sampler_calls):
         cfg = TrainConfig(iterations=3, batch_size=2, n_steps=5, k_last=2,
                           chain_cfg_scale=3.0)

@@ -36,13 +36,20 @@ from rewardtune.pretrain import (
     diffusion_holdout_mse,
     diffusion_pretrain,
     make_pretrained_baseline,
-    moving_average,
 )
 from rewardtune.rewards import reward_clip_constraint
 from rewardtune.schedule import forward_diffuse, make_schedule, make_step_plan, sampler_step
 from rewardtune.tensorad import Tensor
 from rewardtune.util import derive_seed
 from test_finetune import _check_directional, _f64_setup
+
+
+def moving_average(values, window):
+    vals = np.asarray(values, dtype=np.float64)
+    if len(vals) < window:
+        return vals.copy()
+    kernel = np.ones(window) / window
+    return np.convolve(vals, kernel, mode="valid")
 
 
 def _logit_matrix(values):

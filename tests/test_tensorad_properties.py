@@ -155,7 +155,8 @@ def test_dot_is_vector_matmul_bitwise(dtype, data):
     assert run(ta.dot) == run(ta.matmul)
 
 
-# a 0-D tensor broadcasts against a vector on either side of add, sub, mul and div
+# a 0-D tensor broadcasts against a vector on either side of add, sub, mul and
+# div, and so does a (B, 1) column against (B, n) rows (the "column" rows)
 _TENSOR_SCALAR_SIDES = {
     "add-right": lambda a, s: ta.add(a, s),
     "add-left": lambda a, s: ta.add(s, a),
@@ -165,6 +166,12 @@ _TENSOR_SCALAR_SIDES = {
     "mul-left": lambda a, s: ta.mul(s, a),
     "div-right": lambda a, s: ta.div(a, s),
     "div-left": lambda a, s: ta.div(s, a),
+    "add-column-right": lambda a, s: ta.add(a, s),
+    "add-column-left": lambda a, s: ta.add(s, a),
+    "sub-column-right": lambda a, s: ta.sub(a, s),
+    "sub-column-left": lambda a, s: ta.sub(s, a),
+    "div-column-right": lambda a, s: ta.div(a, s),
+    "div-column-left": lambda a, s: ta.div(s, a),
 }
 
 
@@ -172,10 +179,16 @@ _TENSOR_SCALAR_SIDES = {
 @_SETTINGS
 @given(data=st.data())
 def test_tensor_scalar_operand(label, data):
-    # a vector divisor is kept off zero
-    elements = _signed(0.5, 3.0) if label == "div-left" else st.floats(-2.0, 2.0)
-    a = data.draw(_LENGTHS.flatmap(lambda n: hnp.arrays(np.float64, n, elements=elements)))
-    s = np.asarray(data.draw(_signed(0.5, 3.0)))
+    # a divisor a is kept off zero
+    elements = (_signed(0.5, 3.0) if label in ("div-left", "div-column-left")
+                else st.floats(-2.0, 2.0))
+    if "column" in label:
+        a = data.draw(st.tuples(_DIMS, _LENGTHS).flatmap(
+            lambda shape: hnp.arrays(np.float64, shape, elements=elements)))
+        s = data.draw(hnp.arrays(np.float64, (len(a), 1), elements=_signed(0.5, 3.0)))
+    else:
+        a = data.draw(_LENGTHS.flatmap(lambda n: hnp.arrays(np.float64, n, elements=elements)))
+        s = np.asarray(data.draw(_signed(0.5, 3.0)))
     op = _TENSOR_SCALAR_SIDES[label]
     _check_backward(lambda p: op(p["a"], p["s"]), {"a": a, "s": s})
 
@@ -746,14 +759,32 @@ def test_leaf_from_transposed_view_multiplies_as_its_copy(dtype):
 
 
 # ---------------------------------------------------------------------------
-# the reward ops on (B, n) rows against B 1-D calls, forward and backward,
-# byte for byte in float32 and float64: each row is seeded with its own
-# upstream gradient (a fixed weight), so a row's gradient shows its own bits
+# the reward ops and the dense products on (B, n) rows against B 1-D calls,
+# forward and backward, byte for byte in float32 and float64: each row is
+# seeded with its own upstream gradient (a fixed weight), so a row's gradient
+# shows its own bits. B = 1 is the one-row batch against the 1-D call. The
+# second operand is split into rows with the first ("rows") or shared by the
+# rows, a vector or a matrix, whose gradient is then the rows' 1-D gradients
+# added last row first, as B single-row tapes add them; matmul meets every
+# rank pair, the rows' call (mat-vec, mat-mat) against the 1-D one (vec-vec,
+# vec-mat)
+
+
+def _const(*shape):
+    """A fixed Tensor of ``shape`` in the working dtype, needing no gradient."""
+    return Tensor(np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape))
+
 
 _ROW_OPS = {
-    "dot": lambda a, b: ta.dot(a, b),
-    "norm": lambda a, b: ta.norm(a),
-    "cosine_similarity": lambda a, b: ta.cosine_similarity(a, b),
+    "dot": (lambda a, b: ta.dot(a, b), "rows"),
+    "norm": (lambda a, b: ta.norm(a), "rows"),
+    "cosine_similarity": (lambda a, b: ta.cosine_similarity(a, b), "rows"),
+    "matmul-vector": (lambda a, b: ta.matmul(a, b), "vector"),
+    "matmul-matrix": (lambda a, b: ta.matmul(a, b), "matrix"),
+    "linear": (lambda a, b: ta.linear(a, b, _const(b.data.shape[1])), "matrix"),
+    "mlp": (lambda a, b: ta.mlp([a], [(b, _const(b.data.shape[1])),
+                                      (_const(b.data.shape[1], 3), _const(3))], "silu"),
+            "matrix"),
 }
 
 
@@ -762,30 +793,45 @@ _ROW_OPS = {
 @_SETTINGS
 @given(data=st.data())
 def test_reward_ops_rows_bitwise(name, batch, data):
-    op = _ROW_OPS[name]
+    op, second = _ROW_OPS[name]
     n = data.draw(st.integers(1, 70))
     # entries kept off zero so no row has a zero norm
     a = data.draw(hnp.arrays(np.float64, (batch, n), elements=_signed(0.01, 3.0)))
-    b = data.draw(hnp.arrays(np.float64, (batch, n), elements=_signed(0.01, 3.0)))
+    if second == "rows":
+        shape = (batch, n)
+    else:
+        shape = (n,) if second == "vector" else (n, data.draw(_DIMS))
+    b = data.draw(hnp.arrays(np.float64, shape, elements=_signed(0.01, 3.0)))
     w = np.linspace(0.5, 1.5, batch)
     for dtype in (np.float32, np.float64):
         with ta.default_dtype(dtype):
             x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
             with Tape() as tape:
                 out = op(x, y)
-                got = backward(tape, ta.tensor_sum(ta.mul(out, Tensor(w))))
-            assert out.data.shape == (batch,)
+                upstream = Tensor(w.reshape((batch,) + (1,) * (out.data.ndim - 1)))
+                got = backward(tape, ta.tensor_sum(ta.mul(out, upstream)))
+            shared = []
             for i in range(batch):
-                xi, yi = Tensor(a[i], requires_grad=True), Tensor(b[i], requires_grad=True)
+                bi = b[i] if second == "rows" else b
+                xi, yi = Tensor(a[i], requires_grad=True), Tensor(bi, requires_grad=True)
                 with Tape() as tape:
                     want = op(xi, yi)
-                    ref = backward(tape, ta.mul(want, Tensor(w[i])))
+                    ref = backward(tape, ta.tensor_sum(ta.mul(want, Tensor(w[i]))))
+                assert out.data.shape == (batch,) + want.data.shape, (dtype, i)
                 assert out.data[i].tobytes() == want.data.tobytes(), (dtype, i)
-                for t, ti in ((x, xi), (y, yi)):
-                    if ti.id in ref:
-                        assert got[t.id][i].tobytes() == ref[ti.id].tobytes(), (dtype, i)
-                    else:
-                        assert t.id not in got
+                assert got[x.id][i].tobytes() == ref[xi.id].tobytes(), (dtype, i)
+                if second != "rows":
+                    shared.append(ref[yi.id])
+                elif yi.id in ref:
+                    assert got[y.id][i].tobytes() == ref[yi.id].tobytes(), (dtype, i)
+                else:
+                    assert y.id not in got
+            if second != "rows":
+                # B single-row tapes add the rows' terms last row first
+                total = np.full(y.data.shape, -0.0, dtype)
+                for term in reversed(shared):
+                    total = total + term
+                assert got[y.id].tobytes() == total.tobytes(), dtype
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +902,9 @@ def test_pool_tokens_rows_match_written_out_pooling(data):
     e, h = data.draw(_DIMS), data.draw(_DIMS)
     embed, w = data.draw(_values((6, e))), data.draw(_values((e, h)))
     _assert_pool_matches(ta.pool_tokens, embed, w, prompts)
+    # one prompt, alone and as the one-prompt batch: both are its written-out pooling
     _assert_pool_matches(ta.pool_tokens, embed, w, prompts[:1], single=True)
+    _assert_pool_matches(ta.pool_tokens, embed, w, prompts[:1])
 
 
 def test_pool_tokens_duplicates_mixed_lengths_and_negative_zero():
