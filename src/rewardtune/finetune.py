@@ -6,7 +6,7 @@ Three regimes over the frozen pieces of the pipeline:
   and push the reward gradient into the text encoder.
 - prompt-chain: run the full N-step sampler from pure noise on a prompt,
   backpropagate the reward through the last K denoising steps (earlier steps
-  detached), each recorded step one node in a recompute-on-backward segment.
+  detached), each recorded step one node, replayed in backward but the last.
 - unet-chain: the same chain, but gradients land on the denoiser while the
   (already fine-tuned) text encoder stays frozen.
 
@@ -300,11 +300,12 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
 
     The B items walk as one (B, D) latent under the (B, C) conditioning of
     their taped prompt encodes, with one ``step_table`` for all N steps,
-    built by a run's first iteration and shared by the rest. The
-    first N-K steps are one detached walk, so the gradient counts exactly
-    the dependence through the recorded suffix; each of the last K steps is
-    one segment over the batch recording one ``ta.mlp_step``, and the final
-    latent is the x_hat rows.
+    built by a run's first iteration and shared by the rest. One detached
+    walk runs the first N-1 steps and keeps the latents entering the last K,
+    so the gradient counts exactly the dependence through the recorded
+    suffix. Each of the last K steps but the final one is a segment over the
+    batch whose output is the walk's, replayed as one ``ta.mlp_step``; the
+    final step is one ``ta.mlp_step`` node, and its output the x_hat rows.
     """
     if not prompts:
         raise ValueError("empty prompt batch")
@@ -320,12 +321,13 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
 
     def chain(c):
         steps, cfg = step_table(denoiser, transitions, z0, c, w, sampler, sched)
-        z = Tensor(walk_steps(denoiser, steps[:split], z0.data, c.data, cfg))
-        taps = []
-        for temb, pairs in steps[split:]:
+        walked = walk_steps(denoiser, steps[:-1], z0.data, c.data, cfg, keep=k_last)
+        z = Tensor(walked[0])
+        taps = [z.id]
+        for (temb, pairs), out in zip(steps[split:], walked[1:]):
+            z = ta.checkpoint_segment(_segment_step(temb, pairs, cfg), (z, c) + den, out)
             taps.append(z.id)
-            z = ta.checkpoint_segment(_segment_step(temb, pairs, cfg), (z, c) + den)
-        return z, taps
+        return _segment_step(*steps[-1], cfg)(z, c, *den), taps
 
     return _reward_step(trainable, prompts, chain, text_params, image_params, world, spec)
 

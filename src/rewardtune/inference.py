@@ -87,20 +87,22 @@ def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     if not transitions:
         return z.data
     steps, cfg = step_table(denoiser, transitions, z, c, w, sampler, sched)
-    return walk_steps(denoiser, steps, z.data, c.data, cfg)
+    return walk_steps(denoiser, steps, z.data, c.data, cfg)[0]
 
 
-def walk_steps(denoiser, steps, z, c, cfg):
+def walk_steps(denoiser, steps, z, c, cfg, keep=1):
     """``walk_chain`` of the arrays ``z`` and ``c`` down ``step_table``
-    entries; checks nothing. The ``ta.step_rows`` buffer, with its
-    conditioning columns and the dense stack's workspace, is made once per
-    walk and reused by every step; each step's new latent is a fresh
-    array."""
+    entries; checks nothing. Returns the last ``keep`` latents of the walk,
+    ``z`` counted as its first, in ``z``'s shape; each step's latent is a
+    fresh array, never a view of the buffer. The ``ta.step_rows`` buffer,
+    with its conditioning columns and the dense stack's workspace, is made
+    once per walk and reused by every step."""
     shape, layers = z.shape, denoiser.layers()
     buffer = ta.step_rows(z, c, None if cfg is None else denoiser.null_cond.data, layers)
+    zs = [z]
     for temb, pairs in steps:
-        z = ta.mlp_step_kernel(buffer, z, temb, layers, cfg, pairs)
-    return z.reshape(shape)
+        zs.append(ta.mlp_step_kernel(buffer, zs[-1], temb, layers, cfg, pairs))
+    return [z.reshape(shape) for z in zs[-keep:]]
 
 
 def start_noise(seed, d):

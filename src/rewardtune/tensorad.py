@@ -14,9 +14,10 @@ Checkpoint segments keep memory flat on long denoising chains: at record
 time a segment's interior nodes are discarded and replaced by one node
 holding only the boundary tensors; during backward the segment function is
 replayed to rebuild the interior, which must reproduce the recorded op count
-exactly. Because the replay performs the identical arithmetic in the
-identical order, checkpointed gradients are bit-for-bit equal to
-un-checkpointed ones.
+exactly, or, for a segment whose output a detached walk computed (no first
+pass), that output byte for byte. Because the replay performs the identical
+arithmetic in the identical order, checkpointed gradients are bit-for-bit
+equal to un-checkpointed ones.
 
 Three fused ops record one node where a chain of the primitives would
 record several, and are bit for bit that chain, forward and backward:
@@ -292,16 +293,18 @@ class TapeNode:
 
 class SegmentNode:
     """Placeholder for a checkpointed segment: keeps boundary tensors and the
-    segment function, never interior activations."""
+    segment function, never interior activations. Its replay must match
+    ``expect``: the first pass's op count, or a walked segment's output
+    (shape, bytes)."""
 
-    __slots__ = ("op", "fn", "inputs", "out_ids", "recorded_len")
+    __slots__ = ("op", "fn", "inputs", "out_ids", "expect")
 
-    def __init__(self, fn, inputs, out_ids, recorded_len):
+    def __init__(self, fn, inputs, out_ids, expect):
         self.op = "segment"
         self.fn = fn
         self.inputs = inputs
         self.out_ids = out_ids
-        self.recorded_len = recorded_len
+        self.expect = expect
 
 
 class TapeStats:
@@ -365,7 +368,7 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-        self._uses = {}  # leaf id -> recorded nodes (replays included) that read it
+        self._uses = {}  # leaf id -> nodes that read it, replays and walked-segment marks included
         self._target = self.nodes
         self._guard = None  # (allowed boundary ids, id watermark) inside a segment
         self._used = False
@@ -1433,13 +1436,14 @@ def _sweep_segment(tape, node, grads, taps, tap_set):
         return
     outs, scratch = _run_segment(tape, node.fn, node.inputs)
     outs = outs if isinstance(outs, tuple) else (outs,)
-    if len(scratch) != node.recorded_len:
-        raise AutodiffError(
-            f"checkpoint replay recorded {len(scratch)} ops, expected {node.recorded_len}; "
-            "segment function is not pure"
-        )
     if len(outs) != len(node.out_ids):
         raise AutodiffError("checkpoint replay returned a different number of outputs")
+    if type(node.expect) is int:
+        got, what = len(scratch), f"recorded {len(scratch)} ops, expected {node.expect}"
+    else:
+        got, what = (outs[0].shape, outs[0].data.tobytes()), "differs from the walked output"
+    if got != node.expect:
+        raise AutodiffError(f"checkpoint replay {what}; segment function is not pure")
     for g, replayed in zip(g_outs, outs):
         if g is None:
             continue
@@ -1465,13 +1469,19 @@ def _release(tape, scratch):
             tape.stats.release(node.saved)
 
 
-def checkpoint_segment(fn, inputs):
+def checkpoint_segment(fn, inputs, walked=None):
     """Run ``fn(*inputs)`` recording only the segment boundary.
 
     ``fn`` must be a pure function of the declared boundary input tensors; it
     is re-executed during backward and must replay the identical op sequence
     (asserted via the recorded op count). With no active tape this is a plain
     call.
+
+    ``walked``, ``fn``'s one output as a detached walk computed it, takes
+    the first pass's place: it is the output, and the replay must give it
+    byte for byte, not the op count. Each boundary leaf that needs a
+    gradient gets one use mark, so the sweep keeps the row terms of a leaf
+    the replay reads, as a first pass's count (two with its replay) does.
     """
     inputs = tuple(inputs)
     for t in inputs:
@@ -1483,16 +1493,24 @@ def checkpoint_segment(fn, inputs):
     tape._check_guard("segment", inputs)
     boundary = tape.stats.boundary
     boundary.update(t.id for t in inputs)
-    outs, scratch = _run_segment(tape, fn, inputs)
-    outs_t = outs if isinstance(outs, tuple) else (outs,)
-    if not all(isinstance(o, Tensor) for o in outs_t):
-        raise AutodiffError("checkpoint_segment: outputs must be Tensors")
-    # release before the outputs become boundaries: an output the segment's
-    # last op saved (tanh, exp, ...) was counted as interior while fn ran
-    _release(tape, scratch)
+    if walked is None:
+        outs, scratch = _run_segment(tape, fn, inputs)
+        outs_t = outs if isinstance(outs, tuple) else (outs,)
+        if not all(isinstance(o, Tensor) for o in outs_t):
+            raise AutodiffError("checkpoint_segment: outputs must be Tensors")
+        # release before the outputs become boundaries: an output the segment's
+        # last op saved (tanh, exp, ...) was counted as interior while fn ran
+        _release(tape, scratch)
+        record, expect = scratch, len(scratch)
+    else:
+        outs = Tensor._wrap(walked, any(t._needs for t in inputs))
+        outs_t, record, expect = (outs,), outs._needs, (outs.shape, outs.data.tobytes())
+        for t in inputs:
+            if t._needs and not t._from_op:
+                tape._uses[t.id] = tape._uses.get(t.id, 0) + 1
     boundary.update(o.id for o in outs_t)
-    if scratch:
-        tape._target.append(SegmentNode(fn, inputs, tuple(o.id for o in outs_t), len(scratch)))
+    if record:
+        tape._target.append(SegmentNode(fn, inputs, tuple(o.id for o in outs_t), expect))
     return outs
 
 

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from rewardtune import finetune
 from rewardtune import tensorad as ta
 from rewardtune.data import make_world, sample_pair
 from rewardtune.finetune import (
@@ -524,58 +525,143 @@ class TestChainStep:
     def test_each_segment_records_one_node(self, baseline_world, baseline_text,
                                            baseline_image, baseline_denoiser, monkeypatch,
                                            regime, w):
-        # the first pass and the replay of every recorded step capture one node
-        captured = []
-        run_segment = ta._run_segment
+        # the forward is one detached walk over the first N-1 steps in one
+        # buffer; each of the first K-1 recorded steps is a segment with no
+        # first pass, whose replay captures one node, and the last recorded
+        # step is one node on the tape, swept without a replay
+        phase, captured, walked, buffers, tapes = ["forward"], [], [], [], []
+        run_segment, kernel, rows, backward = (ta._run_segment, ta.mlp_step_kernel,
+                                               ta.step_rows, ta.backward)
 
         def counted(tape, fn, inputs):
             outs, scratch = run_segment(tape, fn, inputs)
-            captured.append([node.op for node in scratch])
+            captured.append((phase[0], [node.op for node in scratch]))
             return outs, scratch
 
-        monkeypatch.setattr(ta, "_run_segment", counted)
+        def kernel_call(buffer, *args):
+            if len(args) == 5:  # a detached step keeps no arrays for a node
+                walked.append((phase[0], id(buffer)))
+            return kernel(buffer, *args)
+
+        def rows_call(*args):
+            buffers.append(phase[0])
+            return rows(*args)
+
+        def marked(*args, **kwargs):
+            phase[0] = "backward"
+            return backward(*args, **kwargs)
+
+        class Recorded(ta.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        for name, fn in [("_run_segment", counted), ("mlp_step_kernel", kernel_call),
+                         ("step_rows", rows_call), ("backward", marked), ("Tape", Recorded)]:
+            monkeypatch.setattr(ta, name, fn)
         trainable, step = ((baseline_text, prompt_finetune_step) if regime == "prompt-chain"
                            else (baseline_denoiser, unet_finetune_step))
         trainable.set_requires_grad(True)
         frozen = baseline_denoiser if trainable is baseline_text else baseline_text
         z0s = np.random.default_rng(6).standard_normal((2, 16)).astype(np.float32)
+        n, k = 6, 3
         step(trainable, frozen, baseline_image, baseline_world, [(1, 2), (4,)], list(z0s),
-             make_step_plan(6), 3, make_schedule("linear-beta", 1000), RewardSpec.default(),
+             make_step_plan(n), k, make_schedule("linear-beta", 1000), RewardSpec.default(),
              w=w)
-        assert captured == [["mlp_step"]] * 6
+        assert captured == [("backward", ["mlp_step"])] * (k - 1)
+        assert walked == [("forward", walked[0][1])] * (n - 1)
+        # the walk's buffer, then the recorded last step's own
+        assert buffers == ["forward"] * 2 + ["backward"] * (k - 1)
+        (tape,) = tapes
+        assert [node.op for node in tape.nodes if node.op in ("segment", "mlp_step")] == (
+            ["segment"] * (k - 1) + ["mlp_step"])
+        assert sum(isinstance(node, ta.SegmentNode) for node in tape.nodes) == k - 1
 
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    def test_walked_replay_that_differs_from_the_walk_raises(self, baseline_world,
+                                                             baseline_text, baseline_image,
+                                                             baseline_denoiser, monkeypatch,
+                                                             w):
+        # a segment's output comes from the detached walk; a replay whose
+        # step function changed after the forward must not sweep a gradient
+        # through a latent the forward never had
+        backward, segment_step = ta.backward, finetune._segment_step
+        phase = ["forward"]
+
+        def perturbed(temb, pairs, cfg):
+            step = segment_step(temb, pairs, cfg)
+            late = segment_step(temb, [(a, np.nextafter(b, b + 1)) for a, b in pairs], cfg)
+            return lambda *args: (step if phase[0] == "forward" else late)(*args)
+
+        def marked(*args, **kwargs):
+            phase[0] = "backward"
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(finetune, "_segment_step", perturbed)
+        monkeypatch.setattr(ta, "backward", marked)
+        baseline_text.set_requires_grad(True)
+        z0 = np.random.default_rng(9).standard_normal(16).astype(np.float32)
+        with pytest.raises(ta.AutodiffError, match="differs from the walked output"):
+            prompt_finetune_step(baseline_text, baseline_denoiser, baseline_image,
+                                 baseline_world, [(1, 2)], [z0], make_step_plan(4), 3,
+                                 make_schedule("linear-beta", 1000), RewardSpec.default(),
+                                 w=w)
+
+    @pytest.mark.parametrize("regime,sampler,w,k_last,batch", [
+        ("prompt-chain", "ddim", 1.0, 4, 1),
+        *[(regime, "euler", 3.0, k_last, batch) for regime in ("prompt-chain", "unet-chain")
+          for k_last in (1, 2, 4) for batch in (1, 3)],
+    ])
     def test_checkpointed_chain_matches_plain_tape(self, baseline_world,
                                                    baseline_text, baseline_image,
-                                                   baseline_denoiser):
-        # recompute-on-backward must be invisible: same loss and gradients,
-        # bit for bit, as one tape holding the whole chain
+                                                   baseline_denoiser, regime, sampler, w,
+                                                   k_last, batch):
+        # recompute-on-backward must be invisible: same loss, gradients and
+        # |dL/dz| at every recorded step, bit for bit, as one tape holding
+        # each item's recorded steps as guided_step nodes after its prefix
+        # stepped detached
         sched = make_schedule("linear-beta", 1000)
         plan = make_step_plan(4)
-        prompt = (2, 5)
+        prompts = [(2, 5), (0,), (3, 6, 7)][:batch]
         spec = RewardSpec.default()
-        rng = np.random.default_rng(11)
-        z0 = rng.standard_normal(16).astype(np.float32)
-        baseline_text.set_requires_grad(True)
+        z0s = np.random.default_rng(11).standard_normal((batch, 16)).astype(np.float32)
+        text, den = baseline_text, baseline_denoiser
+        trainable, step = ((text, prompt_finetune_step) if regime == "prompt-chain"
+                           else (den, unet_finetune_step))
+        trainable.set_requires_grad(True)
+        frozen = den if trainable is text else text
+        result = step(trainable, frozen, baseline_image, baseline_world, prompts, list(z0s),
+                      plan, k_last, sched, spec, sampler=sampler, w=w)
 
-        result = prompt_finetune_step(baseline_text, baseline_denoiser,
-                                      baseline_image, baseline_world, [prompt],
-                                      [z0], plan, plan.n_steps, sched, spec)
-
+        transitions = plan.transitions()
+        split = len(transitions) - k_last
         tape = ta.Tape()
+        taps = []
         with tape:
-            c = text_encode(baseline_text, prompt)
-            z = Tensor(z0)
-            for t, t_prev in plan.transitions():
-                eps = denoise(baseline_denoiser, t, z, c)
-                z = sampler_step("ddim", z, eps, t, t_prev, sched)
-            loss = ta.mul(combined_loss(z, prompt, spec, world=baseline_world,
-                                        image_params=baseline_image,
-                                        text_params=baseline_text), 1.0)
-        g = ta.backward(tape, loss)
+            total = None
+            for prompt, z0 in zip(prompts, z0s):
+                c = text_encode(text, prompt)
+                z = Tensor(z0)
+                with ta.pause_recording():
+                    for t, t_prev in transitions[:split]:
+                        z = guided_step(den, t, t_prev, z, c, w, sampler, sched)
+                taps.append([])
+                for t, t_prev in transitions[split:]:
+                    taps[-1].append(z.id)
+                    z = guided_step(den, t, t_prev, z, c, w, sampler, sched)
+                li = combined_loss(z, prompt, spec, world=baseline_world,
+                                   image_params=baseline_image, text_params=text)
+                total = li if total is None else ta.add(total, li)
+            loss = ta.mul(total, 1.0 / len(prompts))
+        g = ta.backward(tape, loss, tap_ids=[tid for item in taps for tid in item])
+        want = collect_grads(trainable.named(), g)
 
-        assert np.float32(result.loss) == loss.data.astype(np.float32)
-        for name, t in baseline_text.named().items():
-            assert np.array_equal(result.grads[name], g[t.id]), name
+        assert np.float64(result.loss).tobytes() == np.float64(loss.item()).tobytes()
+        for name in trainable.named():
+            assert result.grads[name].tobytes() == want[name].tobytes(), name
+        assert result.step_grad_norms == [
+            [float(np.linalg.norm(g[tid])) if tid in g else 0.0 for tid in item]
+            for item in taps]
 
     def test_single_step_chain_equals_direct(self, baseline_world, baseline_text,
                                              baseline_image, baseline_denoiser):

@@ -591,6 +591,26 @@ def test_segment_replay_length_mismatch_detected():
             backward(tape, loss)
 
 
+def test_walked_segment_gradient_equals_first_pass_segment():
+    # a segment given its output by a detached walk has no first pass; its
+    # use mark on the leaf it reads keeps the leaf's row terms for the fold,
+    # as a first pass's count does, so the gradient is the same to the bit
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((3, 4)))
+    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    with ta.pause_recording():
+        walked = ta.matmul(x, w).data
+    assert checkpoint_segment(ta.matmul, (x, w), walked).data.tobytes() == walked.tobytes()
+
+    def grad(walk):
+        with Tape() as tape:
+            h = checkpoint_segment(ta.matmul, (x, w), walk)
+            loss = ta.tensor_sum(ta.matmul(h, w))
+        return backward(tape, loss)[w.id]
+
+    assert grad(walked).tobytes() == grad(None).tobytes()
+
+
 def test_segment_without_tape_is_plain_call():
     x = Tensor([2.0])
     out = checkpoint_segment(lambda t: ta.mul(t, 3.0), (x,))
