@@ -33,7 +33,7 @@ from .models import (
     save_checkpoint,
     text_encode_rows,
 )
-from .inference import step_table, walk_steps
+from .inference import step_buffer, step_table, walk_steps
 from .rewards import READOUT_COLUMNS, RewardSpec, clip_entries, combined_loss, readout_means
 from .schedule import (
     DEFAULT_SCHEDULE,
@@ -211,10 +211,10 @@ class StepResult:
     step_grad_norms: list  # per item: |dL/dz| entering each recorded step
 
 
-def _segment_step(temb, pairs, cfg):
+def _segment_step(temb, pairs, cfg, buffer):
     def step(z_in, c_in, *den):
         den = DenoiserParams(*den)
-        return ta.mlp_step(z_in, c_in, den.null_cond, temb, den.layers(), cfg, pairs)
+        return ta.mlp_step(z_in, c_in, den.null_cond, temb, den.layers(), cfg, pairs, buffer)
 
     return step
 
@@ -306,6 +306,9 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
     suffix. Each of the last K steps but the final one is a segment over the
     batch whose output is the walk's, replayed as one ``ta.mlp_step``; the
     final step is one ``ta.mlp_step`` node, and its output the x_hat rows.
+    The walk, the final step and every replay share one step buffer: the
+    sweep reads the final step's saved arrays before the first replay
+    writes the buffer, and each replay's before the next one runs.
     """
     if not prompts:
         raise ValueError("empty prompt batch")
@@ -321,13 +324,14 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
 
     def chain(c):
         steps, cfg = step_table(denoiser, transitions, z0, c, w, sampler, sched)
-        walked = walk_steps(denoiser, steps[:-1], z0.data, c.data, cfg, keep=k_last)
+        buffer = step_buffer(denoiser, z0.data, c.data, cfg)
+        walked = walk_steps(denoiser, steps[:-1], z0.data, c.data, cfg, k_last, buffer)
         z = Tensor(walked[0])
         taps = [z.id]
         for (temb, pairs), out in zip(steps[split:], walked[1:]):
-            z = ta.checkpoint_segment(_segment_step(temb, pairs, cfg), (z, c) + den, out)
+            z = ta.checkpoint_segment(_segment_step(temb, pairs, cfg, buffer), (z, c) + den, out)
             taps.append(z.id)
-        return _segment_step(*steps[-1], cfg)(z, c, *den), taps
+        return _segment_step(*steps[-1], cfg, buffer)(z, c, *den), taps
 
     return _reward_step(trainable, prompts, chain, text_params, image_params, world, spec)
 

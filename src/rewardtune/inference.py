@@ -90,15 +90,23 @@ def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     return walk_steps(denoiser, steps, z.data, c.data, cfg)[0]
 
 
-def walk_steps(denoiser, steps, z, c, cfg, keep=1):
+def step_buffer(denoiser, z, c, cfg):
+    """The ``ta.step_rows`` buffer of a walk of the array ``z`` under the
+    array ``c`` and the guidance pair ``cfg``."""
+    return ta.step_rows(z, c, None if cfg is None else denoiser.null_cond.data,
+                        denoiser.layers())
+
+
+def walk_steps(denoiser, steps, z, c, cfg, keep=1, buffer=None):
     """``walk_chain`` of the arrays ``z`` and ``c`` down ``step_table``
     entries; checks nothing. Returns the last ``keep`` latents of the walk,
     ``z`` counted as its first, in ``z``'s shape; each step's latent is a
-    fresh array, never a view of the buffer. The ``ta.step_rows`` buffer,
-    with its conditioning columns and the dense stack's workspace, is made
-    once per walk and reused by every step."""
+    fresh array, never a view of the buffer. The ``step_buffer``, with its
+    conditioning columns and the dense stack's workspace, serves every
+    step: ``buffer``, or one made for this walk when None."""
     shape, layers = z.shape, denoiser.layers()
-    buffer = ta.step_rows(z, c, None if cfg is None else denoiser.null_cond.data, layers)
+    if buffer is None:
+        buffer = step_buffer(denoiser, z, c, cfg)
     zs = [z]
     for temb, pairs in steps:
         zs.append(ta.mlp_step_kernel(buffer, zs[-1], temb, layers, cfg, pairs))

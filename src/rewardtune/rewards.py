@@ -7,10 +7,16 @@ the similarity constraint cos(I(x_hat), T(p)) that keeps the conditioning
 encoder anchored to the image embedding space, and a deliberately degenerate
 prompt-independent probe used to demonstrate output collapse. The total
 training loss is L = -sum_i gamma_i * R_i.
+
+Each reward is one tape node past its encoder: a fused
+``ta.cosine_similarity`` or ``ta.squared_error`` (the latter negated), and
+the weighting and sum over the terms is one ``ta.weighted_sum``. The style
+vector and the collapse target are built once per width.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,16 +34,25 @@ REWARD_KINDS = ("image-style", "alignment", "clip-constraint", "degenerate-colla
 DEFAULT_WEIGHTS = {"clip-constraint": 100.0, "image-style": 1.0, "alignment": 100.0}
 
 
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=16)
 def style_vector(d):
-    """The fixed style target s: alternating signs, unit norm."""
+    """The fixed style target s: alternating signs, unit norm; read-only,
+    one array per width."""
     s = np.ones(d, dtype=np.float64)
     s[1::2] = -1.0
-    return (s / math.sqrt(d)).astype(np.float32)
+    return _frozen((s / math.sqrt(d)).astype(np.float32))
 
 
+@functools.lru_cache(maxsize=16)
 def collapse_target(d):
-    """The fixed point c0 the degenerate probe pulls everything toward."""
-    return (np.ones(d, dtype=np.float64) / math.sqrt(d)).astype(np.float32)
+    """The fixed point c0 the degenerate probe pulls everything toward;
+    read-only, one array per width."""
+    return _frozen((np.ones(d, dtype=np.float64) / math.sqrt(d)).astype(np.float32))
 
 
 def _per_row(x_hat, target):
@@ -136,7 +151,8 @@ def clip_entries(spec):
 
 def combined_loss(x_hat, prompt, spec, *, world=None, image_params=None, text_params=None,
                   clip_texts=None, values=None):
-    """L = -sum gamma_i R_i; zero-weight terms are skipped entirely.
+    """L = -sum gamma_i R_i, one ``ta.weighted_sum`` node over the rewards;
+    zero-weight terms are skipped entirely.
 
     ``x_hat`` is one (D,) sample with its ``prompt``, or (B, D) rows with a
     list of B prompts; on rows the result is the (B,) losses, row i with the
@@ -147,7 +163,7 @@ def combined_loss(x_hat, prompt, spec, *, world=None, image_params=None, text_pa
     unweighted, by kind: a float, or on rows the (B,) array.
     """
     clip_texts = iter(clip_texts or ())
-    loss = None
+    rewards, weights = [], []
     for kind, weight in spec.entries:
         if weight == 0.0:
             continue
@@ -155,11 +171,11 @@ def combined_loss(x_hat, prompt, spec, *, world=None, image_params=None, text_pa
         r = _eval_reward(kind, x_hat, prompt, world, image_params, text_params, txt_emb)
         if values is not None:
             values[kind] = r.item() if r.data.ndim == 0 else r.data
-        term = ta.mul(r, -float(weight))
-        loss = term if loss is None else ta.add(loss, term)
-    if loss is None:
+        rewards.append(r)
+        weights.append(-float(weight))
+    if not rewards:
         return Tensor(np.zeros(x_hat.data.shape[:-1]))
-    return loss
+    return ta.weighted_sum(rewards, weights)
 
 
 def reward_values(x_hat, prompt, spec, *, world=None, image_params=None, text_params=None,

@@ -31,8 +31,16 @@ costs. The forward arithmetic of each is one array function,
 ``mlp_kernel``, ``axpby_kernel`` and ``mlp_step_kernel``, which a detached
 walk calls directly. ``mlp_kernel`` computes every layer into the arrays of
 a workspace: a detached walk makes one, with its ``step_rows`` buffer, per
-walk and reuses it for every step; a taped op makes one per call, so the
-arrays a node keeps are its own.
+walk and reuses it for every step; a taped ``mlp`` makes one per call, so
+the arrays a node keeps are its own. A taped ``mlp_step`` does too unless
+given a buffer to share: a fine-tune step shares one between its walk, its
+last recorded step and every replay, and the step's backward checks that
+no other step wrote it in between.
+
+Three more fused ops stand for the reward arithmetic the same way:
+``cosine_similarity`` (``dot``, ``sqrt``, ``mul``, ``div``),
+``squared_error`` (``sub``, ``mul``, a mean) and ``weighted_sum`` (a
+constant ``mul`` per term and the ``add`` chain over them).
 
 Reductions (sum, mean, dot, matmul, linear, mlp) accumulate in float64 and
 round back to the working dtype. The ops that take rows follow one shape
@@ -106,6 +114,7 @@ __all__ = [
     "norm",
     "cosine_similarity",
     "squared_error",
+    "weighted_sum",
     "time_embedding",
     "time_embedding_array",
     "axpby",
@@ -680,23 +689,34 @@ def linear(x, w, b):
                   _bw_linear)
 
 
+def _dot_dx(g, y64):
+    """dL/dx of ``dot(x, y)`` for upstream gradient ``g``, with ``y64`` the
+    float64 ``y``: their product, rounded to ``g``'s dtype."""
+    return (y64 * _f64(g)[..., None]).astype(g.dtype)
+
+
 def _bw_dot(g, saved, ctx):
     a, b = saved
-    gd = _f64(g)[..., None]
-    return (b.data64 * gd).astype(g.dtype), (_f64(a.data) * gd).astype(g.dtype)
+    return _dot_dx(g, b.data64), _dot_dx(g, _f64(a.data))
+
+
+def _dots(op, a, b):
+    """The array of ``dot(a, b)``, with its check: each row's dot is one
+    stacked (1, n) x (n, 1) product in float64, rounded to the working
+    dtype."""
+    if a.data.ndim not in (1, 2) or a.data.shape != b.data.shape:
+        raise ValueError(f"{op}: operands must be 1-D or (B, n) rows of one shape, got "
+                         f"{a.data.shape} and {b.data.shape}")
+    out = np.matmul(_f64(a.data)[..., None, :], b.data64[..., None])[..., 0, 0]
+    return out.astype(_STATE.dtype)
 
 
 def dot(a, b):
-    """1-D a . b, or the (B,) dots of two (B, n) batches of rows: each row's
-    dot is one stacked (1, n) x (n, 1) product, a 1-D pair the one-row
-    batch, so row i gets the bits the 1-D dot of ``a[i]`` and ``b[i]``
-    gets."""
+    """1-D a . b, or the (B,) dots of two (B, n) batches of rows: a 1-D pair
+    is the one-row batch, so row i gets the bits the 1-D dot of ``a[i]`` and
+    ``b[i]`` gets."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim not in (1, 2) or a.data.shape != b.data.shape:
-        raise ValueError(f"dot: operands must be 1-D or (B, n) rows of one shape, got "
-                         f"{a.data.shape} and {b.data.shape}")
-    out = np.matmul(_f64(a.data)[..., None, :], b.data64[..., None])[..., 0, 0]
-    return _trace("dot", (a, b), out.astype(_STATE.dtype), (a, b), None, _bw_dot)
+    return _trace("dot", (a, b), _dots("dot", a, b), (a, b), None, _bw_dot)
 
 
 def _bw_concat(g, saved, ctx):
@@ -883,28 +903,34 @@ def _bw_mean(g, saved, ctx):
     return (np.full(shape, g / n, dtype=g.dtype),)
 
 
+def _mean(x):
+    """The array of ``tensor_mean`` of the array ``x``, with its check."""
+    if x.size == 0:
+        raise ValueError("mean: empty tensor")
+    return np.asarray((x.sum(dtype=np.float64) / x.size).astype(_STATE.dtype))
+
+
 def tensor_mean(a):
     a = _as_tensor(a)
-    n = a.data.size
-    if n == 0:
-        raise ValueError("mean: empty tensor")
-    out = np.asarray((a.data.sum(dtype=np.float64) / n).astype(_STATE.dtype))
-    return _trace("mean", (a,), out, (), (a.data.shape, n), _bw_mean)
+    return _trace("mean", (a,), _mean(a.data), (), (a.data.shape, a.data.size), _bw_mean)
 
 
 def _bw_row_mean(g, saved, ctx):
     return (np.repeat((g / ctx[1])[:, None], ctx[1], axis=1),)
 
 
+def _row_mean(x):
+    """The array of ``row_mean`` of the array ``x``, with its check."""
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError(f"row_mean: input must be (B, n) with n >= 1, got {x.shape}")
+    return (x.sum(axis=1, dtype=np.float64) / x.shape[1]).astype(_STATE.dtype)
+
+
 def row_mean(a):
     """Mean of each row of a (B, n) batch: the (B,) vector of what
     ``tensor_mean`` gives each row alone (float64 row sums)."""
     a = _as_tensor(a)
-    if a.data.ndim != 2 or a.data.shape[1] == 0:
-        raise ValueError(f"row_mean: input must be (B, n) with n >= 1, got {a.data.shape}")
-    n = a.data.shape[1]
-    out = (a.data.sum(axis=1, dtype=np.float64) / n).astype(_STATE.dtype)
-    return _trace("row_mean", (a,), out, (), a.data.shape, _bw_row_mean)
+    return _trace("row_mean", (a,), _row_mean(a.data), (), a.data.shape, _bw_row_mean)
 
 
 def _bw_batch_mean(g, saved, ctx):
@@ -1013,6 +1039,102 @@ def _interior(arr):
     if _STATE.debug and not np.all(np.isfinite(arr)):
         raise AutodiffError("non-finite tensor value")
     return arr
+
+
+def _bw_cosine(g, saved, ctx):
+    """Yields the gradients as the chain's sweep gives them: ``dot(b, b)``'s
+    two through ``norm(b)``, ``dot(a, a)``'s two through ``norm(a)`` (None
+    for an operand that needs none: the chain records no such dot), then
+    ``dot(a, b)``'s two."""
+    a, b, na, nb, den, out = saved
+    g_den = -g * out.data / den
+    for x, n, other, needs in ((b, nb, na, ctx[1]), (a, na, nb, ctx[0])):
+        # mul's gradient to one norm, then sqrt's to its dot
+        gx = _dot_dx(g_den * other / (2.0 * n), x.data64) if needs else None
+        yield gx
+        yield gx
+    g_ab = g / den
+    yield _dot_dx(g_ab, b.data64)
+    yield _dot_dx(g_ab, a.data64)
+
+
+def cosine_similarity(a, b):
+    """cos(a, b); for (B, n) rows, the (B,) cosines of paired rows. Raises on
+    a zero-norm operand or row.
+
+    Bit for bit the chain ``div(dot(a, b), mul(norm(a), norm(b)))``,
+    forward and backward, recorded as one node whose inputs are
+    ``(b, b, a, a, a, b)``: ``dot(b, b)``'s, ``dot(a, a)``'s and
+    ``dot(a, b)``'s, the order in which the chain's sweep gives them
+    gradients. The node keeps what the chain's nodes kept: both operands,
+    both norms, their product and the output."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if not (np.all(np.linalg.norm(a.data, axis=-1)) and np.all(np.linalg.norm(b.data, axis=-1))):
+        raise ValueError("cosine_similarity: zero-norm operand")
+    ab = _interior(_dots("cosine_similarity", a, b))
+    na = _interior(np.sqrt(_interior(_dots("cosine_similarity", a, a))))
+    nb = _interior(np.sqrt(_interior(_dots("cosine_similarity", b, b))))
+    den = _interior(na * nb)
+    return _trace("cosine_similarity", (b, b, a, a, a, b), ab / den, (a, b, na, nb, den),
+                  (a._needs, b._needs), _bw_cosine, save_out=True)
+
+
+def _bw_squared_error(g, saved, ctx):
+    """The mean's gradient, ``mul(d, d)``'s two equal terms added as the
+    sweep adds them, then ``sub``'s two."""
+    sa, sb, bw_mean, mean_ctx = ctx
+    (d,) = saved
+    (g_sq,) = bw_mean(g, (), mean_ctx)
+    g_d = g_sq * d + g_sq * d
+    return (None if sa is None else _unbroadcast(g_d, sa),
+            None if sb is None else _unbroadcast(-g_d, sb))
+
+
+def squared_error(a, b):
+    """Mean squared error between two same-shape tensors; for (B, n) rows,
+    the (B,) vector of each row's error.
+
+    Bit for bit the chain ``d = sub(a, b)``, ``mul(d, d)``, then
+    ``row_mean`` of (B, n) rows or ``tensor_mean`` of anything else,
+    forward and backward, recorded as one node whose inputs are ``sub``'s,
+    ``(a, b)``, with ``sub``'s operand rule and errors. The node keeps
+    ``d``, as the chain's ``mul`` did."""
+    a, b, ctx = _operands("sub", a, b)
+    d = _interior(a.data - b.data)
+    sq = _interior(d * d)
+    if sq.ndim == 2:
+        out, ctx = _row_mean(sq), ctx + (_bw_row_mean, sq.shape)
+    else:
+        out, ctx = _mean(sq), ctx + (_bw_mean, (sq.shape, sq.size))
+    return _trace("squared_error", (a, b), out, (d,), ctx, _bw_squared_error)
+
+
+def _bw_weighted_sum(g, saved, ctx):
+    return tuple(g * w if needs else None for w, needs in ctx)
+
+
+def weighted_sum(terms, weights):
+    """``terms[0] * weights[0] + terms[1] * weights[1] + ...`` for terms of
+    one shape and constant weights, added left to right in the working
+    dtype: bit for bit ``add(... add(mul(t0, w0), mul(t1, w1)) ...,
+    mul(tk, wk))``, forward and backward, recorded as one node whose inputs
+    are the terms, last first, the order in which that chain's sweep gives
+    them gradients."""
+    terms = [_as_tensor(t) for t in terms]
+    if not terms or len(weights) != len(terms) or not all(_scalar(w) for w in weights):
+        raise ValueError("weighted_sum: need one constant weight per term, and a term")
+    shape = terms[0].data.shape
+    if any(t.data.shape != shape for t in terms):
+        raise ValueError("weighted_sum: terms of different shapes ["
+                         + ", ".join(str(t.data.shape) for t in terms) + "]")
+    # each weight as mul takes a constant: a 0-D array of the working dtype
+    ws = [np.asarray(w, _STATE.dtype) for w in weights]
+    out = None
+    for t, w in zip(terms, ws):
+        term = _interior(t.data * w)
+        out = term if out is None else _interior(out + term)
+    return _trace("weighted_sum", terms[::-1], out, (),
+                  tuple((w, t._needs) for t, w in zip(terms[::-1], ws[::-1])), _bw_weighted_sum)
 
 
 def _bw_axpby(g, saved, ctx):
@@ -1204,12 +1326,22 @@ def _mlp_node(act, parts, layers, ndim):
     return (*(t for w, b in reversed(layers) for t in (w, b)), *parts), ctx
 
 
+class _StepRows(tuple):
+    """A ``step_rows`` buffer, the tuple (rows, stack, work), and its
+    ``writer``: the token of the taped ``mlp_step`` whose node keeps the
+    buffer's arrays, None once a step that keeps nothing has written it."""
+
+    writer = None
+
+
 def step_rows(z, c, null, layers):
     """A fresh ``mlp_step_kernel`` buffer for the silu stack ``layers``, as
     (rows, stack, work): (2, B, width) rows with the conditioning columns
     written, c's over ``null``'s, their (2B, width) stack, or without
     ``null``, ``z``'s rows twice, and the stack's ``_mlp_work`` workspace.
-    A detached walk makes one per walk; a taped step one per call."""
+    A detached walk makes one per walk, a fine-tune step one for its walk
+    and every recorded step (``mlp_step``'s ``buffer``), and any other
+    taped step one per call."""
     width = layers[0][0].data.shape[0]
     if null is None:
         rows = np.empty(z.shape[:-1] + (width,), _STATE.dtype)
@@ -1221,7 +1353,7 @@ def step_rows(z, c, null, layers):
         rows = stack.reshape(2, n, width)
         rows[..., width - c.shape[-1]:] = c
         rows[1, :, width - null.shape[-1]:] = null
-    return rows, stack, _mlp_work(stack.shape, layers)
+    return _StepRows((rows, stack, _mlp_work(stack.shape, layers)))
 
 
 def mlp_step_kernel(buffer, z, temb, layers, cfg, pairs, xs=None, pres=None):
@@ -1230,8 +1362,9 @@ def mlp_step_kernel(buffer, z, temb, layers, cfg, pairs, xs=None, pres=None):
     stack in the buffer's workspace (``xs`` and ``pres`` are its lists) and
     guides its halves; returns the new latent, a fresh array, one (1, D)
     row for a guided 1-D ``z``. Each row's bits follow from that row
-    alone."""
+    alone. The buffer's writer is None after it."""
     rows, stack, work = buffer
+    buffer.writer = None
     d = z.shape[-1]
     rows[..., :d] = z
     rows[..., d:d + len(temb)] = temb
@@ -1247,8 +1380,13 @@ def mlp_step_kernel(buffer, z, temb, layers, cfg, pairs, xs=None, pres=None):
 def _bw_mlp_step(g, saved, ctx):
     """Yields the gradients as the chain's sweep gives them: the sampler
     pairs last first (eps adds ``g * b`` terms, z takes ``g * a`` products),
-    the guidance split, ``_bw_mlp`` over the uncond rows, then the cond rows."""
-    pairs, cfg, blocks, ws, branches = ctx
+    the guidance split, ``_bw_mlp`` over the uncond rows, then the cond rows.
+    Raises when another step has written the buffer the saved arrays live
+    in since this node's forward."""
+    pairs, cfg, blocks, ws, branches, buffer, writer = ctx
+    if buffer.writer is not writer:
+        raise AutodiffError("backward of 'mlp_step': another step wrote its step buffer "
+                            "after it, over the activations it saved")
     ge = None
     for a, b in reversed(pairs):
         ge = g * b if ge is None else ge + g * b
@@ -1260,7 +1398,7 @@ def _bw_mlp_step(g, saved, ctx):
                            branch)
 
 
-def mlp_step(z, c, null, temb, layers, cfg, pairs):
+def mlp_step(z, c, null, temb, layers, cfg, pairs, buffer=None):
     """A guided sampler step around a silu dense stack as one node, bit for
     bit the chain of 2 to 5: ``mlp`` over [z, temb, c] and, for a guidance
     pair ``cfg``, over [z, temb, null], combined by ``axpby``, then an
@@ -1268,9 +1406,17 @@ def mlp_step(z, c, null, temb, layers, cfg, pairs):
     are arrays of the working dtype. Its inputs are z, then the
     unconditional ``mlp``'s, then the conditional one's, the order the
     chain's sweep gives them gradients in: each leaf is counted and folded
-    as there, and a branch that needs nothing gets nothing."""
+    as there, and a branch that needs nothing gets nothing.
+
+    ``buffer`` is a ``step_rows`` buffer made for ``c``, ``null`` and
+    ``layers``, or None for a fresh one. The node keeps arrays of the
+    buffer and becomes its writer, so a shared buffer serves several
+    recorded steps only when each is swept before the next one writes it;
+    the backward of a step whose buffer another step wrote since raises
+    AutodiffError."""
     z, c = _as_tensor(z), _as_tensor(c)
-    buffer = step_rows(z.data, c.data, None if cfg is None else null.data, layers)
+    if buffer is None:
+        buffer = step_rows(z.data, c.data, None if cfg is None else null.data, layers)
     xs, pres = [], []
     out = mlp_step_kernel(buffer, z.data, temb, layers, cfg, pairs, xs, pres).reshape(z.shape)
     if _active_tape() is None:
@@ -1278,7 +1424,9 @@ def mlp_step(z, c, null, temb, layers, cfg, pairs):
     t = Tensor._wrap(temb, False)
     nodes = [_mlp_node("silu", [z, t, cond], layers, out.ndim)
              for cond in ((c,) if cfg is None else (null, c))]
-    ctx = (pairs, cfg, (2,) + z.shape[:-1] + (-1,), [w for w, _ in layers], [n[1] for n in nodes])
+    buffer.writer = object()
+    ctx = (pairs, cfg, (2,) + z.shape[:-1] + (-1,), [w for w, _ in layers], [n[1] for n in nodes],
+           buffer, buffer.writer)
     return _trace("mlp_step", (z, *(i for n in nodes for i in n[0])), out, (*xs, *pres), ctx,
                   _bw_mlp_step)
 
@@ -1290,23 +1438,6 @@ def mlp_step(z, c, null, temb, layers, cfg, pairs):
 def norm(a):
     """Euclidean norm as sqrt(dot(a, a)); for (B, n) rows, the (B,) norms."""
     return sqrt(dot(a, a))
-
-
-def cosine_similarity(a, b):
-    """cos(a, b); for (B, n) rows, the (B,) cosines of paired rows. Raises on
-    a zero-norm operand or row."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if not (np.all(np.linalg.norm(a.data, axis=-1)) and np.all(np.linalg.norm(b.data, axis=-1))):
-        raise ValueError("cosine_similarity: zero-norm operand")
-    return div(dot(a, b), mul(norm(a), norm(b)))
-
-
-def squared_error(a, b):
-    """Mean squared error between two same-shape tensors; for (B, n) rows,
-    the (B,) vector of each row's error."""
-    d = sub(a, b)
-    sq = mul(d, d)
-    return row_mean(sq) if sq.data.ndim == 2 else tensor_mean(sq)
 
 
 def time_embedding(t, dim):

@@ -29,7 +29,8 @@ from rewardtune.finetune import (
     run_training,
     unet_finetune_step,
 )
-from rewardtune.inference import guided_step, sample_from_cond, walk_chain
+from rewardtune.inference import (guided_step, sample_from_cond, step_buffer, step_table,
+                                  walk_chain)
 from rewardtune.models import (
     DenoiserParams,
     TextEncoderParams,
@@ -40,6 +41,7 @@ from rewardtune.models import (
     load_checkpoint,
     state_digest,
     text_encode,
+    text_encode_rows,
 )
 from rewardtune.rewards import RewardSpec, combined_loss
 from rewardtune.rewards import READOUT_SPEC, reward_values
@@ -570,8 +572,8 @@ class TestChainStep:
              w=w)
         assert captured == [("backward", ["mlp_step"])] * (k - 1)
         assert walked == [("forward", walked[0][1])] * (n - 1)
-        # the walk's buffer, then the recorded last step's own
-        assert buffers == ["forward"] * 2 + ["backward"] * (k - 1)
+        # one buffer for the walk, the recorded last step and every replay
+        assert buffers == ["forward"]
         (tape,) = tapes
         assert [node.op for node in tape.nodes if node.op in ("segment", "mlp_step")] == (
             ["segment"] * (k - 1) + ["mlp_step"])
@@ -588,9 +590,9 @@ class TestChainStep:
         backward, segment_step = ta.backward, finetune._segment_step
         phase = ["forward"]
 
-        def perturbed(temb, pairs, cfg):
-            step = segment_step(temb, pairs, cfg)
-            late = segment_step(temb, [(a, np.nextafter(b, b + 1)) for a, b in pairs], cfg)
+        def perturbed(temb, pairs, cfg, buffer):
+            step = segment_step(temb, pairs, cfg, buffer)
+            late = segment_step(temb, [(a, np.nextafter(b, b + 1)) for a, b in pairs], cfg, buffer)
             return lambda *args: (step if phase[0] == "forward" else late)(*args)
 
         def marked(*args, **kwargs):
@@ -606,6 +608,49 @@ class TestChainStep:
                                  baseline_world, [(1, 2)], [z0], make_step_plan(4), 3,
                                  make_schedule("linear-beta", 1000), RewardSpec.default(),
                                  w=w)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("k_last", [1, 2, 4])
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    @pytest.mark.parametrize("regime", ["prompt-chain", "unet-chain"])
+    def test_one_step_buffer_per_iteration(self, baseline_state, monkeypatch, regime, w,
+                                           k_last, batch):
+        # the walk, the last recorded step and every replay of an iteration
+        # share one buffer, K = N included
+        rows, calls = ta.step_rows, []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return rows(*args)
+
+        monkeypatch.setattr(ta, "step_rows", counted)
+        run_training(TrainConfig(regime=regime, n_steps=4, k_last=k_last, batch_size=batch,
+                                 chain_cfg_scale=w, iterations=2), baseline_state)
+        assert calls == [(batch, 16)] * 2
+
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    def test_steps_sharing_a_buffer_on_one_tape_raise(self, baseline_text, baseline_denoiser,
+                                                      w):
+        # two recorded steps on one plain tape writing one buffer: the second
+        # overwrites the activations the first saved, so the first one's
+        # backward refuses to read them; with a buffer each, the tape is fine
+        den, sched = baseline_denoiser, make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode_rows(baseline_text, [(1, 2), (5,)])
+        z0 = Tensor(np.random.default_rng(4).standard_normal((2, 16)), requires_grad=True)
+        steps, cfg = step_table(den, make_step_plan(2).transitions(), z0, c, w, "ddim", sched)
+
+        def run(buffer):
+            z = z0
+            with ta.Tape() as tape:
+                for temb, pairs in steps:
+                    z = ta.mlp_step(z, c, den.null_cond, temb, den.layers(), cfg, pairs, buffer)
+                loss = ta.tensor_sum(z)
+            return ta.backward(tape, loss)
+
+        assert z0.id in run(None)
+        with pytest.raises(ta.AutodiffError, match="another step wrote its step buffer"):
+            run(step_buffer(den, z0.data, c.data, cfg))
 
     @pytest.mark.parametrize("regime,sampler,w,k_last,batch", [
         ("prompt-chain", "ddim", 1.0, 4, 1),
@@ -1042,9 +1087,9 @@ class TestRunTraining:
         assert sorted(p.name for p in out_dir.iterdir()) == ["checkpoint_000001.rcpt"]
 
     @pytest.mark.parametrize("kwargs, nodes", [
-        ({"regime": "prompt-chain"}, 32),
-        ({"regime": "unet-chain", "chain_cfg_scale": 3.0, "sampler": "euler"}, 26),
-        ({"regime": "direct"}, 31),
+        ({"regime": "prompt-chain"}, 16),
+        ({"regime": "unet-chain", "chain_cfg_scale": 3.0, "sampler": "euler"}, 12),
+        ({"regime": "direct"}, 15),
     ], ids=["prompt-chain", "unet-chain", "direct"])
     def test_one_step_records_one_node_per_op(self, baseline_state, monkeypatch, kwargs,
                                               nodes):

@@ -1175,3 +1175,174 @@ def test_fused_ops_reject_bad_operands():
         ta.axpby(v, 1.0, rows, 1.0)
     with pytest.raises(ValueError, match="axpby"):
         ta.axpby(v, v, v, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the fused reward ops against the op chains they stand for: forward bytes,
+# the bytes of every leaf's gradient and of a tap on each operand, f32 and
+# f64, 1-D and (B, n) operands, each operand needing a gradient or not (a
+# constant, as the alignment target is), one tensor in both operand slots,
+# and operands that a later node reads too, so the order in which a fused
+# node hands out its terms shows in the sums
+
+
+def _chain_cosine(a, b):
+    return ta.div(ta.dot(a, b), ta.mul(ta.norm(a), ta.norm(b)))
+
+
+def _chain_squared_error(a, b):
+    d = ta.sub(a, b)
+    sq = ta.mul(d, d)
+    return ta.row_mean(sq) if sq.data.ndim == 2 else ta.tensor_mean(sq)
+
+
+_PAIR_OPS = {
+    "cosine_similarity": (ta.cosine_similarity, _chain_cosine),
+    "squared_error": (ta.squared_error, _chain_squared_error),
+}
+
+
+def _pair_run(op, x, y, needs, shared, dtype):
+    """``op`` on leaves of ``x`` and ``y`` (one leaf in both slots when
+    ``shared``), read again by a ``mul``: the output bytes and the bytes of
+    backward's map at each leaf's id, None where it has none."""
+    with ta.default_dtype(dtype):
+        a = Tensor(x, requires_grad=needs[0])
+        b = a if shared else Tensor(y, requires_grad=needs[1])
+        with Tape() as tape:
+            out = op(a, b)
+            loss = ta.add(_readout(out), _readout(ta.mul(a, b)))
+        if not loss._needs:
+            return out.data.tobytes(), None
+        grads = backward(tape, loss, tap_ids=[a.id, b.id])
+    return out.data.tobytes(), [grads[t.id].tobytes() if t.id in grads else None for t in (a, b)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [None] + _BATCHES)
+@pytest.mark.parametrize("name", sorted(_PAIR_OPS))
+@_SETTINGS
+@given(data=st.data())
+def test_reward_ops_are_their_op_chains_bitwise(name, batch, dtype, data):
+    n = data.draw(_LENGTHS)
+    shape = (batch, n) if batch else n
+    # entries kept off zero so no row has a zero norm
+    x, y = (data.draw(hnp.arrays(np.float64, shape, elements=_signed(0.01, 3.0)))
+            for _ in range(2))
+    needs = data.draw(st.tuples(st.booleans(), st.booleans()))
+    shared = data.draw(st.booleans())
+    fused, chain = _PAIR_OPS[name]
+    want = _pair_run(chain, x, y, needs, shared, dtype)
+    assert _pair_run(fused, x, y, needs, shared, dtype) == want
+
+
+def test_reward_ops_record_one_node_with_the_chains_inputs():
+    # the inputs in the order the chain's sweep gives them gradients, so the
+    # leaves' use counts are the chain's too
+    a, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.full((2, 3), 2.0))
+    with Tape() as tape:
+        ta.cosine_similarity(a, b)
+        ta.squared_error(a, b)
+        ta.weighted_sum([ta.neg(a), a], [2.0, -1.0])
+    assert [(node.op, node.input_ids) for node in tape.nodes] == [
+        ("cosine_similarity", (b.id, b.id, a.id, a.id, a.id, b.id)),
+        ("squared_error", (a.id, b.id)),
+        ("neg", (a.id,)),
+        ("weighted_sum", (a.id, tape.nodes[2].out_id)),
+    ]
+    assert tape._uses == {a.id: 3 + 1 + 1 + 1}
+
+
+def _chain_weighted_sum(terms, weights):
+    total = None
+    for t, w in zip(terms, weights):
+        term = ta.mul(t, w)
+        total = term if total is None else ta.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [None] + _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_weighted_sum_is_its_op_chain_bitwise(batch, dtype, data):
+    # terms from leaves, one leaf possibly in several slots, each leaf
+    # needing a gradient or not and read again after the sum
+    k = data.draw(st.integers(1, 4))
+    shape = (batch,) if batch else ()
+    values = [data.draw(_values(shape, -3.0, 3.0)) for _ in range(k)]
+    which = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    needs = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    weights = data.draw(st.lists(_signed(0.01, 100.0), min_size=k, max_size=k))
+
+    def run(op):
+        with ta.default_dtype(dtype):
+            leaves = [Tensor(v, requires_grad=r) for v, r in zip(values, needs)]
+            with Tape() as tape:
+                out = op([leaves[i] for i in which], weights)
+                loss = ta.add(_readout(out), _readout(ta.mul(leaves[which[0]], 0.5)))
+            if not loss._needs:
+                return out.data.tobytes(), None
+            grads = backward(tape, loss, tap_ids=[t.id for t in leaves])
+        return out.data.tobytes(), [grads[t.id].tobytes() if t.id in grads else None
+                                    for t in leaves]
+
+    assert run(ta.weighted_sum) == run(_chain_weighted_sum)
+
+
+@pytest.mark.parametrize("op", [ta.cosine_similarity, _chain_cosine])
+def test_cosine_traps_a_non_finite_intermediate(op):
+    # |a|^2 overflows float32 while a . b and the cosine stay finite: the
+    # cosine reads 0 unchecked, and debug_checks traps the squared norm, in
+    # the fused op as in the chain
+    a, b = np.full(2, 1e20), np.full(2, 1e-20)
+    with np.errstate(over="ignore"):
+        x, y = Tensor(a, requires_grad=True), Tensor(b)
+        assert op(x, y).data.tobytes() == np.float32(0.0).tobytes()
+        with ta.debug_checks(), pytest.raises(ta.AutodiffError, match="non-finite"):
+            op(x, y)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("squared_error", (np.full(3, 1e20), np.zeros(3))),
+    ("weighted_sum", ([np.full(3, 1e30), np.ones(3)], [1e10, 1.0])),
+])
+def test_fused_reward_ops_trap_non_finite_values(name, args):
+    def run(op):
+        if name == "squared_error":
+            return op(Tensor(args[0], requires_grad=True), Tensor(args[1]))
+        return op([Tensor(v, requires_grad=True) for v in args[0]], args[1])
+
+    for op in ((ta.squared_error, _chain_squared_error) if name == "squared_error"
+               else (ta.weighted_sum, _chain_weighted_sum)):
+        with np.errstate(over="ignore"), ta.debug_checks():
+            with pytest.raises(ta.AutodiffError, match="non-finite"):
+                run(op)
+
+
+def test_cosine_zero_norm_error_is_unchanged():
+    # the check is np.linalg.norm's, per operand and row, before any node
+    # is recorded; a norm that underflows in the working dtype is zero
+    for a, b in [(np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3)),
+                 (np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]), np.ones((2, 3))),
+                 (np.array([1e-23, 0.0]), np.ones(2))]:
+        with Tape() as tape, pytest.raises(ValueError,
+                                           match="cosine_similarity: zero-norm operand"):
+            ta.cosine_similarity(Tensor(a, requires_grad=True), Tensor(b))
+        assert tape.nodes == []
+
+
+def test_fused_reward_ops_reject_bad_operands():
+    v, rows = Tensor(np.ones(3)), Tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="cosine_similarity: operands"):
+        ta.cosine_similarity(v, rows)
+    with pytest.raises(ValueError, match="sub: shape mismatch"):
+        ta.squared_error(v, Tensor(np.ones(4)))
+    with pytest.raises(ValueError, match="weighted_sum"):
+        ta.weighted_sum([v, rows], [1.0, 1.0])
+    with pytest.raises(ValueError, match="weighted_sum"):
+        ta.weighted_sum([v], [1.0, 2.0])
+    with pytest.raises(ValueError, match="weighted_sum"):
+        ta.weighted_sum([v], [v])
+    with pytest.raises(ValueError, match="weighted_sum"):
+        ta.weighted_sum([], [])
