@@ -8,6 +8,7 @@ alignment reward uses as an exact oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -36,7 +37,13 @@ class ToyWorld:
         return self.patterns.shape[1]
 
     def pattern_sum(self, prompt_tokens):
-        """Ground-truth target for a prompt: sum of its attribute patterns."""
+        """Ground-truth target for a prompt: sum of its attribute patterns,
+        a read-only float32 array built once per distinct prompt of this
+        world and shared; a bad prompt raises on every call."""
+        prompt_tokens = tuple(prompt_tokens)
+        total = self._sums.get(prompt_tokens)
+        if total is not None:
+            return total
         tok_to_row = {tok: i for i, tok in enumerate(self.token_ids)}
         rows = []
         for tok in prompt_tokens:
@@ -50,7 +57,15 @@ class ToyWorld:
         total = np.zeros(self.d, dtype=np.float64)
         for r in rows:
             total += r
-        return total.astype(np.float32)
+        total = total.astype(np.float32)
+        total.flags.writeable = False
+        self._sums[prompt_tokens] = total
+        return total
+
+    @functools.cached_property
+    def _sums(self):
+        """``pattern_sum``'s results by prompt, per world object."""
+        return {}
 
 
 def _max_offdiag_cos(patterns):

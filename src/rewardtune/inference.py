@@ -103,7 +103,8 @@ def walk_steps(denoiser, steps, z, c, cfg, keep=1, buffer=None):
     ``z`` counted as its first, in ``z``'s shape; each step's latent is a
     fresh array, never a view of the buffer. The ``step_buffer``, with its
     conditioning columns and the dense stack's workspace, serves every
-    step: ``buffer``, or one made for this walk when None."""
+    step: ``buffer``, or one made for this walk when None. A buffer made
+    for other layer Tensors than the denoiser's raises AutodiffError."""
     shape, layers = z.shape, denoiser.layers()
     if buffer is None:
         buffer = step_buffer(denoiser, z, c, cfg)

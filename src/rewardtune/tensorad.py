@@ -30,12 +30,18 @@ dozens: per-node Python dispatch, not arithmetic, is most of what a step
 costs. The forward arithmetic of each is one array function,
 ``mlp_kernel``, ``axpby_kernel`` and ``mlp_step_kernel``, which a detached
 walk calls directly. ``mlp_kernel`` computes every layer into the arrays of
-a workspace: a detached walk makes one, with its ``step_rows`` buffer, per
-walk and reuses it for every step; a taped ``mlp`` makes one per call, so
-the arrays a node keeps are its own. A taped ``mlp_step`` does too unless
-given a buffer to share: a fine-tune step shares one between its walk, its
-last recorded step and every replay, and the step's backward checks that
-no other step wrote it in between.
+a workspace, which holds per layer the float64 input and product, the
+output, the bias copied to the output's rows and the activation, and
+serves only the layer Tensors it was built from: a bias replaced since (as
+an optimizer update replaces it) raises instead of being read stale. A
+detached walk makes one, with its ``step_rows`` buffer, per walk and
+reuses it for every step; the buffer also keeps views of the columns a
+step writes and of the guidance halves it reads, so a step issues only its
+arithmetic. A taped ``mlp`` makes one per call, so the arrays a node keeps
+are its own. A taped ``mlp_step`` does too unless given a buffer to share:
+a fine-tune step shares one between its walk, its last recorded step and
+every replay, and the step's backward checks that no other step wrote it
+in between.
 
 Three more fused ops stand for the reward arithmetic the same way:
 ``cosine_similarity`` (``dot``, ``sqrt``, ``mul``, ``div``),
@@ -1186,22 +1192,35 @@ def _mlp_input(arrays):
     return _interior(x if rows else x[0])
 
 
+class _Work(list):
+    """An ``_mlp_work`` workspace: a tuple of arrays per layer, and
+    ``layers``, the ``(w, b)`` Tensors it was built from."""
+
+
 def _mlp_work(shape, layers):
     """A fresh ``mlp_kernel`` workspace for an input of ``shape``, with
     ``_product_shape``'s checks of every layer: per layer, the float64 input,
     it as (B, 1, K) rows (a 1-D input the one row), the float64 (B, 1, H)
     product and its view in the output's shape, the output in the working
-    dtype and, below the last layer, the activation (a silu's sigmoid is
-    made in it first)."""
-    dt, work, last = _STATE.dtype, [], len(layers) - 1
+    dtype, the bias in the output's shape and, below the last layer, the
+    activation (a silu's sigmoid is made in it first). A bias of one row's
+    shape is copied to every row in its own dtype, so adding the copy
+    rounds as adding the row does; a bias of the output's shape is its own
+    array."""
+    dt, work, last = _STATE.dtype, _Work(), len(layers) - 1
     for i, (w, b) in enumerate(layers):
         out = _product_shape("mlp", shape, w, b)
         x64 = np.empty(shape)
         rows = x64.reshape(-1, 1, shape[-1])
         prod = np.empty(rows.shape[:-1] + w.data.shape[1:])
-        work.append((x64, rows, prod, prod.reshape(out), np.empty(out, dt),
+        bias = b.data
+        if bias.shape != out:
+            bias = np.empty(out, bias.dtype)
+            bias[...] = b.data
+        work.append((x64, rows, prod, prod.reshape(out), np.empty(out, dt), bias,
                      None if i == last else np.empty(out, dt)))
         shape = out
+    work.layers = [(w, b) for w, b in layers]
     return work
 
 
@@ -1211,30 +1230,38 @@ def mlp_kernel(arrays, layers, act, xs=None, pres=None, work=None):
     arrays of ``work``, a ``_mlp_work`` workspace for the input's shape
     (a fresh one when None; the detached walk passes one per walk, so the
     next call overwrites what this one returns). Returns the output array.
-    Each layer rounds its product to the working dtype, then adds its bias
-    (one of another dtype in the wider one, rounded once). Under
-    debug_checks each layer's product is trapped (an activation of a finite
-    array is finite). One 2-D part is the first layer's input as it is:
-    each row's bits follow from that row alone, so a caller may stack rows
-    of different conditionings into one pass. With ``xs`` and ``pres``
-    lists, appends what the taped node keeps: each layer's input and each
-    silu pre-activation."""
+    Each layer rounds its product to the working dtype, then adds the
+    workspace's copy of its bias (one of another dtype in the wider one,
+    rounded once). A workspace serves only the very Tensors it was built
+    from: any other layer raises AutodiffError, since its bias copy would
+    be stale. Under debug_checks each layer's product is trapped (an
+    activation of a finite array is finite). One 2-D part is the first
+    layer's input as it is: each row's bits follow from that row alone, so
+    a caller may stack rows of different conditionings into one pass. With
+    ``xs`` and ``pres`` lists, appends what the taped node keeps: each
+    layer's input and each silu pre-activation."""
     x = _mlp_input(arrays)
     if work is None:
         work = _mlp_work(x.shape, layers)
-    debug, one = _STATE.debug, _ONES.get(_STATE.dtype, 1.0)
-    for (w, b), (x64, rows, prod, prod_rows, out, y) in zip(layers, work):
+    elif len(layers) != len(work):
+        raise AutodiffError(f"mlp: a workspace used with layers other than its own "
+                            f"({len(layers)} layers, built for {len(work)})")
+    debug, silu, one = _STATE.debug, act == "silu", _ONES.get(_STATE.dtype, 1.0)
+    for (w, b), (w0, b0), (x64, rows, prod, prod_rows, out, bias, y) in zip(
+            layers, work.layers, work):
+        if w is not w0 or b is not b0:
+            raise AutodiffError("mlp: a workspace used with layers other than its own")
         if xs is not None:
             xs.append(x)
         x64[...] = x
         np.matmul(rows, w.data64, out=prod)
         out[...] = prod_rows
-        np.add(out, b.data, out=out)
+        np.add(out, bias, out=out)
         if debug and not np.all(np.isfinite(out)):
             raise AutodiffError("non-finite tensor value")
         if y is None:
             return out
-        if act == "silu":
+        if silu:
             if pres is not None:
                 pres.append(out)
             # out * _sigmoid(out) in y: the same IEEE operations
@@ -1327,9 +1354,12 @@ def _mlp_node(act, parts, layers, ndim):
 
 
 class _StepRows(tuple):
-    """A ``step_rows`` buffer, the tuple (rows, stack, work), and its
-    ``writer``: the token of the taped ``mlp_step`` whose node keeps the
-    buffer's arrays, None once a step that keeps nothing has written it."""
+    """A ``step_rows`` buffer, the tuple (rows, stack, work), with the views
+    a step writes and reads: ``latent`` and ``temb``, the rows' latent and
+    time-embedding columns, and ``halves``, the cond and uncond rows of the
+    last layer's output (None without guidance); and its ``writer``: the
+    token of the taped ``mlp_step`` whose node keeps the buffer's arrays,
+    None once a step that keeps nothing has written it."""
 
     writer = None
 
@@ -1338,40 +1368,44 @@ def step_rows(z, c, null, layers):
     """A fresh ``mlp_step_kernel`` buffer for the silu stack ``layers``, as
     (rows, stack, work): (2, B, width) rows with the conditioning columns
     written, c's over ``null``'s, their (2B, width) stack, or without
-    ``null``, ``z``'s rows twice, and the stack's ``_mlp_work`` workspace.
-    A detached walk makes one per walk, a fine-tune step one for its walk
-    and every recorded step (``mlp_step``'s ``buffer``), and any other
-    taped step one per call."""
-    width = layers[0][0].data.shape[0]
+    ``null``, ``z``'s rows twice, and the stack's ``_mlp_work`` workspace,
+    which serves those layers alone. A detached walk makes one per walk, a
+    fine-tune step one for its walk and every recorded step (``mlp_step``'s
+    ``buffer``), and any other taped step one per call."""
+    width, d, n = layers[0][0].data.shape[0], z.shape[-1], len(z) if z.ndim == 2 else 1
     if null is None:
         rows = np.empty(z.shape[:-1] + (width,), _STATE.dtype)
         rows[..., width - c.shape[-1]:] = c
         stack = rows
     else:
-        n = len(z) if z.ndim == 2 else 1
         stack = np.empty((2 * n, width), _STATE.dtype)
         rows = stack.reshape(2, n, width)
         rows[..., width - c.shape[-1]:] = c
         rows[1, :, width - null.shape[-1]:] = null
-    return _StepRows((rows, stack, _mlp_work(stack.shape, layers)))
+    work = _mlp_work(stack.shape, layers)
+    buffer = _StepRows((rows, stack, work))
+    buffer.latent, buffer.temb = rows[..., :d], rows[..., d:width - c.shape[-1]]
+    eps = work[-1][4]  # the last layer's output
+    buffer.halves = None if null is None else (eps[:n], eps[n:])
+    return buffer
 
 
 def mlp_step_kernel(buffer, z, temb, layers, cfg, pairs, xs=None, pres=None):
-    """``mlp_step``'s arithmetic over a ``step_rows`` buffer: writes ``z``
-    and ``temb`` into each row, makes one ``mlp_kernel`` pass over the
-    stack in the buffer's workspace (``xs`` and ``pres`` are its lists) and
-    guides its halves; returns the new latent, a fresh array, one (1, D)
-    row for a guided 1-D ``z``. Each row's bits follow from that row
-    alone. The buffer's writer is None after it."""
-    rows, stack, work = buffer
+    """``mlp_step``'s arithmetic over a ``step_rows`` buffer built for
+    ``layers``: writes ``z`` and ``temb`` into the buffer's columns, makes
+    one ``mlp_kernel`` pass over the stack in the buffer's workspace (``xs``
+    and ``pres`` are its lists) and guides the output's halves; returns the
+    new latent, a fresh array, one (1, D) row for a guided 1-D ``z``. Each
+    row's bits follow from that row alone. The buffer's writer is None
+    after it."""
+    _, stack, work = buffer
     buffer.writer = None
-    d = z.shape[-1]
-    rows[..., :d] = z
-    rows[..., d:d + len(temb)] = temb
+    buffer.latent[...] = z
+    buffer.temb[...] = temb
     eps = mlp_kernel([stack], layers, "silu", xs, pres, work)
     if cfg is not None:
-        n = rows.shape[1]
-        eps = axpby_kernel(eps[:n], cfg[0], eps[n:], cfg[1])
+        cond, uncond = buffer.halves
+        eps = axpby_kernel(cond, cfg[0], uncond, cfg[1])
     for a, b in pairs:
         z = axpby_kernel(z, a, eps, b)
     return z

@@ -7,6 +7,7 @@ mask real defects. Optimizer trajectories are compared against an in-test
 float64 re-implementation of the same update rule.
 """
 
+import dataclasses
 import math
 import os
 
@@ -30,7 +31,7 @@ from rewardtune.finetune import (
     unet_finetune_step,
 )
 from rewardtune.inference import (guided_step, sample_from_cond, step_buffer, step_table,
-                                  walk_chain)
+                                  walk_chain, walk_steps)
 from rewardtune.models import (
     DenoiserParams,
     TextEncoderParams,
@@ -50,6 +51,7 @@ from rewardtune.schedule import (forward_diffuse, make_schedule, make_step_plan,
 from rewardtune.tensorad import Tensor
 from rewardtune.pretrain import PretrainConfig
 from rewardtune.util import derive_seed, is_number
+import test_byte_manifest
 
 _TEXT_FIELDS = ("embed", "w1", "b1", "w2", "b2")
 
@@ -652,6 +654,29 @@ class TestChainStep:
         with pytest.raises(ta.AutodiffError, match="another step wrote its step buffer"):
             run(step_buffer(den, z0.data, c.data, cfg))
 
+    @pytest.mark.parametrize("field", ["b1", "b2", "b3", "w2"])
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    def test_buffer_used_with_other_layers_raises(self, baseline_text, baseline_denoiser, w,
+                                                  field):
+        # a step buffer holds copies of the biases it was built from; once a
+        # layer is replaced (as an optimizer update replaces it), the walk
+        # and a taped step refuse the buffer instead of adding a stale copy
+        den, sched = baseline_denoiser, make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c = text_encode_rows(baseline_text, [(1, 2), (5,)])
+        z0 = Tensor(np.random.default_rng(4).standard_normal((2, 16)), requires_grad=True)
+        steps, cfg = step_table(den, make_step_plan(3).transitions(), z0, c, w, "ddim", sched)
+        buffer = step_buffer(den, z0.data, c.data, cfg)
+        updated = dataclasses.replace(den, **{field: Tensor(getattr(den, field).data * 0.5)})
+        with pytest.raises(ta.AutodiffError, match="layers other than its own"):
+            walk_steps(updated, steps, z0.data, c.data, cfg, buffer=buffer)
+        temb, pairs = steps[0]
+        with ta.Tape(), pytest.raises(ta.AutodiffError, match="layers other than its own"):
+            ta.mlp_step(z0, c, updated.null_cond, temb, updated.layers(), cfg, pairs, buffer)
+        # the buffer still serves its own layers, as a fresh one does
+        (got,) = walk_steps(den, steps, z0.data, c.data, cfg, buffer=buffer)
+        assert got.tobytes() == walk_steps(den, steps, z0.data, c.data, cfg)[0].tobytes()
+
     @pytest.mark.parametrize("regime,sampler,w,k_last,batch", [
         ("prompt-chain", "ddim", 1.0, 4, 1),
         *[(regime, "euler", 3.0, k_last, batch) for regime in ("prompt-chain", "unet-chain")
@@ -1061,6 +1086,29 @@ class TestRunTraining:
         assert state_digest(reloaded) == state_digest(state_out)
         assert os.path.exists(os.path.join(out_dir, "checkpoint_000002.rcpt"))
         assert os.path.exists(os.path.join(out_dir, "checkpoint_000004.rcpt"))
+
+    def test_unet_chain_reads_every_update(self, baseline_state, monkeypatch, tmp_path):
+        # the unet-chain regime replaces the denoiser's tensors after every
+        # iteration, and each iteration's step buffer copies the biases it
+        # is built from: a 2-iteration run at w=3 is the first two rows of
+        # the manifest's 3-iteration run, whose bytes the manifest pins
+        rows, layers = ta.step_rows, []
+
+        def kept_layers(*args):
+            layers.append(args[-1])
+            return rows(*args)
+
+        cfg = test_byte_manifest.RUNS["unet-chain"]
+        assert cfg.chain_cfg_scale == 3.0
+        _, full = run_training(cfg, baseline_state, out_dir=str(tmp_path))
+        assert (test_byte_manifest._file_digest(tmp_path / "metrics.csv")
+                == test_byte_manifest._manifest()["entries"]["unet-chain/metrics.csv"])
+        monkeypatch.setattr(ta, "step_rows", kept_layers)
+        _, short = run_training(dataclasses.replace(cfg, iterations=2), baseline_state)
+        assert short.rows == full.rows[:2]
+        first, second = layers
+        assert all(b.data.tobytes() != b_next.data.tobytes()
+                   for (_, b), (_, b_next) in zip(first, second))
 
     def test_prompt_chain_updates_text_only(self, baseline_state):
         cfg = TrainConfig(regime="prompt-chain", n_steps=3, k_last=2,

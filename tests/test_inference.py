@@ -419,6 +419,18 @@ class TestWalkFailures:
             with pytest.raises(RuntimeWarning, match="overflow encountered in cast"):
                 self._walk(den, z=Tensor(np.full(16, 10.0)), sampler=sampler)
 
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    @pytest.mark.parametrize("sampler", ["ddim", "euler"])
+    def test_overflowing_hidden_product_warns(self, baseline_denoiser, sampler, w):
+        # a hidden layer's product overflows the cast to the working dtype:
+        # the exp's saturation is silenced, this cast's overflow is not
+        den = dataclasses.replace(baseline_denoiser,
+                                  w2=Tensor(np.full(baseline_denoiser.w2.shape, 3e38)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow encountered in cast"):
+                self._walk(den, w=w, sampler=sampler)
+
     @pytest.mark.parametrize("w", [-1.0, math.nan, math.inf])
     def test_bad_guidance_scale(self, baseline_denoiser, w):
         with pytest.raises(ValueError,

@@ -1178,6 +1178,69 @@ def test_fused_ops_reject_bad_operands():
 
 
 # ---------------------------------------------------------------------------
+# ``mlp_kernel`` over a workspace kept across calls, as a walk keeps one: the
+# bias copies it holds add as the bias itself does
+
+
+def _kernel_layers(data, batch, n, dtype):
+    """Input shape and layers for ``mlp_kernel`` in ``dtype``; each
+    bias is one row, a row per input row (with a batch), or one row kept in
+    float64."""
+    shape = (lambda k: (batch, k)) if batch else (lambda k: (k,))
+    sizes = [n] + data.draw(st.lists(_DIMS, min_size=1, max_size=3))
+    kinds = ["row", "float64"] + (["rows"] if batch else [])
+    layers = []
+    for m, k in zip(sizes, sizes[1:]):
+        kind = data.draw(st.sampled_from(kinds))
+        w = Tensor(data.draw(_values((m, k), -1.0, 1.0)))
+        b = data.draw(_values(shape(k) if kind == "rows" else k))
+        with ta.default_dtype(np.float64 if kind == "float64" else dtype):
+            layers.append((w, Tensor(b)))
+    return shape(n), layers
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("act", ["silu", "tanh"])
+@pytest.mark.parametrize("batch", [None] + _BATCHES)
+@_SETTINGS
+@given(data=st.data())
+def test_mlp_kernel_kept_workspace_bitwise(dtype, act, batch, data):
+    with ta.default_dtype(dtype):
+        shape, layers = _kernel_layers(data, batch, data.draw(_LENGTHS), dtype)
+        work = ta._mlp_work(shape, layers)
+        for _ in range(3):
+            x = data.draw(_values(shape)).astype(dtype)
+            got = ta.mlp_kernel([x], layers, act, work=work)
+            assert got.dtype == dtype and got.shape == shape[:-1] + layers[-1][0].shape[1:]
+            assert got.tobytes() == ta.mlp_kernel([x], layers, act).tobytes()
+            assert got.tobytes() == _chain_mlp([Tensor(x)], layers, act).data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [None, 3])
+@_SETTINGS
+@given(data=st.data())
+def test_mlp_kernel_kept_workspace_traps_non_finite_product(dtype, batch, data):
+    # a non-finite input makes the first product non-finite (inf * 0 is a
+    # nan NumPy warns of): under debug_checks the kept workspace traps it as
+    # the chain's linear does, and the next call through it is a fresh
+    # workspace's
+    with ta.default_dtype(dtype):
+        shape, layers = _kernel_layers(data, batch, data.draw(_LENGTHS), dtype)
+        work = ta._mlp_work(shape, layers)
+        bad = data.draw(_values(shape)).astype(dtype)
+        bad.reshape(-1)[data.draw(st.integers(0, bad.size - 1))] = np.inf
+        with ta.debug_checks(), np.errstate(invalid="ignore"):
+            for run in (lambda: ta.mlp_kernel([bad], layers, "silu", work=work),
+                        lambda: _chain_mlp([Tensor(bad)], layers, "silu")):
+                with pytest.raises(ta.AutodiffError, match="non-finite"):
+                    run()
+            x = data.draw(_values(shape)).astype(dtype)
+            got = ta.mlp_kernel([x], layers, "silu", work=work)
+            assert got.tobytes() == ta.mlp_kernel([x], layers, "silu").tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the fused reward ops against the op chains they stand for: forward bytes,
 # the bytes of every leaf's gradient and of a tap on each operand, f32 and
 # f64, 1-D and (B, n) operands, each operand needing a gradient or not (a
