@@ -6,7 +6,8 @@ Three regimes over the frozen pieces of the pipeline:
   and push the reward gradient into the text encoder.
 - prompt-chain: run the full N-step sampler from pure noise on a prompt,
   backpropagate the reward through the last K denoising steps (earlier steps
-  detached), each recorded step one node, replayed in backward but the last.
+  detached), each recorded step one node that recomputes its activations in
+  backward, all but the last.
 - unet-chain: the same chain, but gradients land on the denoiser while the
   (already fine-tuned) text encoder stays frozen.
 
@@ -25,14 +26,7 @@ import numpy as np
 
 from . import tensorad as ta
 from .data import make_prompt_sets, sample_pair
-from .models import (
-    DenoiserParams,
-    denoise,
-    merged_state,
-    model_from_state,
-    save_checkpoint,
-    text_encode_rows,
-)
+from .models import denoise, merged_state, model_from_state, save_checkpoint, text_encode_rows
 from .inference import step_buffer, step_table, walk_steps
 from .rewards import READOUT_COLUMNS, RewardSpec, clip_entries, combined_loss, readout_means
 from .schedule import (
@@ -211,14 +205,6 @@ class StepResult:
     step_grad_norms: list  # per item: |dL/dz| entering each recorded step
 
 
-def _segment_step(temb, pairs, cfg, buffer):
-    def step(z_in, c_in, *den):
-        den = DenoiserParams(*den)
-        return ta.mlp_step(z_in, c_in, den.null_cond, temb, den.layers(), cfg, pairs, buffer)
-
-    return step
-
-
 def collect_grads(named, leaf_grads):
     """Gradients of the name -> tensor map ``named``, keyed by name, from the
     tensor id -> gradient map this step's ``ta.backward`` returned; the one
@@ -301,14 +287,12 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
     The B items walk as one (B, D) latent under the (B, C) conditioning of
     their taped prompt encodes, with one ``step_table`` for all N steps,
     built by a run's first iteration and shared by the rest. One detached
-    walk runs the first N-1 steps and keeps the latents entering the last K,
-    so the gradient counts exactly the dependence through the recorded
-    suffix. Each of the last K steps but the final one is a segment over the
-    batch whose output is the walk's, replayed as one ``ta.mlp_step``; the
-    final step is one ``ta.mlp_step`` node, and its output the x_hat rows.
-    The walk, the final step and every replay share one step buffer: the
-    sweep reads the final step's saved arrays before the first replay
-    writes the buffer, and each replay's before the next one runs.
+    walk runs the first N-K steps, so the gradient counts exactly the
+    dependence through the recorded suffix. Each of the last K steps is one
+    ``ta.mlp_step`` node over the batch, and the last one's output the
+    x_hat rows. The walk and every recorded step share one step buffer: in
+    backward the last step reads its activations from the buffer as they
+    are, and each earlier one first recomputes its own (``ta.mlp_step``).
     """
     if not prompts:
         raise ValueError("empty prompt batch")
@@ -320,18 +304,16 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
         raise ValueError(f"need 1 <= K <= {n} recorded steps, got K={k_last}")
     split = n - k_last
     z0 = Tensor(np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in z_inits]))
-    den = denoiser.tensors()
+    layers = denoiser.layers()
 
     def chain(c):
         steps, cfg = step_table(denoiser, transitions, z0, c, w, sampler, sched)
         buffer = step_buffer(denoiser, z0.data, c.data, cfg)
-        walked = walk_steps(denoiser, steps[:-1], z0.data, c.data, cfg, k_last, buffer)
-        z = Tensor(walked[0])
-        taps = [z.id]
-        for (temb, pairs), out in zip(steps[split:], walked[1:]):
-            z = ta.checkpoint_segment(_segment_step(temb, pairs, cfg, buffer), (z, c) + den, out)
+        z, taps = Tensor(walk_steps(denoiser, steps[:split], z0.data, cfg, buffer)), []
+        for temb, pairs in steps[split:]:
             taps.append(z.id)
-        return _segment_step(*steps[-1], cfg, buffer)(z, c, *den), taps
+            z = ta.mlp_step(z, c, denoiser.null_cond, temb, layers, cfg, pairs, buffer)
+        return z, taps
 
     return _reward_step(trainable, prompts, chain, text_params, image_params, world, spec)
 

@@ -87,7 +87,7 @@ def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     if not transitions:
         return z.data
     steps, cfg = step_table(denoiser, transitions, z, c, w, sampler, sched)
-    return walk_steps(denoiser, steps, z.data, c.data, cfg)[0]
+    return walk_steps(denoiser, steps, z.data, cfg, step_buffer(denoiser, z.data, c.data, cfg))
 
 
 def step_buffer(denoiser, z, c, cfg):
@@ -97,21 +97,17 @@ def step_buffer(denoiser, z, c, cfg):
                         denoiser.layers())
 
 
-def walk_steps(denoiser, steps, z, c, cfg, keep=1, buffer=None):
-    """``walk_chain`` of the arrays ``z`` and ``c`` down ``step_table``
-    entries; checks nothing. Returns the last ``keep`` latents of the walk,
-    ``z`` counted as its first, in ``z``'s shape; each step's latent is a
-    fresh array, never a view of the buffer. The ``step_buffer``, with its
-    conditioning columns and the dense stack's workspace, serves every
-    step: ``buffer``, or one made for this walk when None. A buffer made
-    for other layer Tensors than the denoiser's raises AutodiffError."""
+def walk_steps(denoiser, steps, z, cfg, buffer):
+    """``walk_chain`` of the array ``z`` down ``step_table`` entries in the
+    ``step_buffer`` ``buffer``, whose conditioning columns and dense-stack
+    workspace serve every step; checks nothing. Returns the last latent in
+    ``z``'s shape, a fresh array, never a view of the buffer (a view of
+    ``z`` for no steps). A buffer made for other layer Tensors than the
+    denoiser's raises AutodiffError."""
     shape, layers = z.shape, denoiser.layers()
-    if buffer is None:
-        buffer = step_buffer(denoiser, z, c, cfg)
-    zs = [z]
     for temb, pairs in steps:
-        zs.append(ta.mlp_step_kernel(buffer, zs[-1], temb, layers, cfg, pairs))
-    return [z.reshape(shape) for z in zs[-keep:]]
+        z = ta.mlp_step_kernel(buffer, z, temb, layers, cfg, pairs)
+    return z.reshape(shape)
 
 
 def start_noise(seed, d):

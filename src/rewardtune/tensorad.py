@@ -14,10 +14,9 @@ Checkpoint segments keep memory flat on long denoising chains: at record
 time a segment's interior nodes are discarded and replaced by one node
 holding only the boundary tensors; during backward the segment function is
 replayed to rebuild the interior, which must reproduce the recorded op count
-exactly, or, for a segment whose output a detached walk computed (no first
-pass), that output byte for byte. Because the replay performs the identical
-arithmetic in the identical order, checkpointed gradients are bit-for-bit
-equal to un-checkpointed ones.
+exactly. Because the replay performs the identical arithmetic in the
+identical order, checkpointed gradients are bit-for-bit equal to
+un-checkpointed ones.
 
 Three fused ops record one node where a chain of the primitives would
 record several, and are bit for bit that chain, forward and backward:
@@ -39,9 +38,11 @@ reuses it for every step; the buffer also keeps views of the columns a
 step writes and of the guidance halves it reads, so a step issues only its
 arithmetic. A taped ``mlp`` makes one per call, so the arrays a node keeps
 are its own. A taped ``mlp_step`` does too unless given a buffer to share:
-a fine-tune step shares one between its walk, its last recorded step and
-every replay, and the step's backward checks that no other step wrote it
-in between.
+a fine-tune step shares one between its walk and every recorded step, and
+a recorded step whose buffer another step wrote since its forward reruns
+its kernel from its input latent in backward, so the buffer holds its
+activations again: the same recompute a checkpoint segment's replay makes,
+with no node recorded.
 
 Three more fused ops stand for the reward arithmetic the same way:
 ``cosine_similarity`` (``dot``, ``sqrt``, ``mul``, ``div``),
@@ -308,23 +309,22 @@ class TapeNode:
 
 class SegmentNode:
     """Placeholder for a checkpointed segment: keeps boundary tensors and the
-    segment function, never interior activations. Its replay must match
-    ``expect``: the first pass's op count, or a walked segment's output
-    (shape, bytes)."""
+    segment function, never interior activations."""
 
-    __slots__ = ("op", "fn", "inputs", "out_ids", "expect")
+    __slots__ = ("op", "fn", "inputs", "out_ids", "recorded_len")
 
-    def __init__(self, fn, inputs, out_ids, expect):
+    def __init__(self, fn, inputs, out_ids, recorded_len):
         self.op = "segment"
         self.fn = fn
         self.inputs = inputs
         self.out_ids = out_ids
-        self.expect = expect
+        self.recorded_len = recorded_len
 
 
 class TapeStats:
     """Counts op-produced tensors, and the arrays fused ops keep, currently
-    retained for backward.
+    retained for backward: each once however many nodes keep it (the K
+    recorded steps of a fine-tune chain keep the arrays of one buffer).
 
     Boundary tensors of this tape's checkpoint segments (their ids in
     ``boundary``) and leaf parameters are excluded, so ``peak_live_interior``
@@ -340,37 +340,35 @@ class TapeStats:
         self.live_interior = 0
         self.peak_live_interior = 0
 
-    def note(self, saved):
-        """Count a new node's saved values: a tensor once however many nodes
-        keep it, an array (a fused op's own intermediate) once per node."""
+    def _keys(self, saved):
+        """The counted values of ``saved``: an interior tensor by its id, an
+        array by its object id negated, apart from every tensor id."""
         for t in saved:
             if type(t) is np.ndarray:
-                self.live_interior += 1
-                continue
-            if not t._from_op or t.id in self.boundary:
-                continue
-            n = self._refs.get(t.id, 0)
-            self._refs[t.id] = n + 1
+                yield ~id(t)
+            elif t._from_op and t.id not in self.boundary:
+                yield t.id
+
+    def note(self, saved):
+        """Count a new node's saved values."""
+        refs = self._refs
+        for key in self._keys(saved):
+            n = refs.get(key, 0)
+            refs[key] = n + 1
             if n == 0:
                 self.live_interior += 1
         if self.live_interior > self.peak_live_interior:
             self.peak_live_interior = self.live_interior
 
     def release(self, saved):
-        for t in saved:
-            if type(t) is np.ndarray:
-                self.live_interior -= 1
-                continue
-            if not t._from_op or t.id in self.boundary:
-                continue
-            n = self._refs.get(t.id)
-            if n is None:
-                continue
+        refs = self._refs
+        for key in self._keys(saved):
+            n = refs.get(key)
             if n == 1:
-                del self._refs[t.id]
+                del refs[key]
                 self.live_interior -= 1
-            else:
-                self._refs[t.id] = n - 1
+            elif n is not None:
+                refs[key] = n - 1
 
 
 class Tape:
@@ -383,7 +381,7 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-        self._uses = {}  # leaf id -> nodes that read it, replays and walked-segment marks included
+        self._uses = {}  # leaf id -> nodes that read it, replays included
         self._target = self.nodes
         self._guard = None  # (allowed boundary ids, id watermark) inside a segment
         self._used = False
@@ -1357,9 +1355,11 @@ class _StepRows(tuple):
     """A ``step_rows`` buffer, the tuple (rows, stack, work), with the views
     a step writes and reads: ``latent`` and ``temb``, the rows' latent and
     time-embedding columns, and ``halves``, the cond and uncond rows of the
-    last layer's output (None without guidance); and its ``writer``: the
-    token of the taped ``mlp_step`` whose node keeps the buffer's arrays,
-    None once a step that keeps nothing has written it."""
+    last layer's output (None without guidance); ``c`` and ``null``, the
+    conditioning arrays written into its rows (``null`` None without
+    guidance); and its ``writer``: the token of the taped ``mlp_step``
+    whose activations the buffer holds, None once a step that keeps
+    nothing has written it."""
 
     writer = None
 
@@ -1370,8 +1370,8 @@ def step_rows(z, c, null, layers):
     written, c's over ``null``'s, their (2B, width) stack, or without
     ``null``, ``z``'s rows twice, and the stack's ``_mlp_work`` workspace,
     which serves those layers alone. A detached walk makes one per walk, a
-    fine-tune step one for its walk and every recorded step (``mlp_step``'s
-    ``buffer``), and any other taped step one per call."""
+    fine-tune step one for its walk and all its recorded steps
+    (``mlp_step``'s ``buffer``), and any other taped step one per call."""
     width, d, n = layers[0][0].data.shape[0], z.shape[-1], len(z) if z.ndim == 2 else 1
     if null is None:
         rows = np.empty(z.shape[:-1] + (width,), _STATE.dtype)
@@ -1387,6 +1387,7 @@ def step_rows(z, c, null, layers):
     buffer.latent, buffer.temb = rows[..., :d], rows[..., d:width - c.shape[-1]]
     eps = work[-1][4]  # the last layer's output
     buffer.halves = None if null is None else (eps[:n], eps[n:])
+    buffer.c, buffer.null = c, null
     return buffer
 
 
@@ -1415,12 +1416,13 @@ def _bw_mlp_step(g, saved, ctx):
     """Yields the gradients as the chain's sweep gives them: the sampler
     pairs last first (eps adds ``g * b`` terms, z takes ``g * a`` products),
     the guidance split, ``_bw_mlp`` over the uncond rows, then the cond rows.
-    Raises when another step has written the buffer the saved arrays live
-    in since this node's forward."""
-    pairs, cfg, blocks, ws, branches, buffer, writer = ctx
+    When another step has written the buffer the saved arrays live in since
+    this node's forward, it first reruns ``mlp_step_kernel`` from the node's
+    input latent, which writes the same bits into the same arrays."""
+    pairs, cfg, blocks, ws, branches, buffer, writer, z, temb = ctx
     if buffer.writer is not writer:
-        raise AutodiffError("backward of 'mlp_step': another step wrote its step buffer "
-                            "after it, over the activations it saved")
+        mlp_step_kernel(buffer, z, temb, buffer[2].layers, cfg, pairs)
+        buffer.writer = writer
     ge = None
     for a, b in reversed(pairs):
         ge = g * b if ge is None else ge + g * b
@@ -1442,15 +1444,18 @@ def mlp_step(z, c, null, temb, layers, cfg, pairs, buffer=None):
     chain's sweep gives them gradients in: each leaf is counted and folded
     as there, and a branch that needs nothing gets nothing.
 
-    ``buffer`` is a ``step_rows`` buffer made for ``c``, ``null`` and
-    ``layers``, or None for a fresh one. The node keeps arrays of the
-    buffer and becomes its writer, so a shared buffer serves several
-    recorded steps only when each is swept before the next one writes it;
-    the backward of a step whose buffer another step wrote since raises
-    AutodiffError."""
+    ``buffer`` is a ``step_rows`` buffer made for ``c``'s and ``null``'s
+    arrays (``null``'s only under guidance) and ``layers``, or None for a
+    fresh one; any other conditioning raises AutodiffError, as other layers
+    do. The node keeps arrays of the buffer, and its input latent to
+    recompute them: steps that share a buffer each get their own
+    activations back in backward, the last one written as it is, each
+    earlier one by one rerun of the kernel."""
     z, c = _as_tensor(z), _as_tensor(c)
     if buffer is None:
         buffer = step_rows(z.data, c.data, None if cfg is None else null.data, layers)
+    elif c.data is not buffer.c or (None if cfg is None else null.data) is not buffer.null:
+        raise AutodiffError("mlp_step: a step buffer used with a conditioning other than its own")
     xs, pres = [], []
     out = mlp_step_kernel(buffer, z.data, temb, layers, cfg, pairs, xs, pres).reshape(z.shape)
     if _active_tape() is None:
@@ -1460,7 +1465,7 @@ def mlp_step(z, c, null, temb, layers, cfg, pairs, buffer=None):
              for cond in ((c,) if cfg is None else (null, c))]
     buffer.writer = object()
     ctx = (pairs, cfg, (2,) + z.shape[:-1] + (-1,), [w for w, _ in layers], [n[1] for n in nodes],
-           buffer, buffer.writer)
+           buffer, buffer.writer, z.data, temb)
     return _trace("mlp_step", (z, *(i for n in nodes for i in n[0])), out, (*xs, *pres), ctx,
                   _bw_mlp_step)
 
@@ -1601,14 +1606,13 @@ def _sweep_segment(tape, node, grads, taps, tap_set):
         return
     outs, scratch = _run_segment(tape, node.fn, node.inputs)
     outs = outs if isinstance(outs, tuple) else (outs,)
+    if len(scratch) != node.recorded_len:
+        raise AutodiffError(
+            f"checkpoint replay recorded {len(scratch)} ops, expected {node.recorded_len}; "
+            "segment function is not pure"
+        )
     if len(outs) != len(node.out_ids):
         raise AutodiffError("checkpoint replay returned a different number of outputs")
-    if type(node.expect) is int:
-        got, what = len(scratch), f"recorded {len(scratch)} ops, expected {node.expect}"
-    else:
-        got, what = (outs[0].shape, outs[0].data.tobytes()), "differs from the walked output"
-    if got != node.expect:
-        raise AutodiffError(f"checkpoint replay {what}; segment function is not pure")
     for g, replayed in zip(g_outs, outs):
         if g is None:
             continue
@@ -1634,19 +1638,14 @@ def _release(tape, scratch):
             tape.stats.release(node.saved)
 
 
-def checkpoint_segment(fn, inputs, walked=None):
+def checkpoint_segment(fn, inputs):
     """Run ``fn(*inputs)`` recording only the segment boundary.
 
     ``fn`` must be a pure function of the declared boundary input tensors; it
     is re-executed during backward and must replay the identical op sequence
     (asserted via the recorded op count). With no active tape this is a plain
-    call.
-
-    ``walked``, ``fn``'s one output as a detached walk computed it, takes
-    the first pass's place: it is the output, and the replay must give it
-    byte for byte, not the op count. Each boundary leaf that needs a
-    gradient gets one use mark, so the sweep keeps the row terms of a leaf
-    the replay reads, as a first pass's count (two with its replay) does.
+    call. The fine-tune chain does without it: its recorded steps are
+    ``mlp_step`` nodes that recompute their own activations.
     """
     inputs = tuple(inputs)
     for t in inputs:
@@ -1658,24 +1657,16 @@ def checkpoint_segment(fn, inputs, walked=None):
     tape._check_guard("segment", inputs)
     boundary = tape.stats.boundary
     boundary.update(t.id for t in inputs)
-    if walked is None:
-        outs, scratch = _run_segment(tape, fn, inputs)
-        outs_t = outs if isinstance(outs, tuple) else (outs,)
-        if not all(isinstance(o, Tensor) for o in outs_t):
-            raise AutodiffError("checkpoint_segment: outputs must be Tensors")
-        # release before the outputs become boundaries: an output the segment's
-        # last op saved (tanh, exp, ...) was counted as interior while fn ran
-        _release(tape, scratch)
-        record, expect = scratch, len(scratch)
-    else:
-        outs = Tensor._wrap(walked, any(t._needs for t in inputs))
-        outs_t, record, expect = (outs,), outs._needs, (outs.shape, outs.data.tobytes())
-        for t in inputs:
-            if t._needs and not t._from_op:
-                tape._uses[t.id] = tape._uses.get(t.id, 0) + 1
+    outs, scratch = _run_segment(tape, fn, inputs)
+    outs_t = outs if isinstance(outs, tuple) else (outs,)
+    if not all(isinstance(o, Tensor) for o in outs_t):
+        raise AutodiffError("checkpoint_segment: outputs must be Tensors")
+    # release before the outputs become boundaries: an output the segment's
+    # last op saved (tanh, exp, ...) was counted as interior while fn ran
+    _release(tape, scratch)
     boundary.update(o.id for o in outs_t)
-    if record:
-        tape._target.append(SegmentNode(fn, inputs, tuple(o.id for o in outs_t), expect))
+    if scratch:
+        tape._target.append(SegmentNode(fn, inputs, tuple(o.id for o in outs_t), len(scratch)))
     return outs
 
 

@@ -6,6 +6,8 @@ the same two of the golden 500-iteration tune (criterion 4's), and the output tr
 ``evaluate`` on the baseline checkpoint. Each test recomputes one entry and
 compares it with the committed digest, so a change that moves a single bit
 of any of them fails here by name, not only within one commit (criterion 9).
+One more test reruns the three short regime runs in a subprocess with
+OpenBLAS limited to one thread, against the same digests.
 A mismatch is never skipped; the message names the entry, the old digest,
 the new one, and the NumPy version and BLAS core the manifest was made on.
 
@@ -20,6 +22,7 @@ import glob
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -74,16 +77,24 @@ def _file_digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def run_entries(baseline_state, work, names):
+    """The state and ``metrics.csv`` entries of the ``RUNS`` named in
+    ``names``, each trained from the baseline state into ``work``/name."""
+    entries = {}
+    for name in names:
+        state, _ = run_training(RUNS[name], baseline_state, out_dir=str(Path(work) / name))
+        entries[f"{name}/state"] = state_digest(state)
+        entries[f"{name}/metrics.csv"] = _file_digest(Path(work) / name / "metrics.csv")
+    return entries
+
+
 def compute_entries(baseline_state, ckpt, work):
     """Every manifest entry's digest, from the baseline state, its
     checkpoint file ``ckpt`` (named ``baseline.rcpt``, the model name
     ``evaluate`` reports) and a scratch directory ``work``."""
     work = Path(work)
     entries = {"baseline_state": state_digest(baseline_state)}
-    for regime, cfg in RUNS.items():
-        state, _ = run_training(cfg, baseline_state, out_dir=str(work / regime))
-        entries[f"{regime}/state"] = state_digest(state)
-        entries[f"{regime}/metrics.csv"] = _file_digest(work / regime / "metrics.csv")
+    entries.update(run_entries(baseline_state, work, RUNS))
     tuned = str(work / "prompt-chain" / "model.rcpt")
     commands = {
         "sample": ["sample", "--checkpoint", ckpt, "--prompt", "1 2", "--w", "3",
@@ -127,6 +138,27 @@ def test_entry_bytes_unchanged(name, computed):
     assert new == old, (
         f"byte manifest entry {name!r} moved: {old} -> {new} (manifest made on NumPy "
         f"{manifest['numpy']}, {manifest['blas']}; here NumPy {np.__version__}, {_blas_core()})")
+
+
+def test_short_runs_unchanged_on_one_blas_thread(baseline_ckpt, tmp_path):
+    # the bytes do not depend on how many threads OpenBLAS runs: a fresh
+    # process limited to one retrains the three short runs from the
+    # baseline checkpoint and gets the committed digests
+    script = ("import json, sys\n"
+              "from rewardtune.models import load_checkpoint\n"
+              "from test_byte_manifest import run_entries\n"
+              "print(json.dumps(run_entries(load_checkpoint(sys.argv[1]), sys.argv[2], "
+              "sys.argv[3:])))")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    names = ["prompt-chain", "unet-chain", "direct"]
+    proc = subprocess.run([sys.executable, "-c", script, baseline_ckpt, str(tmp_path), *names],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    manifest = _manifest()["entries"]
+    got = json.loads(proc.stdout)
+    assert got == {name: manifest[name] for name in got} and len(got) == 2 * len(names)
 
 
 if __name__ == "__main__":

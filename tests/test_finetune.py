@@ -14,7 +14,6 @@ import os
 import numpy as np
 import pytest
 
-from rewardtune import finetune
 from rewardtune import tensorad as ta
 from rewardtune.data import make_world, sample_pair
 from rewardtune.finetune import (
@@ -526,25 +525,20 @@ class TestChainStep:
 
     @pytest.mark.parametrize("w", [1.0, 3.0])
     @pytest.mark.parametrize("regime", ["prompt-chain", "unet-chain"])
-    def test_each_segment_records_one_node(self, baseline_world, baseline_text,
-                                           baseline_image, baseline_denoiser, monkeypatch,
-                                           regime, w):
-        # the forward is one detached walk over the first N-1 steps in one
-        # buffer; each of the first K-1 recorded steps is a segment with no
-        # first pass, whose replay captures one node, and the last recorded
-        # step is one node on the tape, swept without a replay
-        phase, captured, walked, buffers, tapes = ["forward"], [], [], [], []
-        run_segment, kernel, rows, backward = (ta._run_segment, ta.mlp_step_kernel,
-                                               ta.step_rows, ta.backward)
-
-        def counted(tape, fn, inputs):
-            outs, scratch = run_segment(tape, fn, inputs)
-            captured.append((phase[0], [node.op for node in scratch]))
-            return outs, scratch
+    def test_each_recorded_step_is_one_node(self, baseline_world, baseline_text,
+                                            baseline_image, baseline_denoiser, monkeypatch,
+                                            regime, w):
+        # the forward is one detached walk over the first N-K steps in one
+        # buffer, then K mlp_step nodes on that buffer; in backward the last
+        # step reads its activations as the buffer holds them, and each
+        # earlier one reruns its kernel once
+        phase, kernels, buffers, tapes = ["forward"], [], [], []
+        kernel, rows, backward = ta.mlp_step_kernel, ta.step_rows, ta.backward
 
         def kernel_call(buffer, *args):
-            if len(args) == 5:  # a detached step keeps no arrays for a node
-                walked.append((phase[0], id(buffer)))
+            # a recorded step passes the lists its node keeps; a walk step
+            # and a recompute keep nothing
+            kernels.append((phase[0], "recorded" if len(args) == 7 else "detached", id(buffer)))
             return kernel(buffer, *args)
 
         def rows_call(*args):
@@ -560,8 +554,8 @@ class TestChainStep:
                 super().__init__()
                 tapes.append(self)
 
-        for name, fn in [("_run_segment", counted), ("mlp_step_kernel", kernel_call),
-                         ("step_rows", rows_call), ("backward", marked), ("Tape", Recorded)]:
+        for name, fn in [("mlp_step_kernel", kernel_call), ("step_rows", rows_call),
+                         ("backward", marked), ("Tape", Recorded)]:
             monkeypatch.setattr(ta, name, fn)
         trainable, step = ((baseline_text, prompt_finetune_step) if regime == "prompt-chain"
                            else (baseline_denoiser, unet_finetune_step))
@@ -572,44 +566,39 @@ class TestChainStep:
         step(trainable, frozen, baseline_image, baseline_world, [(1, 2), (4,)], list(z0s),
              make_step_plan(n), k, make_schedule("linear-beta", 1000), RewardSpec.default(),
              w=w)
-        assert captured == [("backward", ["mlp_step"])] * (k - 1)
-        assert walked == [("forward", walked[0][1])] * (n - 1)
-        # one buffer for the walk, the recorded last step and every replay
+        # one buffer for the walk, every recorded step and every recompute
         assert buffers == ["forward"]
+        buffer_id = kernels[0][2]
+        assert kernels == ([("forward", "detached", buffer_id)] * (n - k)
+                           + [("forward", "recorded", buffer_id)] * k
+                           + [("backward", "detached", buffer_id)] * (k - 1))
         (tape,) = tapes
         assert [node.op for node in tape.nodes if node.op in ("segment", "mlp_step")] == (
-            ["segment"] * (k - 1) + ["mlp_step"])
-        assert sum(isinstance(node, ta.SegmentNode) for node in tape.nodes) == k - 1
+            ["mlp_step"] * k)
+        assert not any(isinstance(node, ta.SegmentNode) for node in tape.nodes)
 
     @pytest.mark.parametrize("w", [1.0, 3.0])
-    def test_walked_replay_that_differs_from_the_walk_raises(self, baseline_world,
-                                                             baseline_text, baseline_image,
-                                                             baseline_denoiser, monkeypatch,
-                                                             w):
-        # a segment's output comes from the detached walk; a replay whose
-        # step function changed after the forward must not sweep a gradient
-        # through a latent the forward never had
-        backward, segment_step = ta.backward, finetune._segment_step
-        phase = ["forward"]
+    @pytest.mark.parametrize("regime", ["prompt-chain", "unet-chain"])
+    def test_live_interior_constant_in_k(self, baseline_state, monkeypatch, regime, w):
+        # the K recorded steps keep the arrays of one buffer, so a training
+        # step holds as many interior values at once whatever K is
+        tapes = []
 
-        def perturbed(temb, pairs, cfg, buffer):
-            step = segment_step(temb, pairs, cfg, buffer)
-            late = segment_step(temb, [(a, np.nextafter(b, b + 1)) for a, b in pairs], cfg, buffer)
-            return lambda *args: (step if phase[0] == "forward" else late)(*args)
+        class Recorded(ta.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
 
-        def marked(*args, **kwargs):
-            phase[0] = "backward"
-            return backward(*args, **kwargs)
-
-        monkeypatch.setattr(finetune, "_segment_step", perturbed)
-        monkeypatch.setattr(ta, "backward", marked)
-        baseline_text.set_requires_grad(True)
-        z0 = np.random.default_rng(9).standard_normal(16).astype(np.float32)
-        with pytest.raises(ta.AutodiffError, match="differs from the walked output"):
-            prompt_finetune_step(baseline_text, baseline_denoiser, baseline_image,
-                                 baseline_world, [(1, 2)], [z0], make_step_plan(4), 3,
-                                 make_schedule("linear-beta", 1000), RewardSpec.default(),
-                                 w=w)
+        monkeypatch.setattr(ta, "Tape", Recorded)
+        n, peaks = 6, []
+        for k_last in range(1, n + 1):
+            tapes.clear()
+            run_training(TrainConfig(regime=regime, n_steps=n, k_last=k_last, batch_size=2,
+                                     chain_cfg_scale=w, iterations=1), baseline_state)
+            (tape,) = tapes
+            assert sum(node.op == "mlp_step" for node in tape.nodes) == k_last
+            peaks.append(tape.stats.peak_live_interior)
+        assert peaks == [peaks[0]] * n, peaks
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("k_last", [1, 2, 4])
@@ -631,16 +620,18 @@ class TestChainStep:
         assert calls == [(batch, 16)] * 2
 
     @pytest.mark.parametrize("w", [1.0, 3.0])
-    def test_steps_sharing_a_buffer_on_one_tape_raise(self, baseline_text, baseline_denoiser,
-                                                      w):
-        # two recorded steps on one plain tape writing one buffer: the second
-        # overwrites the activations the first saved, so the first one's
-        # backward refuses to read them; with a buffer each, the tape is fine
+    def test_steps_sharing_a_buffer_on_one_tape_match_a_buffer_each(self, baseline_text,
+                                                                    baseline_denoiser, w):
+        # three recorded steps on one plain tape writing one buffer: each
+        # later step overwrites the activations an earlier one saved, so the
+        # earlier ones recompute theirs in backward, and every gradient has
+        # the bytes of a tape whose steps have a buffer each
         den, sched = baseline_denoiser, make_schedule("linear-beta", 1000)
+        den.set_requires_grad(True)
         with ta.pause_recording():
             c = text_encode_rows(baseline_text, [(1, 2), (5,)])
         z0 = Tensor(np.random.default_rng(4).standard_normal((2, 16)), requires_grad=True)
-        steps, cfg = step_table(den, make_step_plan(2).transitions(), z0, c, w, "ddim", sched)
+        steps, cfg = step_table(den, make_step_plan(3).transitions(), z0, c, w, "ddim", sched)
 
         def run(buffer):
             z = z0
@@ -648,11 +639,36 @@ class TestChainStep:
                 for temb, pairs in steps:
                     z = ta.mlp_step(z, c, den.null_cond, temb, den.layers(), cfg, pairs, buffer)
                 loss = ta.tensor_sum(z)
-            return ta.backward(tape, loss)
+            grads = ta.backward(tape, loss)
+            return {i: g.tobytes() for i, g in grads.items()}
 
-        assert z0.id in run(None)
-        with pytest.raises(ta.AutodiffError, match="another step wrote its step buffer"):
-            run(step_buffer(den, z0.data, c.data, cfg))
+        each = run(None)
+        assert z0.id in each and den.w1.id in each
+        assert run(step_buffer(den, z0.data, c.data, cfg)) == each
+
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    def test_buffer_used_with_other_conditioning_raises(self, baseline_text, baseline_denoiser,
+                                                        w):
+        # a step buffer's conditioning columns are written once, when it is
+        # made; a taped step given another conditioning refuses the buffer
+        # instead of stepping under the one the buffer holds
+        den, sched = baseline_denoiser, make_schedule("linear-beta", 1000)
+        with ta.pause_recording():
+            c1 = text_encode_rows(baseline_text, [(1, 2), (5,)])
+            c2 = text_encode_rows(baseline_text, [(3,), (4, 6)])
+        z0 = Tensor(np.random.default_rng(4).standard_normal((2, 16)), requires_grad=True)
+        ((temb, pairs),), cfg = step_table(den, make_step_plan(1).transitions(), z0, c1, w,
+                                           "ddim", sched)
+        buffer = step_buffer(den, z0.data, c1.data, cfg)
+        nulls = [Tensor(den.null_cond.data.copy())] if cfg is not None else []
+        for c, null in [(c2, den.null_cond), *((c1, other) for other in nulls)]:
+            with ta.Tape(), pytest.raises(ta.AutodiffError, match="conditioning other than"):
+                ta.mlp_step(z0, c, null, temb, den.layers(), cfg, pairs, buffer)
+        # the buffer still serves its own conditioning, as a fresh one does
+        with ta.Tape():
+            got = ta.mlp_step(z0, c1, den.null_cond, temb, den.layers(), cfg, pairs, buffer)
+            want = ta.mlp_step(z0, c1, den.null_cond, temb, den.layers(), cfg, pairs)
+        assert got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("field", ["b1", "b2", "b3", "w2"])
     @pytest.mark.parametrize("w", [1.0, 3.0])
@@ -669,13 +685,14 @@ class TestChainStep:
         buffer = step_buffer(den, z0.data, c.data, cfg)
         updated = dataclasses.replace(den, **{field: Tensor(getattr(den, field).data * 0.5)})
         with pytest.raises(ta.AutodiffError, match="layers other than its own"):
-            walk_steps(updated, steps, z0.data, c.data, cfg, buffer=buffer)
+            walk_steps(updated, steps, z0.data, cfg, buffer)
         temb, pairs = steps[0]
         with ta.Tape(), pytest.raises(ta.AutodiffError, match="layers other than its own"):
             ta.mlp_step(z0, c, updated.null_cond, temb, updated.layers(), cfg, pairs, buffer)
         # the buffer still serves its own layers, as a fresh one does
-        (got,) = walk_steps(den, steps, z0.data, c.data, cfg, buffer=buffer)
-        assert got.tobytes() == walk_steps(den, steps, z0.data, c.data, cfg)[0].tobytes()
+        got = walk_steps(den, steps, z0.data, cfg, buffer)
+        fresh = step_buffer(den, z0.data, c.data, cfg)
+        assert got.tobytes() == walk_steps(den, steps, z0.data, cfg, fresh).tobytes()
 
     @pytest.mark.parametrize("regime,sampler,w,k_last,batch", [
         ("prompt-chain", "ddim", 1.0, 4, 1),

@@ -551,6 +551,21 @@ def test_binary_node_keeps_only_what_a_needed_gradient_reads():
     np.testing.assert_array_equal(grads[x.id], 2 * grads[y.id])
 
 
+def test_stats_count_an_array_two_nodes_keep_once():
+    # recorded steps that share a buffer keep the same arrays: an array is
+    # live once however many nodes keep it, and stops being live when the
+    # last node that keeps it is released, as a tensor does
+    stats = ta.TapeStats()
+    shared, own = np.zeros(3), np.ones(3)
+    stats.note((shared,))
+    stats.note((shared, own))
+    assert (stats.live_interior, stats.peak_live_interior) == (2, 2)
+    stats.release((shared,))
+    assert stats.live_interior == 2
+    stats.release((shared, own))
+    assert (stats.live_interior, stats.peak_live_interior) == (0, 2)
+
+
 def test_every_backward_rule_is_used():
     # a rule no op names any more is dead code
     tree = ast.parse(inspect.getsource(ta))
@@ -589,26 +604,6 @@ def test_segment_replay_length_mismatch_detected():
         loss = out.sum()
         with pytest.raises(AutodiffError):
             backward(tape, loss)
-
-
-def test_walked_segment_gradient_equals_first_pass_segment():
-    # a segment given its output by a detached walk has no first pass; its
-    # use mark on the leaf it reads keeps the leaf's row terms for the fold,
-    # as a first pass's count does, so the gradient is the same to the bit
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((3, 4)))
-    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    with ta.pause_recording():
-        walked = ta.matmul(x, w).data
-    assert checkpoint_segment(ta.matmul, (x, w), walked).data.tobytes() == walked.tobytes()
-
-    def grad(walk):
-        with Tape() as tape:
-            h = checkpoint_segment(ta.matmul, (x, w), walk)
-            loss = ta.tensor_sum(ta.matmul(h, w))
-        return backward(tape, loss)[w.id]
-
-    assert grad(walked).tobytes() == grad(None).tobytes()
 
 
 def test_segment_without_tape_is_plain_call():
