@@ -189,7 +189,8 @@ def evaluate(checkpoints, prompt_set, plan, w, seeds, *, sampler="ddim",
     """Score one or more checkpoints on a prompt set; returns an EvalReport.
 
     ``checkpoints`` is a merged state dict, a mapping name -> state, or a
-    sequence of (name, state) pairs. Each model is scored against the world
+    sequence of (name, state) pairs, whose names must differ (the report is
+    read by name). Each model is scored against the world
     stored in its own checkpoint. The prompt set must pass
     ``_check_prompt_count``, the experiments' holdout check too. ``seeds``
     needs at least two distinct entries so per-prompt spread is measurable.
@@ -205,6 +206,11 @@ def evaluate(checkpoints, prompt_set, plan, w, seeds, *, sampler="ddim",
     named = _named_states(checkpoints)
     if not named:
         raise ValueError("no checkpoints given")
+    names = [name for name, _ in named]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"model name {name!r} given more than once: a report row "
+                             f"is looked up by name")
     entries = tuple(
         _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched)
         for name, state in named

@@ -27,7 +27,7 @@ import numpy as np
 from . import tensorad as ta
 from .data import make_prompt_sets, sample_pair
 from .models import denoise, merged_state, model_from_state, save_checkpoint, text_encode_rows
-from .inference import step_buffer, step_table, walk_steps
+from .inference import step_table, walk_steps
 from .rewards import READOUT_COLUMNS, RewardSpec, clip_entries, combined_loss, readout_means
 from .schedule import (
     DEFAULT_SCHEDULE,
@@ -285,12 +285,13 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
     only the last K steps.
 
     The B items walk as one (B, D) latent under the (B, C) conditioning of
-    their taped prompt encodes, with one ``step_table`` for all N steps,
-    built by a run's first iteration and shared by the rest. One detached
-    walk runs the first N-K steps, so the gradient counts exactly the
-    dependence through the recorded suffix. Each of the last K steps is one
-    ``ta.mlp_step`` node over the batch, and the last one's output the
-    x_hat rows. The walk and every recorded step share one step buffer: in
+    their taped prompt encodes, with one ``step_table`` for all N steps:
+    its constants built by a run's first iteration and shared by the rest,
+    its step buffer made per iteration from the model as it is then. One
+    detached walk runs the first N-K steps, so the gradient counts exactly
+    the dependence through the recorded suffix. Each of the last K steps is
+    one ``ta.mlp_step`` node over the batch, and the last one's output the
+    x_hat rows. The walk and every recorded step run on that one buffer: in
     backward the last step reads its activations from the buffer as they
     are, and each earlier one first recomputes its own (``ta.mlp_step``).
     """
@@ -304,15 +305,13 @@ def _chain_step(trainable, text_params, denoiser, image_params, world, prompts,
         raise ValueError(f"need 1 <= K <= {n} recorded steps, got K={k_last}")
     split = n - k_last
     z0 = Tensor(np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in z_inits]))
-    layers = denoiser.layers()
 
     def chain(c):
-        steps, cfg = step_table(denoiser, transitions, z0, c, w, sampler, sched)
-        buffer = step_buffer(denoiser, z0.data, c.data, cfg)
-        z, taps = Tensor(walk_steps(denoiser, steps[:split], z0.data, cfg, buffer)), []
+        steps, buffer = step_table(denoiser, transitions, z0, c, w, sampler, sched)
+        z, taps = Tensor(walk_steps(steps[:split], z0.data, buffer)), []
         for temb, pairs in steps[split:]:
             taps.append(z.id)
-            z = ta.mlp_step(z, c, denoiser.null_cond, temb, layers, cfg, pairs, buffer)
+            z = ta.mlp_step(z, temb, pairs, buffer)
         return z, taps
 
     return _reward_step(trainable, prompts, chain, text_params, image_params, world, spec)

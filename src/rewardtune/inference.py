@@ -26,33 +26,37 @@ DEFAULT_LAMBDA_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def guided_step(denoiser, t, t_prev, z, c, w, sampler, sched):
-    """One sampler transition t -> t_prev under guidance scale ``w``, with
-    ``step_table``'s checks.
+    """One sampler transition t -> t_prev under guidance scale ``w``: one
+    ``ta.mlp_step`` on the fresh buffer of a one-transition ``step_table``,
+    with its checks.
 
     The unconditional branch runs only when w != 1, so w=1 is bit-identical
     to conditional-only denoising. ``z`` is one latent or (B, D) rows, in
     either working dtype. Bit for bit ``denoise``, ``denoise`` of the null
     conditioning when w != 1, ``cfg_combine`` and ``sampler_step``,
     forward and backward, but one ``ta.mlp_step`` node when recorded."""
-    ((temb, pairs),), cfg = step_table(denoiser, [(t, t_prev)], z, c, w, sampler, sched)
-    return ta.mlp_step(z, c, denoiser.null_cond, temb, denoiser.layers(), cfg, pairs)
+    ((temb, pairs),), buffer = step_table(denoiser, [(t, t_prev)], z, c, w, sampler, sched)
+    return ta.mlp_step(z, temb, pairs, buffer)
 
 
 def step_table(denoiser, transitions, z, c, w, sampler, sched):
     """The constants of a walk of ``z`` down the non-empty ``transitions``
-    under ``c``, in the working dtype: each transition's (time embedding,
-    sampler (a, b) pairs), and the guidance pair, None at w=1. Checks, in
-    order: the shapes of ``z`` and ``c``, each transition's sampler
-    constants (sampler name, then transition), then ``w``. The shape and
-    ``w`` checks and the guidance pair run per call; the transitions' part
-    is built once per (transitions, sampler, schedule object, working
-    dtype, t_embed) and shared, read-only (``_transition_table``)."""
+    under ``c``, in the working dtype, and the step buffer every step of
+    the walk runs on: each transition's (time embedding, sampler (a, b)
+    pairs), and a fresh ``ta.step_rows`` buffer of ``z``'s shape holding
+    the denoiser's layers and null conditioning as they are now, ``c`` and
+    the guidance pair (None at w=1). Checks, in order: the shapes of ``z``
+    and ``c``, each transition's sampler constants (sampler name, then
+    transition), then ``w``. The shape and ``w`` checks and the buffer run
+    per call; the transitions' part is built once per (transitions,
+    sampler, schedule object, working dtype, t_embed) and shared, read-only
+    (``_transition_table``)."""
     # the parts are [z, time embedding, c]; the embedding has the working
     # dtype. The null branch passes the same checks: C is null_cond's width
     dt = _denoise_parts(denoiser, transitions[0][0], z, c)[1].dtype
     steps = _transition_table(tuple(transitions), sampler, sched, dt, denoiser.t_embed)
     cfg = None if w == 1.0 else tuple([np.asarray(k, dt) for k in cfg_coefficients(w)])
-    return steps, cfg
+    return steps, ta.step_rows(z, ta._as_tensor(c), denoiser.null_cond, cfg, denoiser.layers())
 
 
 @functools.lru_cache(maxsize=64)
@@ -79,34 +83,26 @@ def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
 
     Each step is ``guided_step``'s arithmetic, ``ta.mlp_step_kernel``, on
     plain arrays, with its bits, errors and warnings but no Tensor and no
-    op dispatch: one dense-stack pass over the rows [cond; uncond] of a
-    buffer. The checks are ``step_table``'s, run once, before the first
-    step, whose transitions' constants are shared with every walk of the
-    same key; an empty walk checks nothing. Nothing is recorded, so ``c``
-    may be a taped tensor."""
+    op dispatch: one dense-stack pass over the rows [cond; uncond] of the
+    buffer of one ``step_table``, whose checks run once, before the first
+    step, and whose transitions' constants are shared with every walk of
+    the same key; an empty walk checks nothing. Nothing is recorded, so
+    ``c`` may be a taped tensor."""
     if not transitions:
         return z.data
-    steps, cfg = step_table(denoiser, transitions, z, c, w, sampler, sched)
-    return walk_steps(denoiser, steps, z.data, cfg, step_buffer(denoiser, z.data, c.data, cfg))
+    steps, buffer = step_table(denoiser, transitions, z, c, w, sampler, sched)
+    return walk_steps(steps, z.data, buffer)
 
 
-def step_buffer(denoiser, z, c, cfg):
-    """The ``ta.step_rows`` buffer of a walk of the array ``z`` under the
-    array ``c`` and the guidance pair ``cfg``."""
-    return ta.step_rows(z, c, None if cfg is None else denoiser.null_cond.data,
-                        denoiser.layers())
-
-
-def walk_steps(denoiser, steps, z, cfg, buffer):
-    """``walk_chain`` of the array ``z`` down ``step_table`` entries in the
-    ``step_buffer`` ``buffer``, whose conditioning columns and dense-stack
-    workspace serve every step; checks nothing. Returns the last latent in
-    ``z``'s shape, a fresh array, never a view of the buffer (a view of
-    ``z`` for no steps). A buffer made for other layer Tensors than the
-    denoiser's raises AutodiffError."""
-    shape, layers = z.shape, denoiser.layers()
+def walk_steps(steps, z, buffer):
+    """``walk_chain`` of the array ``z`` down ``step_table`` entries on the
+    step buffer ``buffer``, which gives every step its layers, conditioning
+    and guidance; checks nothing. Returns the last latent in ``z``'s shape,
+    a fresh array, never a view of the buffer (a view of ``z`` for no
+    steps)."""
+    shape = z.shape
     for temb, pairs in steps:
-        z = ta.mlp_step_kernel(buffer, z, temb, layers, cfg, pairs)
+        z = ta.mlp_step_kernel(buffer, z, temb, pairs)
     return z.reshape(shape)
 
 

@@ -10,13 +10,16 @@ bit-identical results. ``backward`` returns the gradients as a map from
 tensor id to array, the only place they live: a tensor carries no gradient
 and no per-tape mark, so one tape cannot leave state for a later one.
 
-Checkpoint segments keep memory flat on long denoising chains: at record
-time a segment's interior nodes are discarded and replaced by one node
-holding only the boundary tensors; during backward the segment function is
-replayed to rebuild the interior, which must reproduce the recorded op count
-exactly. Because the replay performs the identical arithmetic in the
-identical order, checkpointed gradients are bit-for-bit equal to
-un-checkpointed ones.
+Checkpoint segments trade recomputation for memory on any taped function:
+at record time a segment's interior nodes are discarded and replaced by one
+node holding only the boundary tensors; during backward the segment
+function is replayed to rebuild the interior, which must reproduce the
+recorded op count exactly. Because the replay performs the identical
+arithmetic in the identical order, checkpointed gradients are bit-for-bit
+equal to un-checkpointed ones. Release criterion 2 (a checkpointed chain's
+gradients and flat memory) and the tests' reference chains use them; the
+fine-tune chain does not: its recorded steps recompute their own
+activations (``mlp_step``, below).
 
 Three fused ops record one node where a chain of the primitives would
 record several, and are bit for bit that chain, forward and backward:
@@ -30,19 +33,22 @@ costs. The forward arithmetic of each is one array function,
 ``mlp_kernel``, ``axpby_kernel`` and ``mlp_step_kernel``, which a detached
 walk calls directly. ``mlp_kernel`` computes every layer into the arrays of
 a workspace, which holds per layer the float64 input and product, the
-output, the bias copied to the output's rows and the activation, and
-serves only the layer Tensors it was built from: a bias replaced since (as
-an optimizer update replaces it) raises instead of being read stale. A
-detached walk makes one, with its ``step_rows`` buffer, per walk and
-reuses it for every step; the buffer also keeps views of the columns a
-step writes and of the guidance halves it reads, so a step issues only its
-arithmetic. A taped ``mlp`` makes one per call, so the arrays a node keeps
-are its own. A taped ``mlp_step`` does too unless given a buffer to share:
-a fine-tune step shares one between its walk and every recorded step, and
-a recorded step whose buffer another step wrote since its forward reruns
-its kernel from its input latent in backward, so the buffer holds its
-activations again: the same recompute a checkpoint segment's replay makes,
-with no node recorded.
+output, the bias copied to the output's rows and the activation, and the
+layer Tensors it was built from, the only layers it steps. A taped ``mlp``
+makes one per call, so the arrays a node keeps are its own. A guided step
+runs on a ``step_rows`` buffer: one such workspace for the stacked
+[cond; uncond] rows, with the conditioning columns written and the views
+of the columns a step writes and of the guidance halves it reads, so a
+step issues only its arithmetic. The buffer is the one source of its
+step's fixed inputs (layers, conditioning, null conditioning and guidance
+pair): ``mlp_step_kernel`` and ``mlp_step`` take only the latent, the time
+embedding and the sampler pairs beside it, so a step cannot mix one
+model's buffer with another's inputs. A detached walk makes one buffer
+per walk; a fine-tune step shares one between its walk and every recorded
+step, and a recorded step whose buffer another step wrote since its
+forward reruns its kernel from its input latent in backward, so the
+buffer holds its activations again: the same recompute a checkpoint
+segment's replay makes, with no node recorded.
 
 Three more fused ops stand for the reward arithmetic the same way:
 ``cosine_similarity`` (``dot``, ``sqrt``, ``mul``, ``div``),
@@ -1192,7 +1198,7 @@ def _mlp_input(arrays):
 
 class _Work(list):
     """An ``_mlp_work`` workspace: a tuple of arrays per layer, and
-    ``layers``, the ``(w, b)`` Tensors it was built from."""
+    ``layers``, the ``(w, b)`` Tensors it was built from and steps."""
 
 
 def _mlp_work(shape, layers):
@@ -1222,33 +1228,21 @@ def _mlp_work(shape, layers):
     return work
 
 
-def mlp_kernel(arrays, layers, act, xs=None, pres=None, work=None):
-    """The arithmetic of ``mlp`` on the parts' arrays, with ``layers`` the
-    ``(w, b)`` Tensors and ``act`` checked by the caller, written into the
-    arrays of ``work``, a ``_mlp_work`` workspace for the input's shape
-    (a fresh one when None; the detached walk passes one per walk, so the
-    next call overwrites what this one returns). Returns the output array.
-    Each layer rounds its product to the working dtype, then adds the
-    workspace's copy of its bias (one of another dtype in the wider one,
-    rounded once). A workspace serves only the very Tensors it was built
-    from: any other layer raises AutodiffError, since its bias copy would
-    be stale. Under debug_checks each layer's product is trapped (an
-    activation of a finite array is finite). One 2-D part is the first
-    layer's input as it is: each row's bits follow from that row alone, so
-    a caller may stack rows of different conditionings into one pass. With
-    ``xs`` and ``pres`` lists, appends what the taped node keeps: each
-    layer's input and each silu pre-activation."""
-    x = _mlp_input(arrays)
-    if work is None:
-        work = _mlp_work(x.shape, layers)
-    elif len(layers) != len(work):
-        raise AutodiffError(f"mlp: a workspace used with layers other than its own "
-                            f"({len(layers)} layers, built for {len(work)})")
+def mlp_kernel(x, work, act, xs=None, pres=None):
+    """The arithmetic of ``mlp`` on its first layer's input array ``x``
+    (``_mlp_input``'s join), with ``act`` checked by the caller, over the
+    layers of ``work``, an ``_mlp_work`` workspace for ``x``'s shape, into
+    its arrays: the next call through ``work`` overwrites what this one
+    returns. Returns the output array. Each layer rounds its product to the
+    working dtype, then adds the workspace's bias (one of another dtype in
+    the wider one, rounded once). Under debug_checks each layer's product
+    is trapped (an activation of a finite array is finite). A 2-D ``x`` is
+    the first layer's input as it is: each row's bits follow from that row
+    alone, so a caller may stack rows of different conditionings into one
+    pass. With ``xs`` and ``pres`` lists, appends what the taped node keeps:
+    each layer's input and each silu pre-activation."""
     debug, silu, one = _STATE.debug, act == "silu", _ONES.get(_STATE.dtype, 1.0)
-    for (w, b), (w0, b0), (x64, rows, prod, prod_rows, out, bias, y) in zip(
-            layers, work.layers, work):
-        if w is not w0 or b is not b0:
-            raise AutodiffError("mlp: a workspace used with layers other than its own")
+    for (w, _), (x64, rows, prod, prod_rows, out, bias, y) in zip(work.layers, work):
         if xs is not None:
             xs.append(x)
         x64[...] = x
@@ -1323,8 +1317,8 @@ def mlp(parts, layers, act):
         raise ValueError(f"mlp: need at least one layer and act 'silu' or 'tanh', got {act!r}")
     parts = [_as_tensor(p) for p in parts]
     layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
-    xs, pres = [], []
-    out = mlp_kernel([p.data for p in parts], layers, act, xs, pres)
+    xs, pres, x = [], [], _mlp_input([p.data for p in parts])
+    out = mlp_kernel(x, _mlp_work(x.shape, layers), act, xs, pres)
     if _active_tape() is None:
         return Tensor._wrap(out, False)
     if len(parts) == 1:
@@ -1355,55 +1349,56 @@ class _StepRows(tuple):
     """A ``step_rows`` buffer, the tuple (rows, stack, work), with the views
     a step writes and reads: ``latent`` and ``temb``, the rows' latent and
     time-embedding columns, and ``halves``, the cond and uncond rows of the
-    last layer's output (None without guidance); ``c`` and ``null``, the
-    conditioning arrays written into its rows (``null`` None without
-    guidance); and its ``writer``: the token of the taped ``mlp_step``
-    whose activations the buffer holds, None once a step that keeps
-    nothing has written it."""
+    last layer's output (None without guidance); the step's fixed inputs:
+    ``c`` and ``null``, the conditioning Tensors written into its rows
+    (``null`` None without guidance), and ``cfg``, the guidance pair; and
+    its ``writer``: the token of the taped ``mlp_step`` whose activations
+    the buffer holds, None once a step that keeps nothing has written it."""
 
     writer = None
 
 
-def step_rows(z, c, null, layers):
-    """A fresh ``mlp_step_kernel`` buffer for the silu stack ``layers``, as
-    (rows, stack, work): (2, B, width) rows with the conditioning columns
-    written, c's over ``null``'s, their (2B, width) stack, or without
-    ``null``, ``z``'s rows twice, and the stack's ``_mlp_work`` workspace,
-    which serves those layers alone. A detached walk makes one per walk, a
-    fine-tune step one for its walk and all its recorded steps
-    (``mlp_step``'s ``buffer``), and any other taped step one per call."""
-    width, d, n = layers[0][0].data.shape[0], z.shape[-1], len(z) if z.ndim == 2 else 1
-    if null is None:
-        rows = np.empty(z.shape[:-1] + (width,), _STATE.dtype)
-        rows[..., width - c.shape[-1]:] = c
-        stack = rows
-    else:
-        stack = np.empty((2 * n, width), _STATE.dtype)
-        rows = stack.reshape(2, n, width)
-        rows[..., width - c.shape[-1]:] = c
-        rows[1, :, width - null.shape[-1]:] = null
+def step_rows(z, c, null, cfg, layers):
+    """A fresh ``mlp_step_kernel`` buffer, the one source of its steps'
+    fixed inputs, kept as they are now: the conditioning Tensor ``c``, the
+    guidance pair ``cfg`` (None for none) with the null conditioning Tensor
+    ``null`` (read only under guidance) and the silu stack ``layers``. As
+    (rows, stack, work): (2, B, width) rows for latents of ``z``'s shape
+    with the conditioning columns written, c's over null's, their (2B,
+    width) stack, or without guidance, ``z``'s rows twice, and the stack's
+    ``_mlp_work`` workspace. A detached walk makes one per walk, a
+    fine-tune step one for its walk and all its recorded steps."""
+    width, d, cw = layers[0][0].data.shape[0], z.shape[-1], c.data.shape[-1]
+    n = z.shape[0] if z.ndim == 2 else 1
+    stack = np.empty(z.shape[:-1] + (width,) if cfg is None else (2 * n, width), _STATE.dtype)
+    rows = stack if cfg is None else stack.reshape(2, n, width)
+    rows[..., width - cw:] = c.data
+    if cfg is not None:
+        rows[1, :, width - cw:] = null.data
     work = _mlp_work(stack.shape, layers)
     buffer = _StepRows((rows, stack, work))
-    buffer.latent, buffer.temb = rows[..., :d], rows[..., d:width - c.shape[-1]]
+    buffer.latent, buffer.temb = rows[..., :d], rows[..., d:width - cw]
     eps = work[-1][4]  # the last layer's output
-    buffer.halves = None if null is None else (eps[:n], eps[n:])
-    buffer.c, buffer.null = c, null
+    buffer.halves = None if cfg is None else (eps[:n], eps[n:])
+    buffer.c, buffer.null, buffer.cfg = c, None if cfg is None else null, cfg
     return buffer
 
 
-def mlp_step_kernel(buffer, z, temb, layers, cfg, pairs, xs=None, pres=None):
-    """``mlp_step``'s arithmetic over a ``step_rows`` buffer built for
-    ``layers``: writes ``z`` and ``temb`` into the buffer's columns, makes
-    one ``mlp_kernel`` pass over the stack in the buffer's workspace (``xs``
-    and ``pres`` are its lists) and guides the output's halves; returns the
-    new latent, a fresh array, one (1, D) row for a guided 1-D ``z``. Each
-    row's bits follow from that row alone. The buffer's writer is None
-    after it."""
+def mlp_step_kernel(buffer, z, temb, pairs, xs=None, pres=None):
+    """``mlp_step``'s arithmetic over the ``step_rows`` buffer ``buffer``,
+    which gives the layers, the conditioning and the guidance pair: writes
+    ``z`` and ``temb`` into the buffer's columns, makes one ``mlp_kernel``
+    pass over the stack in the buffer's workspace (``xs`` and ``pres`` are
+    its lists), guides the output's halves and applies the sampler
+    ``pairs``; returns the new latent, a fresh array, one (1, D) row for a
+    guided 1-D ``z``. Each row's bits follow from that row alone. The
+    buffer's writer is None after it."""
     _, stack, work = buffer
     buffer.writer = None
     buffer.latent[...] = z
     buffer.temb[...] = temb
-    eps = mlp_kernel([stack], layers, "silu", xs, pres, work)
+    eps = mlp_kernel(stack, work, "silu", xs, pres)
+    cfg = buffer.cfg
     if cfg is not None:
         cond, uncond = buffer.halves
         eps = axpby_kernel(cond, cfg[0], uncond, cfg[1])
@@ -1419,10 +1414,11 @@ def _bw_mlp_step(g, saved, ctx):
     When another step has written the buffer the saved arrays live in since
     this node's forward, it first reruns ``mlp_step_kernel`` from the node's
     input latent, which writes the same bits into the same arrays."""
-    pairs, cfg, blocks, ws, branches, buffer, writer, z, temb = ctx
+    pairs, blocks, branches, buffer, writer, z, temb = ctx
     if buffer.writer is not writer:
-        mlp_step_kernel(buffer, z, temb, buffer[2].layers, cfg, pairs)
+        mlp_step_kernel(buffer, z, temb, pairs)
         buffer.writer = writer
+    cfg, ws = buffer.cfg, [w for w, _ in buffer[2].layers]
     ge = None
     for a, b in reversed(pairs):
         ge = g * b if ge is None else ge + g * b
@@ -1434,38 +1430,33 @@ def _bw_mlp_step(g, saved, ctx):
                            branch)
 
 
-def mlp_step(z, c, null, temb, layers, cfg, pairs, buffer=None):
-    """A guided sampler step around a silu dense stack as one node, bit for
-    bit the chain of 2 to 5: ``mlp`` over [z, temb, c] and, for a guidance
-    pair ``cfg``, over [z, temb, null], combined by ``axpby``, then an
-    ``axpby`` (z, a, eps, b) per sampler pair; ``temb`` and the constants
-    are arrays of the working dtype. Its inputs are z, then the
-    unconditional ``mlp``'s, then the conditional one's, the order the
-    chain's sweep gives them gradients in: each leaf is counted and folded
-    as there, and a branch that needs nothing gets nothing.
+def mlp_step(z, temb, pairs, buffer):
+    """A guided sampler step around a silu dense stack as one node, over the
+    ``step_rows`` buffer ``buffer``, whose layers, conditioning ``c``, null
+    conditioning and guidance pair ``cfg`` the step reads: bit for bit the
+    chain of 2 to 5: ``mlp`` over [z, temb, c] and, under guidance, over
+    [z, temb, null], combined by ``axpby``, then an ``axpby`` (z, a, eps, b)
+    per sampler pair; ``temb`` and the constants are arrays of the working
+    dtype. Its inputs are z, then the unconditional ``mlp``'s, then the
+    conditional one's, the order the chain's sweep gives them gradients in:
+    each leaf is counted and folded as there, and a branch that needs
+    nothing gets nothing.
 
-    ``buffer`` is a ``step_rows`` buffer made for ``c``'s and ``null``'s
-    arrays (``null``'s only under guidance) and ``layers``, or None for a
-    fresh one; any other conditioning raises AutodiffError, as other layers
-    do. The node keeps arrays of the buffer, and its input latent to
-    recompute them: steps that share a buffer each get their own
-    activations back in backward, the last one written as it is, each
-    earlier one by one rerun of the kernel."""
-    z, c = _as_tensor(z), _as_tensor(c)
-    if buffer is None:
-        buffer = step_rows(z.data, c.data, None if cfg is None else null.data, layers)
-    elif c.data is not buffer.c or (None if cfg is None else null.data) is not buffer.null:
-        raise AutodiffError("mlp_step: a step buffer used with a conditioning other than its own")
+    The node keeps arrays of the buffer, and its input latent to recompute
+    them: steps that share a buffer each get their own activations back in
+    backward, the last one written as it is, each earlier one by one rerun
+    of the kernel."""
+    z = _as_tensor(z)
     xs, pres = [], []
-    out = mlp_step_kernel(buffer, z.data, temb, layers, cfg, pairs, xs, pres).reshape(z.shape)
+    out = mlp_step_kernel(buffer, z.data, temb, pairs, xs, pres).reshape(z.shape)
     if _active_tape() is None:
         return Tensor._wrap(out, False)
-    t = Tensor._wrap(temb, False)
+    t, layers = Tensor._wrap(temb, False), buffer[2].layers
     nodes = [_mlp_node("silu", [z, t, cond], layers, out.ndim)
-             for cond in ((c,) if cfg is None else (null, c))]
+             for cond in ((buffer.c,) if buffer.cfg is None else (buffer.null, buffer.c))]
     buffer.writer = object()
-    ctx = (pairs, cfg, (2,) + z.shape[:-1] + (-1,), [w for w, _ in layers], [n[1] for n in nodes],
-           buffer, buffer.writer, z.data, temb)
+    ctx = (pairs, (2,) + z.shape[:-1] + (-1,), [n[1] for n in nodes], buffer, buffer.writer,
+           z.data, temb)
     return _trace("mlp_step", (z, *(i for n in nodes for i in n[0])), out, (*xs, *pres), ctx,
                   _bw_mlp_step)
 

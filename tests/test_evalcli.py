@@ -163,6 +163,18 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="no checkpoints"):
             evaluate({}, holdout, PLAN5, 1.0, [0, 1])
 
+    def test_repeated_model_name_rejected_before_any_chain(self, baseline_state, holdout,
+                                                           monkeypatch):
+        # a report row is looked up by name, so a repeated name would hide
+        # every row after the first behind it
+        chains = []
+        monkeypatch.setattr(evalcli, "sample_from_cond",
+                            lambda *args, **kwargs: chains.append(args))
+        named = [("a", baseline_state), ("b", baseline_state), ("a", baseline_state)]
+        with pytest.raises(ValueError, match="^model name 'a' given more than once"):
+            evaluate(named, holdout, PLAN5, 1.0, [0, 1])
+        assert chains == []
+
     def test_one_rows_encode_per_model(self, baseline_state, holdout, monkeypatch):
         calls = []
 
@@ -692,14 +704,36 @@ class TestCliEvaluate:
         assert first == (tmp_path / "b" / "report.csv").read_bytes()
         assert (tmp_path / "a" / "report.txt").exists()
 
-    def test_two_checkpoints_give_two_rows(self, baseline_ckpt, tmp_path):
+    def test_two_checkpoints_give_two_rows(self, baseline_state, baseline_ckpt, tmp_path):
+        again = tmp_path / "again.rcpt"
+        save_checkpoint(baseline_state, str(again))
         rc = cli_main(["evaluate", "--checkpoint", baseline_ckpt,
-                       "--checkpoint", baseline_ckpt, "--steps", "5",
+                       "--checkpoint", str(again), "--steps", "5",
                        "--out-dir", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "report.csv").read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[1:] == lines[2].split(",")[1:]
+
+    def test_two_checkpoints_of_one_stem_exit_2_before_any_chain(
+            self, baseline_state, tmp_path, capsys, monkeypatch):
+        # two runs' model.rcpt would be two rows both named "model"
+        chains = []
+        monkeypatch.setattr(evalcli, "sample_from_cond",
+                            lambda *args, **kwargs: chains.append(args))
+        paths = [tmp_path / run / "model.rcpt" for run in ("run1", "run2")]
+        for path in paths:
+            path.parent.mkdir()
+            save_checkpoint(baseline_state, str(path))
+        out = tmp_path / "out"
+        rc = cli_main(["evaluate", "--checkpoint", str(paths[0]), "--checkpoint", str(paths[1]),
+                       "--steps", "5", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("rewardtune: error: model name 'model' given more than once: "
+                       "a report row is looked up by name\n")
+        assert chains == []
+        assert not out.exists()
 
     def test_prompt_token_outside_the_world_exits_2_before_any_chain(
             self, baseline_ckpt, tmp_path, capsys, monkeypatch):

@@ -29,8 +29,8 @@ from rewardtune.finetune import (
     run_training,
     unet_finetune_step,
 )
-from rewardtune.inference import (guided_step, sample_from_cond, step_buffer, step_table,
-                                  walk_chain, walk_steps)
+from rewardtune.inference import (guided_step, sample_from_cond, step_table, walk_chain,
+                                  walk_steps)
 from rewardtune.models import (
     DenoiserParams,
     TextEncoderParams,
@@ -523,11 +523,13 @@ class TestChainStep:
         assert result.x_hats[0].dtype == expected.dtype
         assert result.x_hats[0].tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("w", [1.0, 3.0])
-    @pytest.mark.parametrize("regime", ["prompt-chain", "unet-chain"])
+    @pytest.mark.parametrize("regime,w,n,k,batch", [
+        *[(regime, w, 6, 3, 2) for regime in ("prompt-chain", "unet-chain") for w in (1.0, 3.0)],
+        ("prompt-chain", 1.0, 25, 5, 4),  # the golden config
+    ])
     def test_each_recorded_step_is_one_node(self, baseline_world, baseline_text,
                                             baseline_image, baseline_denoiser, monkeypatch,
-                                            regime, w):
+                                            regime, w, n, k, batch):
         # the forward is one detached walk over the first N-K steps in one
         # buffer, then K mlp_step nodes on that buffer; in backward the last
         # step reads its activations as the buffer holds them, and each
@@ -535,11 +537,11 @@ class TestChainStep:
         phase, kernels, buffers, tapes = ["forward"], [], [], []
         kernel, rows, backward = ta.mlp_step_kernel, ta.step_rows, ta.backward
 
-        def kernel_call(buffer, *args):
+        def kernel_call(buffer, z, temb, pairs, xs=None, pres=None):
             # a recorded step passes the lists its node keeps; a walk step
             # and a recompute keep nothing
-            kernels.append((phase[0], "recorded" if len(args) == 7 else "detached", id(buffer)))
-            return kernel(buffer, *args)
+            kernels.append((phase[0], "detached" if xs is None else "recorded", id(buffer)))
+            return kernel(buffer, z, temb, pairs, xs, pres)
 
         def rows_call(*args):
             buffers.append(phase[0])
@@ -561,9 +563,9 @@ class TestChainStep:
                            else (baseline_denoiser, unet_finetune_step))
         trainable.set_requires_grad(True)
         frozen = baseline_denoiser if trainable is baseline_text else baseline_text
-        z0s = np.random.default_rng(6).standard_normal((2, 16)).astype(np.float32)
-        n, k = 6, 3
-        step(trainable, frozen, baseline_image, baseline_world, [(1, 2), (4,)], list(z0s),
+        z0s = np.random.default_rng(6).standard_normal((batch, 16)).astype(np.float32)
+        prompts = [(1, 2), (4,), (0, 6), (3, 5, 7)][:batch]
+        step(trainable, frozen, baseline_image, baseline_world, prompts, list(z0s),
              make_step_plan(n), k, make_schedule("linear-beta", 1000), RewardSpec.default(),
              w=w)
         # one buffer for the walk, every recorded step and every recompute
@@ -631,68 +633,55 @@ class TestChainStep:
         with ta.pause_recording():
             c = text_encode_rows(baseline_text, [(1, 2), (5,)])
         z0 = Tensor(np.random.default_rng(4).standard_normal((2, 16)), requires_grad=True)
-        steps, cfg = step_table(den, make_step_plan(3).transitions(), z0, c, w, "ddim", sched)
+        transitions = make_step_plan(3).transitions()
+        steps, shared = step_table(den, transitions, z0, c, w, "ddim", sched)
 
-        def run(buffer):
+        def run(buffers):
             z = z0
             with ta.Tape() as tape:
-                for temb, pairs in steps:
-                    z = ta.mlp_step(z, c, den.null_cond, temb, den.layers(), cfg, pairs, buffer)
+                for (temb, pairs), buffer in zip(steps, buffers):
+                    z = ta.mlp_step(z, temb, pairs, buffer)
                 loss = ta.tensor_sum(z)
             grads = ta.backward(tape, loss)
             return {i: g.tobytes() for i, g in grads.items()}
 
-        each = run(None)
+        each = run([step_table(den, transitions, z0, c, w, "ddim", sched)[1] for _ in steps])
         assert z0.id in each and den.w1.id in each
-        assert run(step_buffer(den, z0.data, c.data, cfg)) == each
+        assert run([shared] * len(steps)) == each
 
+    @pytest.mark.parametrize("field", ["b1", "b2", "b3", "w2", "null_cond"])
     @pytest.mark.parametrize("w", [1.0, 3.0])
-    def test_buffer_used_with_other_conditioning_raises(self, baseline_text, baseline_denoiser,
-                                                        w):
-        # a step buffer's conditioning columns are written once, when it is
-        # made; a taped step given another conditioning refuses the buffer
-        # instead of stepping under the one the buffer holds
-        den, sched = baseline_denoiser, make_schedule("linear-beta", 1000)
-        with ta.pause_recording():
-            c1 = text_encode_rows(baseline_text, [(1, 2), (5,)])
-            c2 = text_encode_rows(baseline_text, [(3,), (4, 6)])
-        z0 = Tensor(np.random.default_rng(4).standard_normal((2, 16)), requires_grad=True)
-        ((temb, pairs),), cfg = step_table(den, make_step_plan(1).transitions(), z0, c1, w,
-                                           "ddim", sched)
-        buffer = step_buffer(den, z0.data, c1.data, cfg)
-        nulls = [Tensor(den.null_cond.data.copy())] if cfg is not None else []
-        for c, null in [(c2, den.null_cond), *((c1, other) for other in nulls)]:
-            with ta.Tape(), pytest.raises(ta.AutodiffError, match="conditioning other than"):
-                ta.mlp_step(z0, c, null, temb, den.layers(), cfg, pairs, buffer)
-        # the buffer still serves its own conditioning, as a fresh one does
-        with ta.Tape():
-            got = ta.mlp_step(z0, c1, den.null_cond, temb, den.layers(), cfg, pairs, buffer)
-            want = ta.mlp_step(z0, c1, den.null_cond, temb, den.layers(), cfg, pairs)
-        assert got.data.tobytes() == want.data.tobytes()
-
-    @pytest.mark.parametrize("field", ["b1", "b2", "b3", "w2"])
-    @pytest.mark.parametrize("w", [1.0, 3.0])
-    def test_buffer_used_with_other_layers_raises(self, baseline_text, baseline_denoiser, w,
-                                                  field):
-        # a step buffer holds copies of the biases it was built from; once a
-        # layer is replaced (as an optimizer update replaces it), the walk
-        # and a taped step refuse the buffer instead of adding a stale copy
+    def test_buffer_steps_the_model_it_was_built_from(self, baseline_text, baseline_denoiser,
+                                                      w, field):
+        # a step buffer holds the layers, conditioning and guidance it was
+        # built from; once one is replaced (as an optimizer update replaces
+        # a layer), the buffer built before keeps stepping the old model and
+        # one built after steps the new one, each bit for bit a fresh buffer
+        # of its model, its walk and its taped step alike
         den, sched = baseline_denoiser, make_schedule("linear-beta", 1000)
         with ta.pause_recording():
             c = text_encode_rows(baseline_text, [(1, 2), (5,)])
         z0 = Tensor(np.random.default_rng(4).standard_normal((2, 16)), requires_grad=True)
-        steps, cfg = step_table(den, make_step_plan(3).transitions(), z0, c, w, "ddim", sched)
-        buffer = step_buffer(den, z0.data, c.data, cfg)
+        transitions = make_step_plan(3).transitions()
+
+        def table(model):
+            return step_table(model, transitions, z0, c, w, "ddim", sched)
+
+        def stepped(buffer):
+            walked = walk_steps(steps, z0.data, buffer)
+            with ta.Tape() as tape:
+                z = ta.mlp_step(z0, *steps[0], buffer)
+                loss = ta.tensor_sum(z)
+            return walked.tobytes(), z.data.tobytes(), ta.backward(tape, loss)[z0.id].tobytes()
+
+        steps, before = table(den)
         updated = dataclasses.replace(den, **{field: Tensor(getattr(den, field).data * 0.5)})
-        with pytest.raises(ta.AutodiffError, match="layers other than its own"):
-            walk_steps(updated, steps, z0.data, cfg, buffer)
-        temb, pairs = steps[0]
-        with ta.Tape(), pytest.raises(ta.AutodiffError, match="layers other than its own"):
-            ta.mlp_step(z0, c, updated.null_cond, temb, updated.layers(), cfg, pairs, buffer)
-        # the buffer still serves its own layers, as a fresh one does
-        got = walk_steps(den, steps, z0.data, cfg, buffer)
-        fresh = step_buffer(den, z0.data, c.data, cfg)
-        assert got.tobytes() == walk_steps(den, steps, z0.data, cfg, fresh).tobytes()
+        after = table(updated)[1]
+        old, new = stepped(before), stepped(after)
+        assert old == stepped(table(den)[1])
+        assert new == stepped(table(updated)[1])
+        # the null conditioning is read only under guidance
+        assert (new != old) == (field != "null_cond" or w != 1.0)
 
     @pytest.mark.parametrize("regime,sampler,w,k_last,batch", [
         ("prompt-chain", "ddim", 1.0, 4, 1),

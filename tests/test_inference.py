@@ -489,14 +489,14 @@ class TestStackedWalk:
         heights = []
         kernel = ta.mlp_kernel
 
-        def counted(arrays, *args, **kwargs):
-            heights.append([a.shape[0] for a in arrays])
-            return kernel(arrays, *args, **kwargs)
+        def counted(x, *args, **kwargs):
+            heights.append(x.shape[0])
+            return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(ta, "mlp_kernel", counted)
         got = walk_chain(baseline_denoiser, plan.transitions(), z, c, w, "ddim", sched)
         monkeypatch.undo()
-        assert heights == [[batch * (1 if w == 1.0 else 2)]] * len(plan.transitions())
+        assert heights == [batch * (1 if w == 1.0 else 2)] * len(plan.transitions())
         want = _stepped_walk(baseline_denoiser, plan.transitions(), z, c, w, "ddim", sched)
         assert got.tobytes() == want.tobytes()
 

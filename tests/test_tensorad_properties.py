@@ -1210,9 +1210,9 @@ def test_mlp_kernel_kept_workspace_bitwise(dtype, act, batch, data):
         work = ta._mlp_work(shape, layers)
         for _ in range(3):
             x = data.draw(_values(shape)).astype(dtype)
-            got = ta.mlp_kernel([x], layers, act, work=work)
+            got = ta.mlp_kernel(x, work, act)
             assert got.dtype == dtype and got.shape == shape[:-1] + layers[-1][0].shape[1:]
-            assert got.tobytes() == ta.mlp_kernel([x], layers, act).tobytes()
+            assert got.tobytes() == ta.mlp_kernel(x, ta._mlp_work(shape, layers), act).tobytes()
             assert got.tobytes() == _chain_mlp([Tensor(x)], layers, act).data.tobytes()
 
 
@@ -1231,13 +1231,14 @@ def test_mlp_kernel_kept_workspace_traps_non_finite_product(dtype, batch, data):
         bad = data.draw(_values(shape)).astype(dtype)
         bad.reshape(-1)[data.draw(st.integers(0, bad.size - 1))] = np.inf
         with ta.debug_checks(), np.errstate(invalid="ignore"):
-            for run in (lambda: ta.mlp_kernel([bad], layers, "silu", work=work),
+            for run in (lambda: ta.mlp_kernel(bad, work, "silu"),
                         lambda: _chain_mlp([Tensor(bad)], layers, "silu")):
                 with pytest.raises(ta.AutodiffError, match="non-finite"):
                     run()
             x = data.draw(_values(shape)).astype(dtype)
-            got = ta.mlp_kernel([x], layers, "silu", work=work)
-            assert got.tobytes() == ta.mlp_kernel([x], layers, "silu").tobytes()
+            got = ta.mlp_kernel(x, work, "silu")
+            fresh = ta._mlp_work(shape, layers)
+            assert got.tobytes() == ta.mlp_kernel(x, fresh, "silu").tobytes()
 
 
 # ---------------------------------------------------------------------------
