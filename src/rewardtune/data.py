@@ -67,6 +67,12 @@ class ToyWorld:
         """``pattern_sum``'s results by prompt, per world object."""
         return {}
 
+    @functools.cached_property
+    def _draws(self):
+        """``sample_pairs``' float64 pattern sum and prompt by drawn attribute
+        indices, in draw order, per world object."""
+        return {}
+
 
 def _max_offdiag_cos(patterns):
     gram = patterns @ patterns.T
@@ -95,13 +101,37 @@ def make_world(seed, a=8, d=16, noise_scale=0.1):
 
 def sample_pair(world, rng):
     """One (x, prompt) draw: 1-3 distinct attributes, x = pattern sum + noise."""
-    k = int(rng.integers(1, MAX_PROMPT_LEN + 1))
-    idx = rng.choice(world.a, size=k, replace=False)
-    prompt = tuple(int(world.token_ids[i]) for i in idx)
-    # accumulate in f64 so the noise-free draw matches pattern_sum bit-exactly
-    x = world.patterns[idx].astype(np.float64).sum(axis=0)
-    x = x + world.noise_scale * rng.standard_normal(world.d)
-    return x.astype(np.float32), prompt
+    x, prompts = sample_pairs(world, rng, 1)
+    return x[0], prompts[0]
+
+
+def sample_pairs(world, rng, n, after=None):
+    """``n`` (x, prompt) draws as the (n, D) float32 rows and the n prompts.
+
+    Row i makes the generator calls one draw has always made, in order: k,
+    the k distinct attributes, then the D noise values; ``after(i)`` then
+    makes the caller's own draws for the row. The arithmetic runs once over
+    the rows, so stream and bytes are those of n one-row draws."""
+    draws = world._draws
+    base = np.empty((n, world.d))
+    noise = np.empty((n, world.d))
+    prompts = []
+    for i in range(n):
+        k = int(rng.integers(1, MAX_PROMPT_LEN + 1))
+        idx = tuple(rng.choice(world.a, size=k, replace=False).tolist())
+        entry = draws.get(idx)
+        if entry is None:
+            # accumulate in f64 so the noise-free draw matches pattern_sum bit-exactly
+            total = world.patterns[list(idx)].astype(np.float64).sum(axis=0)
+            total.flags.writeable = False
+            entry = draws[idx] = (total, tuple(int(world.token_ids[j]) for j in idx))
+        base[i] = entry[0]
+        prompts.append(entry[1])
+        rng.standard_normal(out=noise[i])
+        if after is not None:
+            after(i)
+    x = base + world.noise_scale * noise
+    return x.astype(np.float32), tuple(prompts)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensorad as ta
-from .data import make_prompt_sets, sample_pair
+from .data import make_prompt_sets, sample_pairs
 from .models import denoise, merged_state, model_from_state, save_checkpoint, text_encode_rows
 from .inference import step_table, walk_steps
 from .rewards import READOUT_COLUMNS, RewardSpec, clip_entries, combined_loss, readout_means
@@ -109,19 +109,32 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
+    """AdamW state over a fixed set of named parameters: the first and second
+    moments as one float64 vector each, laid out in the order ``for_params``
+    saw the parameters, with ``m[name]`` and ``v[name]`` views into them."""
+
     m: dict
     v: dict
     step: int
     weight_decay: float
+    m_flat: np.ndarray
+    v_flat: np.ndarray
+    bounds: dict  # name -> (start, stop) in the flat vectors
 
     @classmethod
     def for_params(cls, named, weight_decay=0.0):
-        return cls(
-            m={k: np.zeros(t.data.shape, dtype=np.float64) for k, t in named.items()},
-            v={k: np.zeros(t.data.shape, dtype=np.float64) for k, t in named.items()},
-            step=0,
-            weight_decay=weight_decay,
-        )
+        bounds, size = {}, 0
+        for name, t in named.items():
+            bounds[name] = (size, size + t.data.size)
+            size += t.data.size
+        m_flat, v_flat = np.zeros(size), np.zeros(size)
+
+        def views(flat):
+            return {name: flat[a:b].reshape(named[name].data.shape)
+                    for name, (a, b) in bounds.items()}
+
+        return cls(m=views(m_flat), v=views(v_flat), step=0, weight_decay=weight_decay,
+                   m_flat=m_flat, v_flat=v_flat, bounds=bounds)
 
 
 def clip_global_norm(grads, max_norm):
@@ -140,25 +153,52 @@ def clip_global_norm(grads, max_norm):
 def adamw_update(named, grads, state, lr):
     """Bias-corrected Adam step with weight decay applied to the parameters.
 
-    ``named`` maps names to tensors. Moments are kept in float64 in ``state``;
-    returns name -> Tensor of the stepped parameters, cast back to each dtype.
+    ``named`` maps names to tensors, the names ``state`` was made for. The
+    arithmetic runs once over all of them in float64, in ``state``'s flat
+    layout, element for element the per-parameter update; returns name ->
+    Tensor of the stepped parameters, cast back to each dtype.
     """
-    for name in named:
+    if named.keys() != state.bounds.keys():
+        raise KeyError(f"parameters {sorted(named)} are not the optimizer's {sorted(state.bounds)}")
+    gs, ps = [], []
+    for name in state.bounds:
         if name not in grads:
             raise KeyError(f"missing gradient for trainable parameter '{name}'")
+        g, p = grads[name], named[name].data
+        if np.shape(g) != p.shape:
+            raise ValueError(f"gradient for '{name}' has shape {np.shape(g)}, "
+                             f"the parameter {p.shape}")
+        gs.append(np.ravel(g))
+        ps.append(p.ravel())
+    g = np.concatenate(gs, dtype=np.float64)
     state.step += 1
     t = state.step
     b1, b2, wd = ADAM_BETA1, ADAM_BETA2, state.weight_decay
+    # in place, so m[name] and v[name] stay views of the stepped moments; each
+    # step is the per-parameter rule's own elementwise op, in its order:
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    # p = p - lr wd p - lr m_hat / (sqrt(v_hat) + eps)
+    m, v = state.m_flat, state.v_flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    g2 = (1.0 - b2) * g
+    g2 *= g
+    v += g2
+    m_hat = m / (1.0 - b1**t)
+    v_hat = np.divide(v, 1.0 - b2**t, out=g2)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += ADAM_EPS
+    m_hat *= lr
+    m_hat /= v_hat
+    p = np.concatenate(ps, dtype=np.float64)
+    p -= lr * wd * p
+    p -= m_hat
     updated = {}
-    for name, tensor in named.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1**t)
-        v_hat = state.v[name] / (1.0 - b2**t)
-        p = tensor.data.astype(np.float64)
-        p = p - lr * wd * p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        updated[name] = Tensor(p.astype(tensor.data.dtype), requires_grad=tensor.requires_grad)
+    for name, (a, b) in state.bounds.items():
+        tensor = named[name]
+        updated[name] = Tensor(p[a:b].reshape(tensor.data.shape).astype(tensor.data.dtype),
+                               requires_grad=tensor.requires_grad)
     return updated
 
 
@@ -376,7 +416,7 @@ def run_training(config, state_in, out_dir=None):
     rows = []
     for it in range(config.iterations):
         if config.regime == "direct":
-            batch = [sample_pair(world, rng) for _ in range(config.batch_size)]
+            batch = list(zip(*sample_pairs(world, rng, config.batch_size)))
             ts = rng.integers(0, config.t_train, size=config.batch_size)
             noises = rng.standard_normal((config.batch_size, world.d)).astype(np.float32)
             result = direct_finetune_step(text, denoiser, image, world, batch, ts,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorad as ta
-from .data import make_world, sample_pair, world_from_state, world_state
+from .data import make_world, sample_pairs, world_from_state, world_state
 from .finetune import OptimizerState, check_update_fields, collect_grads, optimizer_step
 from .models import (
     denoise,
@@ -128,7 +128,7 @@ def clip_pretrain(text_params, image_params, world, config):
     losses = []
     temperatures = []
     for it in range(config.iterations):
-        batch = [sample_pair(world, rng) for _ in range(config.batch_size)]
+        batch = list(zip(*sample_pairs(world, rng, config.batch_size)))
         # a diverging run overflows in here; _unit_rows or optimizer_step then
         # stops it with one error
         with np.errstate(over="ignore", invalid="ignore"):
@@ -189,16 +189,17 @@ class NoisedBatch:
         """``n`` rows, each drawn in the order one item has always drawn
         them: the (x, prompt) pair, t, eps and, when ``null_drop`` is given,
         the null flag."""
-        xs, ts, noises, prompts, nulls = [], [], [], [], []
-        for i in range(n):
-            x, prompt = sample_pair(world, rng)
-            xs.append(x)
-            prompts.append(prompt)
+        ts, nulls = [], []
+        eps = np.empty((n, world.d))
+
+        def after(i):
             ts.append(int(rng.integers(0, sched.t_train)))
-            noises.append(rng.standard_normal(world.d).astype(np.float32))
+            rng.standard_normal(out=eps[i])
             if null_drop is not None and rng.random() < null_drop:
                 nulls.append(i)
-        return cls(np.stack(xs), tuple(ts), np.stack(noises), tuple(prompts), tuple(nulls))
+
+        x, prompts = sample_pairs(world, rng, n, after)
+        return cls(x, tuple(ts), eps.astype(np.float32), prompts, tuple(nulls))
 
     def conditioning(self, text_params, codes):
         """(B, C) frozen text encodings, one per row. ``codes`` keeps each

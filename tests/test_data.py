@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from rewardtune.data import (
+    MAX_PROMPT_LEN,
     PromptSet,
     all_prompts,
     load_prompts,
     make_prompt_sets,
     make_world,
+    ToyWorld,
     sample_pair,
+    sample_pairs,
     world_from_state,
     world_state,
 )
@@ -61,6 +64,88 @@ class TestWorld:
             w.pattern_sum((2, 5, 2))
         with pytest.raises(ValueError, match="token 99 is not an attribute"):
             w.pattern_sum((99, 99))
+
+
+
+def _per_row_pair(world, rng):
+    """The one-row draw as it was written before ``sample_pairs``: the oracle
+    for the batched draw's stream and bytes."""
+    k = int(rng.integers(1, MAX_PROMPT_LEN + 1))
+    idx = rng.choice(world.a, size=k, replace=False)
+    prompt = tuple(int(world.token_ids[i]) for i in idx)
+    x = world.patterns[idx].astype(np.float64).sum(axis=0)
+    x = x + world.noise_scale * rng.standard_normal(world.d)
+    return x.astype(np.float32), prompt
+
+
+def _caller_draws(rng, out):
+    """An ``after`` that makes a caller's own per-row draws into ``out``."""
+    def after(i):
+        out.append((i, int(rng.integers(0, 1000)), rng.standard_normal(3).tobytes(),
+                    rng.random()))
+    return after
+
+
+class TestSamplePairs:
+    WORLDS = {
+        "default": lambda: make_world(3),
+        "noise-free": lambda: make_world(4, noise_scale=0.0),
+        # token ids that are not row indices, and a wider world
+        "relabelled": lambda: ToyWorld(token_ids=(11, 3, 7, 0, 25, 9),
+                                       patterns=make_world(5, a=6, d=24).patterns,
+                                       noise_scale=0.3),
+    }
+
+    @pytest.mark.parametrize("world_name", sorted(WORLDS))
+    @pytest.mark.parametrize("with_after", [False, True], ids=["no-after", "after"])
+    @pytest.mark.parametrize("n", [1, 2, 16, 32])
+    def test_stream_and_bytes_equal_per_row_draws(self, world_name, with_after, n):
+        world = self.WORLDS[world_name]()
+        for seed in (0, 1, 17, 2024):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            ref_rows, ref_extra = [], []
+            for i in range(n):
+                ref_rows.append(_per_row_pair(world, ref_rng))
+                if with_after:
+                    _caller_draws(ref_rng, ref_extra)(i)
+            extra = []
+            x, prompts = sample_pairs(world, rng, n, _caller_draws(rng, extra) if with_after else None)
+            assert x.dtype == np.float32 and x.shape == (n, world.d)
+            assert x.tobytes() == np.stack([r for r, _ in ref_rows]).tobytes()
+            assert prompts == tuple(p for _, p in ref_rows)
+            assert extra == ref_extra
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_one_row_call_is_the_first_row(self):
+        world = make_world(6)
+        x, prompt = sample_pair(world, np.random.default_rng(5))
+        xs, prompts = sample_pairs(world, np.random.default_rng(5), 4)
+        assert x.tobytes() == xs[0].tobytes() and prompt == prompts[0]
+
+    def test_cached_sums_read_only_and_per_world(self):
+        a, b = make_world(8), make_world(8)
+        c = world_from_state(world_state(a))
+        for w in (a, b, c):
+            sample_pairs(w, np.random.default_rng(0), 64)
+        entries = {name: w._draws for name, w in (("a", a), ("b", b), ("c", c))}
+        for name, draws in entries.items():
+            assert draws, name
+            for idx, (total, prompt) in draws.items():
+                assert not total.flags.writeable
+                assert total.dtype == np.float64
+                assert prompt == tuple(a.token_ids[i] for i in idx)
+                with pytest.raises(ValueError):
+                    total[0] = 1.0
+        ids = {name: {id(t) for t, _ in draws.values()} for name, draws in entries.items()}
+        assert ids["a"].isdisjoint(ids["b"]) and ids["a"].isdisjoint(ids["c"])
+        assert ids["b"].isdisjoint(ids["c"])
+
+    def test_returned_rows_do_not_alias_the_cache(self):
+        world = make_world(9, noise_scale=0.0)
+        x, _ = sample_pairs(world, np.random.default_rng(1), 8)
+        x[:] = 7.0
+        again, _ = sample_pairs(world, np.random.default_rng(1), 8)
+        assert not np.any(again == 7.0)
 
 
 class TestSamplePair:

@@ -16,7 +16,11 @@ import pytest
 
 from rewardtune import tensorad as ta
 from rewardtune.data import make_world, sample_pair
+from rewardtune import finetune, pretrain
 from rewardtune.finetune import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     METRICS_HEADER,
     OptimizerState,
     RunMetrics,
@@ -25,6 +29,7 @@ from rewardtune.finetune import (
     clip_global_norm,
     collect_grads,
     direct_finetune_step,
+    optimizer_step,
     prompt_finetune_step,
     run_training,
     unet_finetune_step,
@@ -171,6 +176,137 @@ class TestAdamW:
         opt = OptimizerState.for_params(bag)
         with pytest.raises(KeyError, match="missing gradient"):
             adamw_update(bag, {}, opt, lr=0.1)
+
+
+
+def _per_parameter_adamw(named, grads, m, v, step, wd, lr):
+    """The AdamW step as it was written before the flat update, one
+    parameter at a time, with its moments in the dicts ``m`` and ``v``: the
+    oracle for ``adamw_update``'s bytes."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    updated = {}
+    for name, tensor in named.items():
+        g = np.asarray(grads[name], dtype=np.float64)
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        m_hat = m[name] / (1.0 - b1**step)
+        v_hat = v[name] / (1.0 - b2**step)
+        p = tensor.data.astype(np.float64)
+        p = p - lr * wd * p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        updated[name] = Tensor(p.astype(tensor.data.dtype), requires_grad=tensor.requires_grad)
+    return updated
+
+
+def _text_set():
+    text = init_text_encoder(3)
+    text.set_requires_grad(True)
+    return text.named()
+
+
+def _contrastive_set():
+    text, image = init_text_encoder(4), init_image_encoder(5)
+    text.set_requires_grad(True)
+    image.set_requires_grad(True)
+    log_temp = Tensor(np.asarray(pretrain.TEMP_INIT), requires_grad=True)
+    return {**text.named(), **image.named(), "clip/log_temp": log_temp}
+
+
+class TestFlatAdamW:
+    @pytest.mark.parametrize("make_set", [_text_set, _contrastive_set],
+                             ids=["text", "contrastive"])
+    @pytest.mark.parametrize("wd", [0.0, 0.05])
+    @pytest.mark.parametrize("grad_clip", [None, 1.0, 1e-3], ids=["unclipped", "clip-1", "clip-tiny"])
+    def test_steps_equal_per_parameter_update(self, make_set, wd, grad_clip):
+        named = make_set()
+        ref = dict(named)
+        opt = OptimizerState.for_params(named, weight_decay=wd)
+        m = {k: np.zeros(t.data.shape) for k, t in named.items()}
+        v = {k: np.zeros(t.data.shape) for k, t in named.items()}
+        rng = np.random.default_rng(11)
+        active = []
+        lr = 0.01
+        for step in range(1, 6):
+            grads = {k: (rng.standard_normal(t.data.shape) * 0.05).astype(t.data.dtype)
+                     for k, t in named.items()}
+            named = optimizer_step(named, grads, 1.0, opt, lr, grad_clip, step)
+            clipped, norm = clip_global_norm(grads, grad_clip)
+            active.append(clipped is not grads)
+            ref = _per_parameter_adamw(ref, clipped, m, v, step, wd, lr)
+            assert list(named) == list(ref)
+            for name in ref:
+                assert named[name].data.dtype == ref[name].data.dtype, name
+                assert named[name].data.tobytes() == ref[name].data.tobytes(), (step, name)
+                assert named[name].requires_grad
+                assert opt.m[name].tobytes() == m[name].tobytes(), (step, name)
+                assert opt.v[name].tobytes() == v[name].tobytes(), (step, name)
+                assert opt.m[name].shape == m[name].shape
+        assert opt.step == 5
+        assert all(active) if grad_clip is not None else not any(active)
+
+    def test_moment_views_share_the_flat_vectors(self):
+        named = _contrastive_set()
+        opt = OptimizerState.for_params(named)
+        grads = {k: np.ones(t.data.shape, dtype=np.float32) for k, t in named.items()}
+        adamw_update(named, grads, opt, lr=0.1)
+        for name in named:
+            assert np.shares_memory(opt.m[name], opt.m_flat)
+            assert np.shares_memory(opt.v[name], opt.v_flat)
+            assert np.all(opt.m[name] != 0.0)
+        assert opt.m_flat.size == sum(t.data.size for t in named.values())
+
+    def test_other_parameter_set_rejected(self):
+        named = _text_set()
+        opt = OptimizerState.for_params(named)
+        fewer = dict(list(named.items())[1:])
+        grads = {k: np.zeros(t.data.shape, dtype=np.float32) for k, t in named.items()}
+        with pytest.raises(KeyError, match="not the optimizer's"):
+            adamw_update(fewer, grads, opt, lr=0.1)
+        assert opt.step == 0
+
+    def test_misshapen_gradient_rejected_before_the_step(self):
+        named = _text_set()
+        opt = OptimizerState.for_params(named)
+        grads = {k: np.zeros(t.data.shape, dtype=np.float32) for k, t in named.items()}
+        grads["text/w1"] = grads["text/w1"].T
+        with pytest.raises(ValueError, match="gradient for 'text/w1' has shape"):
+            adamw_update(named, grads, opt, lr=0.1)
+        assert opt.step == 0 and not opt.m_flat.any()
+
+
+class TestOneUpdatePerIteration:
+    """Every training loop updates through ``finetune.adamw_update``, looked
+    up on the module, once per iteration: a wrapper put there sees each."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+        original = finetune.adamw_update
+
+        def counting(*args, **kwargs):
+            seen.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(finetune, "adamw_update", counting)
+        return seen
+
+    def test_contrastive_stage(self, calls):
+        world = make_world(1)
+        pretrain.clip_pretrain(init_text_encoder(1), init_image_encoder(2), world,
+                               PretrainConfig(iterations=3, batch_size=4))
+        assert len(calls) == 3
+
+    def test_denoiser_stage(self, calls):
+        world = make_world(1)
+        pretrain.diffusion_pretrain(init_denoiser(3), init_text_encoder(1), world,
+                                    make_schedule(),
+                                    PretrainConfig(iterations=4, batch_size=4))
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("regime", finetune.REGIMES)
+    def test_run_training(self, calls, baseline_state, regime):
+        config = TrainConfig(regime=regime, n_steps=4, k_last=2, iterations=3, batch_size=2)
+        run_training(config, baseline_state)
+        assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
