@@ -21,9 +21,9 @@ from .data import load_prompts, world_from_state
 from .finetune import TrainConfig, prompt_split, run_training
 from .inference import (DEFAULT_LAMBDA_SWEEP, continuity_probe, mix_styles, sample,
                         sample_from_cond, write_sample)
-from .models import (ImageEncoderParams, TextEncoderParams, load_checkpoint,
-                     merged_state, model_from_state, save_checkpoint, state_digest,
-                     text_encode, text_encode_rows)
+from .models import (ImageEncoderParams, TextEncoderParams, check_shared_widths,
+                     load_checkpoint, merged_state, model_from_state, save_checkpoint,
+                     state_digest, text_encode, text_encode_rows)
 from .pretrain import PretrainConfig, pretrain_denoiser, pretrain_encoders
 from .rewards import (READOUT_COLUMNS, READOUT_SPEC, RewardSpec, readout_means,
                       reward_values)
@@ -142,15 +142,6 @@ def _mean_pairwise_distance(samples):
     return total / (n * (n - 1) / 2)
 
 
-def _named_states(checkpoints):
-    """Normalize the accepted checkpoint forms to [(name, state), ...]."""
-    if isinstance(checkpoints, dict):
-        if checkpoints and all(isinstance(v, np.ndarray) for v in checkpoints.values()):
-            return [("model", checkpoints)]  # a bare merged state
-        return list(checkpoints.items())
-    return [(str(name), state) for name, state in checkpoints]
-
-
 def _eval_one_model(name, state, prompts, plan, w, seeds, sampler, sched):
     text, image, denoiser, world = model_from_state(state)
     for p in prompts:
@@ -188,10 +179,9 @@ def evaluate(checkpoints, prompt_set, plan, w, seeds, *, sampler="ddim",
              sched=None, out_dir=None):
     """Score one or more checkpoints on a prompt set; returns an EvalReport.
 
-    ``checkpoints`` is a merged state dict, a mapping name -> state, or a
-    sequence of (name, state) pairs, whose names must differ (the report is
-    read by name). Each model is scored against the world
-    stored in its own checkpoint. The prompt set must pass
+    ``checkpoints`` is a sequence of (name, state) pairs, whose names must
+    differ (the report is read by name). Each model is scored against the
+    world stored in its own checkpoint. The prompt set must pass
     ``_check_prompt_count``, the experiments' holdout check too. ``seeds``
     needs at least two distinct entries so per-prompt spread is measurable.
     When ``out_dir`` is given the report is written as report.csv and
@@ -203,7 +193,7 @@ def evaluate(checkpoints, prompt_set, plan, w, seeds, *, sampler="ddim",
     if len(set(seeds)) < 2:
         raise ValueError("evaluation needs at least 2 distinct seeds")
 
-    named = _named_states(checkpoints)
+    named = [(str(name), state) for name, state in checkpoints]
     if not named:
         raise ValueError("no checkpoints given")
     names = [name for name, _ in named]
@@ -516,6 +506,7 @@ def _cmd_pretrain_diffusion(args):
     text = TextEncoderParams.from_state(state)
     image = ImageEncoderParams.from_state(state)
     world = world_from_state(state)
+    check_shared_widths(state)
     sched = make_schedule(args.schedule, args.t_train)
     denoiser, losses = pretrain_denoiser(text, world, _cli_seed(args), sched,
                                          _pretrain_config(args, "diffusion", 0))
@@ -553,11 +544,22 @@ def _cmd_sample(args):
     _announce(f"{path}.json")
 
 
+def _extra_text_encoder(path, base):
+    """The text encoder of the checkpoint at ``path``, checked against the
+    conditioning width of the denoiser in the base checkpoint's ``base``."""
+    state = load_checkpoint(path)
+    text = TextEncoderParams.from_state(state)
+    pair = {"text/b2": state["text/b2"], "denoiser/null_cond": base["denoiser/null_cond"]}
+    check_shared_widths(pair, f"{path} against the base denoiser: ")
+    return text
+
+
 def _cmd_interpolate(args):
     plan, sched = _sampling_inputs(args)
     # the denoiser and world come from the first (base) checkpoint
-    text_a, _, denoiser, world = model_from_state(load_checkpoint(args.checkpoint_a))
-    text_b = TextEncoderParams.from_state(load_checkpoint(args.checkpoint_b))
+    base = load_checkpoint(args.checkpoint_a)
+    text_a, _, denoiser, world = model_from_state(base)
+    text_b = _extra_text_encoder(args.checkpoint_b, base)
     prompt = _parse_prompt(args.prompt, world)
     lambdas = _parse_numbers(args.lambdas, "--lambdas", _finite_float)
 
@@ -583,8 +585,9 @@ def _cmd_mix(args):
         raise ValueError(
             f"got {len(paths)} checkpoints but {len(weights)} weights")
     # the denoiser and world come from the first (base) checkpoint
-    text, _, denoiser, world = model_from_state(load_checkpoint(paths[0]))
-    texts = [text] + [TextEncoderParams.from_state(load_checkpoint(p)) for p in paths[1:]]
+    base = load_checkpoint(paths[0])
+    text, _, denoiser, world = model_from_state(base)
+    texts = [text] + [_extra_text_encoder(p, base) for p in paths[1:]]
     prompt = _parse_prompt(args.prompt, world)
 
     with ta.pause_recording():

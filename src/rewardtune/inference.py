@@ -25,20 +25,6 @@ from .util import derive_seed, write_text
 DEFAULT_LAMBDA_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def guided_step(denoiser, t, t_prev, z, c, w, sampler, sched):
-    """One sampler transition t -> t_prev under guidance scale ``w``: one
-    ``ta.mlp_step`` on the fresh buffer of a one-transition ``step_table``,
-    with its checks.
-
-    The unconditional branch runs only when w != 1, so w=1 is bit-identical
-    to conditional-only denoising. ``z`` is one latent or (B, D) rows, in
-    either working dtype. Bit for bit ``denoise``, ``denoise`` of the null
-    conditioning when w != 1, ``cfg_combine`` and ``sampler_step``,
-    forward and backward, but one ``ta.mlp_step`` node when recorded."""
-    ((temb, pairs),), buffer = step_table(denoiser, [(t, t_prev)], z, c, w, sampler, sched)
-    return ta.mlp_step(z, temb, pairs, buffer)
-
-
 def step_table(denoiser, transitions, z, c, w, sampler, sched):
     """The constants of a walk of ``z`` down the non-empty ``transitions``
     under ``c``, in the working dtype, and the step buffer every step of
@@ -81,13 +67,13 @@ def walk_chain(denoiser, transitions, z, c, w, sampler, sched):
     (B, D) ``z`` with a (B, C) ``c`` walks B chains at once, each row bit
     for bit the walk of that row alone.
 
-    Each step is ``guided_step``'s arithmetic, ``ta.mlp_step_kernel``, on
-    plain arrays, with its bits, errors and warnings but no Tensor and no
-    op dispatch: one dense-stack pass over the rows [cond; uncond] of the
-    buffer of one ``step_table``, whose checks run once, before the first
-    step, and whose transitions' constants are shared with every walk of
-    the same key; an empty walk checks nothing. Nothing is recorded, so
-    ``c`` may be a taped tensor."""
+    Each step is the arithmetic of a taped ``ta.mlp_step`` on the same
+    ``step_table``, ``ta.mlp_step_kernel``, on plain arrays, with its bits,
+    errors and warnings but no Tensor and no op dispatch: one dense-stack
+    pass over the rows [cond; uncond] of the buffer of one ``step_table``,
+    whose checks run once, before the first step, and whose transitions'
+    constants are shared with every walk of the same key; an empty walk
+    checks nothing. Nothing is recorded, so ``c`` may be a taped tensor."""
     if not transitions:
         return z.data
     steps, buffer = step_table(denoiser, transitions, z, c, w, sampler, sched)

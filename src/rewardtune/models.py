@@ -180,19 +180,26 @@ def merged_state(world, *param_sets):
     return {k: v for params in param_sets for k, v in params.state().items()} | world_state(world)
 
 
+def check_shared_widths(state, where=""):
+    """Raise CheckpointError, its message after ``where``, naming both
+    entries when two that ``state`` holds disagree on a width they share."""
+    for width, keys in _SHARED_WIDTHS.items():
+        held = [key for key in keys if key in state]
+        for key in held[1:]:
+            a, b = np.shape(state[held[0]]), np.shape(state[key])
+            if a[:1] != b[:1]:
+                raise CheckpointError(
+                    f"{where}checkpoint entries '{held[0]}' and '{key}' disagree on the {width} "
+                    f"width: shapes {a} and {b}")
+
+
 def model_from_state(state):
     """(text, image, denoiser, world) from a merged state. Besides each set's
     own checks, raises CheckpointError naming both entries when two sets
-    disagree on a width they share."""
+    disagree on a width they share (``check_shared_widths``)."""
     model = (TextEncoderParams.from_state(state), ImageEncoderParams.from_state(state),
              DenoiserParams.from_state(state), world_from_state(state))
-    for width, (first, *others) in _SHARED_WIDTHS.items():
-        for key in others:
-            a, b = np.shape(state[first]), np.shape(state[key])
-            if a[:1] != b[:1]:
-                raise CheckpointError(
-                    f"checkpoint entries '{first}' and '{key}' disagree on the {width} "
-                    f"width: shapes {a} and {b}")
+    check_shared_widths(state)
     return model
 
 

@@ -19,6 +19,7 @@ from . import tensorad as ta
 from .data import make_world, sample_pairs, world_from_state, world_state
 from .finetune import OptimizerState, check_update_fields, collect_grads, optimizer_step
 from .models import (
+    check_shared_widths,
     denoise,
     image_encode,
     init_denoiser,
@@ -299,8 +300,10 @@ def pretrain_encoders(seed, config=None):
 def pretrain_denoiser(text, world, seed, sched, config=None):
     """Denoiser init from ``seed``, then one stage under ``config`` or, by
     default, every DENOISER_STAGES entry. Returns (denoiser, losses) with the
-    losses of all stages in order."""
+    losses of all stages in order. A ``text`` or ``world`` of another width
+    than the fresh denoiser is a CheckpointError before any iteration."""
     denoiser = init_denoiser(derive_seed(seed, "init-denoiser"))
+    check_shared_widths(merged_state(world, text, denoiser))
     if config is not None:
         stages = [config]
     else:

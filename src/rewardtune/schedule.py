@@ -6,13 +6,13 @@ probability-flow Euler step) and the guidance combination is one function
 that checks its arguments and returns plain floats, constants with respect
 to differentiation, as the (a, b) pairs of updates x * a + y * b. The taped
 step (``tensorad.mlp_step``) and the detached walk apply them; so do
-``cfg_combine`` and ``sampler_step``, as ``axpby`` nodes over autodiff
-tensors: the reference chain that step is checked against.
+``cfg_combine`` and ``sampler_step`` (every sampler's update, by name),
+as ``axpby`` nodes over autodiff tensors: the reference chain that step
+is checked against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -252,7 +252,3 @@ def sampler_step(kind, z_t, eps_hat, t, t_prev, sched):
         z_t = ta.axpby(z_t, a, eps_hat, b)
     return z_t
 
-
-# each sampler's taped step (z_t, eps_hat, t, t_prev, sched), by name
-SAMPLER_STEPS = {kind: functools.partial(sampler_step, kind) for kind in SAMPLER_COEFFICIENTS}
-ddim_step, euler_step = SAMPLER_STEPS["ddim"], SAMPLER_STEPS["euler"]

@@ -24,8 +24,8 @@ activations (``mlp_step``, below).
 Three fused ops record one node where a chain of the primitives would
 record several, and are bit for bit that chain, forward and backward:
 ``mlp``, a dense stack over the concatenation of its parts (``concat``,
-``linear`` and ``silu`` or ``tanh``); ``axpby``, ``x * a + y * b`` for
-constants ``a`` and ``b``; and ``mlp_step``, a guided sampler step (one
+``matmul``, ``add`` and ``silu`` or ``tanh``); ``axpby``, ``x * a + y * b``
+for constants ``a`` and ``b``; and ``mlp_step``, a guided sampler step (one
 ``mlp`` per guidance branch, an ``axpby`` combining them, one ``axpby``
 per sampler update), so a recorded denoising step is one node, not
 dozens: per-node Python dispatch, not arithmetic, is most of what a step
@@ -55,7 +55,7 @@ Three more fused ops stand for the reward arithmetic the same way:
 ``squared_error`` (``sub``, ``mul``, a mean) and ``weighted_sum`` (a
 constant ``mul`` per term and the ``add`` chain over them).
 
-Reductions (sum, mean, dot, matmul, linear, mlp) accumulate in float64 and
+Reductions (sum, mean, dot, matmul, mlp) accumulate in float64 and
 round back to the working dtype. The ops that take rows follow one shape
 rule: a (B, n) batch is B rows, each computed on its own, and a 1-D operand
 is the one-row batch; the products, ``dot``, ``mlp`` and ``pool_tokens`` (a
@@ -106,7 +106,6 @@ __all__ = [
     "neg",
     "matmul",
     "transpose",
-    "linear",
     "dot",
     "concat",
     "stack",
@@ -124,11 +123,9 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
-    "norm",
     "cosine_similarity",
     "squared_error",
     "weighted_sum",
-    "time_embedding",
     "time_embedding_array",
     "axpby",
     "axpby_kernel",
@@ -263,39 +260,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(id={self.id}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self):
         return tensor_sum(self)
-
-    def mean(self):
-        return tensor_mean(self)
 
 
 class TapeNode:
@@ -616,7 +582,7 @@ def _f64(x):
 
 
 def _product_shape(op, xshape, w, b=None):
-    """The shape of ``_product(op, x, w, b)`` for an ``x`` of ``xshape``;
+    """The shape of ``_product(op, x, w)`` for an ``x`` of ``xshape``;
     raises its errors: an operand that is not 1-D or 2-D, inner dims that
     differ, and a bias whose shape is neither the output's nor one row's."""
     ws = w.data.shape
@@ -630,19 +596,17 @@ def _product_shape(op, xshape, w, b=None):
     return shape
 
 
-def _product(op, x, w, b=None):
+def _product(op, x, w):
     """The array ``x`` @ the Tensor ``w`` in float64, rounded to the working
-    dtype, plus the Tensor ``b``'s array when given (as ``linear`` adds
-    it), with ``_product_shape``'s checks. ``w`` is read through its kept
+    dtype, with ``_product_shape``'s checks. ``w`` is read through its kept
     float64 copy. ``x`` is a stack of row vectors, a 1-D ``x`` the one-row
     stack, each multiplied on its own (``np.matmul`` over (B, 1, K)), so
     row i equals the product of ``x[i]`` alone bit for bit; a 2-D gemm
     would not. ``mlp_kernel`` does the same arithmetic into arrays made
     once (``_mlp_work``)."""
-    shape = _product_shape(op, x.shape, w, b)
+    shape = _product_shape(op, x.shape, w)
     out = np.matmul(_f64(x).reshape(-1, 1, x.shape[-1]), w.data64)
-    out = out.reshape(shape).astype(_STATE.dtype)
-    return out if b is None else out + b.data
+    return out.reshape(shape).astype(_STATE.dtype)
 
 
 def _product_dx(g, x, w):
@@ -684,19 +648,6 @@ def transpose(a):
     if a.data.ndim != 2:
         raise ValueError(f"transpose: input must be 2-D, got {a.data.shape}")
     return _trace("transpose", (a,), a.data.T.copy(), (), None, _bw_transpose)
-
-
-def _bw_linear(g, saved, ctx):
-    return (*_bw_matmul(g, saved, None), _unbroadcast(g, ctx))
-
-
-def linear(x, w, b):
-    """Dense layer x @ w + b as one op: bit for bit ``add(matmul(x, w), b)``,
-    recorded as a single node. ``b`` has the output's shape or, for a batch
-    of rows, one row's shape."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    return _trace("linear", (x, w, b), _product("linear", x.data, w, b), (x, w), b.data.shape,
-                  _bw_linear)
 
 
 def _dot_dx(g, y64):
@@ -1053,7 +1004,7 @@ def _interior(arr):
 
 def _bw_cosine(g, saved, ctx):
     """Yields the gradients as the chain's sweep gives them: ``dot(b, b)``'s
-    two through ``norm(b)``, ``dot(a, a)``'s two through ``norm(a)`` (None
+    two through its ``sqrt``, ``dot(a, a)``'s two through its ``sqrt`` (None
     for an operand that needs none: the chain records no such dot), then
     ``dot(a, b)``'s two."""
     a, b, na, nb, den, out = saved
@@ -1072,7 +1023,8 @@ def cosine_similarity(a, b):
     """cos(a, b); for (B, n) rows, the (B,) cosines of paired rows. Raises on
     a zero-norm operand or row.
 
-    Bit for bit the chain ``div(dot(a, b), mul(norm(a), norm(b)))``,
+    Bit for bit the chain ``div(dot(a, b), mul(sqrt(dot(a, a)),
+    sqrt(dot(b, b))))``,
     forward and backward, recorded as one node whose inputs are
     ``(b, b, a, a, a, b)``: ``dot(b, b)``'s, ``dot(a, a)``'s and
     ``dot(a, b)``'s, the order in which the chain's sweep gives them
@@ -1300,19 +1252,21 @@ def mlp(parts, layers, act):
     after every layer but the last.
 
     Bit for bit the chain ``concat`` (of each 1-D part ``broadcast_rows``
-    over the rows of the 2-D parts), ``linear``, ``act``, ..., ``linear``,
-    forward and backward, recorded as one node whose inputs are the
-    weights and biases, last layer first, then the parts: the order in
-    which the chain's sweep gives them gradients. The gradient of a
-    weight, a row bias or a broadcast part comes as the rows' unsummed
-    terms. The backward rule computes nothing for a weight or bias that
-    needs no gradient, and gives a part a gradient, which a tap on it
-    sees, exactly where the chain's recorded nodes would: the one part
-    whenever the first layer is reached, several parts only when one of
-    them needs a gradient (else ``concat`` is not recorded), and a
-    broadcast part only when it needs one. The node keeps the arrays the
-    chain's nodes kept: each layer's input and, for silu, each
-    pre-activation; ``TapeStats`` counts them."""
+    over the rows of the 2-D parts), then per layer ``add(matmul(x, w),
+    b)`` (a row bias broadcast too) and ``act`` below the last, forward
+    and backward, recorded as one node whose inputs are the weights and
+    biases, last layer first, then the parts: the order in which the
+    chain's sweep gives them gradients. The gradient of a weight, a row
+    bias or a broadcast part comes as the rows' unsummed terms. The
+    backward rule computes nothing for a weight or bias that needs no
+    gradient, and gives a part a gradient, which a tap on it sees, where
+    the chain's recorded nodes would: the one part whenever the first
+    layer is reached (the chain's first ``matmul`` is not when only its
+    bias needs a gradient), several parts only when one of them needs a
+    gradient (else ``concat`` is not recorded), and a broadcast part only
+    when it needs one. The node keeps the arrays the chain's nodes kept:
+    each layer's input and, for silu, each pre-activation; ``TapeStats``
+    counts them."""
     if act not in ("silu", "tanh") or not layers:
         raise ValueError(f"mlp: need at least one layer and act 'silu' or 'tanh', got {act!r}")
     parts = [_as_tensor(p) for p in parts]
@@ -1462,28 +1416,14 @@ def mlp_step(z, temb, pairs, buffer):
 
 
 # ---------------------------------------------------------------------------
-# composed helpers (differentiable through the primitives above)
-
-
-def norm(a):
-    """Euclidean norm as sqrt(dot(a, a)); for (B, n) rows, the (B,) norms."""
-    return sqrt(dot(a, a))
-
-
-def time_embedding(t, dim):
-    """Sinusoidal embedding of an integer timestep, or a (B, dim) row per
-    timestep of a sequence; constant w.r.t. autodiff.
-
-    t is never a learned quantity, so the result carries no grad path. The
-    float64 values are computed once per (t, dim); every call still returns
-    a fresh Tensor, so a checkpoint-segment replay sees a tensor of its own.
-    """
-    return Tensor(time_embedding_array(t, dim))
+# the time embedding
 
 
 def time_embedding_array(t, dim):
-    """The values of ``time_embedding(t, dim)`` as an array of the working
-    dtype."""
+    """Sinusoidal embedding of an integer timestep, or a (B, dim) row per
+    timestep of a sequence, as a fresh array of the working dtype: a
+    constant to autodiff, since t is never a learned quantity. The float64
+    values are computed once per (t, dim)."""
     if isinstance(t, (int, np.integer)):
         return _time_angles(t, dim).astype(_STATE.dtype)
     return np.array([_time_angles(int(s), dim) for s in t], dtype=_STATE.dtype)
@@ -1492,7 +1432,7 @@ def time_embedding_array(t, dim):
 @functools.lru_cache(maxsize=4096)
 def _time_angles(t, dim):
     if dim % 2 != 0:
-        raise ValueError("time_embedding: dim must be even")
+        raise ValueError("time_embedding_array: dim must be even")
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half, dtype=np.float64) / half)
     ang = float(t) * freqs

@@ -33,8 +33,8 @@ def _package_hash():
 def baseline_state():
     """Merged world + pretrained text/image/denoiser state at seed 42.
 
-    Building runs both pretraining stages (about 25 seconds on a 2-core
-    machine). Set REWARDTUNE_TEST_CACHE to a directory to reuse the
+    Building runs both pretraining stages (about 22 seconds on a shared
+    2-core machine). Set REWARDTUNE_TEST_CACHE to a directory to reuse the
     checkpoint across pytest invocations while iterating locally; the file
     name carries a hash of the package sources.
     """

@@ -32,6 +32,12 @@ class TestWorld:
         assert w.patterns.dtype == np.float32
         assert w.token_ids == tuple(range(8))
 
+    def test_redraw_failure_names_the_sizes(self):
+        # no two of 8 patterns in one dimension have a cosine below 0.5
+        want = r"^could not draw 8 patterns in 1 dims with pairwise cos < 0\.5$"
+        with pytest.raises(RuntimeError, match=want):
+            make_world(0, d=1)
+
     def test_patterns_unit_norm(self):
         w = make_world(3)
         norms = np.linalg.norm(w.patterns, axis=1)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rewardtune import evalcli, inference, rewards, schedule
+from rewardtune import evalcli, inference, pretrain, rewards, schedule
 from rewardtune.data import make_prompt_sets
 from rewardtune.evalcli import (
     EvalReport,
@@ -25,7 +25,7 @@ from rewardtune.models import init_denoiser, load_checkpoint, save_checkpoint, s
 from rewardtune.pretrain import PretrainConfig, make_pretrained_baseline
 from rewardtune.schedule import make_step_plan
 from rewardtune.tensorad import Tensor
-from rewardtune.util import derive_seed
+from rewardtune.util import derive_seed, format_cell
 
 PLAN25 = make_step_plan(25)
 PLAN5 = make_step_plan(5)
@@ -73,6 +73,10 @@ class TestTable:
         assert open(csv_path).read() == t.to_csv()
         assert open(txt_path).read() == t.render_text()
 
+    def test_bool_cells_are_written_as_words(self):
+        assert [format_cell(v) for v in (True, np.bool_(False), 3, 0.5)] == [
+            "True", "False", "3", "0.5"]
+
 
 class TestEvalReportInvariants:
     def _entry(self, **kw):
@@ -106,11 +110,11 @@ class TestEvalReportInvariants:
 
 class TestEvaluate:
     def test_baseline_report_matches_golden_fixture(self, baseline_state, holdout):
-        report = evaluate(baseline_state, holdout, PLAN25, 1.0, [0, 1])
+        report = evaluate([("model", baseline_state)], holdout, PLAN25, 1.0, [0, 1])
         assert report.to_csv() == BASELINE_REPORT_CSV
 
     def test_same_checkpoint_twice_gives_identical_rows(self, baseline_state, holdout):
-        report = evaluate({"a": baseline_state, "b": baseline_state},
+        report = evaluate([("a", baseline_state), ("b", baseline_state)],
                           holdout, PLAN5, 1.0, [0, 1])
         a, b = report.entries
         assert a.reward_means == b.reward_means
@@ -118,8 +122,8 @@ class TestEvaluate:
         assert a.spread == b.spread
 
     def test_repeat_call_is_deterministic(self, baseline_state, holdout):
-        first = evaluate(baseline_state, holdout, PLAN5, 1.0, [3, 4])
-        second = evaluate(baseline_state, holdout, PLAN5, 1.0, [3, 4])
+        first = evaluate([("model", baseline_state)], holdout, PLAN5, 1.0, [3, 4])
+        second = evaluate([("model", baseline_state)], holdout, PLAN5, 1.0, [3, 4])
         assert first.to_csv() == second.to_csv()
 
     def test_constant_output_model_has_zero_diversity(self, baseline_state, holdout):
@@ -128,40 +132,40 @@ class TestEvaluate:
         state = dict(baseline_state)
         state["text/embed"] = np.zeros_like(state["text/embed"])
         state["text/w1"] = np.zeros_like(state["text/w1"])
-        report = evaluate(state, holdout, PLAN5, 1.0, [0, 1])
+        report = evaluate([("model", state)], holdout, PLAN5, 1.0, [0, 1])
         assert report.entries[0].diversity == 0.0
         assert report.entries[0].spread > 0.0
 
     def test_baseline_diversity_and_spread_positive(self, baseline_state, holdout):
-        report = evaluate(baseline_state, holdout, PLAN5, 1.0, [0, 1])
+        report = evaluate([("model", baseline_state)], holdout, PLAN5, 1.0, [0, 1])
         assert report.entries[0].diversity > 0.0
         assert report.entries[0].spread > 0.0
 
     def test_writes_report_files(self, baseline_state, holdout, tmp_path):
-        report = evaluate(baseline_state, holdout, PLAN5, 1.0, [0, 1],
+        report = evaluate([("model", baseline_state)], holdout, PLAN5, 1.0, [0, 1],
                           out_dir=str(tmp_path))
         assert open(tmp_path / "report.csv").read() == report.to_csv()
         assert open(tmp_path / "report.txt").read() == report.render_text()
 
     def test_empty_prompt_set_rejected(self, baseline_state):
         with pytest.raises(ValueError, match="empty prompt set"):
-            evaluate(baseline_state, [], PLAN5, 1.0, [0, 1])
+            evaluate([("model", baseline_state)], [], PLAN5, 1.0, [0, 1])
 
     def test_too_few_prompts_rejected(self, baseline_state, holdout):
         with pytest.raises(ValueError, match="at least 32 prompts"):
-            evaluate(baseline_state, list(holdout)[:8], PLAN5, 1.0, [0, 1])
+            evaluate([("model", baseline_state)], list(holdout)[:8], PLAN5, 1.0, [0, 1])
 
     def test_needs_two_distinct_seeds(self, baseline_state, holdout):
         with pytest.raises(ValueError, match="2 distinct seeds"):
-            evaluate(baseline_state, holdout, PLAN5, 1.0, [7, 7])
+            evaluate([("model", baseline_state)], holdout, PLAN5, 1.0, [7, 7])
 
     def test_unknown_sampler_rejected(self, baseline_state, holdout):
         with pytest.raises(ValueError, match="unknown sampler"):
-            evaluate(baseline_state, holdout, PLAN5, 1.0, [0, 1], sampler="heun")
+            evaluate([("model", baseline_state)], holdout, PLAN5, 1.0, [0, 1], sampler="heun")
 
     def test_no_checkpoints_rejected(self, holdout):
         with pytest.raises(ValueError, match="no checkpoints"):
-            evaluate({}, holdout, PLAN5, 1.0, [0, 1])
+            evaluate([], holdout, PLAN5, 1.0, [0, 1])
 
     def test_repeated_model_name_rejected_before_any_chain(self, baseline_state, holdout,
                                                            monkeypatch):
@@ -188,7 +192,7 @@ class TestEvaluate:
             for name in ("text_encode", "text_encode_rows"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        report = evaluate({"a": baseline_state, "b": baseline_state}, holdout, PLAN5, 1.0,
+        report = evaluate([("a", baseline_state), ("b", baseline_state)], holdout, PLAN5, 1.0,
                           [0, 1])
         assert calls == ["text_encode_rows", "text_encode_rows"]
         assert report.entries[0].reward_means == report.entries[1].reward_means
@@ -203,7 +207,7 @@ class TestEvaluate:
         prompts[3] = (1, token)
         with pytest.raises(ValueError,
                            match=f"^token {token} is not an attribute of this world$"):
-            evaluate(baseline_state, prompts, PLAN5, 1.0, [0, 1])
+            evaluate([("model", baseline_state)], prompts, PLAN5, 1.0, [0, 1])
         assert chains == []
 
 
@@ -214,7 +218,7 @@ READOUTS = ("image-style", "alignment", "clip-constraint")
 def _isolated_cell(state, holdout, label, n, w, sampler):
     """Reward means of one grid cell, scored on its own under its derived seeds."""
     seeds = (derive_seed(TINY.seed, label, n), derive_seed(TINY.seed, label, n, 1))
-    report = evaluate(state, holdout, make_step_plan(n), w, seeds, sampler=sampler)
+    report = evaluate([("model", state)], holdout, make_step_plan(n), w, seeds, sampler=sampler)
     return tuple(report.entries[0].reward_means[k] for k in READOUTS)
 
 
@@ -434,6 +438,25 @@ def test_sampling_flags_checked_before_any_checkpoint_read(tmp_path, capsys, arg
     assert not out.exists()
 
 
+def _wide_conditioning(state, *prefixes):
+    """``state`` with the output layer of each ``prefix`` encoder one
+    conditioning column wider, zeros appended."""
+    state = dict(state)
+    for prefix in prefixes:
+        state[f"{prefix}/w2"] = np.pad(state[f"{prefix}/w2"], ((0, 0), (0, 1)))
+        state[f"{prefix}/b2"] = np.pad(state[f"{prefix}/b2"], (0, 1))
+    return state
+
+
+def _wide_data(state):
+    """``state`` with the world's patterns and the image encoder's input one
+    data column wider, zeros appended."""
+    state = {k: np.pad(v, (0, 1)) if k.startswith("world/pattern_") else v
+             for k, v in state.items()}
+    state["image/w1"] = np.pad(state["image/w1"], ((0, 1), (0, 0)))
+    return state
+
+
 class TestCliPipeline:
     def test_pretrain_then_finetune_chain(self, tmp_path, capsys):
         clip_cfg = tmp_path / "clip.json"
@@ -572,6 +595,37 @@ class TestCliPipeline:
         assert "iteration 1: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.rcpt").exists()
         assert not (tmp_path / "out" / "diffusion_metrics.csv").exists()
+
+    @pytest.mark.parametrize("widen,first,second,width,shapes", [
+        (lambda s: _wide_conditioning(s, "image"), "text/b2", "image/b2", "conditioning",
+         "(8,) and (9,)"),
+        (lambda s: _wide_conditioning(s, "text", "image"), "text/b2", "denoiser/null_cond",
+         "conditioning", "(9,) and (8,)"),
+        (_wide_data, "world/pattern_0", "denoiser/b3", "data", "(17,) and (16,)"),
+    ], ids=["image-encoder", "both-encoders", "world"])
+    def test_pretrain_diffusion_checks_widths_before_training(
+            self, baseline_state, tmp_path, capsys, monkeypatch, widen, first, second, width,
+            shapes):
+        # a contrastive-stage checkpoint whose encoders disagree with each
+        # other, or whose encoders or world disagree with the denoiser the
+        # command makes
+        state = {k: v for k, v in widen(baseline_state).items()
+                 if not k.startswith("denoiser/")}
+        ckpt = str(tmp_path / "clip.rcpt")
+        save_checkpoint(state, ckpt)
+        stages = []
+        monkeypatch.setattr(pretrain, "diffusion_pretrain", lambda *args: stages.append(args))
+        cfg = tmp_path / "diff.json"
+        cfg.write_text(json.dumps({"iterations": 2, "batch_size": 2}))
+        out = tmp_path / "out"
+        rc = cli_main(["pretrain-diffusion", "--config", str(cfg), "--checkpoint", ckpt,
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"rewardtune: error: checkpoint entries '{first}' and '{second}' disagree on the "
+            f"{width} width: shapes {shapes}\n")
+        assert stages == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,extra,chain,what", [
         ("finetune-text", [], {"n_steps": 3, "k_last": 1}, "loss"),
@@ -820,6 +874,30 @@ class TestCliInterpolateAndMix:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.f32"))
 
+    @pytest.mark.parametrize("command", ["interpolate", "mix"])
+    def test_extra_text_encoder_of_another_width_exits_2_at_load(
+            self, baseline_state, baseline_ckpt, tmp_path, capsys, monkeypatch, command):
+        # a text encoder of conditioning width 9 beside a width-8 base: the
+        # error names its checkpoint, before any prompt is encoded
+        wide = str(tmp_path / "wide.rcpt")
+        save_checkpoint(_wide_conditioning(baseline_state, "text"), wide)
+        encodes = []
+        for module in (evalcli, inference):
+            monkeypatch.setattr(module, "text_encode", lambda *args: encodes.append(args))
+        if command == "interpolate":
+            args = ["interpolate", "--checkpoint-a", baseline_ckpt, "--checkpoint-b", wide]
+        else:
+            args = ["mix", "--checkpoints", f"{baseline_ckpt},{wide}", "--weights", "0.5,0.5"]
+        out = tmp_path / "out"
+        rc = cli_main(args + ["--prompt", "1", "--steps", "5", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"rewardtune: error: {wide} against the base denoiser: checkpoint entries "
+            "'text/b2' and 'denoiser/null_cond' disagree on the conditioning width: "
+            "shapes (9,) and (8,)\n")
+        assert encodes == []
+        assert not out.exists()
+
 
 class TestCliNumberFlags:
     @pytest.mark.parametrize("argv,code,want", [
@@ -1040,6 +1118,17 @@ class TestGuidanceCheckedBeforeTraining:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "rewardtune: error: evaluation needs at least 32 prompts, got 10\n"
+        assert trainings == []
+        assert not out.exists()
+
+    def test_cli_empty_kinds_exit_2_before_training(self, baseline_ckpt, tmp_path, capsys,
+                                                    trainings):
+        out = tmp_path / "out"
+        rc = cli_main(["ablate-schedulers", "--checkpoint", baseline_ckpt, "--kinds", ",",
+                       "--steps", "5", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "rewardtune: error: kinds and steps must be non-empty\n")
         assert trainings == []
         assert not out.exists()
 

@@ -18,7 +18,6 @@ from rewardtune.inference import (
     DEFAULT_LAMBDA_SWEEP,
     _noise_draw,
     continuity_probe,
-    guided_step,
     interpolate_embeddings,
     mix_styles,
     read_sample,
@@ -327,11 +326,18 @@ class TestBatchedWalk:
         assert start_noise(12, 16).data.tobytes() == want.tobytes()
 
 
+def _taped_step(denoiser, t, t_prev, z, c, w, sampler, sched):
+    """One transition as the fine-tune chain records it: the constants and
+    buffer of a one-transition ``step_table``, then one ``ta.mlp_step``."""
+    ((temb, pairs),), buffer = step_table(denoiser, [(t, t_prev)], z, c, w, sampler, sched)
+    return ta.mlp_step(z, temb, pairs, buffer)
+
+
 def _stepped_walk(denoiser, transitions, z, c, w, sampler, sched):
-    """``walk_chain`` written out as a detached loop of ``guided_step``."""
+    """``walk_chain`` written out as a detached loop of ``_taped_step``."""
     with ta.pause_recording():
         for t, t_prev in transitions:
-            z = guided_step(denoiser, t, t_prev, z, c, w, sampler, sched)
+            z = _taped_step(denoiser, t, t_prev, z, c, w, sampler, sched)
     return z.data
 
 
@@ -580,7 +586,7 @@ def _primitive_step(denoiser, t, t_prev, z, c, w, sampler, sched):
 
 
 class TestOneNodeStep:
-    """``guided_step`` records one node, bit for bit the primitive chain."""
+    """``_taped_step`` records one node, bit for bit the primitive chain."""
 
     @staticmethod
     def _run(step, state, dtype, shape, trainable, w, sampler):
@@ -617,7 +623,7 @@ class TestOneNodeStep:
     @pytest.mark.parametrize("sampler", ["ddim", "euler"])
     def test_bytes_equal_primitive_chain(self, baseline_state, sampler, w, shape, trainable,
                                          dtype):
-        got = self._run(guided_step, baseline_state, dtype, shape, trainable, w, sampler)
+        got = self._run(_taped_step, baseline_state, dtype, shape, trainable, w, sampler)
         want = self._run(_primitive_step, baseline_state, dtype, shape, trainable, w, sampler)
         assert got[0].dtype == np.dtype(dtype)
         assert got[0].tobytes() == want[0].tobytes()
@@ -673,7 +679,7 @@ class TestStepTableReuse:
             return sample(*args, **kwargs)
 
         monkeypatch.setattr(evalcli, "sample_from_cond", counted)
-        evalcli.evaluate(baseline_state, holdout, plan, 3.0, [0, 1], sampler="euler")
+        evalcli.evaluate([("model", baseline_state)], holdout, plan, 3.0, [0, 1], sampler="euler")
         # one sampling call per chain, P * S of them, and one table for all
         assert len(chains) == 36 * 2
         assert sampler_calls == [("euler", t, t_prev) for t, t_prev in plan.transitions()]
@@ -694,7 +700,7 @@ class TestStepTableReuse:
         plan = make_step_plan(3)
         before = inference._transition_table.cache_info().misses
         for _ in range(3):
-            evalcli.evaluate(baseline_state, holdout, plan, 3.0, [0, 1])
+            evalcli.evaluate([("model", baseline_state)], holdout, plan, 3.0, [0, 1])
         assert inference._transition_table.cache_info().misses - before <= 1
 
     def test_run_training_builds_one_table(self, baseline_state, sampler_calls):
@@ -795,16 +801,20 @@ class TestStepTableReuse:
 
 
 def _written_out_mlp(parts, layers):
-    """The silu dense stack as the primitive ops ``concat``, ``linear`` and
-    ``silu``, whose ``_product`` rounds a bias sum with ``np.asarray(out +
-    bias, dtype)``."""
+    """The silu dense stack as the primitive ops ``concat``, ``matmul``,
+    ``add`` and ``silu``, a one-row bias ``broadcast_rows`` in its own
+    dtype: ``add`` rounds the sum of a bias of another dtype once, from the
+    wider one."""
     rows = [p.data.shape[0] for p in parts if p.data.ndim == 2]
     if rows:
         parts = [ta.broadcast_rows(p, (rows[0], p.data.shape[0])) if p.data.ndim == 1 else p
                  for p in parts]
     x = ta.concat(parts)
     for i, (w, b) in enumerate(layers):
-        x = ta.linear(x, w, b)
+        y = ta.matmul(x, w)
+        with ta.default_dtype(b.data.dtype):
+            b = ta.broadcast_rows(b, y.data.shape)
+        x = ta.add(y, b)
         if i < len(layers) - 1:
             x = ta.silu(x)
     return x
@@ -884,7 +894,7 @@ class TestWorkspaceRounding:
             fused = lambda den, z, c: ta.mlp([z, temb(den), c], den.layers(), "silu")
             chain = lambda den, z, c: _written_out_mlp([z, temb(den), c], den.layers())
         else:
-            fused = lambda den, z, c: guided_step(den, 700, 600, z, c, 3.0, "euler", sched)
+            fused = lambda den, z, c: _taped_step(den, 700, 600, z, c, 3.0, "euler", sched)
             chain = lambda den, z, c: _written_out_step(den, 700, 600, z, c, 3.0, "euler",
                                                         sched)
         got, want = (self._taped(op, self._denoiser(baseline_state, bias_dtype, dtype, True),
@@ -903,7 +913,7 @@ class TestWorkspaceRounding:
         den.set_requires_grad(True)
         with ta.debug_checks():
             with ta.Tape(), pytest.raises(ta.AutodiffError, match="non-finite"):
-                guided_step(den, 999, 500, z, c, 3.0, "ddim", sched)
+                _taped_step(den, 999, 500, z, c, 3.0, "ddim", sched)
 
 
 def _array_saved(node):
@@ -920,7 +930,7 @@ class TestWorkspaceAliasing:
         with ta.Tape() as tape:
             c = text_encode_rows(baseline_text, [(1, 2), (5,)])
             for t, t_prev in [(999, 700), (700, 400)]:
-                z = guided_step(baseline_denoiser, t, t_prev, z, c, 3.0, "ddim", sched)
+                z = _taped_step(baseline_denoiser, t, t_prev, z, c, 3.0, "ddim", sched)
         first, second = [n for n in tape.nodes if n.op == "mlp_step"]
         kept = [a.copy() for a in _array_saved(first)]
         assert len(kept) == 5  # three layer inputs, two pre-activations

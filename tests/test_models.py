@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -13,6 +14,7 @@ from rewardtune.models import (
     ImageEncoderParams,
     ModelConfig,
     TextEncoderParams,
+    check_shared_widths,
     denoise,
     deserialize_state,
     image_encode,
@@ -201,7 +203,7 @@ class TestDenoise:
         ((2, 3, 16), (8,)),  # a latent of rank 3
     ])
     def test_batched_shape_checks_name_both_shapes(self, z_shape, c_shape):
-        # a bad batch fails in denoise's own check, never inside concat or linear
+        # a bad batch fails in denoise's own check, never inside concat or matmul
         params = init_denoiser(0)
         with pytest.raises(ValueError) as err:
             denoise(params, 0, Tensor(np.zeros(z_shape)), Tensor(np.zeros(c_shape)))
@@ -239,7 +241,7 @@ class TestDenoise:
         # one taped denoise is one node; the tape's live count is exactly the
         # arrays that node keeps for backward: the joined input, and each
         # hidden layer's pre-activation and activation (the five op outputs
-        # the concat/linear/silu chain kept)
+        # the concat/matmul/add/silu chain kept)
         params = init_denoiser(9)
         params.set_requires_grad(True)
         rng = np.random.default_rng(6)
@@ -531,6 +533,17 @@ class TestCheckpoint:
         state[key] = state[key][cut]
         with pytest.raises(CheckpointError, match=f"'{other}' and '{key}' disagree"):
             model_from_state(state)
+
+    def test_shared_widths_checks_the_entries_a_state_holds(self):
+        # a contrastive-stage state, without the denoiser, is checked on the
+        # entries it holds; ``where`` leads the message
+        state = merged_state(make_world(0), init_text_encoder(1), init_image_encoder(2))
+        check_shared_widths(state)
+        state["image/b2"] = np.zeros(9, np.float32)
+        want = ("at load: checkpoint entries 'text/b2' and 'image/b2' disagree on the "
+                "conditioning width: shapes (8,) and (9,)")
+        with pytest.raises(CheckpointError, match=f"^{re.escape(want)}$"):
+            check_shared_widths(state, "at load: ")
 
     def test_digest_sensitive_to_values(self):
         a = {"x": np.zeros(3, np.float32)}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def test_roundtrip_f32_moderate_t():
 
 
 # ---------------------------------------------------------------------------
-# ddim_step
+# the DDIM update
 
 
 def test_ddim_terminal_step_equals_predict_x0():
@@ -181,7 +182,7 @@ def test_ddim_terminal_step_equals_predict_x0():
     z = Tensor(rng.standard_normal(6))
     eps = Tensor(rng.standard_normal(6))
     t = 40
-    z0 = sc.ddim_step(z, eps, t, 0, s)
+    z0 = sc.sampler_step("ddim", z, eps, t, 0, s)
     xh = sc.predict_x0(z, eps, t, s)
     assert np.array_equal(z0.data, xh.data)
 
@@ -189,13 +190,13 @@ def test_ddim_terminal_step_equals_predict_x0():
 def test_ddim_zero_eps():
     stub = StubSched({3: (0.6, 0.8), 1: (0.9, math.sqrt(1 - 0.81))})
     z = Tensor([2.0, -1.0])
-    out = sc.ddim_step(z, Tensor([0.0, 0.0]), 3, 1, stub)
+    out = sc.sampler_step("ddim", z, Tensor([0.0, 0.0]), 3, 1, stub)
     assert np.allclose(out.data, z.data * (0.9 / 0.6), atol=1e-6)
 
 
 def test_ddim_scalar_case():
     stub = StubSched({7: (0.6, 0.8), 2: (0.9, 0.435)})
-    out = sc.ddim_step(Tensor([1.0]), Tensor([0.5]), 7, 2, stub)
+    out = sc.sampler_step("ddim", Tensor([1.0]), Tensor([0.5]), 7, 2, stub)
     # 0.9*(1.0 - 0.8*0.5)/0.6 + 0.435*0.5 = 1.1175
     assert abs(float(out.data[0]) - 1.1175) < 1e-6
 
@@ -203,21 +204,21 @@ def test_ddim_scalar_case():
 def test_ddim_rejects_bad_order():
     s = sc.make_schedule("cosine", t_train=100)
     z = Tensor([1.0])
-    with pytest.raises(ValueError):
-        sc.ddim_step(z, z, 5, 5, s)
-    with pytest.raises(ValueError):
-        sc.ddim_step(z, z, 5, 9, s)
+    with pytest.raises(ValueError, match=r"^ddim_step: t_prev \(5\) must be < t \(5\)$"):
+        sc.sampler_step("ddim", z, z, 5, 5, s)
+    with pytest.raises(ValueError, match=r"^ddim_step: t_prev \(9\) must be < t \(5\)$"):
+        sc.sampler_step("ddim", z, z, 5, 9, s)
 
 
 # ---------------------------------------------------------------------------
-# euler_step
+# the Euler update
 
 
 def test_euler_rejects_bad_order():
     s = sc.make_schedule("cosine", t_train=100)
     z = Tensor([1.0])
-    with pytest.raises(ValueError):
-        sc.euler_step(z, z, 7, 7, s)
+    with pytest.raises(ValueError, match=r"^euler_step: t_prev \(7\) must be < t \(7\)$"):
+        sc.sampler_step("euler", z, z, 7, 7, s)
 
 
 def test_euler_single_step_closed_form():
@@ -225,7 +226,7 @@ def test_euler_single_step_closed_form():
     s = sc.make_schedule("cosine", t_train=1000)
     t, t_prev = 999, 0
     z_val, eps_val = 1.25, -0.5
-    out = sc.euler_step(Tensor([z_val]), Tensor([eps_val]), t, t_prev, s)
+    out = sc.sampler_step("euler", Tensor([z_val]), Tensor([eps_val]), t, t_prev, s)
     a_t, a_p = s.alpha_at(t), s.alpha_at(t_prev)
     s_t, s_p = s.sigma_at(t), s.sigma_at(t_prev)
     dlog = math.log(a_p) - math.log(a_t)
@@ -234,13 +235,14 @@ def test_euler_single_step_closed_form():
     assert abs(float(out.data[0]) - expected) < 1e-5
 
 
-def _oracle_denoiser_run(step_fn, sched, plan, x, z_start):
-    """Walk a plan with the exact linear denoiser eps = (z - alpha*x)/sigma."""
+def _oracle_denoiser_run(kind, sched, plan, x, z_start):
+    """Walk a plan with sampler ``kind`` and the exact linear denoiser
+    eps = (z - alpha*x)/sigma."""
     z = z_start
     for t, t_prev in plan.transitions():
         a, s = sched.alpha_at(t), sched.sigma_at(t)
         eps = Tensor((z.data - a * x) / s)
-        z = step_fn(z, eps, t, t_prev, sched)
+        z = sc.sampler_step(kind, z, eps, t, t_prev, sched)
     return z.data
 
 
@@ -250,8 +252,8 @@ def _euler_ddim_gap(n_steps, seed=9):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(8).astype(np.float32) * 0.5
     z_start = Tensor(rng.standard_normal(8))
-    end_ddim = _oracle_denoiser_run(sc.ddim_step, sched, plan, x, z_start)
-    end_euler = _oracle_denoiser_run(sc.euler_step, sched, plan, x, z_start)
+    end_ddim = _oracle_denoiser_run("ddim", sched, plan, x, z_start)
+    end_euler = _oracle_denoiser_run("euler", sched, plan, x, z_start)
     assert np.allclose(end_ddim, x, atol=1e-4)  # DDIM is exact here
     return np.linalg.norm(end_euler - end_ddim) / np.linalg.norm(end_ddim)
 
@@ -354,10 +356,8 @@ def test_plan_invariants_hold_for_many_sizes():
 @pytest.mark.parametrize("step_name", ["ddim", "euler"])
 def test_step_gradients_match_fd(step_name):
     sched = sc.make_schedule("cosine", t_train=1000)
-    step = sc.SAMPLER_STEPS[step_name]
-
     def f(p):
-        out = step(p["z"], p["eps"], 600, 560, sched)
+        out = sc.sampler_step(step_name, p["z"], p["eps"], 600, 560, sched)
         w = Tensor(np.linspace(0.5, 1.5, 6))
         return ta.mul(out, w).sum()
 
@@ -406,3 +406,37 @@ def test_sampler_step_dispatch():
     with pytest.raises(ValueError):
         sc.sampler_step("pndm", Tensor([1.0]), Tensor([0.0]), 5, 0,
                         sc.make_schedule("cosine", t_train=100))
+
+
+# ---------------------------------------------------------------------------
+# input checks: each bad input fails in its own check, with its message
+
+
+def _schedule(alpha, sigma, t_train=3):
+    return sc.NoiseSchedule("test", t_train, np.array(alpha), np.array(sigma))
+
+
+_INPUT_CHECKS = {
+    "schedule-length": (lambda: _schedule([1.0, 0.6], [0.0, 0.8]),
+                        "schedule arrays must have length t_train"),
+    "schedule-vp": (lambda: _schedule([1.0, 0.6, 0.5], [0.0, 0.8, 0.5]),
+                    "schedule is not variance preserving"),
+    "schedule-decreasing": (lambda: _schedule([1.0, 0.6, 0.6], [0.0, 0.8, 0.8]),
+                            "alpha must be strictly decreasing in t"),
+    "plan-end": (lambda: sc.StepPlan(1, 10, (5, 2)), "step plan must end at 0"),
+    "plan-order": (lambda: sc.StepPlan(2, 10, (5, 5, 0)), "step plan must be strictly decreasing"),
+    "plan-horizon": (lambda: sc.StepPlan(1, 10, (10, 0)),
+                     "step plan exceeds the training horizon"),
+    "columns-rank": (lambda: sc.make_schedule("cosine", 10).columns_at([[1, 2]]),
+                     "expected one timestep per row, got shape (1, 2)"),
+    "euler-zero-noise": (lambda: sc.sampler_step("euler", Tensor([1.0]), Tensor([0.5]), 3, 1,
+                                                 StubSched({3: (1.0, 0.0), 1: (1.0, 0.0)})),
+                         "euler_step: cannot step from a zero-noise timestep"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_CHECKS))
+def test_input_check_raises_its_own_error(case):
+    run, message = _INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()

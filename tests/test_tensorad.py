@@ -1,5 +1,7 @@
 import ast
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,7 +256,7 @@ def test_grad_stack():
     rng = np.random.default_rng(21)
 
     def f(p):
-        s = ta.stack([p["a"].sum(), p["b"].mean()])
+        s = ta.stack([p["a"].sum(), ta.tensor_mean(p["b"])])
         return _as_scalar(s, rng)
 
     _check_op(f, {"a": (3,), "b": (5,)}, 22)
@@ -267,7 +269,7 @@ def test_grad_row():
 
 def test_grad_sum_mean():
     _check_op(lambda p: p["a"].sum(), {"a": (7,)}, 25)
-    _check_op(lambda p: p["a"].mean(), {"a": (7,)}, 26)
+    _check_op(lambda p: ta.tensor_mean(p["a"]), {"a": (7,)}, 26)
 
 
 def test_grad_tanh_silu_exp_log_sqrt():
@@ -291,7 +293,7 @@ def test_grad_tanh_silu_exp_log_sqrt():
 
 def test_grad_norm_cosine_squared_error():
     rng = np.random.default_rng(33)
-    _check_op(lambda p: ta.norm(p["a"]), {"a": (5,)}, 34)
+    _check_op(lambda p: ta.sqrt(ta.dot(p["a"], p["a"])), {"a": (5,)}, 34)
     _check_op(lambda p: ta.cosine_similarity(p["a"], p["b"]), {"a": (5,), "b": (5,)}, 35)
     _check_op(lambda p: ta.squared_error(p["a"], p["b"]), {"a": (5,), "b": (5,)}, 36)
     del rng
@@ -307,48 +309,27 @@ def test_grad_scalar_times_vector_chain():
     rng = np.random.default_rng(37)
 
     def f(p):
-        s = p["a"].mean()
+        s = ta.tensor_mean(p["a"])
         return _as_scalar(ta.mul(p["b"], s), rng)
 
     _check_op(f, {"a": (3,), "b": (4,)}, 38)
 
 
 def test_time_embedding_constant_and_distinct():
-    e1 = ta.time_embedding(5, 8)
-    e2 = ta.time_embedding(5, 8)
-    e3 = ta.time_embedding(6, 8)
-    assert e1.data.shape == (8,)
-    assert np.array_equal(e1.data, e2.data)
-    assert not np.array_equal(e1.data, e3.data)
-    assert e1.data.tobytes() == e2.data.tobytes() and e1.id != e2.id
-    assert e1._needs is False and e1.requires_grad is False
-    with pytest.raises(ValueError):
-        ta.time_embedding(3, 7)
+    e1 = ta.time_embedding_array(5, 8)
+    e2 = ta.time_embedding_array(5, 8)
+    e3 = ta.time_embedding_array(6, 8)
+    assert e1.shape == (8,) and e1.dtype == np.float32
+    assert e1.tobytes() == e2.tobytes() and e1 is not e2
+    assert not np.array_equal(e1, e3)
+    with pytest.raises(ValueError, match="^time_embedding_array: dim must be even$"):
+        ta.time_embedding_array(3, 7)
 
 
-def test_linear_equals_matmul_then_add_bitwise():
-    rng = np.random.default_rng(41)
-    arrays = {"x": rng.standard_normal(6), "w": rng.standard_normal((6, 6)),
-              "b": rng.standard_normal(6)}
-    runs = []
-    for layer in (ta.linear, lambda x, w, b: ta.add(ta.matmul(x, w), b)):
-        leaves = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
-        with Tape() as tape:
-            x, w, b = leaves.values()
-            out = layer(ta.tanh(layer(x, w, b)), w, b)  # w and b used twice
-            loss = ta.tensor_sum(ta.mul(out, Tensor(np.linspace(0.5, 1.5, 6))))
-        grads = backward(tape, loss)
-        runs.append([out.data.tobytes()] + [grads[t.id].tobytes() for t in leaves.values()])
-    assert runs[0] == runs[1]
-
-
-def test_linear_records_one_node():
+def test_mlp_rejects_a_bias_of_neither_shape():
     w = Tensor(np.ones((3, 2)), requires_grad=True)
-    with Tape() as tape:
-        ta.linear(Tensor(np.ones(3)), w, Tensor(np.zeros(2)))
-    assert [n.op for n in tape.nodes] == ["linear"]
-    with pytest.raises(ValueError, match="bias shape"):
-        ta.linear(Tensor(np.ones(3)), w, Tensor(np.zeros(3)))
+    with pytest.raises(ValueError, match=r"^mlp: bias shape \(3,\) does not match output \(2,\)$"):
+        ta.mlp([Tensor(np.ones(3))], [(w, Tensor(np.zeros(3)))], "silu")
 
 
 def test_data64_is_read_only_widened_copy():
@@ -576,6 +557,99 @@ def test_every_backward_rule_is_used():
     assert rules and not rules - used, sorted(rules - used)
 
 
+# public names of src/ that nothing in src/ and no release gate reaches, kept
+# on purpose; every other public name is reached from the code that runs
+ALLOWED = {
+    "data.sample_pair": "one pair draw, a span the benchmark times on its own",
+    "inference.read_sample": "library entry: loads a sample write_sample wrote",
+    "pretrain.clip_holdout_stats": "library entry: the contrastive stage's holdout readout",
+    "pretrain.diffusion_holdout_mse": "library entry: the denoiser stage's holdout readout",
+    "pretrain.make_pretrained_baseline": "library entry: the baseline the CLI builds in steps",
+    "tensorad.debug_checks": "library entry: traps non-finite values op by op",
+    "schedule.cfg_combine": "the guidance of the Tensor reference chain; a benchmark span",
+    "tensorad.concat": "a primitive reference chains compose; a benchmark op kind",
+    "tensorad.stack": "a primitive reference chains compose; a benchmark op kind",
+    "tensorad.slice1d": "a primitive reference chains compose; a benchmark op kind",
+    "tensorad.silu": "a primitive reference chains compose; a benchmark op kind",
+    "tensorad.tanh": "a primitive reference chains compose; a benchmark op kind",
+    "tensorad.dot": "a primitive reference chains compose; a benchmark op kind",
+    "tensorad.row_mean": "a primitive reference chains compose",
+}
+
+SRC_DIR = Path(ta.__file__).resolve().parent
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+
+def _import_bindings(tree):
+    """Each name an import of the package binds in ``tree``: a module to
+    ("module", its name), any other name to "module.name"."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("rewardtune")):
+            module = (node.module or "").removeprefix("rewardtune").lstrip(".")
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (f"{module}.{alias.name}" if module
+                                                     else ("module", alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith("rewardtune."):
+                    bound[alias.asname] = ("module", alias.name.removeprefix("rewardtune."))
+    return bound
+
+
+def _loads(node, local=frozenset()):
+    """(name, attribute or None) for each name ``node`` reads, and each
+    attribute it reads off a name, that no enclosing function binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        local = local | {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if a}
+        local = local | {n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    if isinstance(node, ast.Name) and node.id not in local:
+        yield node.id, None
+    elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+          and node.value.id not in local):
+        yield node.value.id, node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _loads(child, local)
+
+
+def _reached_from(tree, own):
+    """The qualified names the code of ``tree`` refers to, its own top-level
+    names resolved through ``own``; a definition's references to its own
+    name do not count."""
+    bound = {**_import_bindings(tree), **own}
+    reached = set()
+    for stmt in tree.body:
+        for name, attr in _loads(stmt):
+            target = bound.get(name)
+            if attr is None and isinstance(target, str) and name != getattr(stmt, "name", None):
+                reached.add(target)
+            elif attr is not None and isinstance(target, tuple):
+                reached.add(f"{target[1]}.{attr}")
+    return reached
+
+
+def test_every_public_name_in_src_is_reached():
+    # a public function or class that only tests call restates the code
+    # that runs or has outlived it: production code or a release gate must
+    # reach it, or ALLOWED must say why it stays
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC_DIR.glob("*.py"))}
+    public = {module: {node.name: f"{module}.{node.name}" for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_")}
+              for module, tree in trees.items()}
+    reached = _reached_from(ast.parse(ACCEPTANCE.read_text()), {})
+    for module, tree in trees.items():
+        reached |= _reached_from(tree, public[module])
+    names = {q for defs in public.values() for q in defs.values()}
+    assert sorted(names - reached - ALLOWED.keys()) == []
+    # the table cannot go stale: each entry exists and is reached by nothing else
+    assert sorted(k for k in ALLOWED if k not in names or k in reached) == []
+
+
 def test_segment_rejects_undeclared_tensor():
     with Tape() as tape:
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -664,13 +738,120 @@ def test_shape_mismatch_raises():
         ta.matmul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0], [3.0]]))
 
 
-def test_operator_sugar():
-    a = Tensor([1.0, 2.0])
-    b = Tensor([3.0, 4.0])
-    assert np.allclose((a + b).data, [4.0, 6.0])
-    assert np.allclose((a - b).data, [-2.0, -2.0])
-    assert np.allclose((a * b).data, [3.0, 8.0])
-    assert np.allclose((a / 2.0).data, [0.5, 1.0])
-    assert np.allclose((-a).data, [-1.0, -2.0])
-    assert np.allclose((2.0 * a).data, [2.0, 4.0])
-    assert float((a @ Tensor([[1.0], [1.0]])).data[0]) == 3.0
+
+# ---------------------------------------------------------------------------
+# input checks: each bad input fails in its op's own check, with its message
+
+
+def _segment_under_tape(fn, inputs):
+    with Tape():
+        return checkpoint_segment(fn, inputs)
+
+
+def _replay_with_another_output_count():
+    # the replay records as many ops as the recording but returns two outputs
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        y = ta.mul(t, 2.0)
+        return y if len(calls) == 1 else (y, y)
+
+    with Tape() as tape:
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = checkpoint_segment(fn, (x,)).sum()
+    backward(tape, loss)
+
+
+_V, _M = Tensor([1.0, 2.0, 3.0]), Tensor(np.ones((2, 3)))
+
+_INPUT_CHECKS = {
+    "div-zero": (lambda: ta.div(_V, 0.0), ZeroDivisionError, "div: constant divisor is zero"),
+    "product-rank": (lambda: ta.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2)))),
+                     ValueError, "matmul: operands must be 1-D or 2-D"),
+    "concat": (lambda: ta.concat([_V, _M]), ValueError,
+               "concat: inputs must be 1-D, or 2-D with equal row counts; got [(3,), (2, 3)]"),
+    "stack-empty": (lambda: ta.stack([]), ValueError, "stack: no inputs"),
+    "stack-shapes": (lambda: ta.stack([_V, Tensor([1.0])]), ValueError,
+                     "stack: inputs must be 0-D scalars or 1-D rows of one length; "
+                     "got [(3,), (1,)]"),
+    "slice1d-rank": (lambda: ta.slice1d(_M, 0, 1), ValueError, "slice1d: input must be 1-D"),
+    "slice1d-range": (lambda: ta.slice1d(_V, 2, 2), ValueError,
+                      "slice1d: bad range [2, 2) for length 3"),
+    "row-rank": (lambda: ta.row(_V, 0), ValueError, "row: input must be 2-D"),
+    "row-index": (lambda: ta.row(_M, [1, 1]), ValueError,
+                  "row: index [1, 1] out of range for 2 rows, or repeated"),
+    "broadcast_rows": (lambda: ta.broadcast_rows(_V, (2, 4)), ValueError,
+                       "broadcast_rows: cannot broadcast (3,) to (2, 4)"),
+    "put_rows-shape": (lambda: ta.put_rows(_M, [0], Tensor([1.0, 2.0])), ValueError,
+                       "put_rows: cannot put (2,) into rows of (2, 3)"),
+    "put_rows-order": (lambda: ta.put_rows(_M, [1, 0], _V), ValueError,
+                       "put_rows: rows [1, 0] are not ascending indices below 2"),
+    "pool_tokens-table": (lambda: ta.pool_tokens(_V, [[0]]), ValueError,
+                          "pool_tokens: embedding table must be 2-D, got (3,)"),
+    "mean-empty": (lambda: ta.tensor_mean(Tensor(np.ones(0))), ValueError,
+                   "mean: empty tensor"),
+    "row_mean-rank": (lambda: ta.row_mean(_V), ValueError,
+                      "row_mean: input must be (B, n) with n >= 1, got (3,)"),
+    "row_mean-empty": (lambda: ta.row_mean(Tensor(np.ones((2, 0)))), ValueError,
+                       "row_mean: input must be (B, n) with n >= 1, got (2, 0)"),
+    "batch_mean-rank": (lambda: ta.batch_mean(_M), ValueError,
+                        "batch_mean: input must be a non-empty vector, got (2, 3)"),
+    "batch_mean-empty": (lambda: ta.batch_mean(Tensor(np.ones(0))), ValueError,
+                         "batch_mean: input must be a non-empty vector, got (0,)"),
+    "log-domain": (lambda: ta.log(Tensor([1.0, 0.0])), ValueError,
+                   "log: input must be positive"),
+    "sqrt-domain": (lambda: ta.sqrt(Tensor([1.0, -1.0])), ValueError,
+                    "sqrt: input must be non-negative"),
+    "backward-loss": (lambda: backward(Tape(), 1.0), AutodiffError,
+                      "backward: loss must be a Tensor"),
+    "segment-inputs": (lambda: checkpoint_segment(lambda t: t, (np.ones(2),)), AutodiffError,
+                       "checkpoint_segment: boundary inputs must be Tensors"),
+    "segment-outputs": (lambda: _segment_under_tape(lambda t: t.data, (_V,)), AutodiffError,
+                        "checkpoint_segment: outputs must be Tensors"),
+    "replay-outputs": (_replay_with_another_output_count, AutodiffError,
+                       "checkpoint replay returned a different number of outputs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_CHECKS))
+def test_input_check_raises_its_own_error(case):
+    run, kind, message = _INPUT_CHECKS[case]
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        run()
+
+
+def test_segment_whose_outputs_get_no_gradient_is_not_replayed():
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return ta.mul(t, 2.0)
+
+    with Tape() as tape:
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        checkpoint_segment(fn, (x,))  # off the loss path
+        loss = ta.mul(x, x).sum()
+    grads = backward(tape, loss)
+    assert len(calls) == 1  # the recording; no replay
+    np.testing.assert_array_equal(grads[x.id], [2.0, 4.0])
+
+
+def test_leaf_only_empty_row_terms_reach_gets_zeros():
+    # two put_rows that replace no row: v is read by two nodes, each giving
+    # it no row terms, and its folded gradient is zeros of its shape
+    v = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    with Tape() as tape:
+        a = ta.put_rows(Tensor(np.ones((2, 3))), [], v)
+        b = ta.put_rows(Tensor(np.ones((4, 3))), [], v)
+        loss = ta.add(a.sum(), b.sum())
+    g = backward(tape, loss)[v.id]
+    assert g.shape == (3,) and g.dtype == v.data.dtype
+    assert g.tobytes() == np.zeros(3, v.data.dtype).tobytes()
+
+
+def test_fd_oracle_takes_a_float_result():
+    with ta.default_dtype(np.float64):
+        g = finite_diff_grad(lambda p: float(np.sum(p["x"].data ** 2)),
+                             {"x": Tensor([1.0, -2.0])}, h=1e-3)
+    np.testing.assert_allclose(g["x"], [2.0, -4.0], rtol=1e-9)
