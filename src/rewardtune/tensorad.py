@@ -260,8 +260,39 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(id={self.id}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
+    def __add__(self, other):
+        return add(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return sub(self, other)
+
+    def __rsub__(self, other):
+        return sub(other, self)
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return div(self, other)
+
+    def __rtruediv__(self, other):
+        return div(other, self)
+
+    def __neg__(self):
+        return neg(self)
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
     def sum(self):
         return tensor_sum(self)
+
+    def mean(self):
+        return tensor_mean(self)
 
 
 class TapeNode:

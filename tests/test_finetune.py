@@ -55,6 +55,7 @@ from rewardtune.tensorad import Tensor
 from rewardtune.pretrain import PretrainConfig
 from rewardtune.util import derive_seed, is_number
 import test_byte_manifest
+from reference_ops import taped_step
 
 _TEXT_FIELDS = ("embed", "w1", "b1", "w2", "b2")
 
@@ -536,13 +537,6 @@ class TestDirectStep:
 # chain regimes
 
 
-def _taped_step(denoiser, t, t_prev, z, c, w, sampler, sched):
-    """One transition as the fine-tune chain records it: the constants and
-    buffer of a one-transition ``step_table``, then one ``ta.mlp_step``."""
-    ((temb, pairs),), buffer = step_table(denoiser, [(t, t_prev)], z, c, w, sampler, sched)
-    return ta.mlp_step(z, temb, pairs, buffer)
-
-
 def _f64_setup(seed=21):
     """Fresh float64 models + world for finite-difference comparisons."""
     world = make_world(derive_seed(seed, "world"))
@@ -837,7 +831,7 @@ class TestChainStep:
         # recompute-on-backward must be invisible: same loss, gradients and
         # |dL/dz| at every recorded step, bit for bit, as one tape holding
         # each item's recorded steps as ``ta.mlp_step`` nodes after its
-        # prefix walked detached
+        # prefix stepped detached
         sched = make_schedule("linear-beta", 1000)
         plan = make_step_plan(4)
         prompts = [(2, 5), (0,), (3, 6, 7)][:batch]
@@ -859,12 +853,14 @@ class TestChainStep:
             total = None
             for prompt, z0 in zip(prompts, z0s):
                 c = text_encode(text, prompt)
-                z = Tensor(walk_chain(den, transitions[:split], Tensor(z0), c, w, sampler,
-                                      sched))
+                z = Tensor(z0)
+                with ta.pause_recording():
+                    for t, t_prev in transitions[:split]:
+                        z = taped_step(den, t, t_prev, z, c, w, sampler, sched)
                 taps.append([])
                 for t, t_prev in transitions[split:]:
                     taps[-1].append(z.id)
-                    z = _taped_step(den, t, t_prev, z, c, w, sampler, sched)
+                    z = taped_step(den, t, t_prev, z, c, w, sampler, sched)
                 li = combined_loss(z, prompt, spec, world=baseline_world,
                                    image_params=baseline_image, text_params=text)
                 total = li if total is None else ta.add(total, li)
@@ -1020,7 +1016,7 @@ class TestChainStep:
                 z = Tensor(walk_chain(den, transitions[:split], Tensor(z0), c, chain_w,
                                       sampler, sched))
                 for t, t_prev in transitions[split:]:
-                    z = _taped_step(den, t, t_prev, z, c, chain_w, sampler, sched)
+                    z = taped_step(den, t, t_prev, z, c, chain_w, sampler, sched)
                 li = combined_loss(z, prompt, spec, world=baseline_world,
                                    image_params=baseline_image, text_params=text)
                 total = li if total is None else ta.add(total, li)
@@ -1074,7 +1070,7 @@ class TestChainStep:
                 taps.append([])
                 for t, t_prev in transitions[split:]:
                     taps[-1].append(z.id)
-                    z = _taped_step(den, t, t_prev, z, c, chain_w, "ddim", sched)
+                    z = taped_step(den, t, t_prev, z, c, chain_w, "ddim", sched)
                 li = combined_loss(z, prompt, spec, world=baseline_world,
                                    image_params=baseline_image, text_params=text)
                 total = li if total is None else ta.add(total, li)

@@ -43,6 +43,8 @@ from rewardtune.schedule import (NoiseSchedule, cfg_combine, make_schedule, make
 from rewardtune.tensorad import Tensor
 from rewardtune.util import derive_seed
 
+from reference_ops import taped_step, written_out_mlp
+
 
 class TestSample:
     def test_same_seed_reproduces_exactly(self, baseline_text, baseline_denoiser):
@@ -326,18 +328,11 @@ class TestBatchedWalk:
         assert start_noise(12, 16).data.tobytes() == want.tobytes()
 
 
-def _taped_step(denoiser, t, t_prev, z, c, w, sampler, sched):
-    """One transition as the fine-tune chain records it: the constants and
-    buffer of a one-transition ``step_table``, then one ``ta.mlp_step``."""
-    ((temb, pairs),), buffer = step_table(denoiser, [(t, t_prev)], z, c, w, sampler, sched)
-    return ta.mlp_step(z, temb, pairs, buffer)
-
-
 def _stepped_walk(denoiser, transitions, z, c, w, sampler, sched):
-    """``walk_chain`` written out as a detached loop of ``_taped_step``."""
+    """``walk_chain`` written out as a detached loop of ``taped_step``."""
     with ta.pause_recording():
         for t, t_prev in transitions:
-            z = _taped_step(denoiser, t, t_prev, z, c, w, sampler, sched)
+            z = taped_step(denoiser, t, t_prev, z, c, w, sampler, sched)
     return z.data
 
 
@@ -586,7 +581,7 @@ def _primitive_step(denoiser, t, t_prev, z, c, w, sampler, sched):
 
 
 class TestOneNodeStep:
-    """``_taped_step`` records one node, bit for bit the primitive chain."""
+    """``taped_step`` records one node, bit for bit the primitive chain."""
 
     @staticmethod
     def _run(step, state, dtype, shape, trainable, w, sampler):
@@ -623,7 +618,7 @@ class TestOneNodeStep:
     @pytest.mark.parametrize("sampler", ["ddim", "euler"])
     def test_bytes_equal_primitive_chain(self, baseline_state, sampler, w, shape, trainable,
                                          dtype):
-        got = self._run(_taped_step, baseline_state, dtype, shape, trainable, w, sampler)
+        got = self._run(taped_step, baseline_state, dtype, shape, trainable, w, sampler)
         want = self._run(_primitive_step, baseline_state, dtype, shape, trainable, w, sampler)
         assert got[0].dtype == np.dtype(dtype)
         assert got[0].tobytes() == want[0].tobytes()
@@ -800,31 +795,11 @@ class TestStepTableReuse:
         assert len(sampler_calls) == 4
 
 
-def _written_out_mlp(parts, layers):
-    """The silu dense stack as the primitive ops ``concat``, ``matmul``,
-    ``add`` and ``silu``, a one-row bias ``broadcast_rows`` in its own
-    dtype: ``add`` rounds the sum of a bias of another dtype once, from the
-    wider one."""
-    rows = [p.data.shape[0] for p in parts if p.data.ndim == 2]
-    if rows:
-        parts = [ta.broadcast_rows(p, (rows[0], p.data.shape[0])) if p.data.ndim == 1 else p
-                 for p in parts]
-    x = ta.concat(parts)
-    for i, (w, b) in enumerate(layers):
-        y = ta.matmul(x, w)
-        with ta.default_dtype(b.data.dtype):
-            b = ta.broadcast_rows(b, y.data.shape)
-        x = ta.add(y, b)
-        if i < len(layers) - 1:
-            x = ta.silu(x)
-    return x
-
-
 def _written_out_step(denoiser, t, t_prev, z, c, w, sampler, sched):
     """``_primitive_step`` with the dense stacks written out."""
     def eps_of(cond):
         temb = Tensor(ta.time_embedding_array(t, denoiser.t_embed))
-        return _written_out_mlp([z, temb, cond], denoiser.layers())
+        return written_out_mlp([z, temb, cond], denoiser.layers(), "silu")
 
     eps = eps_of(c)
     if w != 1.0:
@@ -892,9 +867,9 @@ class TestWorkspaceRounding:
 
         if node == "mlp":
             fused = lambda den, z, c: ta.mlp([z, temb(den), c], den.layers(), "silu")
-            chain = lambda den, z, c: _written_out_mlp([z, temb(den), c], den.layers())
+            chain = lambda den, z, c: written_out_mlp([z, temb(den), c], den.layers(), "silu")
         else:
-            fused = lambda den, z, c: _taped_step(den, 700, 600, z, c, 3.0, "euler", sched)
+            fused = lambda den, z, c: taped_step(den, 700, 600, z, c, 3.0, "euler", sched)
             chain = lambda den, z, c: _written_out_step(den, 700, 600, z, c, 3.0, "euler",
                                                         sched)
         got, want = (self._taped(op, self._denoiser(baseline_state, bias_dtype, dtype, True),
@@ -913,7 +888,7 @@ class TestWorkspaceRounding:
         den.set_requires_grad(True)
         with ta.debug_checks():
             with ta.Tape(), pytest.raises(ta.AutodiffError, match="non-finite"):
-                _taped_step(den, 999, 500, z, c, 3.0, "ddim", sched)
+                taped_step(den, 999, 500, z, c, 3.0, "ddim", sched)
 
 
 def _array_saved(node):
@@ -930,7 +905,7 @@ class TestWorkspaceAliasing:
         with ta.Tape() as tape:
             c = text_encode_rows(baseline_text, [(1, 2), (5,)])
             for t, t_prev in [(999, 700), (700, 400)]:
-                z = _taped_step(baseline_denoiser, t, t_prev, z, c, 3.0, "ddim", sched)
+                z = taped_step(baseline_denoiser, t, t_prev, z, c, 3.0, "ddim", sched)
         first, second = [n for n in tape.nodes if n.op == "mlp_step"]
         kept = [a.copy() for a in _array_saved(first)]
         assert len(kept) == 5  # three layer inputs, two pre-activations

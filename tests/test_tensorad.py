@@ -256,7 +256,7 @@ def test_grad_stack():
     rng = np.random.default_rng(21)
 
     def f(p):
-        s = ta.stack([p["a"].sum(), ta.tensor_mean(p["b"])])
+        s = ta.stack([p["a"].sum(), p["b"].mean()])
         return _as_scalar(s, rng)
 
     _check_op(f, {"a": (3,), "b": (5,)}, 22)
@@ -269,7 +269,7 @@ def test_grad_row():
 
 def test_grad_sum_mean():
     _check_op(lambda p: p["a"].sum(), {"a": (7,)}, 25)
-    _check_op(lambda p: ta.tensor_mean(p["a"]), {"a": (7,)}, 26)
+    _check_op(lambda p: p["a"].mean(), {"a": (7,)}, 26)
 
 
 def test_grad_tanh_silu_exp_log_sqrt():
@@ -309,7 +309,7 @@ def test_grad_scalar_times_vector_chain():
     rng = np.random.default_rng(37)
 
     def f(p):
-        s = ta.tensor_mean(p["a"])
+        s = p["a"].mean()
         return _as_scalar(ta.mul(p["b"], s), rng)
 
     _check_op(f, {"a": (3,), "b": (4,)}, 38)
@@ -737,6 +737,17 @@ def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         ta.matmul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0], [3.0]]))
 
+
+def test_operator_sugar():
+    a = Tensor([1.0, 2.0])
+    b = Tensor([3.0, 4.0])
+    assert np.allclose((a + b).data, [4.0, 6.0])
+    assert np.allclose((a - b).data, [-2.0, -2.0])
+    assert np.allclose((a * b).data, [3.0, 8.0])
+    assert np.allclose((a / 2.0).data, [0.5, 1.0])
+    assert np.allclose((-a).data, [-1.0, -2.0])
+    assert np.allclose((2.0 * a).data, [2.0, 4.0])
+    assert float((a @ Tensor([[1.0], [1.0]])).data[0]) == 3.0
 
 
 # ---------------------------------------------------------------------------

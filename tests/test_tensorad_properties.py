@@ -15,6 +15,8 @@ from rewardtune import tensorad as ta
 from rewardtune.models import ImageEncoderParams, image_encode
 from rewardtune.tensorad import Tape, Tensor, backward, finite_diff_grad
 
+from reference_ops import dense, written_out_mlp
+
 _SETTINGS = settings(derandomize=True, max_examples=20, deadline=None, database=None)
 _LENGTHS = st.integers(1, 8)
 _DIMS = st.integers(1, 6)
@@ -45,17 +47,6 @@ def _check_backward(build, arrays, h=1e-6):
         fd = finite_diff_grad(lambda p: _readout(build(p)), params, h=h)
     for k, t in params.items():
         np.testing.assert_allclose(grads[t.id], fd[k], rtol=1e-5, atol=1e-6, err_msg=k)
-
-
-def _dense(x, w, b):
-    """A dense layer as ops: ``add(matmul(x, w), b)``, a one-row bias
-    ``broadcast_rows`` over a batch's rows (``add`` takes no row operand) in
-    its own dtype, so the sum with a bias of another dtype rounds once, from
-    the wider one, as ``mlp`` adds it."""
-    y = ta.matmul(x, w)
-    with ta.default_dtype(b.data.dtype):
-        b = ta.broadcast_rows(b, y.data.shape)
-    return ta.add(y, b)
 
 
 # (op, input range): log and sqrt need positive inputs
@@ -223,7 +214,7 @@ def test_dense_layer(form, data):
     x_shape, out_shape = ((n,), (k,)) if form == "vec-mat" else ((m, n), (m, k))
     arrays = {"x": data.draw(_values(x_shape)), "w": data.draw(_values((n, k))),
               "b": data.draw(_values(out_shape))}
-    _check_backward(lambda p: _dense(p["x"], p["w"], p["b"]), arrays)
+    _check_backward(lambda p: dense(p["x"], p["w"], p["b"]), arrays)
 
 
 @_SETTINGS
@@ -291,7 +282,7 @@ def test_dense_layer_rows_bitwise(batch, data):
     n, k = data.draw(st.integers(1, 70)), data.draw(st.integers(1, 70))
     arrays = {"r_x": data.draw(_rows(batch, n)), "w": data.draw(_values((n, k))),
               "b": data.draw(_values(k))}
-    layer = lambda p: _dense(p["r_x"], p["w"], p["b"])  # noqa: E731
+    layer = lambda p: dense(p["r_x"], p["w"], p["b"])  # noqa: E731
     _assert_rowwise(layer, layer, arrays, batch)
 
 
@@ -353,7 +344,7 @@ def test_dense_layer_row_bias(batch, data):
     n, k = data.draw(_DIMS), data.draw(_DIMS)
     arrays = {"x": data.draw(_values((batch, n))), "w": data.draw(_values((n, k))),
               "b": data.draw(_values(k))}
-    _check_backward(lambda p: _dense(p["x"], p["w"], p["b"]), arrays)
+    _check_backward(lambda p: dense(p["x"], p["w"], p["b"]), arrays)
 
 
 @pytest.mark.parametrize("batch", _BATCHES)
@@ -386,16 +377,16 @@ _TAPE_BATCHES = [1, 2, 5, 9, 33]
 def _batched_loss(p, nulls):
     c = ta.put_rows(p["cond"], nulls, p["null"])
     inp = ta.concat([p["x"], c])
-    h = ta.silu(_dense(inp, p["w1"], p["b1"]))
-    d = ta.sub(_dense(h, p["w2"], p["b2"]), p["target"])
+    h = ta.silu(dense(inp, p["w1"], p["b1"]))
+    d = ta.sub(dense(h, p["w2"], p["b2"]), p["target"])
     return ta.batch_mean(ta.row_mean(ta.mul(d, d)))
 
 
 def _row_loss(p, i, null):
     c = p["null"] if null else p["cond"][i]
     inp = ta.concat([p["x"][i], c])
-    h = ta.silu(_dense(inp, p["w1"], p["b1"]))
-    d = ta.sub(_dense(h, p["w2"], p["b2"]), p["target"][i])
+    h = ta.silu(dense(inp, p["w1"], p["b1"]))
+    d = ta.sub(dense(h, p["w2"], p["b2"]), p["target"][i])
     return ta.tensor_mean(ta.mul(d, d))
 
 
@@ -514,7 +505,7 @@ def _shared_leaves_loss(p, consts, put_sets, broadcast, layers):
     if broadcast:
         h = ta.add(h, ta.broadcast_rows(p["v"], h.data.shape))
     for _ in range(layers):
-        h = ta.silu(_dense(h, p["w"], p["b"]))
+        h = ta.silu(dense(h, p["w"], p["b"]))
     return ta.batch_mean(ta.row_mean(ta.mul(h, h)))
 
 
@@ -525,7 +516,7 @@ def _shared_leaves_row_loss(p, consts, i, put_sets, broadcast, layers):
     if broadcast:
         h = ta.add(h, p["v"])
     for _ in range(layers):
-        h = ta.silu(_dense(h, p["w"], p["b"]))
+        h = ta.silu(dense(h, p["w"], p["b"]))
     return ta.tensor_mean(ta.mul(h, h))
 
 
@@ -570,8 +561,8 @@ def test_leaf_reached_by_several_batched_nodes(batch, data):
 def test_leaf_with_whole_and_row_terms_rejected(batched_first):
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     b = Tensor(np.zeros(2))
-    one = lambda: ta.tensor_sum(_dense(Tensor(np.ones(3)), w, b))  # noqa: E731
-    rows = lambda: ta.tensor_sum(_dense(Tensor(np.ones((4, 3))), w, b))  # noqa: E731
+    one = lambda: ta.tensor_sum(dense(Tensor(np.ones(3)), w, b))  # noqa: E731
+    rows = lambda: ta.tensor_sum(dense(Tensor(np.ones((4, 3))), w, b))  # noqa: E731
     with Tape() as tape:
         first, second = (rows, one) if batched_first else (one, rows)
         loss = ta.add(first(), second())
@@ -630,7 +621,7 @@ def test_row_split_keeps_negative_zero_gradient(dtype):
         assert g[i].tobytes() == want.tobytes(), i
 
 
-# a constant numerator: div(s, x)
+# a constant numerator: div(s, x) and s / x
 
 
 @_SETTINGS
@@ -640,11 +631,13 @@ def test_div_constant_numerator(data):
                                                         elements=_signed(0.5, 3.0))))
     s = data.draw(_signed(0.5, 3.0))
     _check_backward(lambda p: ta.div(s, p["a"]), {"a": a})
+    _check_backward(lambda p: s / p["a"], {"a": a})
     for dtype in (np.float32, np.float64):
         with ta.default_dtype(dtype):
             x = Tensor(a)
             want = (dtype(s) / x.data).tobytes()
             assert ta.div(s, x).data.tobytes() == want
+            assert (s / x).data.tobytes() == want
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +783,7 @@ _ROW_OPS = {
     "cosine_similarity": (lambda a, b: ta.cosine_similarity(a, b), "rows"),
     "matmul-vector": (lambda a, b: ta.matmul(a, b), "vector"),
     "matmul-matrix": (lambda a, b: ta.matmul(a, b), "matrix"),
-    "dense": (lambda a, b: _dense(a, b, _const(b.data.shape[1])), "matrix"),
+    "dense": (lambda a, b: dense(a, b, _const(b.data.shape[1])), "matrix"),
     "mlp": (lambda a, b: ta.mlp([a], [(b, _const(b.data.shape[1])),
                                       (_const(b.data.shape[1], 3), _const(3))], "silu"),
             "matrix"),
@@ -880,7 +873,7 @@ def _assert_pool_matches(pool, embed_values, w_values, prompts, single=False):
             embed, w = Tensor(embed_values, requires_grad=True), Tensor(w_values, requires_grad=True)
             with Tape() as tape:
                 pooled = pool(embed, prompts[0] if single else prompts)
-                out = _dense(pooled, w, Tensor(bias))
+                out = dense(pooled, w, Tensor(bias))
                 loss = ta.tensor_mean(out) if single else ta.batch_mean(ta.row_mean(out))
             got = backward(tape, loss)
 
@@ -889,7 +882,7 @@ def _assert_pool_matches(pool, embed_values, w_values, prompts, single=False):
                 rows, total = [], None
                 for p in prompts:
                     rows.append(_written_out_pool(embed2, p))
-                    term = ta.tensor_mean(_dense(rows[-1], w2, Tensor(bias)))
+                    term = ta.tensor_mean(dense(rows[-1], w2, Tensor(bias)))
                     total = term if total is None else ta.add(total, term)
                 want_loss = total if single else ta.mul(total, 1.0 / len(prompts))
             want = backward(tape, want_loss)
@@ -943,21 +936,6 @@ def test_pool_tokens_rejects_bad_prompts():
 # and (B, ·) rows, 1-D parts broadcast over the rows, frozen weights
 
 
-def _chain_mlp(parts, layers, act):
-    """``mlp`` written out: broadcast_rows, concat, then per layer the
-    dense layer and ``act`` below the last."""
-    rows = [p.data.shape[0] for p in parts if p.data.ndim == 2]
-    if rows:
-        parts = [ta.broadcast_rows(p, (rows[0], p.data.shape[0])) if p.data.ndim == 1 else p
-                 for p in parts]
-    x = ta.concat(parts) if len(parts) > 1 else parts[0]
-    for i, (w, b) in enumerate(layers):
-        x = _dense(x, w, b)
-        if i < len(layers) - 1:
-            x = getattr(ta, act)(x)
-    return x
-
-
 def _draw_mlp(data, batch):
     """(part arrays, layer arrays): each part 1-D or, with a batch, drawn 1-D
     or (B, n); at least one part has rows when there is a batch."""
@@ -998,7 +976,7 @@ def test_mlp_is_its_op_chain_bitwise(act, batch, data):
     part_grad = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
     layer_grad = data.draw(st.lists(st.booleans(), min_size=len(layers), max_size=len(layers)))
     for dtype in (np.float32, np.float64):
-        want = _fused_run(_chain_mlp, parts, layers, act, dtype, part_grad, layer_grad)
+        want = _fused_run(written_out_mlp, parts, layers, act, dtype, part_grad, layer_grad)
         assert _fused_run(ta.mlp, parts, layers, act, dtype, part_grad, layer_grad) == want
 
 
@@ -1016,7 +994,7 @@ def test_mlp_denoiser_shape_bitwise(batch, data):
               for m, k in zip(sizes, sizes[1:])]
     for dtype in (np.float32, np.float64):
         args = (parts, layers, "silu", dtype, [True, False, True], [True] * 3)
-        assert _fused_run(ta.mlp, *args) == _fused_run(_chain_mlp, *args)
+        assert _fused_run(ta.mlp, *args) == _fused_run(written_out_mlp, *args)
 
 
 def _segment_chain(op, z0, c, leaves, k_segments, dtype):
@@ -1051,7 +1029,7 @@ def test_mlp_weight_read_by_k_segments_bitwise(batch, data):
     leaves = [data.draw(_values((n + m, h), -0.8, 0.8)), data.draw(_values(h)),
               data.draw(_values((h, n), -0.8, 0.8)), data.draw(_values(n))]
     for dtype in (np.float32, np.float64):
-        want = _segment_chain(_chain_mlp, z0, c, leaves, k_segments, dtype)
+        want = _segment_chain(written_out_mlp, z0, c, leaves, k_segments, dtype)
         assert _segment_chain(ta.mlp, z0, c, leaves, k_segments, dtype) == want
 
 
@@ -1110,9 +1088,9 @@ def test_fused_ops_repeated_operand_bitwise(batch, dtype, data):
                     h = ta.mlp([xt], [(wt, bt), (wt, bt)], "silu")
                     y = ta.axpby(h, a, h, c)
                 else:
-                    h = _chain_mlp([xt], [(wt, bt), (wt, bt)], "silu")
+                    h = written_out_mlp([xt], [(wt, bt), (wt, bt)], "silu")
                     y = ta.add(ta.mul(h, a), ta.mul(h, c))
-                loss = ta.add(_readout(ta.add(y, h)), _readout(_dense(xt, wt, bt)))
+                loss = ta.add(_readout(ta.add(y, h)), _readout(dense(xt, wt, bt)))
                 grads = backward(tape, loss)
         return [grads[t.id].tobytes() for t in (xt, wt, bt)]
 
@@ -1164,7 +1142,7 @@ def test_mlp_backward_skips_frozen_weights():
     # inputs: w3, b3, w2, b2, w1, b1, x
     assert [g is None for g in grads] == [True, True, False, False, True, True, False]
     want = [_fused_run(op, [x.data], [(w.data, b.data) for w, b in layers], "silu",
-                       np.float32, [True], [False, True, False]) for op in (ta.mlp, _chain_mlp)]
+                       np.float32, [True], [False, True, False]) for op in (ta.mlp, written_out_mlp)]
     assert want[0] == want[1]
     assert out.data.tobytes() == want[0][0]
 
@@ -1223,7 +1201,7 @@ def test_mlp_kernel_kept_workspace_bitwise(dtype, act, batch, data):
             got = ta.mlp_kernel(x, work, act)
             assert got.dtype == dtype and got.shape == shape[:-1] + layers[-1][0].shape[1:]
             assert got.tobytes() == ta.mlp_kernel(x, ta._mlp_work(shape, layers), act).tobytes()
-            assert got.tobytes() == _chain_mlp([Tensor(x)], layers, act).data.tobytes()
+            assert got.tobytes() == written_out_mlp([Tensor(x)], layers, act).data.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1242,7 +1220,7 @@ def test_mlp_kernel_kept_workspace_traps_non_finite_product(dtype, batch, data):
         bad.reshape(-1)[data.draw(st.integers(0, bad.size - 1))] = np.inf
         with ta.debug_checks(), np.errstate(invalid="ignore"):
             for run in (lambda: ta.mlp_kernel(bad, work, "silu"),
-                        lambda: _chain_mlp([Tensor(bad)], layers, "silu")):
+                        lambda: written_out_mlp([Tensor(bad)], layers, "silu")):
                 with pytest.raises(ta.AutodiffError, match="non-finite"):
                     run()
             x = data.draw(_values(shape)).astype(dtype)
